@@ -28,7 +28,7 @@ import scipy.linalg
 import semifold as sf
 from semifold.cli import _solve_monotone
 from semifold.continuation import detect_fold, trace_branch
-from semifold.nonlinear import make_system, newton_solve
+from semifold.nonlinear import newton_solve
 from semifold.subsuper import build_subsolution
 from semifold.verify import tau_star
 
@@ -66,8 +66,7 @@ def fold_alpha(R: float, n: int) -> float:
     inst = sf.canonical_instance(R=R, n=n)
     ts = tau_star(inst)
     t_start = -10.0 * abs(ts)
-    start = newton_solve(make_system(inst, t_start),
-                         build_subsolution(inst, t_start))
+    start = newton_solve(inst, build_subsolution(inst, t_start), t_start)
     branch = trace_branch(inst, t_start, start.u, step_ds=0.5,
                           t_window=(t_start - 1.0, ts + 1.0))
     return detect_fold(branch, inst).alpha

@@ -6,7 +6,7 @@ continuation in the forcing coefficient, and fold location.
 __version__ = "0.1.0"
 
 from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
-                     load_config, parse_config)
+                     canonical_instance, load_config, parse_config)
 from .continuation import (Branch, BranchPoint, FoldResult, bisect_alpha,
                            detect_fold, refine_fold, trace_branch,
                            two_solutions)
@@ -16,11 +16,9 @@ from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
                    assemble_weight_mass, build_grid, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
 from .nonlinear import (apply_solution_operator, deflated_solve, jacobian,
-                        make_system, newton_solve, picard_solve, residual,
-                        second_solution)
+                        newton_solve, picard_solve, residual, second_solution)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
-                      WeightSpec, build_instance, canonical_instance,
-                      canonical_weight, check_P1, check_P2,
+                      WeightSpec, canonical_weight, check_P1, check_P2,
                       decompose_forcing, derive_slack_constants,
                       linear_nonlinearity, smooth_ramp_nonlinearity)
 from .subsuper import (OrderedInterval, SolutionProfile, build_subsolution,

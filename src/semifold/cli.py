@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 config error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
@@ -23,7 +23,7 @@ from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import bisect_alpha, detect_fold, trace_branch, two_solutions
 from .errors import ConfigError, NoFoldInBranch, SemifoldError
-from .nonlinear import make_system, newton_solve, picard_solve, residual
+from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
 from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
@@ -47,6 +47,19 @@ def _write_solution_csv(path: Path, grid, u) -> None:
                header="r,u,r_pow_u", comments="")
 
 
+def _read_solution_csv(path, grid) -> np.ndarray:
+    """The u column of a solution CSV whose r column is this grid's nodes."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable solution CSV ({exc})") from exc
+    if data.shape[0] != grid.n or data.shape[1] < 2 or not np.allclose(
+            data[:, 0], grid.nodes, rtol=1e-12, atol=1e-12 * grid.R):
+        raise ConfigError(f"{path}: r column does not match the grid "
+                          f"({data.shape[0]} rows, grid has n = {grid.n})")
+    return data[:, 1]
+
+
 class _Run:
     """Tracks emitted files and per-stage wall clock for the manifest."""
 
@@ -63,17 +76,13 @@ class _Run:
         self.files.append(name)
         return path
 
+    @contextlib.contextmanager
     def stage(self, name):
-        run = self
-
-        class _Timer:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                run.stages[name] = time.perf_counter() - self.t0
-
-        return _Timer()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = time.perf_counter() - t0
 
     def finish(self, command: str) -> None:
         manifest = {
@@ -112,15 +121,13 @@ def cmd_check(cfg: ScenarioConfig, args) -> int:
         slack = derive_slack_constants(nl.g, nl.g_prime, nl.mu_lower, nl.mu_upper)
         sigma = check_sigma_growth(nl, grid.N)
         rng = np.random.default_rng(cfg.seed)
-        lam = inst.eigen.lambda1 if inst.eigen else None
-        comparison = None
-        if lam is not None:
-            oks = []
-            for _ in range(20):
-                rhs = rng.random(grid.n)
-                oks.append(check_comparison(inst.A, inst.weight_values,
-                                            0.9 * lam, rhs, lam)["pass"])
-            comparison = all(oks)
+        lam = inst.eigen.lambda1
+        oks = []
+        for _ in range(20):
+            rhs = rng.random(grid.n)
+            oks.append(check_comparison(inst.A, inst.weight_values,
+                                        0.9 * lam, rhs, lam)["pass"])
+        comparison = all(oks)
         report = {
             "P1": {k: v for k, v in p1.items()},
             "P2": {"constant_estimate": p2["constant_estimate"],
@@ -174,7 +181,7 @@ def _solve_monotone(inst, t, L=None):
     # from above only to within its own residual
     upper = fold.u_fold.u
     try:
-        upper = newton_solve(make_system(inst, t), upper, tol=1e-13).u
+        upper = newton_solve(inst, upper, t, tol=1e-13).u
     except SemifoldError:
         pass
     interval = OrderedInterval(lower=w, upper=upper)
@@ -192,13 +199,12 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
             prof, interval = _solve_monotone(inst, t)
         else:
             if args.start:
-                u0 = np.loadtxt(args.start, delimiter=",", skiprows=1)[:, 1]
+                u0 = _read_solution_csv(args.start, grid)
             else:
                 u0 = np.zeros(grid.n)
-            sys = make_system(inst, t)
             tol = float(cfg.run.get("newton_tol", 1e-10))
             solver = newton_solve if args.method == "newton" else picard_solve
-            prof = solver(sys, u0, tol=tol)
+            prof = solver(inst, u0, t, tol=tol)
     run.emit("solution.csv", lambda p: _write_solution_csv(p, grid, prof.u))
     report = {"converged": True, "t": t, "iterations": prof.iterations,
               "residual_inf": prof.residual_inf, "e0_norm": prof.e0_norm,
@@ -215,7 +221,7 @@ def _traced_branch(cfg, inst, run):
     t_start = float(cfg.run.get("t_start", -10.0 * abs(ts)))
     with run.stage("branch_start"):
         w = build_subsolution(inst, t_start)
-        start = newton_solve(make_system(inst, t_start), w)
+        start = newton_solve(inst, w, t_start)
     with run.stage("trace"):
         branch = trace_branch(inst, t_start, start.u,
                               step_ds=float(cfg.run.get("step_ds", 2.0)),
@@ -305,10 +311,10 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
             csv_path = meta_path.with_suffix(".csv")
             if not csv_path.exists():
                 csv_path = soldir / "solution.csv"
-            u = np.loadtxt(csv_path, delimiter=",", skiprows=1)[:, 1]
-            sys = make_system(inst, float(meta["t"]))
-            prof = make_profile(inst, u, float(meta["t"]),
-                                float(np.abs(residual(sys, u)).max()))
+            u = _read_solution_csv(csv_path, inst.grid)
+            t = float(meta["t"])
+            prof = make_profile(inst, u, t,
+                                float(np.abs(residual(inst, u, t)).max()))
             reports.append(verify_solution(inst, prof,
                                            solution_id=meta_path.stem,
                                            instance_id=cfg.scenario_id()))
@@ -321,21 +327,14 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ScenarioConfig, args) -> int:
-    """Run several scenario configs concurrently, one subdir per scenario."""
+    """Run `eigen` on several scenario configs, one subdir per scenario."""
     base = _resolve_outdir(cfg, args)
-    width = int(cfg.run.get("sweep_width", 4))
-    configs = list({c.scenario_id(): c
-                    for c in (load_config(p) for p in args.configs)}.values())
+    configs = {c.scenario_id(): c for c in (load_config(p) for p in args.configs)}
     rc = 0
-
-    def one(sub_cfg):
-        ns = argparse.Namespace(outdir=str(base / sub_cfg.scenario_id()),
+    for sid, sub_cfg in configs.items():
+        ns = argparse.Namespace(outdir=str(base / sid),
                                 t=None, start=None, method="newton")
-        return cmd_eigen(sub_cfg, ns)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
-        for code in pool.map(one, configs):
-            rc = max(rc, code)
+        rc = max(rc, cmd_eigen(sub_cfg, ns))
     return rc
 
 

@@ -11,13 +11,14 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .grid import DIRICHLET, ROBIN_DECAY
-from .problem import (ProblemInstance, WeightSpec, build_grid, canonical_weight,
+from .eigen import first_eigenpair
+from .errors import ConfigError, SlopeViolation
+from .grid import (DIRICHLET, ROBIN_DECAY, assemble_laplacian,
+                   assemble_weight_mass, build_grid)
+from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
                       exponential_weight, linear_nonlinearity,
                       rational_decay_weight, smooth_ramp_nonlinearity,
                       table_weight)
@@ -95,7 +96,9 @@ def _get_float(section, key, default=None, *, where):
 def _validate(cfg: ScenarioConfig) -> None:
     g = cfg.grid
     R = _get_float(g, "r", where="grid")
-    n = int(_get_float(g, "n", where="grid"))
+    n = _get_float(g, "n", where="grid")
+    if not n.is_integer():
+        raise ConfigError(f"grid n must be an integer, got {g['n']!r}")
     if R <= 0 or n < 5:
         raise ConfigError(f"bad grid: R = {R}, n = {n}")
     farfield = g.get("farfield", ROBIN_DECAY)
@@ -138,10 +141,8 @@ def _build_weight(cfg: ScenarioConfig) -> WeightSpec:
 
 
 def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
-    from .eigen import first_eigenpair
-    from .grid import assemble_laplacian, assemble_weight_mass
-    from .problem import ForcingSpec
-
+    """The one assembly of an instance: grid, weight, operator, first
+    eigenpair, nonlinearity (slopes possibly relative to lambda1), forcing."""
     weight = _build_weight(cfg)
     g = cfg.grid
     grid = build_grid(weight.N, _get_float(g, "r", where="grid"),
@@ -179,11 +180,15 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
         raise ConfigError(f"unknown f1 preset {f1_kind!r} (use 'zero' or "
                           "decompose a raw forcing programmatically)")
 
-    inst = ProblemInstance(weight=weight, nonlinearity=nl,
+    # the linear preset is a diagnostic, not a fold problem
+    if preset != "linear" and not (nl.mu_lower < eig.lambda1 < nl.mu_upper):
+        raise SlopeViolation(
+            f"slack slopes ({nl.mu_lower}, {nl.mu_upper}) do not straddle "
+            f"lambda1 = {eig.lambda1}")
+    return ProblemInstance(weight=weight, nonlinearity=nl,
                            forcing=ForcingSpec(t=t, f1=f1), grid=grid,
                            farfield=farfield, weight_values=pvals, A=A,
-                           eigen=None)
-    return inst.with_eigen(eig, strict=preset != "linear")
+                           eigen=eig)
 
 
 CANONICAL_CONFIG = """\
@@ -212,3 +217,21 @@ farfield = robin_decay
 seed = 0
 outdir = out
 """
+
+
+def canonical_instance(R: float = 40.0, n: int = 4000, t: float = 0.0,
+                       farfield: str = ROBIN_DECAY,
+                       mu_factors=(0.5, 2.0), stretch: float = 1.0,
+                       eigen_tol: float = 1e-12) -> ProblemInstance:
+    """Shared cross-module fixture: CANONICAL_CONFIG (N=3, P=(1+r^2)^-3,
+    softplus-ramp g with slopes mu_factors * lambda1, f1 = 0, Theta = 1)
+    with the given keys overridden."""
+    cfg = parse_config(CANONICAL_CONFIG)
+    cfg.grid.update(r=repr(float(R)), n=str(n), farfield=farfield,
+                    stretch=repr(float(stretch)))
+    cfg.nonlinearity.update(mu_lower_factor=repr(float(mu_factors[0])),
+                            mu_upper_factor=repr(float(mu_factors[1])))
+    cfg.forcing["t"] = repr(float(t))
+    cfg.run["eigen_tol"] = repr(float(eigen_tol))
+    _validate(cfg)
+    return build_scenario_instance(cfg)

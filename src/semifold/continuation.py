@@ -18,7 +18,7 @@ from .eigen import smallest_eigenvalue
 from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
 from .grid import solve_tridiagonal
-from .nonlinear import jacobian, make_system, newton_solve, residual
+from .nonlinear import jacobian, newton_solve, residual
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
 
@@ -58,13 +58,12 @@ class FoldResult:
     alpha: float
     u_fold: SolutionProfile
     method: str
-    agreement_gap: Optional[float] = None
     hit_cap: bool = False
     alpha_fit: Optional[float] = None
 
 
-def _stability(instance, sys, u):
-    return smallest_eigenvalue(instance.grid, jacobian(sys, u))
+def _stability(instance, u):
+    return smallest_eigenvalue(instance.grid, jacobian(instance, u))
 
 
 def trace_branch(instance: ProblemInstance, t_start: float,
@@ -73,9 +72,8 @@ def trace_branch(instance: ProblemInstance, t_start: float,
                  tol: float = 1e-10, corrector_maxit: int = 12) -> Branch:
     u = np.asarray(u_start, dtype=float).copy()
     t = float(t_start)
-    sys = make_system(instance, t)
-    rs = sys.row_scale
-    if np.abs(residual(sys, u)).max() > 1e3 * tol * rs:
+    rs = instance.A.row_scale()
+    if np.abs(residual(instance, u, t)).max() > 1e3 * tol * rs:
         raise InitialPointInvalid(
             "starting point does not solve the system to branch tolerance")
 
@@ -84,15 +82,14 @@ def trace_branch(instance: ProblemInstance, t_start: float,
     Pphi = instance.weight_values * instance.eigen.phi1  # = -dF/dt
 
     # initial tangent from the parameter derivative du/dt
-    y = solve_tridiagonal(jacobian(sys, u), Pphi)
+    y = solve_tridiagonal(jacobian(instance, u), Pphi)
     nrm = np.sqrt(w2 * float(y @ y) + 1.0)
     tau_u, tau_t = y / nrm, 1.0 / nrm
 
     branch = Branch()
-    branch.points.append(BranchPoint(t=t, u=u.copy(),
-                                     stability_mu=_stability(instance, sys, u),
-                                     arclength=0.0,
-                                     residual_inf=float(np.abs(residual(sys, u)).max())))
+    branch.points.append(BranchPoint(
+        t=t, u=u.copy(), stability_mu=_stability(instance, u), arclength=0.0,
+        residual_inf=float(np.abs(residual(instance, u, t)).max())))
     ds = float(step_ds)
     ds0 = abs(ds)
     easy = 0
@@ -103,13 +100,12 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         uc, tc = u_pred.copy(), t_pred
         ok = False
         for _ in range(corrector_maxit):
-            sys_c = make_system(instance, tc)
-            F = residual(sys_c, uc)
+            F = residual(instance, uc, tc)
             con = w2 * float(tau_u @ (uc - u)) + tau_t * (tc - t) - ds
             if np.abs(F).max() <= tol * rs and abs(con) <= 1e-10 * (1.0 + abs(ds)):
                 ok = True
                 break
-            J = jacobian(sys_c, uc)
+            J = jacobian(instance, uc)
             try:
                 p = solve_tridiagonal(J, -F)
                 q = solve_tridiagonal(J, Pphi)
@@ -138,10 +134,9 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         tau_u, tau_t = new_tau_u / nrm, new_tau_t / nrm
         arc += abs(ds)
         u, t = uc, tc
-        sys_c = make_system(instance, t)
         branch.points.append(BranchPoint(
-            t=t, u=u.copy(), stability_mu=_stability(instance, sys_c, u),
-            arclength=arc, residual_inf=float(np.abs(residual(sys_c, u)).max())))
+            t=t, u=u.copy(), stability_mu=_stability(instance, u),
+            arclength=arc, residual_inf=float(np.abs(residual(instance, u, t)).max())))
         if not (t_window[0] <= t <= t_window[1]):
             branch.status = "window_exit"
             return branch
@@ -177,9 +172,8 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     u, t, v = u0.copy(), float(t0), v0.copy()
     rs = instance.A.row_scale()
     for _ in range(maxit):
-        sys = make_system(instance, t)
-        F = residual(sys, u)
-        J = jacobian(sys, u)
+        F = residual(instance, u, t)
+        J = jacobian(instance, u)
         Jv = J.apply(v)
         if np.abs(F).max() <= tol * rs and \
                 np.abs(Jv).max() <= 1e-8 * rs * np.abs(v).max():
@@ -238,13 +232,12 @@ def detect_fold(branch: Branch, instance: ProblemInstance,
         alpha, u_star = alpha_fit, branch.points[idx].u.copy()
 
     t_polish = alpha - 1e-8 * (1.0 + abs(alpha))
-    sys = make_system(instance, t_polish)
     try:
-        prof = newton_solve(sys, u_star, tol=1e-8, maxit=20)
+        prof = newton_solve(instance, u_star, t_polish, tol=1e-8, maxit=20)
     except NoConvergence:
         prof = make_profile(instance, u_star, t_polish,
-                            float(np.abs(residual(sys, u_star)).max()))
-    prof.stability_mu = _stability(instance, sys, prof.u)
+                            float(np.abs(residual(instance, u_star, t_polish)).max()))
+    prof.stability_mu = _stability(instance, prof.u)
     return FoldResult(alpha=float(alpha), u_fold=prof, method="arclength",
                       alpha_fit=alpha_fit)
 
@@ -267,16 +260,14 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
         if hi is not None and t_try >= hi:
             dt *= 0.5
             continue
-        sys = make_system(instance, t_try)
         try:
-            prof = newton_solve(sys, u, tol=tol, maxit=30)
+            prof = newton_solve(instance, u, t_try, tol=tol, maxit=30)
             t, u = t_try, prof.u
             streak += 1
             if t_cap is not None and t >= t_cap:
-                sys = make_system(instance, t)
                 prof = make_profile(instance, u, t,
-                                    float(np.abs(residual(sys, u)).max()))
-                prof.stability_mu = _stability(instance, sys, u)
+                                    float(np.abs(residual(instance, u, t)).max()))
+                prof.stability_mu = _stability(instance, u)
                 return FoldResult(alpha=t, u_fold=prof, method="bisection",
                                   hit_cap=True)
             if streak >= 2:
@@ -287,9 +278,8 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
             dt *= 0.5
             streak = 0
     alpha = 0.5 * (t + hi) if hi is not None else t + dt_min
-    sys = make_system(instance, t)
-    prof = make_profile(instance, u, t, float(np.abs(residual(sys, u)).max()))
-    prof.stability_mu = _stability(instance, sys, u)
+    prof = make_profile(instance, u, t, float(np.abs(residual(instance, u, t)).max()))
+    prof.stability_mu = _stability(instance, u)
     return FoldResult(alpha=float(alpha), u_fold=prof, method="bisection")
 
 
@@ -308,9 +298,8 @@ def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
         seg_ts = ts[seg]
         j = int(np.argmin(np.abs(seg_ts - t_query)))
         u0 = branch.points[seg[j]].u
-        sys = make_system(instance, t_query)
-        prof = newton_solve(sys, u0, tol=tol, maxit=60)
-        prof.stability_mu = _stability(instance, sys, prof.u)
+        prof = newton_solve(instance, u0, t_query, tol=tol, maxit=60)
+        prof.stability_mu = _stability(instance, prof.u)
         out.append(prof)
     u_lower, u_upper = out
     if u_lower.u.mean() > u_upper.u.mean():

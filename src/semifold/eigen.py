@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NonSimpleWarning, ZeroDenominator
+from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
+                     SingularOperator, ZeroDenominator)
 from .grid import (RadialGrid, TridiagonalOperator, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
 
@@ -39,14 +40,13 @@ class EigenPair:
     iterations: int
 
     def __post_init__(self):
-        assert (self.phi1 > 0.0).all(), "first eigenfunction must be positive"
+        if not (self.phi1 > 0.0).all():
+            raise NonPositiveEigenfunction("first eigenfunction must be positive")
 
 
-def decay_constants(grid: RadialGrid, phi: np.ndarray, window=None) -> DecayWindow:
-    """Min/max of r^{N-2} phi over a tail window (default [R/2, R])."""
-    if window is None:
-        window = (0.5 * grid.R, grid.R)
-    mask = (grid.nodes >= window[0]) & (grid.nodes <= window[1]) & (grid.nodes > 0)
+def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
+    """Min/max of r^{N-2} phi over the tail window [R/2, R]."""
+    mask = grid.tail_window()
     vals = grid.nodes[mask] ** (grid.N - 2) * phi[mask]
     c1, c2 = float(vals.min()), float(vals.max())
     ratio = c2 / c1 if c1 > 0.0 else np.inf
@@ -146,7 +146,8 @@ def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator) -> float:
     from scipy.linalg import eigh_tridiagonal
 
     prod = op.sub * op.sup
-    assert (prod >= -1e-30).all(), "operator not symmetrizable"
+    if not (prod >= -1e-30).all():
+        raise SingularOperator("operator not symmetrizable")
     off = -np.sqrt(np.maximum(prod, 0.0))
     vals = eigh_tridiagonal(op.diag, off, select="i", select_range=(0, 0),
                             eigvals_only=True)

@@ -5,10 +5,6 @@ class SemifoldError(Exception):
     """Base class for all package errors."""
 
 
-class BadGridConfig(SemifoldError):
-    pass
-
-
 class NonPositiveWeight(SemifoldError):
     pass
 
@@ -21,19 +17,15 @@ class ProbeOutOfRange(SemifoldError):
     pass
 
 
-class SlopeViolation(SemifoldError):
-    pass
-
-
 class NotNormalized(SemifoldError):
     pass
 
 
-class SingularOperator(SemifoldError):
+class NonPositiveEigenfunction(SemifoldError):
     pass
 
 
-class SingularJacobian(SemifoldError):
+class SingularOperator(SemifoldError):
     pass
 
 
@@ -72,6 +64,14 @@ class QueryPastFold(SemifoldError):
 
 
 class ConfigError(SemifoldError):
+    """A scenario the solver cannot be set up for (CLI exit code 1)."""
+
+
+class BadGridConfig(ConfigError):
+    pass
+
+
+class SlopeViolation(ConfigError):
     pass
 
 

@@ -57,10 +57,10 @@ class RadialGrid:
         f = self.faces
         return (f[1:] ** self.N - f[:-1] ** self.N) / self.N
 
-    def tail_window(self, lo_frac: float = 0.5, hi_frac: float = 1.0) -> np.ndarray:
-        """Boolean node mask for [lo_frac*R, hi_frac*R], excluding r=0."""
+    def tail_window(self) -> np.ndarray:
+        """Boolean node mask for [R/2, R], excluding r=0."""
         r = self.nodes
-        return (r >= lo_frac * self.R) & (r <= hi_frac * self.R) & (r > 0.0)
+        return (r >= 0.5 * self.R) & (r <= self.R) & (r > 0.0)
 
 
 def build_grid(N: int, R: float, n: int, stretch: float = 1.0) -> RadialGrid:

@@ -3,8 +3,7 @@ operator, and deflation for extra roots."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -14,55 +13,52 @@ from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
 
 
-@dataclass
-class NonlinearSystem:
-    instance: ProblemInstance
-    A: TridiagonalOperator
-    mP: np.ndarray
-    g: Callable
-    g_prime: Callable
-    rhs_affine: np.ndarray  # P * (t*phi1 + f1)
-    t: float
-
-    @property
-    def row_scale(self) -> float:
-        return self.A.row_scale()
+_last_forcing = (None, None, None)
 
 
-def make_system(instance: ProblemInstance, t: float) -> NonlinearSystem:
-    nl = instance.nonlinearity
-    phi1 = instance.eigen.phi1 if instance.eigen is not None else 0.0
-    rhs = instance.weight_values * (t * phi1 + instance.forcing.f1)
-    return NonlinearSystem(instance=instance, A=instance.A,
-                           mP=instance.weight_values, g=nl.g,
-                           g_prime=nl.g_prime, rhs_affine=rhs, t=float(t))
+def _forcing(inst: ProblemInstance, t: float) -> np.ndarray:
+    """P (t phi1 + f1), kept for the last (instance, t) asked for: Newton
+    and its line search evaluate many residuals at one t."""
+    global _last_forcing
+    last_inst, last_t, rhs = _last_forcing
+    if last_inst is not inst or last_t != t:
+        rhs = inst.weight_values * (t * inst.eigen.phi1 + inst.forcing.f1)
+        _last_forcing = (inst, t, rhs)
+    return rhs
 
 
-def residual(sys: NonlinearSystem, u: np.ndarray) -> np.ndarray:
-    return sys.A.apply(u) - sys.mP * np.asarray(sys.g(u)) - sys.rhs_affine
+def residual(inst: ProblemInstance, u: np.ndarray, t: float) -> np.ndarray:
+    """F(u, t) = A u - P g(u) - P (t phi1 + f1)."""
+    return (inst.A.apply(u) - inst.weight_values * np.asarray(inst.nonlinearity.g(u))
+            - _forcing(inst, t))
 
 
-def jacobian(sys: NonlinearSystem, u: np.ndarray) -> TridiagonalOperator:
-    return sys.A.shifted(-sys.mP * np.asarray(sys.g_prime(u)))
+def jacobian(inst: ProblemInstance, u: np.ndarray) -> TridiagonalOperator:
+    return inst.A.shifted(-inst.weight_values
+                          * np.asarray(inst.nonlinearity.g_prime(u)))
 
 
-def apply_solution_operator(sys: NonlinearSystem, v: np.ndarray) -> np.ndarray:
+def apply_solution_operator(inst: ProblemInstance, v: np.ndarray,
+                            t: float) -> np.ndarray:
     """One Picard step: solve A u = P g(v) + P (t phi1 + f1)."""
-    return solve_tridiagonal(sys.A, sys.mP * np.asarray(sys.g(v)) + sys.rhs_affine)
+    return solve_tridiagonal(inst.A, inst.weight_values
+                             * np.asarray(inst.nonlinearity.g(v))
+                             + _forcing(inst, t))
 
 
-def newton_solve(sys: NonlinearSystem, u0: np.ndarray, tol: float = 1e-10,
-                 maxit: int = 50, damping: bool = True) -> SolutionProfile:
+def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
+                 tol: float = 1e-10, maxit: int = 50,
+                 damping: bool = True) -> SolutionProfile:
     """Damped Newton with Armijo backtracking on the merit 0.5*||F||_2^2.
     Raises NoConvergence; callers probing nonexistence catch it."""
     u = np.asarray(u0, dtype=float).copy()
-    rs = sys.row_scale
-    F = residual(sys, u)
+    rs = inst.A.row_scale()
+    F = residual(inst, u, t)
     for k in range(1, maxit + 1):
         if np.abs(F).max() <= tol * rs:
-            return make_profile(sys.instance, u, sys.t, np.abs(F).max(),
+            return make_profile(inst, u, t, np.abs(F).max(),
                                 iterations=k - 1)
-        J = jacobian(sys, u)
+        J = jacobian(inst, u)
         try:
             du = solve_tridiagonal(J, -F)
         except SingularOperator as exc:
@@ -72,7 +68,7 @@ def newton_solve(sys: NonlinearSystem, u0: np.ndarray, tol: float = 1e-10,
         step = 1.0
         for _ in range(30):
             u_try = u + step * du
-            F_try = residual(sys, u_try)
+            F_try = residual(inst, u_try, t)
             if not np.isfinite(F_try).all():
                 step *= 0.5
                 continue
@@ -88,23 +84,23 @@ def newton_solve(sys: NonlinearSystem, u0: np.ndarray, tol: float = 1e-10,
                         residual=float(np.abs(F).max()))
 
 
-def picard_solve(sys: NonlinearSystem, u0: np.ndarray, tol: float = 1e-10,
-                 maxit: int = 2000) -> SolutionProfile:
+def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
+                 tol: float = 1e-10, maxit: int = 2000) -> SolutionProfile:
     """Fixed-point iteration of the solution operator."""
     u = np.asarray(u0, dtype=float).copy()
-    rs = sys.row_scale
+    rs = inst.A.row_scale()
     scale0 = 1.0 + np.abs(u).max()
     for k in range(1, maxit + 1):
-        u_next = apply_solution_operator(sys, u)
+        u_next = apply_solution_operator(inst, u, t)
         if not np.isfinite(u_next).all() or np.abs(u_next).max() > 1e8 * scale0:
             raise NoConvergence(f"Picard iteration diverged at step {k}",
                                 iterations=k)
         delta = np.abs(u_next - u).max()
         u = u_next
         if delta <= tol * (1.0 + np.abs(u).max()):
-            F = residual(sys, u)
+            F = residual(inst, u, t)
             if np.abs(F).max() <= 1e2 * tol * rs:
-                return make_profile(sys.instance, u, sys.t, np.abs(F).max(),
+                return make_profile(inst, u, t, np.abs(F).max(),
                                     iterations=k)
     raise NoConvergence(f"Picard: {maxit} iterations, last delta {delta:.3e}",
                         iterations=maxit, residual=float(delta))
@@ -125,8 +121,8 @@ def _deflation_factor(u: np.ndarray, known: List[SolutionProfile]):
     return eta, np.sum(grads, axis=0) if grads else np.zeros_like(u)
 
 
-def deflated_solve(sys: NonlinearSystem, known: List[SolutionProfile],
-                   u0: np.ndarray, tol: float = 1e-10,
+def deflated_solve(inst: ProblemInstance, known: List[SolutionProfile],
+                   u0: np.ndarray, t: float, tol: float = 1e-10,
                    maxit: int = 200) -> SolutionProfile:
     """Newton on the deflated residual eta(u) F(u).  The deflated step is
     a scalar rescaling of the plain Newton step, so the tridiagonal solve
@@ -134,17 +130,17 @@ def deflated_solve(sys: NonlinearSystem, known: List[SolutionProfile],
     if not known:
         raise ValueError("deflated_solve requires at least one known solution")
     u = np.asarray(u0, dtype=float).copy()
-    rs = sys.row_scale
+    rs = inst.A.row_scale()
     for k in range(1, maxit + 1):
-        F = residual(sys, u)
+        F = residual(inst, u, t)
         eta, grad_log_eta = _deflation_factor(u, known)
         if np.abs(F).max() <= tol * rs and grad_log_eta is not None:
             sep_ok = all(np.abs(u - p.u).max() >= 1e-4 * (1.0 + np.abs(p.u).max())
                          for p in known)
             if sep_ok:
-                return make_profile(sys.instance, u, sys.t, np.abs(F).max(),
+                return make_profile(inst, u, t, np.abs(F).max(),
                                     iterations=k - 1)
-        J = jacobian(sys, u)
+        J = jacobian(inst, u)
         try:
             du_newton = solve_tridiagonal(J, -F)
         except SingularOperator as exc:
@@ -163,7 +159,7 @@ def deflated_solve(sys: NonlinearSystem, known: List[SolutionProfile],
         step = 1.0
         for _ in range(40):
             u_try = u + step * du
-            F_try = residual(sys, u_try)
+            F_try = residual(inst, u_try, t)
             eta_try, _ = _deflation_factor(u_try, known)
             if np.isfinite(F_try).all() and \
                     eta_try ** 2 * float(F_try @ F_try) <= (1.0 - 1e-4 * step) * merit:
@@ -176,18 +172,18 @@ def deflated_solve(sys: NonlinearSystem, known: List[SolutionProfile],
     raise NoConvergence(f"deflated Newton: {maxit} iterations", iterations=maxit)
 
 
-def second_solution(sys: NonlinearSystem, known: SolutionProfile,
+def second_solution(inst: ProblemInstance, known: SolutionProfile, t: float,
                     perturbations=(0.2, 0.5, 1.0, 2.0, 4.0),
                     tol: float = 1e-10) -> SolutionProfile:
     """Deflate a known solution and search for another one, retrying with
     larger starting perturbations along the first eigenfunction (the
     direction in which the second branch separates)."""
-    phi = sys.instance.eigen.phi1
+    phi = inst.eigen.phi1
     direction = phi / np.abs(phi).max()
     last = None
     for eps in perturbations:
         try:
-            return deflated_solve(sys, [known], known.u + eps * direction,
+            return deflated_solve(inst, [known], known.u + eps * direction, t,
                                   tol=tol)
         except NoConvergence as exc:
             last = exc

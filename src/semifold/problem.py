@@ -14,13 +14,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .eigen import EigenPair, first_eigenpair
-from .errors import (BoundarySlackWarning, DivergentMoment, NonPositiveWeight,
-                     NotNormalized, ProbeOutOfRange, SlopeViolation,
-                     TailInstabilityWarning)
-from .grid import (ROBIN_DECAY, RadialGrid, TridiagonalOperator,
-                   assemble_laplacian, assemble_weight_mass, build_grid,
-                   weighted_integral)
+from .eigen import EigenPair
+from .errors import (BadGridConfig, BoundarySlackWarning, DivergentMoment,
+                     NonPositiveWeight, NotNormalized, ProbeOutOfRange,
+                     SlopeViolation, TailInstabilityWarning)
+from .grid import RadialGrid, TridiagonalOperator, weighted_integral
 
 TAIL_WARN_REL = 0.01
 TAIL_DIVERGENT_REL = 0.25
@@ -57,7 +55,6 @@ class NonlinearitySpec:
     mu_lower: float
     mu_upper: float
     theta: float
-    monotone: bool = True
     g_second: Optional[Callable] = None
     preset_id: str = "custom"
     params: dict = field(default_factory=dict)
@@ -81,7 +78,7 @@ def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
         return gap * e * (1.0 - e)
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=mu_lower,
-                            mu_upper=mu_upper, theta=offset, monotone=True,
+                            mu_upper=mu_upper, theta=offset,
                             g_second=g_second, preset_id="smooth_ramp",
                             params={"mu_lower": mu_lower, "mu_upper": mu_upper,
                                     "offset": offset})
@@ -101,8 +98,7 @@ def linear_nonlinearity(slope: float, mu_lower=None, mu_upper=None,
     return NonlinearitySpec(g=g, g_prime=g_prime,
                             mu_lower=slope if mu_lower is None else mu_lower,
                             mu_upper=slope if mu_upper is None else mu_upper,
-                            theta=theta, monotone=slope >= 0.0,
-                            g_second=g_second, preset_id="linear",
+                            theta=theta, g_second=g_second, preset_id="linear",
                             params={"slope": slope})
 
 
@@ -121,7 +117,7 @@ class ProblemInstance:
     farfield: str
     weight_values: np.ndarray
     A: TridiagonalOperator
-    eigen: Optional[EigenPair] = None
+    eigen: EigenPair
 
     @property
     def N(self) -> int:
@@ -132,57 +128,10 @@ class ProblemInstance:
                           f1=self.forcing.f1 if f1 is None else np.asarray(f1, float))
         return replace(self, forcing=new)
 
-    def with_eigen(self, eigen: EigenPair, strict: bool = True) -> "ProblemInstance":
-        nl = self.nonlinearity
-        if strict and not (nl.mu_lower < eigen.lambda1 < nl.mu_upper):
-            raise SlopeViolation(
-                f"slack slopes ({nl.mu_lower}, {nl.mu_upper}) do not straddle "
-                f"lambda1 = {eigen.lambda1}")
-        return replace(self, eigen=eigen)
-
-
-def build_instance(weight: WeightSpec, nonlinearity: NonlinearitySpec,
-                   R: float, n: int, stretch: float = 1.0,
-                   farfield: str = ROBIN_DECAY, t: float = 0.0,
-                   f1: Optional[np.ndarray] = None,
-                   solve_eigen: bool = True,
-                   eigen_tol: float = 1e-12) -> ProblemInstance:
-    grid = build_grid(weight.N, R, n, stretch)
-    pvals = assemble_weight_mass(grid, weight.evaluator)
-    A = assemble_laplacian(grid, farfield)
-    forcing = ForcingSpec(t=float(t),
-                          f1=np.zeros(grid.n) if f1 is None else np.asarray(f1, float))
-    inst = ProblemInstance(weight=weight, nonlinearity=nonlinearity,
-                           forcing=forcing, grid=grid, farfield=farfield,
-                           weight_values=pvals, A=A, eigen=None)
-    if solve_eigen:
-        inst = inst.with_eigen(first_eigenpair(grid, A, pvals, tol=eigen_tol))
-    return inst
-
 
 def canonical_weight(N: int = 3) -> WeightSpec:
     return WeightSpec(evaluator=rational_decay_weight(3.0),
                       preset_id="rational_decay", N=N, params={"power": 3.0})
-
-
-def canonical_instance(R: float = 40.0, n: int = 4000, t: float = 0.0,
-                       farfield: str = ROBIN_DECAY,
-                       mu_factors=(0.5, 2.0), stretch: float = 1.0,
-                       eigen_tol: float = 1e-12) -> ProblemInstance:
-    """Shared cross-module fixture: N=3, P=(1+r^2)^-3, softplus-ramp g
-    with slopes (0.5, 2.0) * lambda1, f1 = 0, Theta = 1."""
-    weight = canonical_weight()
-    grid = build_grid(weight.N, R, n, stretch)
-    pvals = assemble_weight_mass(grid, weight.evaluator)
-    A = assemble_laplacian(grid, farfield)
-    eig = first_eigenpair(grid, A, pvals, tol=eigen_tol)
-    nl = smooth_ramp_nonlinearity(mu_factors[0] * eig.lambda1,
-                                  mu_factors[1] * eig.lambda1)
-    inst = ProblemInstance(weight=weight, nonlinearity=nl,
-                           forcing=ForcingSpec(t=float(t), f1=np.zeros(grid.n)),
-                           grid=grid, farfield=farfield, weight_values=pvals,
-                           A=A, eigen=None)
-    return inst.with_eigen(eig)
 
 
 # ------------------------------------------------------------- hypotheses
@@ -290,7 +239,8 @@ def derive_slack_constants(g: Callable, g_prime: Callable, mu_lower: float,
 def check_sigma_growth(nonlin: NonlinearitySpec, N: int,
                        sample_range=(0.0, 1e4), num: int = 4001) -> dict:
     """Subcritical growth report: sigma = N/(N-2) and tail of g(s)/s^sigma."""
-    assert N >= 3
+    if N < 3:
+        raise BadGridConfig(f"dimension must be >= 3, got {N}")
     sigma = N / (N - 2)
     lo, hi = sample_range
     s = np.linspace(max(lo, 1e-8), hi, num)

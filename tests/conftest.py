@@ -6,10 +6,8 @@ import pytest
 from hypothesis import settings
 
 import semifold as sf
-from semifold.continuation import detect_fold, trace_branch
-from semifold.nonlinear import make_system, newton_solve
-from semifold.subsuper import build_subsolution
-from semifold.verify import tau_star
+from branching import make_branch
+from semifold.continuation import detect_fold
 
 settings.register_profile("suite", max_examples=25, derandomize=True,
                           deadline=None)
@@ -32,14 +30,6 @@ def canonical():
 @pytest.fixture(scope="session")
 def coarse():
     return sf.canonical_instance(R=40.0, n=1000)
-
-
-def make_branch(inst):
-    ts = tau_star(inst)
-    t0 = -10.0 * abs(ts)
-    start = newton_solve(make_system(inst, t0), build_subsolution(inst, t0))
-    return trace_branch(inst, t0, start.u, step_ds=0.5,
-                        t_window=(t0 - 1.0, ts + 1.0))
 
 
 @pytest.fixture(scope="session")

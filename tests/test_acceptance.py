@@ -16,14 +16,14 @@ import semifold as sf
 from semifold.continuation import bisect_alpha, detect_fold
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
-from semifold.nonlinear import (make_system, newton_solve, picard_solve,
-                                residual, second_solution)
+from semifold.nonlinear import (newton_solve, picard_solve, residual,
+                                second_solution)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
                                check_order_interval, monotone_iterate)
 from semifold.verify import (check_comparison, dirichlet_energy,
                              representation_residual, riesz_potential,
                              tau_star, weighted_source_functional)
-from conftest import make_branch
+from branching import make_branch
 
 T0 = time.perf_counter()
 
@@ -95,8 +95,8 @@ def test_acceptance_4_monotone_method(canonical, fixture_data):
     # coefficient (the plateau construction only covers much smaller t)
     from semifold.cli import _solve_monotone
     v = _solve_monotone(canonical, alpha - 0.5)[0].u
-    F_w = residual(make_system(canonical, t), w)
-    F_v = residual(make_system(canonical, t), v)
+    F_w = residual(canonical, w, t)
+    F_v = residual(canonical, v, t)
     defect_ok = F_w.max() <= 1e-8 * rs and F_v.min() >= -1e-8 * rs
     interval = OrderedInterval(lower=w, upper=v)
     # monotone_iterate asserts pointwise monotonicity at every step and
@@ -155,7 +155,7 @@ def test_acceptance_6_multiplicity(canonical, canonical_branch,
     interval = OrderedInterval(lower=w, upper=v)
     m1 = check_order_interval(u1.u, interval, canonical.grid)
     m2 = check_order_interval(u2.u, interval, canonical.grid)
-    sec = second_solution(make_system(canonical, t), u1)
+    sec = second_solution(canonical, u1, t)
     defl_gap = np.abs(sec.u - u2.u).max() / (1.0 + np.abs(u2.u).max())
     elapsed = time.perf_counter() - tic
     ok = (sep_ok and m1["member"] and not m2["member"] and defl_gap <= 1e-6
@@ -169,18 +169,18 @@ def test_acceptance_6_multiplicity(canonical, canonical_branch,
 def test_acceptance_7_nonexistence(canonical, fixture_data):
     tic = time.perf_counter()
     t_bad = tau_star(canonical) + 1.0
-    sys = make_system(canonical, t_bad)
     rng = np.random.default_rng(0)
     failures = 0
     for _ in range(20):
         try:
-            newton_solve(sys, rng.standard_normal(canonical.grid.n), maxit=50)
+            newton_solve(canonical, rng.standard_normal(canonical.grid.n),
+                         t_bad, maxit=50)
         except NoConvergence:
             failures += 1
     for _ in range(5):
         try:
-            picard_solve(sys, rng.standard_normal(canonical.grid.n),
-                         maxit=500)
+            picard_solve(canonical, rng.standard_normal(canonical.grid.n),
+                         t_bad, maxit=500)
         except NoConvergence:
             failures += 1
     stored_ok = all(meta["t"] <= fixture_data["tau_star_canonical"]

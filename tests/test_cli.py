@@ -129,3 +129,43 @@ def test_sweep_command(scenario, tmp_path):
     subdirs = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert len(subdirs) == 1  # identical configs share a scenario id
     assert (subdirs[0] / "eigen.json").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("stretch = 1.0", "stretch = 0.5"),
+    ("dimension = 3", "dimension = 2"),
+    ("mu_lower_factor = 0.5", "mu_lower_factor = 1.5"),
+    ("n = 800", "n = 400.9"),
+])
+def test_config_mistakes_exit_1(tmp_path, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL.replace(old, new))
+    assert main(["eigen", str(path), "--outdir", str(tmp_path / "out")]) == 1
+
+
+@pytest.fixture(scope="module")
+def coarse_solution(tmp_path_factory):
+    """A solution written on an n = 400 grid, foreign to `scenario`."""
+    root = tmp_path_factory.mktemp("coarse")
+    path = root / "coarse.ini"
+    path.write_text(CANONICAL_CONFIG.replace("n = 4000", "n = 400"))
+    assert main(["solve", str(path), "--t", "-50",
+                 "--outdir", str(root / "sol")]) == 0
+    return root / "sol"
+
+
+def test_verify_rejects_solution_from_other_grid(scenario, coarse_solution,
+                                                 tmp_path, capsys):
+    rc = main(["verify", scenario, "--solutions", str(coarse_solution),
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "does not match the grid" in capsys.readouterr().err
+
+
+def test_solve_start_rejects_solution_from_other_grid(scenario, coarse_solution,
+                                                      tmp_path, capsys):
+    rc = main(["solve", scenario, "--t", "-50",
+               "--start", str(coarse_solution / "solution.csv"),
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "does not match the grid" in capsys.readouterr().err

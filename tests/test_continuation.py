@@ -6,10 +6,10 @@ from semifold.continuation import (bisect_alpha, detect_fold, refine_fold,
                                    trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, NoFoldInBranch,
                              QueryPastFold)
-from semifold.nonlinear import jacobian, make_system, newton_solve, residual
+from semifold.nonlinear import jacobian, newton_solve, residual
 from semifold.subsuper import build_subsolution
 from semifold.verify import tau_star
-from conftest import make_branch
+from branching import make_branch
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def test_branch_passes_the_turn(inst, branch):
 def test_branch_points_are_solutions(inst, branch):
     rs = inst.A.row_scale()
     for p in branch.points[:: max(len(branch) // 8, 1)]:
-        F = residual(make_system(inst, p.t), p.u)
+        F = residual(inst, p.u, p.t)
         assert np.abs(F).max() <= 1e-8 * rs
 
 
@@ -60,9 +60,9 @@ def test_fold_refinement_is_sharp(inst, branch, fold):
     rounding and the extended-system residual is tiny."""
     assert abs(fold.u_fold.stability_mu) < 1e-8
     assert fold.alpha_fit == pytest.approx(fold.alpha, abs=0.05)
-    sys = make_system(inst, fold.alpha)
     # a nearby Newton polish stays within the expected fold distance
-    assert np.abs(residual(sys, fold.u_fold.u)).max() < 1e-4 * inst.A.row_scale()
+    assert np.abs(residual(inst, fold.u_fold.u, fold.alpha)).max() \
+        < 1e-4 * inst.A.row_scale()
 
 
 def test_bisection_agrees_with_arclength(inst, branch, fold):
@@ -86,7 +86,7 @@ def test_bisect_alpha_respects_cap(inst, branch, fold):
 def test_no_fold_in_short_window(inst):
     ts = tau_star(inst)
     t0 = -10.0 * abs(ts)
-    start = newton_solve(make_system(inst, t0), build_subsolution(inst, t0))
+    start = newton_solve(inst, build_subsolution(inst, t0), t0)
     # window closes long before the branch can turn
     stub = trace_branch(inst, t0, start.u, step_ds=0.5,
                         t_window=(t0 - 1.0, t0 + 3.0))
@@ -116,5 +116,5 @@ def test_refine_fold_from_crude_seed(inst, branch, fold):
     u, alpha, v = refine_fold(inst, branch.points[idx].u.copy(),
                               float(ts[idx]), v0)
     assert alpha == pytest.approx(fold.alpha, abs=1e-8)
-    J = jacobian(make_system(inst, alpha), u)
+    J = jacobian(inst, u)
     assert np.abs(J.apply(v)).max() < 1e-6 * inst.A.row_scale() * np.abs(v).max()

@@ -135,3 +135,39 @@ def test_forcing_override():
     inst2 = inst.with_forcing(t=3.5)
     assert inst2.forcing.t == 3.5
     assert inst.forcing.t == 0.0
+
+
+def test_validation_survives_python_O():
+    """The eigenpair, symmetrizability and dimension checks raise package
+    errors, not asserts, so `python -O` keeps them."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+from dataclasses import replace
+import semifold as sf
+from semifold.eigen import smallest_eigenvalue
+from semifold.errors import SemifoldError
+from semifold.problem import check_sigma_growth
+
+assert False, "asserts must be stripped in this interpreter"
+inst = sf.canonical_instance(R=20.0, n=50)
+checks = {
+    "EigenPair": lambda: replace(inst.eigen, phi1=-inst.eigen.phi1),
+    "smallest_eigenvalue": lambda: smallest_eigenvalue(
+        inst.grid, replace(inst.A, sub=-inst.A.sub)),
+    "check_sigma_growth": lambda: check_sigma_growth(inst.nonlinearity, 2),
+}
+for name, check in checks.items():
+    try:
+        check()
+    except SemifoldError:
+        continue
+    sys.exit(name + " did not raise")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@ import pytest
 
 import semifold as sf
 from semifold.errors import MonotonicityBroken, RampFailed, SingularOperator
-from semifold.nonlinear import make_system, residual
+from semifold.nonlinear import residual
 from semifold.subsuper import (OrderedInterval, build_subsolution,
                                build_supersolution, check_order_interval,
                                monotone_iterate)
@@ -29,7 +29,7 @@ def test_subsolution_defect_sign(inst):
     g(s) >= mu_lower s - theta transfers to the discrete residual."""
     for t in (T_DEEP, -50.0, 0.0):
         w = build_subsolution(inst, t)
-        F = residual(make_system(inst, t), w)
+        F = residual(inst, w, t)
         assert F.max() <= 1e-10 * inst.A.row_scale()
 
 
@@ -50,10 +50,10 @@ def test_subsolution_needs_subcritical_slope(inst):
 
 def test_supersolution_defect_sign(inst, pair):
     v, t_thr = build_supersolution(inst, 1.0, 5.0, 10.0)
-    F = residual(make_system(inst, t_thr), v)
+    F = residual(inst, v, t_thr)
     assert F.min() >= -1e-8 * inst.A.row_scale()
     # strictly below the threshold the defect has a strict margin
-    F2 = residual(make_system(inst, t_thr - 1.0), v)
+    F2 = residual(inst, v, t_thr - 1.0)
     assert F2.min() > 0.0
 
 
@@ -77,7 +77,7 @@ def test_monotone_limit_matches_newton(inst, pair):
     from semifold.nonlinear import newton_solve
 
     lo = monotone_iterate(inst, T_DEEP, pair)
-    nw = newton_solve(make_system(inst, T_DEEP), pair.lower)
+    nw = newton_solve(inst, pair.lower, T_DEEP)
     assert np.abs(lo.u - nw.u).max() < 1e-7 * (1.0 + np.abs(nw.u).max())
 
 

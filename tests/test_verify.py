@@ -109,10 +109,10 @@ def test_source_functional_positive_part_only(canonical):
 
 def test_verify_solution_report(canonical, fixture_solutions):
     t, u = fixture_solutions[0]
-    from semifold.nonlinear import make_system, residual
+    from semifold.nonlinear import residual
 
     prof = make_profile(canonical, u, t,
-                        float(np.abs(residual(make_system(canonical, t), u)).max()))
+                        float(np.abs(residual(canonical, u, t)).max()))
     rep = verify_solution(canonical, prof)
     assert rep.all_pass, [e for e in rep.entries if not e["pass"]]
     d = rep.to_dict()
@@ -123,10 +123,10 @@ def test_verify_solution_report(canonical, fixture_solutions):
 
 def test_verify_solution_catches_corruption(canonical, fixture_solutions):
     t, u = fixture_solutions[0]
-    from semifold.nonlinear import make_system, residual
+    from semifold.nonlinear import residual
 
     bad = u - 1.0  # breaks the subsolution lower bound
     prof = make_profile(canonical, bad, t,
-                        float(np.abs(residual(make_system(canonical, t), bad)).max()))
+                        float(np.abs(residual(canonical, bad, t)).max()))
     rep = verify_solution(canonical, prof)
     assert not rep.all_pass
