@@ -15,8 +15,8 @@ from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
                    assemble_weight_mass, build_grid, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
-from .nonlinear import (apply_solution_operator, deflated_solve, jacobian,
-                        newton_solve, picard_solve, residual, second_solution)
+from .nonlinear import (apply_solution_operator, jacobian, newton_solve,
+                        picard_solve, residual, second_solution)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
                       WeightSpec, canonical_weight, check_P1, check_P2,
                       decompose_forcing, derive_slack_constants,

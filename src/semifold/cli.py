@@ -371,12 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except (OSError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

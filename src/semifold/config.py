@@ -77,8 +77,12 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text)
 
 
 def _get_float(section, key, default=None, *, where):
@@ -101,6 +105,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"grid n must be an integer, got {g['n']!r}")
     if R <= 0 or n < 5:
         raise ConfigError(f"bad grid: R = {R}, n = {n}")
+    if not _get_float(cfg.weight, "dimension", 3.0, where="weight").is_integer():
+        raise ConfigError(f"weight dimension must be an integer, "
+                          f"got {cfg.weight['dimension']!r}")
     farfield = g.get("farfield", ROBIN_DECAY)
     if farfield not in (ROBIN_DECAY, DIRICHLET):
         raise ConfigError(f"unknown farfield {farfield!r}")
@@ -122,12 +129,10 @@ def _build_weight(cfg: ScenarioConfig) -> WeightSpec:
     preset = w.get("preset", "rational_decay")
     if preset == "rational_decay":
         power = _get_float(w, "power", 3.0, where="weight")
-        return WeightSpec(rational_decay_weight(power), "rational_decay", N,
-                          {"power": power})
+        return WeightSpec(rational_decay_weight(power), "rational_decay", N)
     if preset == "exponential":
         scale = _get_float(w, "scale", 1.0, where="weight")
-        return WeightSpec(exponential_weight(scale), "exponential", N,
-                          {"scale": scale})
+        return WeightSpec(exponential_weight(scale), "exponential", N)
     # inline coefficient table: "r0:v0, r1:v1, ..."
     try:
         pairs = [tuple(map(float, item.split(":")))
@@ -136,8 +141,7 @@ def _build_weight(cfg: ScenarioConfig) -> WeightSpec:
         raise ConfigError("weight preset 'table' needs key "
                           "table = r0:v0, r1:v1, ...") from exc
     radii, values = zip(*pairs)
-    return WeightSpec(table_weight(radii, values), "table", N,
-                      {"table": w["table"]})
+    return WeightSpec(table_weight(radii, values), "table", N)
 
 
 def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
@@ -148,9 +152,8 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     grid = build_grid(weight.N, _get_float(g, "r", where="grid"),
                       int(_get_float(g, "n", where="grid")),
                       _get_float(g, "stretch", 1.0, where="grid"))
-    farfield = g.get("farfield", ROBIN_DECAY)
     pvals = assemble_weight_mass(grid, weight.evaluator)
-    A = assemble_laplacian(grid, farfield)
+    A = assemble_laplacian(grid, g.get("farfield", ROBIN_DECAY))
     eig = first_eigenpair(grid, A, pvals,
                           tol=float(cfg.run.get("eigen_tol", 1e-12)))
 
@@ -187,8 +190,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             f"lambda1 = {eig.lambda1}")
     return ProblemInstance(weight=weight, nonlinearity=nl,
                            forcing=ForcingSpec(t=t, f1=f1), grid=grid,
-                           farfield=farfield, weight_values=pvals, A=A,
-                           eigen=eig)
+                           weight_values=pvals, A=A, eigen=eig)
 
 
 CANONICAL_CONFIG = """\

@@ -69,11 +69,12 @@ def _stability(instance, u):
 def trace_branch(instance: ProblemInstance, t_start: float,
                  u_start: np.ndarray, step_ds: float = 0.5,
                  t_window=(-np.inf, np.inf), max_points: int = 600,
-                 tol: float = 1e-10, corrector_maxit: int = 12) -> Branch:
+                 tol: float = 1e-10) -> Branch:
     u = np.asarray(u_start, dtype=float).copy()
     t = float(t_start)
     rs = instance.A.row_scale()
-    if np.abs(residual(instance, u, t)).max() > 1e3 * tol * rs:
+    F = residual(instance, u, t)
+    if np.abs(F).max() > 1e3 * tol * rs:
         raise InitialPointInvalid(
             "starting point does not solve the system to branch tolerance")
 
@@ -89,7 +90,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
     branch = Branch()
     branch.points.append(BranchPoint(
         t=t, u=u.copy(), stability_mu=_stability(instance, u), arclength=0.0,
-        residual_inf=float(np.abs(residual(instance, u, t)).max())))
+        residual_inf=float(np.abs(F).max())))
     ds = float(step_ds)
     ds0 = abs(ds)
     easy = 0
@@ -99,7 +100,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         t_pred = t + ds * tau_t
         uc, tc = u_pred.copy(), t_pred
         ok = False
-        for _ in range(corrector_maxit):
+        for _ in range(12):
             F = residual(instance, uc, tc)
             con = w2 * float(tau_u @ (uc - u)) + tau_t * (tc - t) - ds
             if np.abs(F).max() <= tol * rs and abs(con) <= 1e-10 * (1.0 + abs(ds)):
@@ -136,7 +137,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         u, t = uc, tc
         branch.points.append(BranchPoint(
             t=t, u=u.copy(), stability_mu=_stability(instance, u),
-            arclength=arc, residual_inf=float(np.abs(residual(instance, u, t)).max())))
+            arclength=arc, residual_inf=float(np.abs(F).max())))
         if not (t_window[0] <= t <= t_window[1]):
             branch.status = "window_exit"
             return branch
@@ -148,24 +149,11 @@ def trace_branch(instance: ProblemInstance, t_start: float,
     return branch
 
 
-def _g_second(instance):
-    nl = instance.nonlinearity
-    if nl.g_second is not None:
-        return nl.g_second
-
-    def fd(s):
-        s = np.asarray(s, dtype=float)
-        h = 1e-6 * (1.0 + np.abs(s))
-        return (np.asarray(nl.g_prime(s + h)) - np.asarray(nl.g_prime(s - h))) / (2 * h)
-
-    return fd
-
-
 def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
                 v0: np.ndarray, tol: float = 1e-12, maxit: int = 40):
     """Newton on the extended system {F(u,t)=0, J(u,t)v=0, c.v=1}.
     Returns (u, t, v) at the quadratic turning point."""
-    gsec = _g_second(instance)
+    gsec = instance.nonlinearity.g_second
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
     c = v0 / float(v0 @ v0)  # so that c.v0 = 1
@@ -195,8 +183,9 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     return u, t, v
 
 
-def detect_fold(branch: Branch, instance: ProblemInstance,
-                fit_window: int = 5, tol: float = 1e-10) -> FoldResult:
+def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
+    """The turn of the branch in t, refined on the extended fold system;
+    if refinement fails, the vertex of a local quadratic fit (method "fit")."""
     ts = branch.t_values
     ss = branch.arclengths
     if len(branch) < 5:
@@ -210,8 +199,8 @@ def detect_fold(branch: Branch, instance: ProblemInstance,
     # fit only points within a local arclength radius of the turn: the
     # adaptive stepping leaves wildly nonuniform spacing there, and far
     # points poison the parabola
-    lo = max(idx - fit_window, 0)
-    hi = min(idx + fit_window + 1, len(branch))
+    lo = max(idx - 5, 0)
+    hi = min(idx + 6, len(branch))
     local = np.abs(np.diff(ss[max(idx - 2, 0):min(idx + 3, len(branch))]))
     radius = 10.0 * float(np.median(local)) if local.size else np.inf
     sel = np.arange(lo, hi)
@@ -225,11 +214,13 @@ def detect_fold(branch: Branch, instance: ProblemInstance,
     # null-vector seed from the branch secant around the turn
     v0 = branch.points[min(idx + 1, len(branch) - 1)].u - branch.points[idx - 1].u
     v0 = v0 / np.abs(v0).max()
+    method = "arclength"
     try:
         u_star, alpha, _ = refine_fold(instance, branch.points[idx].u.copy(),
                                        float(ts[idx]), v0)
     except (NoConvergence, SingularOperator):
         alpha, u_star = alpha_fit, branch.points[idx].u.copy()
+        method = "fit"
 
     t_polish = alpha - 1e-8 * (1.0 + abs(alpha))
     try:
@@ -238,7 +229,7 @@ def detect_fold(branch: Branch, instance: ProblemInstance,
         prof = make_profile(instance, u_star, t_polish,
                             float(np.abs(residual(instance, u_star, t_polish)).max()))
     prof.stability_mu = _stability(instance, prof.u)
-    return FoldResult(alpha=float(alpha), u_fold=prof, method="arclength",
+    return FoldResult(alpha=float(alpha), u_fold=prof, method=method,
                       alpha_fit=alpha_fit)
 
 

@@ -53,23 +53,16 @@ def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
     return DecayWindow(C1=c1, C2=c2, ratio=ratio, plateau_ok=ratio <= PLATEAU_RATIO_LIMIT)
 
 
-def _volume_rayleigh(grid, A, mP, x):
-    vol = grid.volumes
-    num = float(np.dot(vol * x, A.apply(x)))
-    den = float(np.dot(vol * x, mP * x))
-    return num / den
-
-
 def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
                     tol: float = 1e-12, maxit: int = 10000) -> EigenPair:
     x = 1.0 / (1.0 + grid.nodes ** 2)
-    lam = _volume_rayleigh(grid, A, mP, x)
+    lam = rayleigh_quotient(grid, A, mP, x)
     prev_res = None
     eps = np.finfo(float).eps
     for k in range(1, maxit + 1):
         y = solve_tridiagonal(A, mP * x)
         y /= np.abs(y).max()
-        lam = _volume_rayleigh(grid, A, mP, y)
+        lam = rayleigh_quotient(grid, A, mP, y)
         res = np.abs(A.apply(y) - lam * mP * y).max()
         x = y
         # rounding floor: applying A cannot be more accurate than
@@ -114,11 +107,11 @@ def second_eigenvalue(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     rng = np.random.default_rng(0)
     x = project(rng.standard_normal(grid.n))
     x /= np.abs(x).max()
-    lam = _volume_rayleigh(grid, A, mP, x)
+    lam = rayleigh_quotient(grid, A, mP, x)
     for _ in range(maxit):
         y = project(solve_tridiagonal(A, mP * x))
         y /= np.abs(y).max()
-        lam = _volume_rayleigh(grid, A, mP, y)
+        lam = rayleigh_quotient(grid, A, mP, y)
         res = np.abs(project(A.apply(y) - lam * mP * y)).max()
         x = y
         if res <= max(tol, 1e3 * pair.residual) * abs(lam) * np.abs(mP * y).max():

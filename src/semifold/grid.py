@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma
 
 from .errors import BadGridConfig, NonPositiveWeight, SingularOperator
@@ -35,7 +35,6 @@ class RadialGrid:
     N: int
     R: float
     nodes: np.ndarray
-    stretch: float = 1.0
 
     @property
     def n(self) -> int:
@@ -79,7 +78,7 @@ def build_grid(N: int, R: float, n: int, stretch: float = 1.0) -> RadialGrid:
         ratios = stretch ** np.arange(n - 1)
         nodes = np.concatenate(([0.0], np.cumsum(ratios)))
         nodes *= R / nodes[-1]
-    return RadialGrid(N=N, R=float(R), nodes=nodes, stretch=float(stretch))
+    return RadialGrid(N=N, R=float(R), nodes=nodes)
 
 
 @dataclass
@@ -89,7 +88,6 @@ class TridiagonalOperator:
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    bc_tag: str = ROBIN_DECAY
 
     @property
     def n(self) -> int:
@@ -102,28 +100,16 @@ class TridiagonalOperator:
         return out
 
     def row_scale(self) -> float:
-        rows = np.abs(self.diag).copy()
-        rows[:-1] += np.abs(self.sup)
-        rows[1:] += np.abs(self.sub)
-        return float(rows.max())
+        return float(_row_sums(self).max())
 
     def shifted(self, d) -> "TridiagonalOperator":
         """Operator with d (scalar or array) added to the diagonal."""
         return TridiagonalOperator(
-            sub=self.sub.copy(), diag=self.diag + d, sup=self.sup.copy(),
-            bc_tag=self.bc_tag,
-        )
+            sub=self.sub.copy(), diag=self.diag + d, sup=self.sup.copy())
 
     def is_m_matrix(self) -> bool:
         return bool((self.sub <= 0.0).all() and (self.sup <= 0.0).all()
                     and (self.diag > 0.0).all())
-
-    def to_banded(self) -> np.ndarray:
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.sup
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.sub
-        return ab
 
 
 def assemble_laplacian(grid: RadialGrid, farfield: str = ROBIN_DECAY) -> TridiagonalOperator:
@@ -151,7 +137,7 @@ def assemble_laplacian(grid: RadialGrid, farfield: str = ROBIN_DECAY) -> Tridiag
         # penalty row enforcing u(R) = 0 to discretization accuracy
         sub[-1] = 0.0
         diag[-1] = 2.0 / h[-1] ** 2
-    return TridiagonalOperator(sub=sub, diag=diag, sup=sup, bc_tag=farfield)
+    return TridiagonalOperator(sub=sub, diag=diag, sup=sup)
 
 
 def assemble_weight_mass(grid: RadialGrid, weight) -> np.ndarray:
@@ -164,20 +150,27 @@ def assemble_weight_mass(grid: RadialGrid, weight) -> np.ndarray:
     return vals
 
 
-def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
+def _row_sums(op: TridiagonalOperator) -> np.ndarray:
     rows = np.abs(op.diag).copy()
     rows[:-1] += np.abs(op.sup)
     rows[1:] += np.abs(op.sub)
-    if (rows <= 1e-14 * max(rows.max(), 1.0)).any():
+    return rows
+
+
+def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK ?gtsv (partial pivoting), guarded against a (near-)zero row,
+    non-finite output and a solve residual above 1e-10 of the row scale."""
+    rows = _row_sums(op)
+    scale = float(rows.max())
+    if (rows <= 1e-14 * max(scale, 1.0)).any():
         raise SingularOperator("operator has a (near-)zero row")
-    try:
-        u = solve_banded((1, 1), op.to_banded(), rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
-        raise SingularOperator(str(exc)) from exc
+    *_, u, info = dgtsv(op.sub, op.diag, op.sup, rhs)
+    if info > 0:
+        raise SingularOperator(f"exactly singular: zero pivot at row {info}")
     if not np.isfinite(u).all():
         raise SingularOperator("direct solve produced non-finite values")
     res = np.abs(op.apply(u) - rhs).max()
-    tol = 1e-10 * (np.abs(rhs).max() + np.abs(u).max() * op.row_scale())
+    tol = 1e-10 * (np.abs(rhs).max() + np.abs(u).max() * scale)
     if res > tol:
         raise SingularOperator(
             f"solve residual {res:.3e} exceeds {tol:.3e}; operator near-singular")

@@ -8,8 +8,8 @@ eigenvalue, and a forcing split along/against the first eigenfunction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -45,7 +45,6 @@ class WeightSpec:
     evaluator: Callable
     preset_id: str
     N: int
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,8 @@ class NonlinearitySpec:
     mu_lower: float
     mu_upper: float
     theta: float
-    g_second: Optional[Callable] = None
+    g_second: Callable
     preset_id: str = "custom"
-    params: dict = field(default_factory=dict)
 
 
 def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
@@ -79,13 +77,10 @@ def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=mu_lower,
                             mu_upper=mu_upper, theta=offset,
-                            g_second=g_second, preset_id="smooth_ramp",
-                            params={"mu_lower": mu_lower, "mu_upper": mu_upper,
-                                    "offset": offset})
+                            g_second=g_second, preset_id="smooth_ramp")
 
 
-def linear_nonlinearity(slope: float, mu_lower=None, mu_upper=None,
-                        theta: float = 0.0) -> NonlinearitySpec:
+def linear_nonlinearity(slope: float) -> NonlinearitySpec:
     def g(s):
         return slope * np.asarray(s, dtype=float)
 
@@ -95,11 +90,9 @@ def linear_nonlinearity(slope: float, mu_lower=None, mu_upper=None,
     def g_second(s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    return NonlinearitySpec(g=g, g_prime=g_prime,
-                            mu_lower=slope if mu_lower is None else mu_lower,
-                            mu_upper=slope if mu_upper is None else mu_upper,
-                            theta=theta, g_second=g_second, preset_id="linear",
-                            params={"slope": slope})
+    return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=slope,
+                            mu_upper=slope, theta=0.0, g_second=g_second,
+                            preset_id="linear")
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,6 @@ class ProblemInstance:
     nonlinearity: NonlinearitySpec
     forcing: ForcingSpec
     grid: RadialGrid
-    farfield: str
     weight_values: np.ndarray
     A: TridiagonalOperator
     eigen: EigenPair
@@ -131,7 +123,7 @@ class ProblemInstance:
 
 def canonical_weight(N: int = 3) -> WeightSpec:
     return WeightSpec(evaluator=rational_decay_weight(3.0),
-                      preset_id="rational_decay", N=N, params={"power": 3.0})
+                      preset_id="rational_decay", N=N)
 
 
 # ------------------------------------------------------------- hypotheses
@@ -200,16 +192,14 @@ def check_P2(weight: WeightSpec, grid: RadialGrid, probe_radii) -> dict:
 
 
 def derive_slack_constants(g: Callable, g_prime: Callable, mu_lower: float,
-                           mu_upper: float, sample_range=(-50.0, 50.0),
-                           num: int = 20001) -> dict:
-    """Minimal Theta with g(s) >= mu s - Theta for both slack slopes."""
+                           mu_upper: float) -> dict:
+    """Minimal Theta with g(s) >= mu s - Theta for both slack slopes,
+    sampled on [-50, 50]."""
     if mu_lower >= mu_upper:
         raise SlopeViolation(
             f"need mu_lower < mu_upper, got ({mu_lower}, {mu_upper})")
-    lo, hi = sample_range
-    if lo > -50.0 or hi < 50.0:
-        raise SlopeViolation("sample range must cover at least [-50, 50]")
-    s = np.linspace(lo, hi, num)
+    num = 20001
+    s = np.linspace(-50.0, 50.0, num)
     gs = np.asarray(g(s), dtype=float)
     boundary = False
     theta = 0.0
@@ -236,16 +226,15 @@ def derive_slack_constants(g: Callable, g_prime: Callable, mu_lower: float,
     return {"theta": theta, "boundary_attained": boundary}
 
 
-def check_sigma_growth(nonlin: NonlinearitySpec, N: int,
-                       sample_range=(0.0, 1e4), num: int = 4001) -> dict:
-    """Subcritical growth report: sigma = N/(N-2) and tail of g(s)/s^sigma."""
+def check_sigma_growth(nonlin: NonlinearitySpec, N: int) -> dict:
+    """Subcritical growth report: sigma = N/(N-2) and tail of g(s)/s^sigma
+    on s in (0, 1e4]."""
     if N < 3:
         raise BadGridConfig(f"dimension must be >= 3, got {N}")
     sigma = N / (N - 2)
-    lo, hi = sample_range
-    s = np.linspace(max(lo, 1e-8), hi, num)
+    s = np.linspace(1e-8, 1e4, 4001)
     ratio = np.asarray(nonlin.g(s), dtype=float) / s ** sigma
-    top = ratio[s >= 0.1 * hi]
+    top = ratio[s >= 1e3]
     decreasing = bool(top[-1] <= top[0])
     return {"sigma": sigma, "max_ratio_tail": float(np.abs(top).max()),
             "compliant": decreasing}

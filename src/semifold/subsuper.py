@@ -75,7 +75,7 @@ def _smoothstep(r, r1, r2):
 
 
 def build_supersolution(instance: ProblemInstance, L: float,
-                        R1: float, R2: float, margin_rel: float = 1e-6):
+                        R1: float, R2: float):
     """Plateau supersolution: v solves -Lap v = P F with F ramping from 0
     inside radius R1 to the dominating level m outside R2.  Also returns
     the largest t for which v is a strict supersolution."""
@@ -98,7 +98,7 @@ def build_supersolution(instance: ProblemInstance, L: float,
             raise RampFailed(
                 f"no inner radius <= R/2 keeps the plateau potential below {L}")
 
-    eps0 = margin_rel * (1.0 + abs(m))
+    eps0 = 1e-6 * (1.0 + abs(m))
     phi1 = instance.eigen.phi1
     # largest t with m + t*phi1 <= F - eps0 everywhere
     t_threshold = float(((F - eps0 - m) / phi1).min())

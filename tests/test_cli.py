@@ -106,6 +106,14 @@ def test_bad_config_exit_code(tmp_path):
     path.write_text("[weight]\npreset = rational_decay\n")
     assert main(["check", str(path)]) == 1
     assert main(["check", str(tmp_path / "missing.ini")]) == 1
+    binary = tmp_path / "binary.ini"
+    binary.write_bytes(b"\xff\xfe\x00[weight]")
+    assert main(["check", str(binary)]) == 1
+    good = tmp_path / "good.ini"
+    good.write_text(SMALL)
+    assert main(["sweep", str(good), "--configs", str(good),
+                 str(tmp_path / "missing.ini"),
+                 "--outdir", str(tmp_path / "sweep")]) == 1
 
 
 def test_numerical_failure_exit_code(scenario, tmp_path):
@@ -136,6 +144,7 @@ def test_sweep_command(scenario, tmp_path):
     ("dimension = 3", "dimension = 2"),
     ("mu_lower_factor = 0.5", "mu_lower_factor = 1.5"),
     ("n = 800", "n = 400.9"),
+    ("dimension = 3", "dimension = 3.5"),
 ])
 def test_config_mistakes_exit_1(tmp_path, old, new):
     path = tmp_path / "bad.ini"

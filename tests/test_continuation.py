@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import semifold as sf
+import semifold.continuation as continuation
 from semifold.continuation import (bisect_alpha, detect_fold, refine_fold,
                                    trace_branch, two_solutions)
-from semifold.errors import (InitialPointInvalid, NoFoldInBranch,
-                             QueryPastFold)
+from semifold.errors import (InitialPointInvalid, NoConvergence,
+                             NoFoldInBranch, QueryPastFold)
 from semifold.nonlinear import jacobian, newton_solve, residual
 from semifold.subsuper import build_subsolution
 from semifold.verify import tau_star
@@ -63,6 +64,18 @@ def test_fold_refinement_is_sharp(inst, branch, fold):
     # a nearby Newton polish stays within the expected fold distance
     assert np.abs(residual(inst, fold.u_fold.u, fold.alpha)).max() \
         < 1e-4 * inst.A.row_scale()
+
+
+def test_fit_fallback_is_labelled(inst, branch, fold, monkeypatch):
+    assert fold.method == "arclength"
+
+    def fail(*args, **kwargs):
+        raise NoConvergence("fold refinement did not converge")
+
+    monkeypatch.setattr(continuation, "refine_fold", fail)
+    fit = detect_fold(branch, inst)
+    assert fit.method == "fit"
+    assert fit.alpha == fit.alpha_fit
 
 
 def test_bisection_agrees_with_arclength(inst, branch, fold):

@@ -76,6 +76,11 @@ def test_solve_tridiagonal_flags_singular_operator():
     bad = TridiagonalOperator(sub=sub, diag=diag, sup=sup)
     with pytest.raises(SingularOperator):
         solve_tridiagonal(bad, np.ones(n))
+    # no zero row, but rows 20 and 21 are equal: an exactly zero pivot
+    diag[20] = 1.0
+    sub[20] = sup[20] = 1.0
+    with pytest.raises(SingularOperator):
+        solve_tridiagonal(bad, np.ones(n))
 
 
 def test_apply_matches_banded_form():

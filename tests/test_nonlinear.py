@@ -3,9 +3,9 @@ import pytest
 
 import semifold as sf
 from semifold.errors import NoConvergence
-from semifold.nonlinear import (apply_solution_operator, deflated_solve,
-                                jacobian, newton_solve, picard_solve,
-                                residual, second_solution)
+from semifold.nonlinear import (apply_solution_operator, jacobian,
+                                newton_solve, picard_solve, residual,
+                                second_solution)
 from semifold.subsuper import build_subsolution
 
 
@@ -79,9 +79,16 @@ def test_deflation_finds_distinct_root(inst, minimal):
     assert sep > 1e-3 * (1.0 + np.abs(minimal.u).max())
 
 
-def test_deflated_solve_requires_known_roots(inst, minimal):
-    with pytest.raises(ValueError):
-        deflated_solve(inst, [], minimal.u, -50.0)
+def test_newton_with_known_root_finds_another(inst, minimal):
+    """Started a tenth of max|u| away from the known root, deflated Newton
+    returns a different solution to the plain convergence tolerance."""
+    direction = inst.eigen.phi1 / np.abs(inst.eigen.phi1).max()
+    prof = newton_solve(inst, minimal.u + 2.0 * direction, -50.0, maxit=200,
+                        known=[minimal])
+    assert prof.residual_inf <= 1e-10 * inst.A.row_scale()
+    assert np.abs(residual(inst, prof.u, -50.0)).max() == prof.residual_inf
+    sep = np.abs(prof.u - minimal.u).max()
+    assert sep >= 1e-4 * (1.0 + np.abs(minimal.u).max())
 
 
 def test_residual_scaling_invariance(inst, minimal):
