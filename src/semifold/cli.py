@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import bisect_alpha, detect_fold, trace_branch, two_solutions
-from .errors import ConfigError, NoFoldInBranch, SemifoldError
+from .errors import ConfigError, SemifoldError
 from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
@@ -271,6 +271,7 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     run.emit("alpha.json", lambda p: _write_json(p, {
         "alpha_arclength": fold.alpha, "alpha_bisection": bis.alpha,
         "agreement_gap": gap, "tau_star": ts,
+        "fold_method": fold.method, "branch_status": branch.status,
     }))
     run.finish("alpha")
     return 0
@@ -291,6 +292,7 @@ def cmd_two(cfg: ScenarioConfig, args) -> int:
         "separation_inf": float(np.abs(lower.u - upper.u).max()),
         "stability_mu_lower": lower.stability_mu,
         "stability_mu_upper": upper.stability_mu,
+        "fold_method": fold.method, "branch_status": branch.status,
     }))
     run.finish("two")
     return 0

@@ -63,7 +63,10 @@ class FoldResult:
 
 
 def _stability(instance, u):
-    return smallest_eigenvalue(instance.grid, jacobian(instance, u))
+    # sqrt(volumes) phi1 is positive, so it has a component along the
+    # positive ground state of the symmetrized Jacobian
+    return smallest_eigenvalue(instance.grid, jacobian(instance, u),
+                               np.sqrt(instance.grid.volumes) * instance.eigen.phi1)
 
 
 def trace_branch(instance: ProblemInstance, t_start: float,
@@ -253,20 +256,21 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
             continue
         try:
             prof = newton_solve(instance, u, t_try, tol=tol, maxit=30)
-            t, u = t_try, prof.u
-            streak += 1
-            if t_cap is not None and t >= t_cap:
-                prof = make_profile(instance, u, t,
-                                    float(np.abs(residual(instance, u, t)).max()))
-                prof.stability_mu = _stability(instance, u)
-                return FoldResult(alpha=t, u_fold=prof, method="bisection",
-                                  hit_cap=True)
-            if streak >= 2:
-                dt = min(dt * 2.0, dt_init)
-                streak = 0
         except NoConvergence:
             hi = t_try
             dt *= 0.5
+            streak = 0
+            continue
+        t, u = t_try, prof.u
+        streak += 1
+        if t_cap is not None and t >= t_cap:
+            prof = make_profile(instance, u, t,
+                                float(np.abs(residual(instance, u, t)).max()))
+            prof.stability_mu = _stability(instance, u)
+            return FoldResult(alpha=t, u_fold=prof, method="bisection",
+                              hit_cap=True)
+        if streak >= 2:
+            dt = min(dt * 2.0, dt_init)
             streak = 0
     alpha = 0.5 * (t + hi) if hi is not None else t + dt_min
     prof = make_profile(instance, u, t, float(np.abs(residual(instance, u, t)).max()))

@@ -1,8 +1,18 @@
-"""First eigenpair of the weighted problem -Lap u = lambda P(x) u.
+"""First eigenpair of the weighted problem -Lap u = lambda P(x) u, and
+the smallest eigenvalue of a linearization (the stability indicator).
 
 Inverse power iteration with the tridiagonal direct solve as inner
 kernel.  The discrete operator is self-adjoint in the cell-volume inner
 product, so Rayleigh quotients and deflation use that weighting.
+
+The stability indicator mu is the smallest eigenvalue of the
+volume-symmetrized tridiagonal S of a Jacobian.  It comes from shifted
+inverse iteration on LAPACK ?pttrf/?pttrs factors of S - sigma I, with
+sigma kept below the spectrum, and is certified by Sylvester inertia
+(Parlett, The Symmetric Eigenvalue Problem): ?pttrf of S - sigma I
+succeeds exactly when sigma lies below every eigenvalue.  A residual r
+at the Rayleigh quotient mu puts an eigenvalue within r of mu, and a
+successful factorization at mu - r - floor puts none below it.
 """
 
 from __future__ import annotations
@@ -11,13 +21,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
                      SingularOperator, ZeroDenominator)
-from .grid import (RadialGrid, TridiagonalOperator, dirichlet_energy,
-                   solve_tridiagonal, weighted_integral)
+from .grid import (RadialGrid, TridiagonalOperator, solve_tridiagonal,
+                   weighted_integral)
 
 PLATEAU_RATIO_LIMIT = 1.05
+# inverse-iteration steps of smallest_eigenvalue before NoConvergence
+STABILITY_MAXIT = 60
 
 
 @dataclass
@@ -133,15 +146,84 @@ def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,
     return float(np.dot(grid.volumes * v, A.apply(v))) / den
 
 
-def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator) -> float:
-    """Smallest (most negative) eigenvalue of a volume-symmetrizable
-    tridiagonal operator; used as the Jacobian stability indicator."""
-    from scipy.linalg import eigh_tridiagonal
+def _factor_below(S: TridiagonalOperator, sigma: float):
+    """LAPACK ?pttrf factors of S - sigma I, or None when that matrix is
+    not positive definite, i.e. when some eigenvalue of S is <= sigma."""
+    d, e, info = dpttrf(S.diag - sigma, S.sup)
+    return (d, e) if info == 0 else None
 
+
+def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator,
+                        start: np.ndarray) -> float:
+    """Smallest (most negative) eigenvalue of a volume-symmetrizable
+    tridiagonal operator; used as the Jacobian stability indicator.
+
+    Shifted inverse iteration on the symmetrized S = V^(1/2) op V^(-1/2),
+    from `start` (in the symmetrized coordinates; any vector with a
+    positive component along the ground state, such as sqrt(volumes) *
+    phi1).  The shift starts at the Rayleigh quotient minus the residual
+    and drops geometrically, at worst to the Gershgorin lower bound,
+    until ?pttrf succeeds; each step then does one ?pttrs, takes the
+    Rayleigh quotient mu and the residual r = ||S x - mu x||_2, and moves
+    the shift up to mu - r when ?pttrf still succeeds there.  It stops
+    when r <= floor = 50 eps row_scale (the rounding floor of applying
+    S) and returns mu only if ?pttrf of S - (mu - r - floor) I succeeds:
+    then an eigenvalue lies within r of mu and none below mu - r - floor.
+    Raises NoConvergence when that certificate fails or the iteration
+    does not settle within STABILITY_MAXIT steps."""
     prod = op.sub * op.sup
+    if not (np.isfinite(op.diag).all() and np.isfinite(prod).all()):
+        raise SingularOperator("operator has non-finite entries")
     if not (prod >= -1e-30).all():
         raise SingularOperator("operator not symmetrizable")
     off = -np.sqrt(np.maximum(prod, 0.0))
-    vals = eigh_tridiagonal(op.diag, off, select="i", select_range=(0, 0),
-                            eigvals_only=True)
-    return float(vals[0])
+    S = TridiagonalOperator(sub=off, diag=op.diag, sup=off)
+    floor = 50.0 * np.finfo(float).eps * S.row_scale()
+
+    x = np.asarray(start, dtype=float)
+    nrm = float(np.linalg.norm(x)) if x.shape == (grid.n,) else 0.0
+    if not (np.isfinite(nrm) and nrm > 0.0):
+        raise ZeroDenominator("start vector is zero, non-finite or off the grid")
+    x = x / nrm
+    Sx = S.apply(x)
+    mu = float(x @ Sx)
+    r = float(np.linalg.norm(Sx - mu * x))
+
+    radius = np.zeros(S.n)
+    radius[:-1] -= off
+    radius[1:] -= off
+    lowest = float((S.diag - radius).min()) - floor  # below the spectrum
+    drop = max(r, floor)
+    while True:
+        sigma = max(mu - drop, lowest)
+        factors = _factor_below(S, sigma)
+        if factors is not None:
+            break
+        if sigma == lowest:
+            raise NoConvergence("no shift below the Gershgorin bound factors")
+        drop *= 2.0
+
+    for k in range(1, STABILITY_MAXIT + 1):
+        y, info = dpttrs(*factors, x)
+        nrm = float(np.linalg.norm(y))
+        if info != 0 or not (np.isfinite(nrm) and nrm > 0.0):
+            raise NoConvergence(f"shifted solve failed at step {k}",
+                                iterations=k, residual=r)
+        x = y / nrm
+        Sx = S.apply(x)
+        mu = float(x @ Sx)
+        r = float(np.linalg.norm(Sx - mu * x))
+        if r <= floor:
+            break
+        if mu - r > sigma:
+            closer = _factor_below(S, mu - r)
+            if closer is not None:
+                sigma, factors = mu - r, closer
+    else:
+        raise NoConvergence(f"shifted inverse iteration: {STABILITY_MAXIT} "
+                            "iterations", iterations=STABILITY_MAXIT, residual=r)
+    if _factor_below(S, mu - r - floor) is None:
+        raise NoConvergence(f"eigenvalue {mu:.6e} not certified smallest: an "
+                            f"eigenvalue lies below {mu - r - floor:.6e}",
+                            iterations=k, residual=r)
+    return mu

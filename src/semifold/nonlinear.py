@@ -143,13 +143,15 @@ def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
 
 def second_solution(inst: ProblemInstance, known: SolutionProfile, t: float,
                     tol: float = 1e-10) -> SolutionProfile:
-    """Deflate a known solution and search for another one, retrying with
-    larger starting perturbations along the first eigenfunction (the
-    direction in which the second branch separates)."""
+    """Deflate a known solution and search for another one, starting from
+    perturbations along the first eigenfunction (the direction in which
+    the second branch separates), largest first: the second solution lies
+    far above the minimal one, and from small perturbations the deflated
+    Newton iteration stagnates before it gets there."""
     phi = inst.eigen.phi1
     direction = phi / np.abs(phi).max()
     last = None
-    for eps in (0.2, 0.5, 1.0, 2.0, 4.0):
+    for eps in (4.0, 2.0, 1.0, 0.5, 0.2):
         try:
             return newton_solve(inst, known.u + eps * direction, t, tol=tol,
                                 maxit=200, known=[known])

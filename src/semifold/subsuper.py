@@ -16,7 +16,7 @@ import numpy as np
 from .eigen import decay_constants
 from .errors import (MonotonicityBroken, NoConvergence, RampFailed,
                      SingularOperator)
-from .grid import RadialGrid, solve_tridiagonal, weighted_integral
+from .grid import RadialGrid, solve_tridiagonal
 from .problem import ProblemInstance
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semifold import continuation
 from semifold.cli import main
 from semifold.config import CANONICAL_CONFIG
+from semifold.errors import NoConvergence
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
 
@@ -99,6 +101,30 @@ def test_two_command(scenario, tmp_path):
     lo = np.loadtxt(tmp_path / "solution_lower.csv", delimiter=",", skiprows=1)
     hi = np.loadtxt(tmp_path / "solution_upper.csv", delimiter=",", skiprows=1)
     assert (lo[:, 1] <= hi[:, 1] + 1e-9).all()
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["alpha"], "alpha.json"),
+    (["two", "--t", "-9"], "two.json"),
+])
+def test_reports_name_the_fold_estimator(scenario, tmp_path, monkeypatch,
+                                         argv, report):
+    def run(outdir):
+        assert main([argv[0], scenario, *argv[1:],
+                     "--outdir", str(tmp_path / outdir)]) == 0
+        return json.loads((tmp_path / outdir / report).read_text())
+
+    refined = run("refined")
+    assert refined["fold_method"] == "arclength"
+    assert refined["branch_status"] == "window_exit"
+
+    def fail(*args, **kwargs):
+        raise NoConvergence("fold refinement did not converge")
+
+    monkeypatch.setattr(continuation, "refine_fold", fail)
+    fit = run("fit")
+    assert fit["fold_method"] == "fit"
+    assert fit["branch_status"] == "window_exit"
 
 
 def test_bad_config_exit_code(tmp_path):

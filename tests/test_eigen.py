@@ -1,10 +1,26 @@
+import time
+
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import semifold as sf
+from semifold import eigen
 from semifold.eigen import (decay_constants, rayleigh_quotient,
                             second_eigenvalue, smallest_eigenvalue)
-from semifold.errors import ZeroDenominator
+from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
+from semifold.nonlinear import jacobian
+
+
+def _start(inst):
+    return np.sqrt(inst.grid.volumes) * inst.eigen.phi1
+
+
+def _stebz_smallest(op):
+    """LAPACK ?stebz bisection on the volume-symmetrized operator."""
+    off = -np.sqrt(np.maximum(op.sub * op.sup, 0.0))
+    return float(eigh_tridiagonal(op.diag, off, select="i", select_range=(0, 0),
+                                  eigvals_only=True)[0])
 
 
 def test_dirichlet_ball_oracle():
@@ -70,8 +86,52 @@ def test_smallest_eigenvalue_sign_tracks_shift(coarse):
     lam1 = coarse.eigen.lambda1
     below = coarse.A.shifted(-0.9 * lam1 * coarse.weight_values)
     above = coarse.A.shifted(-1.1 * lam1 * coarse.weight_values)
-    assert smallest_eigenvalue(coarse.grid, below) > 0
-    assert smallest_eigenvalue(coarse.grid, above) < 0
+    assert smallest_eigenvalue(coarse.grid, below, _start(coarse)) > 0
+    assert smallest_eigenvalue(coarse.grid, above, _start(coarse)) < 0
+
+
+@pytest.mark.parametrize("point", ["stable", "fold", "unstable", "dirichlet"])
+def test_smallest_eigenvalue_matches_bisection_oracle(canonical,
+                                                      canonical_branch, point):
+    inst = canonical
+    if point == "dirichlet":
+        # the penalty row decouples: the last off-diagonal product is 0
+        inst = sf.canonical_instance(R=40.0, n=4000, farfield="dirichlet")
+        J = inst.A.shifted(-1.1 * inst.eigen.lambda1 * inst.weight_values)
+        assert J.sub[-1] == 0.0
+    else:
+        ts = canonical_branch.t_values
+        idx = {"stable": 0, "fold": int(np.argmax(ts)),
+               "unstable": len(ts) - 1}[point]
+        J = jacobian(inst, canonical_branch.points[idx].u)
+    mu = smallest_eigenvalue(inst.grid, J, _start(inst))
+    ref = _stebz_smallest(J)
+    assert abs(mu - ref) <= 100 * np.finfo(float).eps * J.row_scale()
+    if point == "stable":
+        assert mu > 0
+    elif point == "unstable":
+        assert mu < 0
+
+
+@pytest.mark.parametrize("entry", ["diag", "sub", "start"])
+def test_smallest_eigenvalue_rejects_nan_promptly(coarse, entry):
+    J = coarse.A.shifted(0.0)
+    start = _start(coarse)
+    bad = start if entry == "start" else getattr(J, entry)
+    bad[coarse.grid.n // 2] = np.nan
+    tic = time.perf_counter()
+    with pytest.raises(SemifoldError):
+        smallest_eigenvalue(coarse.grid, J, start)
+    assert time.perf_counter() - tic < 1.0
+
+
+def test_smallest_eigenvalue_iteration_cap_raises(canonical, canonical_branch,
+                                                  monkeypatch):
+    ts = canonical_branch.t_values
+    J = jacobian(canonical, canonical_branch.points[int(np.argmax(ts))].u)
+    monkeypatch.setattr(eigen, "STABILITY_MAXIT", 1)
+    with pytest.raises(NoConvergence):
+        smallest_eigenvalue(canonical.grid, J, _start(canonical))
 
 
 def test_eigenvalue_second_order_in_h():

@@ -157,7 +157,8 @@ inst = sf.canonical_instance(R=20.0, n=50)
 checks = {
     "EigenPair": lambda: replace(inst.eigen, phi1=-inst.eigen.phi1),
     "smallest_eigenvalue": lambda: smallest_eigenvalue(
-        inst.grid, replace(inst.A, sub=-inst.A.sub)),
+        inst.grid, replace(inst.A, sub=-inst.A.sub),
+        inst.grid.volumes ** 0.5 * inst.eigen.phi1),
     "check_sigma_growth": lambda: check_sigma_growth(inst.nonlinearity, 2),
 }
 for name, check in checks.items():
