@@ -23,7 +23,7 @@ from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import bisect_alpha, detect_fold, trace_branch, two_solutions
 from .errors import ConfigError, SemifoldError
-from .nonlinear import newton_solve, picard_solve, residual
+from .nonlinear import SOLVE_TOL, newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
 from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
@@ -202,7 +202,7 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
                 u0 = _read_solution_csv(args.start, grid)
             else:
                 u0 = np.zeros(grid.n)
-            tol = float(cfg.run.get("newton_tol", 1e-10))
+            tol = float(cfg.run.get("newton_tol", SOLVE_TOL))
             solver = newton_solve if args.method == "newton" else picard_solve
             prof = solver(inst, u0, t, tol=tol)
     run.emit("solution.csv", lambda p: _write_solution_csv(p, grid, prof.u))
@@ -226,7 +226,7 @@ def _traced_branch(cfg, inst, run):
         branch = trace_branch(inst, t_start, start.u,
                               step_ds=float(cfg.run.get("step_ds", 2.0)),
                               t_window=(t_start - 1.0, ts + 1.0),
-                              max_points=int(cfg.run.get("max_points", 600)))
+                              max_points=int(float(cfg.run.get("max_points", 600))))
     return branch
 
 
@@ -334,8 +334,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     configs = {c.scenario_id(): c for c in (load_config(p) for p in args.configs)}
     rc = 0
     for sid, sub_cfg in configs.items():
-        ns = argparse.Namespace(outdir=str(base / sid),
-                                t=None, start=None, method="newton")
+        ns = argparse.Namespace(outdir=str(base / sid))
         rc = max(rc, cmd_eigen(sub_cfg, ns))
     return rc
 

@@ -36,7 +36,7 @@ class ScenarioConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.run.get("seed", 0))
+        return int(_get_float(self.run, "seed", 0.0, where="run"))
 
     @property
     def outdir(self) -> str:
@@ -49,7 +49,7 @@ class ScenarioConfig:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
 
     def serialize(self) -> str:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         for name in ("weight", "nonlinearity", "forcing", "grid", "run"):
             section = getattr(self, name)
             cp[name] = {k: str(v) for k, v in sorted(section.items())}
@@ -59,7 +59,8 @@ class ScenarioConfig:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
+    # values are literal: '%' is a character, not an interpolation
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -111,9 +112,22 @@ def _validate(cfg: ScenarioConfig) -> None:
     farfield = g.get("farfield", ROBIN_DECAY)
     if farfield not in (ROBIN_DECAY, DIRICHLET):
         raise ConfigError(f"unknown farfield {farfield!r}")
-    for key in ("eigen_tol", "newton_tol"):
-        if key in cfg.run and float(cfg.run[key]) <= 0:
-            raise ConfigError(f"tolerance '{key}' must be positive")
+    # an absent [run] key gets a stand-in that passes: its default lives
+    # where the key is read
+    run = cfg.run
+    for key, least in (("seed", 0), ("max_points", 1)):
+        value = _get_float(run, key, float(least), where="run")
+        if not value.is_integer() or value < least:
+            raise ConfigError(f"'{key}' in [run] must be an integer >= "
+                              f"{least}, got {run[key]!r}")
+    for key in ("eigen_tol", "newton_tol", "step_ds"):
+        value = _get_float(run, key, 1.0, where="run")
+        if not (np.isfinite(value) and value > 0.0):
+            raise ConfigError(f"'{key}' in [run] must be finite and positive, "
+                              f"got {run[key]!r}")
+    if not np.isfinite(_get_float(run, "t_start", 0.0, where="run")):
+        raise ConfigError(f"'t_start' in [run] must be finite, "
+                          f"got {run['t_start']!r}")
     if cfg.weight.get("preset", "rational_decay") not in (
             "rational_decay", "exponential", "table"):
         raise ConfigError(f"unknown weight preset {cfg.weight.get('preset')!r}")
@@ -221,19 +235,15 @@ outdir = out
 """
 
 
-def canonical_instance(R: float = 40.0, n: int = 4000, t: float = 0.0,
+def canonical_instance(R: float = 40.0, n: int = 4000,
                        farfield: str = ROBIN_DECAY,
-                       mu_factors=(0.5, 2.0), stretch: float = 1.0,
-                       eigen_tol: float = 1e-12) -> ProblemInstance:
+                       mu_factors=(0.5, 2.0)) -> ProblemInstance:
     """Shared cross-module fixture: CANONICAL_CONFIG (N=3, P=(1+r^2)^-3,
     softplus-ramp g with slopes mu_factors * lambda1, f1 = 0, Theta = 1)
     with the given keys overridden."""
     cfg = parse_config(CANONICAL_CONFIG)
-    cfg.grid.update(r=repr(float(R)), n=str(n), farfield=farfield,
-                    stretch=repr(float(stretch)))
+    cfg.grid.update(r=repr(float(R)), n=str(n), farfield=farfield)
     cfg.nonlinearity.update(mu_lower_factor=repr(float(mu_factors[0])),
                             mu_upper_factor=repr(float(mu_factors[1])))
-    cfg.forcing["t"] = repr(float(t))
-    cfg.run["eigen_tol"] = repr(float(eigen_tol))
     _validate(cfg)
     return build_scenario_instance(cfg)

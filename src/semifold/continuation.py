@@ -18,9 +18,14 @@ from .eigen import smallest_eigenvalue
 from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
 from .grid import solve_tridiagonal
-from .nonlinear import jacobian, newton_solve, residual
+from .nonlinear import SOLVE_TOL, jacobian, newton_solve, residual
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
+
+# Newton on the extended fold system: residual tolerance relative to the
+# row scale, and its iteration cap
+FOLD_TOL = 1e-12
+FOLD_MAXIT = 40
 
 
 @dataclass
@@ -69,15 +74,22 @@ def _stability(instance, u):
                                np.sqrt(instance.grid.volumes) * instance.eigen.phi1)
 
 
+def _profile(instance, u, t):
+    """The profile of u at t, with its residual and stability eigenvalue."""
+    prof = make_profile(instance, u, t,
+                        float(np.abs(residual(instance, u, t)).max()))
+    prof.stability_mu = _stability(instance, u)
+    return prof
+
+
 def trace_branch(instance: ProblemInstance, t_start: float,
                  u_start: np.ndarray, step_ds: float = 0.5,
-                 t_window=(-np.inf, np.inf), max_points: int = 600,
-                 tol: float = 1e-10) -> Branch:
+                 t_window=(-np.inf, np.inf), max_points: int = 600) -> Branch:
     u = np.asarray(u_start, dtype=float).copy()
     t = float(t_start)
     rs = instance.A.row_scale()
     F = residual(instance, u, t)
-    if np.abs(F).max() > 1e3 * tol * rs:
+    if np.abs(F).max() > 1e3 * SOLVE_TOL * rs:
         raise InitialPointInvalid(
             "starting point does not solve the system to branch tolerance")
 
@@ -106,7 +118,8 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         for _ in range(12):
             F = residual(instance, uc, tc)
             con = w2 * float(tau_u @ (uc - u)) + tau_t * (tc - t) - ds
-            if np.abs(F).max() <= tol * rs and abs(con) <= 1e-10 * (1.0 + abs(ds)):
+            if np.abs(F).max() <= SOLVE_TOL * rs and \
+                    abs(con) <= 1e-10 * (1.0 + abs(ds)):
                 ok = True
                 break
             J = jacobian(instance, uc)
@@ -153,7 +166,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
 
 
 def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
-                v0: np.ndarray, tol: float = 1e-12, maxit: int = 40):
+                v0: np.ndarray):
     """Newton on the extended system {F(u,t)=0, J(u,t)v=0, c.v=1}.
     Returns (u, t, v) at the quadratic turning point."""
     gsec = instance.nonlinearity.g_second
@@ -162,11 +175,11 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     c = v0 / float(v0 @ v0)  # so that c.v0 = 1
     u, t, v = u0.copy(), float(t0), v0.copy()
     rs = instance.A.row_scale()
-    for _ in range(maxit):
+    for _ in range(FOLD_MAXIT):
         F = residual(instance, u, t)
         J = jacobian(instance, u)
         Jv = J.apply(v)
-        if np.abs(F).max() <= tol * rs and \
+        if np.abs(F).max() <= FOLD_TOL * rs and \
                 np.abs(Jv).max() <= 1e-8 * rs * np.abs(v).max():
             break
         p = solve_tridiagonal(J, -F)
@@ -182,7 +195,8 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2
     else:
-        raise NoConvergence("fold refinement did not converge", iterations=maxit)
+        raise NoConvergence("fold refinement did not converge",
+                            iterations=FOLD_MAXIT)
     return u, t, v
 
 
@@ -229,17 +243,17 @@ def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
     try:
         prof = newton_solve(instance, u_star, t_polish, tol=1e-8, maxit=20)
     except NoConvergence:
-        prof = make_profile(instance, u_star, t_polish,
-                            float(np.abs(residual(instance, u_star, t_polish)).max()))
-    prof.stability_mu = _stability(instance, prof.u)
+        prof = _profile(instance, u_star, t_polish)
+    else:
+        prof.stability_mu = _stability(instance, prof.u)
     return FoldResult(alpha=float(alpha), u_fold=prof, method=method,
                       alpha_fit=alpha_fit)
 
 
 def bisect_alpha(instance: ProblemInstance, t_known: float,
                  u_known: np.ndarray, dt_init: float = 0.5,
-                 dt_min: float = 1e-6, t_cap: Optional[float] = None,
-                 tol: float = 1e-10) -> FoldResult:
+                 dt_min: float = 1e-6,
+                 t_cap: Optional[float] = None) -> FoldResult:
     """Climb the solvable half-line by Newton warm starts; each success
     certifies solvability at the new t, each failure halves the step."""
     t = float(t_known)
@@ -255,7 +269,7 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
             dt *= 0.5
             continue
         try:
-            prof = newton_solve(instance, u, t_try, tol=tol, maxit=30)
+            prof = newton_solve(instance, u, t_try, maxit=30)
         except NoConvergence:
             hi = t_try
             dt *= 0.5
@@ -264,26 +278,20 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
         t, u = t_try, prof.u
         streak += 1
         if t_cap is not None and t >= t_cap:
-            prof = make_profile(instance, u, t,
-                                float(np.abs(residual(instance, u, t)).max()))
-            prof.stability_mu = _stability(instance, u)
-            return FoldResult(alpha=t, u_fold=prof, method="bisection",
-                              hit_cap=True)
+            return FoldResult(alpha=t, u_fold=_profile(instance, u, t),
+                              method="bisection", hit_cap=True)
         if streak >= 2:
             dt = min(dt * 2.0, dt_init)
             streak = 0
     alpha = 0.5 * (t + hi) if hi is not None else t + dt_min
-    prof = make_profile(instance, u, t, float(np.abs(residual(instance, u, t)).max()))
-    prof.stability_mu = _stability(instance, u)
-    return FoldResult(alpha=float(alpha), u_fold=prof, method="bisection")
+    return FoldResult(alpha=float(alpha), u_fold=_profile(instance, u, t),
+                      method="bisection")
 
 
 def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
-                  fold: Optional[FoldResult] = None, tol: float = 1e-10):
+                  fold: FoldResult):
     """The minimal and the second solution at t_query < alpha, polished
     from the pre-fold and post-fold branch segments."""
-    if fold is None:
-        fold = detect_fold(branch, instance)
     if t_query >= fold.alpha:
         raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.alpha}")
     ts = branch.t_values
@@ -293,7 +301,7 @@ def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
         seg_ts = ts[seg]
         j = int(np.argmin(np.abs(seg_ts - t_query)))
         u0 = branch.points[seg[j]].u
-        prof = newton_solve(instance, u0, t_query, tol=tol, maxit=60)
+        prof = newton_solve(instance, u0, t_query, maxit=60)
         prof.stability_mu = _stability(instance, prof.u)
         out.append(prof)
     u_lower, u_upper = out

@@ -29,6 +29,8 @@ from .grid import (RadialGrid, TridiagonalOperator, solve_tridiagonal,
                    weighted_integral)
 
 PLATEAU_RATIO_LIMIT = 1.05
+# inverse power iterations of first_eigenpair before NoConvergence
+EIGENPAIR_MAXIT = 10000
 # inverse-iteration steps of smallest_eigenvalue before NoConvergence
 STABILITY_MAXIT = 60
 
@@ -67,12 +69,12 @@ def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
 
 
 def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
-                    tol: float = 1e-12, maxit: int = 10000) -> EigenPair:
+                    tol: float = 1e-12) -> EigenPair:
     x = 1.0 / (1.0 + grid.nodes ** 2)
     lam = rayleigh_quotient(grid, A, mP, x)
     prev_res = None
     eps = np.finfo(float).eps
-    for k in range(1, maxit + 1):
+    for k in range(1, EIGENPAIR_MAXIT + 1):
         y = solve_tridiagonal(A, mP * x)
         y /= np.abs(y).max()
         lam = rayleigh_quotient(grid, A, mP, y)
@@ -91,8 +93,9 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
             break
         prev_res = res
     else:
-        raise NoConvergence(f"inverse power iteration: {maxit} iterations",
-                            iterations=maxit, residual=float(res))
+        raise NoConvergence(f"inverse power iteration: {EIGENPAIR_MAXIT} "
+                            "iterations", iterations=EIGENPAIR_MAXIT,
+                            residual=float(res))
 
     if x.sum() < 0.0:
         x = -x
@@ -104,33 +107,6 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     return EigenPair(lambda1=float(lam), phi1=x, normalization_residual=float(norm_res),
                      decay_C1=dec.C1, decay_C2=dec.C2, plateau_ok=dec.plateau_ok,
                      residual=float(res), iterations=k)
-
-
-def second_eigenvalue(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
-                      pair: EigenPair, tol: float = 1e-10, maxit: int = 5000) -> float:
-    """Second eigenvalue of the pencil by deflated inverse iteration."""
-    vol = grid.volumes
-    phi = pair.phi1
-    b_phi = vol * mP * phi
-    phi_norm2 = float(np.dot(b_phi, phi))
-
-    def project(v):
-        return v - (np.dot(b_phi, v) / phi_norm2) * phi
-
-    rng = np.random.default_rng(0)
-    x = project(rng.standard_normal(grid.n))
-    x /= np.abs(x).max()
-    lam = rayleigh_quotient(grid, A, mP, x)
-    for _ in range(maxit):
-        y = project(solve_tridiagonal(A, mP * x))
-        y /= np.abs(y).max()
-        lam = rayleigh_quotient(grid, A, mP, y)
-        res = np.abs(project(A.apply(y) - lam * mP * y)).max()
-        x = y
-        if res <= max(tol, 1e3 * pair.residual) * abs(lam) * np.abs(mP * y).max():
-            return float(lam)
-    raise NoConvergence("deflated inverse iteration did not converge",
-                        iterations=maxit, residual=float(res))
 
 
 def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,

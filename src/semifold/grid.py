@@ -190,13 +190,3 @@ def dirichlet_energy(grid: RadialGrid, u: np.ndarray) -> float:
     mid = 0.5 * (r[:-1] + r[1:])
     slopes = np.diff(u) / h
     return float(grid.sphere_area * np.sum(mid ** (grid.N - 1) * slopes ** 2 * h))
-
-
-def dump_operator_csv(grid: RadialGrid, op: TridiagonalOperator, path) -> None:
-    """Debug dump: index, r, sub, diag, super."""
-    n = grid.n
-    sub = np.concatenate(([0.0], op.sub))
-    sup = np.concatenate((op.sup, [0.0]))
-    data = np.column_stack([np.arange(n), grid.nodes, sub, op.diag, sup])
-    np.savetxt(path, data, delimiter=",",
-               header="index,r,sub,diag,super", comments="")

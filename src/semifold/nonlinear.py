@@ -12,25 +12,15 @@ from .grid import TridiagonalOperator, solve_tridiagonal
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
 
-
-_last_forcing = (None, None, None)
-
-
-def _forcing(inst: ProblemInstance, t: float) -> np.ndarray:
-    """P (t phi1 + f1), kept for the last (instance, t) asked for: Newton
-    and its line search evaluate many residuals at one t."""
-    global _last_forcing
-    last_inst, last_t, rhs = _last_forcing
-    if last_inst is not inst or last_t != t:
-        rhs = inst.weight_values * (t * inst.eigen.phi1 + inst.forcing.f1)
-        _last_forcing = (inst, t, rhs)
-    return rhs
+# residual tolerance, relative to the operator's row scale, at which a
+# solve accepts its iterate
+SOLVE_TOL = 1e-10
 
 
 def residual(inst: ProblemInstance, u: np.ndarray, t: float) -> np.ndarray:
     """F(u, t) = A u - P g(u) - P (t phi1 + f1)."""
     return (inst.A.apply(u) - inst.weight_values * np.asarray(inst.nonlinearity.g(u))
-            - _forcing(inst, t))
+            - inst.forcing_term(t))
 
 
 def jacobian(inst: ProblemInstance, u: np.ndarray) -> TridiagonalOperator:
@@ -43,7 +33,7 @@ def apply_solution_operator(inst: ProblemInstance, v: np.ndarray,
     """One Picard step: solve A u = P g(v) + P (t phi1 + f1)."""
     return solve_tridiagonal(inst.A, inst.weight_values
                              * np.asarray(inst.nonlinearity.g(v))
-                             + _forcing(inst, t))
+                             + inst.forcing_term(t))
 
 
 def _deflation_factor(u: np.ndarray, known: Sequence[SolutionProfile]):
@@ -62,7 +52,7 @@ def _deflation_factor(u: np.ndarray, known: Sequence[SolutionProfile]):
 
 
 def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
-                 tol: float = 1e-10, maxit: int = 50,
+                 tol: float = SOLVE_TOL, maxit: int = 50,
                  known: Sequence[SolutionProfile] = ()) -> SolutionProfile:
     """Damped Newton with Armijo backtracking on the merit 0.5*||eta F||_2^2.
 
@@ -120,7 +110,7 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
 
 
 def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
-                 tol: float = 1e-10, maxit: int = 2000) -> SolutionProfile:
+                 tol: float = SOLVE_TOL, maxit: int = 2000) -> SolutionProfile:
     """Fixed-point iteration of the solution operator."""
     u = np.asarray(u0, dtype=float).copy()
     rs = inst.A.row_scale()
@@ -141,8 +131,8 @@ def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
                         iterations=maxit, residual=float(delta))
 
 
-def second_solution(inst: ProblemInstance, known: SolutionProfile, t: float,
-                    tol: float = 1e-10) -> SolutionProfile:
+def second_solution(inst: ProblemInstance, known: SolutionProfile,
+                    t: float) -> SolutionProfile:
     """Deflate a known solution and search for another one, starting from
     perturbations along the first eigenfunction (the direction in which
     the second branch separates), largest first: the second solution lies
@@ -153,7 +143,7 @@ def second_solution(inst: ProblemInstance, known: SolutionProfile, t: float,
     last = None
     for eps in (4.0, 2.0, 1.0, 0.5, 0.2):
         try:
-            return newton_solve(inst, known.u + eps * direction, t, tol=tol,
+            return newton_solve(inst, known.u + eps * direction, t,
                                 maxit=200, known=[known])
         except NoConvergence as exc:
             last = exc

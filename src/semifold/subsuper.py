@@ -120,7 +120,7 @@ def monotone_iterate(instance: ProblemInstance, t: float,
         shift = 1.05 * max(0.0, float(np.asarray(nl.g_prime(s)).max()))
     P = instance.weight_values
     op = instance.A.shifted(shift * P)
-    affine = P * (t * instance.eigen.phi1 + instance.forcing.f1)
+    forcing = instance.forcing_term(t)
     # containment slack: the upper bound may itself be a solution at the
     # same t (the climb path), so allow rounding-level grazing
     scale = 1e-9 * (1.0 + max(np.abs(lower).max(), np.abs(upper).max()))
@@ -128,7 +128,7 @@ def monotone_iterate(instance: ProblemInstance, t: float,
     up = start == "lower"
     u = lower.copy() if up else upper.copy()
     for k in range(1, maxit + 1):
-        rhs = P * (np.asarray(nl.g(u)) + shift * u) + affine
+        rhs = P * (np.asarray(nl.g(u)) + shift * u) + forcing
         u_next = solve_tridiagonal(op, rhs)
         if up:
             if (u_next < u - scale).any():

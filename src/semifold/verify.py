@@ -21,14 +21,6 @@ def tau_star(instance) -> float:
         instance.grid, instance.weight_values * instance.eigen.phi1)
 
 
-def tau_star_unweighted(instance) -> float:
-    """The unweighted variant int phi1 dx over the truncated domain;
-    reported alongside the weighted threshold (it diverges with R when
-    phi1 ~ r^{-(N-2)} and N = 3)."""
-    return instance.nonlinearity.theta * weighted_integral(
-        instance.grid, instance.eigen.phi1)
-
-
 def check_negative_part(u: np.ndarray, w: np.ndarray) -> dict:
     """u >= w restricted to the set where u < 0 (uniform negative-part
     bound via the linear subsolution)."""

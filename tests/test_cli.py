@@ -1,9 +1,11 @@
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from semifold import continuation
 from semifold.cli import main
@@ -171,11 +173,45 @@ def test_sweep_command(scenario, tmp_path):
     ("mu_lower_factor = 0.5", "mu_lower_factor = 1.5"),
     ("n = 800", "n = 400.9"),
     ("dimension = 3", "dimension = 3.5"),
+    ("seed = 0", "seed = x"),
+    ("seed = 0", "seed = 1.5"),
+    ("seed = 0", "seed = -1"),
+    ("seed = 0", "newton_tol = abc"),
+    ("seed = 0", "newton_tol = nan"),
+    ("seed = 0", "eigen_tol = abc"),
+    ("seed = 0", "eigen_tol = inf"),
+    ("seed = 0", "step_ds = abc"),
+    ("seed = 0", "step_ds = -2"),
+    ("seed = 0", "step_ds = nan"),
+    ("seed = 0", "t_start = x"),
+    ("seed = 0", "t_start = -inf"),
+    ("seed = 0", "max_points = 1.5"),
+    ("seed = 0", "max_points = 0"),
+    ("seed = 0", "seed = 5%"),
 ])
 def test_config_mistakes_exit_1(tmp_path, old, new):
     path = tmp_path / "bad.ini"
     path.write_text(SMALL.replace(old, new))
     assert main(["eigen", str(path), "--outdir", str(tmp_path / "out")]) == 1
+
+
+RUN_KEYS = ("seed", "max_points", "eigen_tol", "newton_tol", "step_ds",
+            "t_start")
+TINY = CANONICAL_CONFIG.replace("n = 4000", "n = 50").replace("seed = 0\n", "")
+
+
+@given(key=st.sampled_from(RUN_KEYS),
+       value=st.one_of(st.text(), st.sampled_from(["nan", "inf", "-inf"]),
+                       st.floats(-1e6, 1e6).map(repr),
+                       st.integers(-10 ** 6, 10 ** 6).map(str)))
+def test_run_values_never_escape(key, value):
+    """Any [run] value ends in an exit code, never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(TINY.replace("[run]\n", f"[run]\n{key} = {value}\n"))
+        for argv in (["branch"], ["solve", "--t", "-50"]):
+            rc = main(argv[:1] + [str(path), "--outdir", tmp] + argv[1:])
+            assert rc in (0, 1, 2, 3)
 
 
 @pytest.fixture(scope="module")

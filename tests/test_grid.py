@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 
 import semifold as sf
 from semifold.errors import BadGridConfig, NonPositiveWeight, SingularOperator
-from semifold.grid import (dirichlet_energy, dump_operator_csv, sphere_area,
-                           solve_tridiagonal, weighted_integral)
+from semifold.grid import (dirichlet_energy, sphere_area, solve_tridiagonal,
+                           weighted_integral)
 
 
 def test_sphere_area_closed_forms():
@@ -138,13 +138,3 @@ def test_grid_nodes_span_the_domain(R, n):
     assert grid.nodes[0] == 0.0
     assert grid.nodes[-1] == pytest.approx(R)
     assert grid.faces.size == n + 1
-
-
-def test_operator_csv_dump(tmp_path):
-    grid = sf.build_grid(3, 10.0, 50)
-    A = sf.assemble_laplacian(grid)
-    path = tmp_path / "op.csv"
-    dump_operator_csv(grid, A, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (50, 5)
-    assert np.allclose(data[:, 3], A.diag)

@@ -1,7 +1,10 @@
-"""Import hygiene: no module of the package imports a name it never uses.
+"""Package hygiene: no module imports a name it never uses, no module
+keeps state behind a `global` statement, and every public top-level
+function or class has a use in the package or is exported.
 
-No linter ships with the test dependencies, so this is a plain `ast`
-scan.  `__init__.py` is exempt: its imports are the public re-exports.
+No linter ships with the test dependencies, so these are plain `ast`
+scans.  `__init__.py` is exempt from the import scan: its imports are the
+public re-exports.
 """
 
 import ast
@@ -37,3 +40,62 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(nodes) -> set:
+    out = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def unreached_names(sources: dict) -> list:
+    """(module, name) of each public top-level function or class that no
+    code of the package names outside its own definition.  `sources` maps
+    file names to source text; names imported by `__init__.py` count as
+    exported, hence reached."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    found = []
+    for mod, tree in sorted(trees.items()):
+        if mod == "__init__.py":
+            continue
+        elsewhere = _names(t for m, t in trees.items() if m != mod)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and node.name not in elsewhere \
+                    and node.name not in _names(n for n in tree.body
+                                                if n is not node):
+                found.append((mod, node.name))
+    return found
+
+
+def test_scan_sees_an_unreached_name():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported(): pass\n"
+                 "def used(): pass\n"
+                 "def orphan(): return orphan\n"
+                 "class Table: pass\n"
+                 "TABLE = {'x': used}\n"),
+        "b.py": "from .a import Table\n",
+    }
+    assert unreached_names(sources) == [("a.py", "orphan")]
+
+
+def test_every_public_name_is_reached():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreached_names(sources) == []
+
+
+def test_no_global_statement():
+    found = [(p.name, node.lineno) for p in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
