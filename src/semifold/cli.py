@@ -23,7 +23,7 @@ from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import bisect_alpha, detect_fold, trace_branch, two_solutions
 from .errors import ConfigError, SemifoldError
-from .nonlinear import SOLVE_TOL, newton_solve, picard_solve, residual
+from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
 from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
@@ -31,10 +31,6 @@ from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
 from .verify import check_comparison, e0_norm, tau_star, verify_solution
 
 OUTDIR_ENV = "SEMIFOLD_OUTDIR"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_json(path: Path, data) -> None:
@@ -90,8 +86,9 @@ class _Run:
             "command": command,
             "version": __version__,
             "config_hash": self.cfg.content_hash(),
-            "seed": self.cfg.seed,
-            "files": {name: _sha256(self.outdir / name) for name in self.files},
+            "seed": self.cfg.get("run", "seed"),
+            "files": {name: hashlib.sha256((self.outdir / name).read_bytes())
+                      .hexdigest() for name in self.files},
             "wall_clock_s": self.stages,
         }
         _write_json(self.outdir / "manifest.json", manifest)
@@ -102,32 +99,30 @@ def _resolve_outdir(cfg: ScenarioConfig, args) -> Path:
         return Path(args.outdir)
     if OUTDIR_ENV in os.environ:
         return Path(os.environ[OUTDIR_ENV])
-    return Path(cfg.outdir)
+    return Path(cfg.get("run", "outdir"))
 
 
-def _instance(cfg, run):
+def _start(cfg, args):
+    """The run record, and the instance built in its timed stage."""
+    run = _Run(cfg, _resolve_outdir(cfg, args))
     with run.stage("build_instance"):
-        return build_scenario_instance(cfg)
+        return run, build_scenario_instance(cfg)
 
 
 def cmd_check(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     grid = inst.grid
     with run.stage("check"):
         p1 = check_P1(inst.weight, grid)
         p2 = check_P2(inst.weight, grid, [0.25 * grid.R, 0.5 * grid.R, grid.R])
         nl = inst.nonlinearity
-        slack = derive_slack_constants(nl.g, nl.g_prime, nl.mu_lower, nl.mu_upper)
+        slack = derive_slack_constants(nl.g, nl.mu_lower, nl.mu_upper)
         sigma = check_sigma_growth(nl, grid.N)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.get("run", "seed"))
         lam = inst.eigen.lambda1
-        oks = []
-        for _ in range(20):
-            rhs = rng.random(grid.n)
-            oks.append(check_comparison(inst.A, inst.weight_values,
-                                        0.9 * lam, rhs, lam)["pass"])
-        comparison = all(oks)
+        comparison = all(check_comparison(inst.A, inst.weight_values, 0.9 * lam,
+                                          rng.random(grid.n), lam)["pass"]
+                         for _ in range(20))
         report = {
             "P1": {k: v for k, v in p1.items()},
             "P2": {"constant_estimate": p2["constant_estimate"],
@@ -143,8 +138,7 @@ def cmd_check(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_eigen(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     eig = inst.eigen
     grid = inst.grid
     run.emit("eigen.csv", lambda p: _write_solution_csv(p, grid, eig.phi1))
@@ -189,8 +183,7 @@ def _solve_monotone(inst, t, L=None):
 
 
 def cmd_solve(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     t = args.t if args.t is not None else inst.forcing.t
     grid = inst.grid
     with run.stage("solve"):
@@ -202,9 +195,8 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
                 u0 = _read_solution_csv(args.start, grid)
             else:
                 u0 = np.zeros(grid.n)
-            tol = float(cfg.run.get("newton_tol", SOLVE_TOL))
             solver = newton_solve if args.method == "newton" else picard_solve
-            prof = solver(inst, u0, t, tol=tol)
+            prof = solver(inst, u0, t, tol=cfg.get("run", "newton_tol"))
     run.emit("solution.csv", lambda p: _write_solution_csv(p, grid, prof.u))
     report = {"converged": True, "t": t, "iterations": prof.iterations,
               "residual_inf": prof.residual_inf, "e0_norm": prof.e0_norm,
@@ -218,37 +210,31 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
 
 def _traced_branch(cfg, inst, run):
     ts = tau_star(inst)
-    t_start = float(cfg.run.get("t_start", -10.0 * abs(ts)))
+    t_start = cfg.get("run", "t_start")
+    t_start = -10.0 * abs(ts) if t_start is None else t_start
     with run.stage("branch_start"):
         w = build_subsolution(inst, t_start)
         start = newton_solve(inst, w, t_start)
     with run.stage("trace"):
         branch = trace_branch(inst, t_start, start.u,
-                              step_ds=float(cfg.run.get("step_ds", 2.0)),
+                              step_ds=cfg.get("run", "step_ds"),
                               t_window=(t_start - 1.0, ts + 1.0),
-                              max_points=int(float(cfg.run.get("max_points", 600))))
+                              max_points=cfg.get("run", "max_points"))
     return branch
-
-
-def _branch_rows(inst, branch):
-    rows = []
-    for i, p in enumerate(branch.points):
-        rows.append([i, p.t, p.u_at_0, e0_norm(inst.grid, p.u),
-                     p.residual_inf, p.stability_mu, p.arclength])
-    return np.array(rows)
 
 
 def emit_bifurcation(inst, branch, path: Path) -> None:
     if not branch.points:
         raise SemifoldError("cannot emit an empty branch")
-    np.savetxt(path, _branch_rows(inst, branch), delimiter=",",
+    rows = [[i, p.t, p.u_at_0, e0_norm(inst.grid, p.u), p.residual_inf,
+             p.stability_mu, p.arclength] for i, p in enumerate(branch.points)]
+    np.savetxt(path, np.array(rows), delimiter=",",
                header="index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength",
                comments="")
 
 
 def cmd_branch(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     branch = _traced_branch(cfg, inst, run)
     run.emit("branch.csv", lambda p: emit_bifurcation(inst, branch, p))
     run.finish("branch")
@@ -256,8 +242,7 @@ def cmd_branch(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_alpha(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     branch = _traced_branch(cfg, inst, run)
     ts = tau_star(inst)
     with run.stage("alpha"):
@@ -278,8 +263,7 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_two(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     branch = _traced_branch(cfg, inst, run)
     with run.stage("two"):
         fold = detect_fold(branch, inst)
@@ -299,8 +283,7 @@ def cmd_two(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_verify(cfg: ScenarioConfig, args) -> int:
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    inst = _instance(cfg, run)
+    run, inst = _start(cfg, args)
     soldir = Path(args.solutions)
     reports = []
     with run.stage("verify"):
@@ -332,11 +315,9 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     """Run `eigen` on several scenario configs, one subdir per scenario."""
     base = _resolve_outdir(cfg, args)
     configs = {c.scenario_id(): c for c in (load_config(p) for p in args.configs)}
-    rc = 0
     for sid, sub_cfg in configs.items():
-        ns = argparse.Namespace(outdir=str(base / sid))
-        rc = max(rc, cmd_eigen(sub_cfg, ns))
-    return rc
+        cmd_eigen(sub_cfg, argparse.Namespace(outdir=str(base / sid)))
+    return 0
 
 
 COMMANDS = {
@@ -372,6 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # not an argparse type: its usage errors exit 2
+        t = getattr(args, "t", None)
+        if t is not None and not np.isfinite(t):
+            raise ConfigError(f"--t must be a finite number, got {t}")
         return COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

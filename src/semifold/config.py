@@ -1,8 +1,9 @@
 """Scenario configuration: INI-style files with sections
 [weight], [nonlinearity], [forcing], [grid], [run].
 
-See docs/config.md for the grammar.  Parsing is round-trip stable:
-parse -> serialize -> parse reproduces the same scenario.
+See docs/config.md for the grammar; KEYS holds every key's default and
+parser.  Parsing is round-trip stable: parse -> serialize -> parse
+reproduces the same scenario.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,12 +20,89 @@ from .eigen import first_eigenpair
 from .errors import ConfigError, SlopeViolation
 from .grid import (DIRICHLET, ROBIN_DECAY, assemble_laplacian,
                    assemble_weight_mass, build_grid)
+from .nonlinear import SOLVE_TOL
 from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
                       exponential_weight, linear_nonlinearity,
                       rational_decay_weight, smooth_ramp_nonlinearity,
                       table_weight)
 
 REQUIRED_SECTIONS = ("weight", "nonlinearity", "forcing", "grid")
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _number(least=-np.inf, *, strict=False, integer=False):
+    """Parser of a finite number >= least (> least if strict); an integer
+    is any number without a fractional part, such as 5, 5.0 or 5e2."""
+    accepted = ("an integer" if integer else "a finite number") + (
+        "" if least == -np.inf else f" {'>' if strict else '>='} {least:g}")
+
+    def parse(text):
+        try:
+            x = float(text)
+        except ValueError:
+            x = np.nan
+        if not (np.isfinite(x) and (x > least if strict else x >= least)
+                and (x.is_integer() or not integer)):
+            raise ValueError(accepted)
+        return int(x) if integer else x
+    return parse
+
+
+def _choice(*options):
+    def parse(text):
+        if text not in options:
+            raise ValueError("one of " + ", ".join(options))
+        return text
+    return parse
+
+
+def _pairs(text):
+    """Inline table 'r0:v0, r1:v1, ...' as finite (r, v) pairs."""
+    try:
+        pairs = [tuple(map(float, item.split(":"))) for item in text.split(",")]
+    except ValueError:
+        pairs = [()]
+    if any(len(p) != 2 or not np.isfinite(p).all() for p in pairs):
+        raise ValueError("pairs r0:v0, r1:v1, ... of finite numbers")
+    return pairs
+
+
+# section -> key -> (default, parser); docs/config.md lists the same keys
+KEYS = {
+    "weight": {
+        "preset": ("rational_decay",
+                   _choice("rational_decay", "exponential", "table")),
+        "dimension": (3, _number(3, integer=True)),
+        "power": (3.0, _number()),
+        "scale": (1.0, _number()),
+        "table": (None, _pairs),
+    },
+    "nonlinearity": {
+        "preset": ("smooth_ramp", _choice("smooth_ramp", "linear")),
+        "mu_lower": (None, _number()),
+        "mu_upper": (None, _number()),
+        "mu_lower_factor": (0.5, _number()),
+        "mu_upper_factor": (2.0, _number()),
+        "offset": (1.0, _number()),
+        "slope": (None, _number()),
+    },
+    "forcing": {"t": (0.0, _number()), "f1": ("zero", _choice("zero"))},
+    "grid": {
+        "r": (REQUIRED, _number(0, strict=True)),
+        "n": (REQUIRED, _number(5, integer=True)),
+        "stretch": (1.0, _number(1)),
+        "farfield": (ROBIN_DECAY, _choice(ROBIN_DECAY, DIRICHLET)),
+    },
+    "run": {
+        "seed": (0, _number(0, integer=True)),
+        "outdir": ("out", str),
+        "eigen_tol": (1e-12, _number(0, strict=True)),
+        "newton_tol": (SOLVE_TOL, _number(0, strict=True)),
+        "t_start": (None, _number()),  # None: -10 |tau*|, set where read
+        "step_ds": (2.0, _number(0, strict=True)),
+        "max_points": (600, _number(1, integer=True)),
+    },
+}
 
 
 @dataclass
@@ -34,13 +113,19 @@ class ScenarioConfig:
     grid: dict
     run: dict = field(default_factory=dict)
 
-    @property
-    def seed(self) -> int:
-        return int(_get_float(self.run, "seed", 0.0, where="run"))
-
-    @property
-    def outdir(self) -> str:
-        return self.run.get("outdir", "out")
+    def get(self, section: str, key: str):
+        """The parsed value of `key` in [section], or its default."""
+        default, parse = KEYS[section][key]
+        raw = getattr(self, section).get(key)
+        if raw is None:
+            if default is REQUIRED:
+                raise ConfigError(f"missing key '{key}' in section [{section}]")
+            return default
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"'{key}' in [{section}] must be {exc}, "
+                              f"got {raw!r}") from None
 
     def scenario_id(self) -> str:
         return self.content_hash()[:12]
@@ -50,9 +135,8 @@ class ScenarioConfig:
 
     def serialize(self) -> str:
         cp = configparser.ConfigParser(interpolation=None)
-        for name in ("weight", "nonlinearity", "forcing", "grid", "run"):
-            section = getattr(self, name)
-            cp[name] = {k: str(v) for k, v in sorted(section.items())}
+        for name in KEYS:
+            cp[name] = {k: str(v) for k, v in sorted(getattr(self, name).items())}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -68,12 +152,24 @@ def parse_config(text: str) -> ScenarioConfig:
     for name in REQUIRED_SECTIONS:
         if name not in cp:
             raise ConfigError(f"missing config section [{name}]")
-    cfg = ScenarioConfig(weight=dict(cp["weight"]),
-                         nonlinearity=dict(cp["nonlinearity"]),
-                         forcing=dict(cp["forcing"]),
-                         grid=dict(cp["grid"]),
-                         run=dict(cp["run"]) if "run" in cp else {})
-    _validate(cfg)
+    for name in cp.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown config section [{name}]")
+    cfg = ScenarioConfig(**{name: dict(cp[name]) if name in cp else {}
+                            for name in KEYS})
+    # every key is parsed here, whichever command runs
+    for section, keys in KEYS.items():
+        for key in getattr(cfg, section):
+            if key not in keys:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+        for key in keys:
+            cfg.get(section, key)
+    if ("mu_lower" in cfg.nonlinearity) != ("mu_upper" in cfg.nonlinearity):
+        raise ConfigError("[nonlinearity] mu_lower and mu_upper come as a pair")
+    for section, preset, key in (("weight", "table", "table"),
+                                 ("nonlinearity", "linear", "slope")):
+        if cfg.get(section, "preset") == preset and cfg.get(section, key) is None:
+            raise ConfigError(f"[{section}] preset '{preset}' needs key '{key}'")
     return cfg
 
 
@@ -86,125 +182,44 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _get_float(section, key, default=None, *, where):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing key '{key}' in section [{where}]")
-        return default
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad float for '{key}' in [{where}]: "
-                          f"{section[key]!r}") from exc
-
-
-def _validate(cfg: ScenarioConfig) -> None:
-    g = cfg.grid
-    R = _get_float(g, "r", where="grid")
-    n = _get_float(g, "n", where="grid")
-    if not n.is_integer():
-        raise ConfigError(f"grid n must be an integer, got {g['n']!r}")
-    if R <= 0 or n < 5:
-        raise ConfigError(f"bad grid: R = {R}, n = {n}")
-    if not _get_float(cfg.weight, "dimension", 3.0, where="weight").is_integer():
-        raise ConfigError(f"weight dimension must be an integer, "
-                          f"got {cfg.weight['dimension']!r}")
-    farfield = g.get("farfield", ROBIN_DECAY)
-    if farfield not in (ROBIN_DECAY, DIRICHLET):
-        raise ConfigError(f"unknown farfield {farfield!r}")
-    # an absent [run] key gets a stand-in that passes: its default lives
-    # where the key is read
-    run = cfg.run
-    for key, least in (("seed", 0), ("max_points", 1)):
-        value = _get_float(run, key, float(least), where="run")
-        if not value.is_integer() or value < least:
-            raise ConfigError(f"'{key}' in [run] must be an integer >= "
-                              f"{least}, got {run[key]!r}")
-    for key in ("eigen_tol", "newton_tol", "step_ds"):
-        value = _get_float(run, key, 1.0, where="run")
-        if not (np.isfinite(value) and value > 0.0):
-            raise ConfigError(f"'{key}' in [run] must be finite and positive, "
-                              f"got {run[key]!r}")
-    if not np.isfinite(_get_float(run, "t_start", 0.0, where="run")):
-        raise ConfigError(f"'t_start' in [run] must be finite, "
-                          f"got {run['t_start']!r}")
-    if cfg.weight.get("preset", "rational_decay") not in (
-            "rational_decay", "exponential", "table"):
-        raise ConfigError(f"unknown weight preset {cfg.weight.get('preset')!r}")
-    if cfg.nonlinearity.get("preset", "smooth_ramp") not in (
-            "smooth_ramp", "linear"):
-        raise ConfigError(
-            f"unknown nonlinearity preset {cfg.nonlinearity.get('preset')!r}")
-
-
 def _build_weight(cfg: ScenarioConfig) -> WeightSpec:
-    w = cfg.weight
-    N = int(_get_float(w, "dimension", 3, where="weight"))
-    preset = w.get("preset", "rational_decay")
+    preset = cfg.get("weight", "preset")
     if preset == "rational_decay":
-        power = _get_float(w, "power", 3.0, where="weight")
-        return WeightSpec(rational_decay_weight(power), "rational_decay", N)
-    if preset == "exponential":
-        scale = _get_float(w, "scale", 1.0, where="weight")
-        return WeightSpec(exponential_weight(scale), "exponential", N)
-    # inline coefficient table: "r0:v0, r1:v1, ..."
-    try:
-        pairs = [tuple(map(float, item.split(":")))
-                 for item in w["table"].split(",")]
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("weight preset 'table' needs key "
-                          "table = r0:v0, r1:v1, ...") from exc
-    radii, values = zip(*pairs)
-    return WeightSpec(table_weight(radii, values), "table", N)
+        evaluator = rational_decay_weight(cfg.get("weight", "power"))
+    elif preset == "exponential":
+        evaluator = exponential_weight(cfg.get("weight", "scale"))
+    else:
+        evaluator = table_weight(*zip(*cfg.get("weight", "table")))
+    return WeightSpec(evaluator, cfg.get("weight", "dimension"))
 
 
 def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     """The one assembly of an instance: grid, weight, operator, first
     eigenpair, nonlinearity (slopes possibly relative to lambda1), forcing."""
     weight = _build_weight(cfg)
-    g = cfg.grid
-    grid = build_grid(weight.N, _get_float(g, "r", where="grid"),
-                      int(_get_float(g, "n", where="grid")),
-                      _get_float(g, "stretch", 1.0, where="grid"))
+    grid = build_grid(weight.N, cfg.get("grid", "r"), cfg.get("grid", "n"),
+                      cfg.get("grid", "stretch"))
     pvals = assemble_weight_mass(grid, weight.evaluator)
-    A = assemble_laplacian(grid, g.get("farfield", ROBIN_DECAY))
-    eig = first_eigenpair(grid, A, pvals,
-                          tol=float(cfg.run.get("eigen_tol", 1e-12)))
+    A = assemble_laplacian(grid, cfg.get("grid", "farfield"))
+    eig = first_eigenpair(grid, A, pvals, tol=cfg.get("run", "eigen_tol"))
 
-    nlc = cfg.nonlinearity
-    preset = nlc.get("preset", "smooth_ramp")
-    if preset == "linear":
-        nl = linear_nonlinearity(_get_float(nlc, "slope", where="nonlinearity"))
+    nlc = partial(cfg.get, "nonlinearity")
+    if nlc("preset") == "linear":
+        # a diagnostic preset, not a fold problem: no straddle check
+        nl = linear_nonlinearity(nlc("slope"))
     else:
-        if "mu_lower" in nlc:
-            mu_lo = _get_float(nlc, "mu_lower", where="nonlinearity")
-            mu_hi = _get_float(nlc, "mu_upper", where="nonlinearity")
-        else:
-            mu_lo = _get_float(nlc, "mu_lower_factor", 0.5,
-                               where="nonlinearity") * eig.lambda1
-            mu_hi = _get_float(nlc, "mu_upper_factor", 2.0,
-                               where="nonlinearity") * eig.lambda1
-        nl = smooth_ramp_nonlinearity(mu_lo, mu_hi,
-                                      _get_float(nlc, "offset", 1.0,
-                                                 where="nonlinearity"))
-
-    fc = cfg.forcing
-    t = _get_float(fc, "t", 0.0, where="forcing")
-    f1_kind = fc.get("f1", "zero")
-    if f1_kind == "zero":
-        f1 = np.zeros(grid.n)
-    else:
-        raise ConfigError(f"unknown f1 preset {f1_kind!r} (use 'zero' or "
-                          "decompose a raw forcing programmatically)")
-
-    # the linear preset is a diagnostic, not a fold problem
-    if preset != "linear" and not (nl.mu_lower < eig.lambda1 < nl.mu_upper):
-        raise SlopeViolation(
-            f"slack slopes ({nl.mu_lower}, {nl.mu_upper}) do not straddle "
-            f"lambda1 = {eig.lambda1}")
-    return ProblemInstance(weight=weight, nonlinearity=nl,
-                           forcing=ForcingSpec(t=t, f1=f1), grid=grid,
-                           weight_values=pvals, A=A, eigen=eig)
+        mu_lo, mu_hi = nlc("mu_lower"), nlc("mu_upper")
+        if mu_lo is None:
+            mu_lo = nlc("mu_lower_factor") * eig.lambda1
+            mu_hi = nlc("mu_upper_factor") * eig.lambda1
+        if not (mu_lo < eig.lambda1 < mu_hi):
+            raise SlopeViolation(f"slack slopes ({mu_lo}, {mu_hi}) do not "
+                                 f"straddle lambda1 = {eig.lambda1}")
+        nl = smooth_ramp_nonlinearity(mu_lo, mu_hi, nlc("offset"))
+    # f1 = zero is the only preset a file can name (docs/config.md)
+    forcing = ForcingSpec(t=cfg.get("forcing", "t"), f1=np.zeros(grid.n))
+    return ProblemInstance(weight=weight, nonlinearity=nl, forcing=forcing,
+                           grid=grid, weight_values=pvals, A=A, eigen=eig)
 
 
 CANONICAL_CONFIG = """\
@@ -245,5 +260,4 @@ def canonical_instance(R: float = 40.0, n: int = 4000,
     cfg.grid.update(r=repr(float(R)), n=str(n), farfield=farfield)
     cfg.nonlinearity.update(mu_lower_factor=repr(float(mu_factors[0])),
                             mu_upper_factor=repr(float(mu_factors[1])))
-    _validate(cfg)
-    return build_scenario_instance(cfg)
+    return build_scenario_instance(parse_config(cfg.serialize()))

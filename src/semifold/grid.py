@@ -71,14 +71,22 @@ def build_grid(N: int, R: float, n: int, stretch: float = 1.0) -> RadialGrid:
         raise BadGridConfig(f"need at least 5 nodes, got {n}")
     if stretch < 1.0:
         raise BadGridConfig(f"stretch factor must be >= 1, got {stretch}")
-    if stretch == 1.0:
-        nodes = np.linspace(0.0, R, n)
-    else:
-        # geometric intervals h0 * stretch^i scaled so the last node is R
-        ratios = stretch ** np.arange(n - 1)
-        nodes = np.concatenate(([0.0], np.cumsum(ratios)))
-        nodes *= R / nodes[-1]
-    return RadialGrid(N=N, R=float(R), nodes=nodes)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if stretch == 1.0:
+            nodes = np.linspace(0.0, R, n)
+        else:
+            # geometric intervals h0 * stretch^i scaled so the last node is R
+            ratios = stretch ** np.arange(n - 1)
+            nodes = np.concatenate(([0.0], np.cumsum(ratios)))
+            nodes *= R / nodes[-1]
+        grid = RadialGrid(N=N, R=float(R), nodes=nodes)
+        volumes = grid.volumes
+    # the cells are differences of face powers f^N, up to R^N
+    if not (np.isfinite(volumes).all() and (volumes > 0.0).all()):
+        raise BadGridConfig(
+            f"cell volumes are not finite and positive in floating point "
+            f"(N = {N:g}, R = {R}, n = {n}, stretch = {stretch})")
+    return grid
 
 
 @dataclass

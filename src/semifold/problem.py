@@ -43,7 +43,6 @@ def table_weight(radii, values) -> Callable:
 @dataclass(frozen=True)
 class WeightSpec:
     evaluator: Callable
-    preset_id: str
     N: int
 
 
@@ -136,8 +135,7 @@ class ProblemInstance:
 
 
 def canonical_weight(N: int = 3) -> WeightSpec:
-    return WeightSpec(evaluator=rational_decay_weight(3.0),
-                      preset_id="rational_decay", N=N)
+    return WeightSpec(evaluator=rational_decay_weight(3.0), N=N)
 
 
 # ------------------------------------------------------------- hypotheses
@@ -205,7 +203,7 @@ def check_P2(weight: WeightSpec, grid: RadialGrid, probe_radii) -> dict:
     }
 
 
-def derive_slack_constants(g: Callable, g_prime: Callable, mu_lower: float,
+def derive_slack_constants(g: Callable, mu_lower: float,
                            mu_upper: float) -> dict:
     """Minimal Theta with g(s) >= mu s - Theta for both slack slopes,
     sampled on [-50, 50]."""

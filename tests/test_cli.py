@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import json
 import tempfile
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from semifold import continuation
 from semifold.cli import main
-from semifold.config import CANONICAL_CONFIG
+from semifold.config import CANONICAL_CONFIG, KEYS
 from semifold.errors import NoConvergence
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
@@ -188,6 +189,18 @@ def test_sweep_command(scenario, tmp_path):
     ("seed = 0", "max_points = 1.5"),
     ("seed = 0", "max_points = 0"),
     ("seed = 0", "seed = 5%"),
+    ("r = 40.0", "r = nan"),
+    ("r = 40.0", "r = inf"),
+    ("stretch = 1.0", "stretch = nan"),
+    ("power = 3.0", "power = nan"),
+    ("offset = 1.0", "offset = nan"),
+    ("t = 0.0", "t = nan"),
+    ("stretch = 1.0", "strech = 1.05"),
+    ("offset = 1.0", "ofset = 5.0"),
+    ("power = 3.0", "power = 3.0\nscale = x"),
+    ("offset = 1.0", "offset = 1.0\nslope = x"),
+    ("offset = 1.0", "offset = 1.0\nmu_upper = 8.0"),
+    ("dimension = 3", "dimension = 200"),
 ])
 def test_config_mistakes_exit_1(tmp_path, old, new):
     path = tmp_path / "bad.ini"
@@ -195,23 +208,49 @@ def test_config_mistakes_exit_1(tmp_path, old, new):
     assert main(["eigen", str(path), "--outdir", str(tmp_path / "out")]) == 1
 
 
-RUN_KEYS = ("seed", "max_points", "eigen_tol", "newton_tol", "step_ds",
-            "t_start")
-TINY = CANONICAL_CONFIG.replace("n = 4000", "n = 50").replace("seed = 0\n", "")
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t", "nan"],
+    ["two", "--t", "nan"],
+    ["solve", "--t=inf", "--method", "monotone"],
+])
+def test_nonfinite_t_exits_1(scenario, tmp_path, capsys, argv):
+    rc = main([argv[0], scenario, "--outdir", str(tmp_path), *argv[1:]])
+    assert rc == 1
+    assert "--t" in capsys.readouterr().err
 
 
-@given(key=st.sampled_from(RUN_KEYS),
-       value=st.one_of(st.text(), st.sampled_from(["nan", "inf", "-inf"]),
-                       st.floats(-1e6, 1e6).map(repr),
-                       st.integers(-10 ** 6, 10 ** 6).map(str)))
-def test_run_values_never_escape(key, value):
-    """Any [run] value ends in an exit code, never in a traceback."""
+TINY = CANONICAL_CONFIG.replace("n = 4000", "n = 50")
+VALUES = st.one_of(st.text(), st.sampled_from(["nan", "inf", "-inf"]),
+                   st.floats(-1e6, 1e6).map(repr),
+                   st.integers(-10 ** 6, 10 ** 6).map(str))
+# [grid] n stays small, so that no example builds a large grid
+GRID_N = st.one_of(st.text(st.characters(blacklist_categories=("Nd", "Cs"))),
+                   st.sampled_from(["nan", "inf", "-inf"]),
+                   st.integers(max_value=200).map(str))
+
+
+@given(data=st.data())
+def test_config_values_never_escape(data):
+    """Any value of any key ends in an exit code, never in a traceback,
+    and a non-finite number is a configuration error wherever it goes."""
+    section = data.draw(st.sampled_from(sorted(KEYS)))
+    key = data.draw(st.sampled_from(sorted(KEYS[section])))
+    value = data.draw(GRID_N if (section, key) == ("grid", "n") else VALUES)
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(TINY)
+    cp[section][key] = value
+    commands = [["check"]]
+    if section == "run":
+        commands += [["branch"], ["solve", "--t", "-50"]]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
-        path.write_text(TINY.replace("[run]\n", f"[run]\n{key} = {value}\n"))
-        for argv in (["branch"], ["solve", "--t", "-50"]):
+        with open(path, "w") as fh:
+            cp.write(fh)
+        for argv in commands:
             rc = main(argv[:1] + [str(path), "--outdir", tmp] + argv[1:])
             assert rc in (0, 1, 2, 3)
+            if value in ("nan", "inf", "-inf") and key != "outdir":
+                assert rc == 1
 
 
 @pytest.fixture(scope="module")

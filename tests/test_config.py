@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import semifold as sf
-from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
+from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
                              load_config, parse_config)
 from semifold.errors import ConfigError
 
@@ -43,6 +46,25 @@ def test_bad_values_rejected():
             "preset = rational_decay", "preset = mystery"))
     with pytest.raises(ConfigError):
         parse_config(CANONICAL_CONFIG.replace("r = 40.0", "r = forty"))
+
+
+def test_unknown_key_named_in_error():
+    with pytest.raises(ConfigError, match=r"'strech'.*\[grid\]"):
+        parse_config(CANONICAL_CONFIG.replace("stretch =", "strech ="))
+
+
+def test_docs_list_exactly_the_keys():
+    """The key column of each section table in docs/config.md is that
+    section's KEYS, in order."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+    tables = re.findall(r"^## \[(\w+)\]\n(.*?)(?=^## |\Z)", doc.read_text(),
+                        re.M | re.S)
+    documented = {section: [name for line in body.splitlines()
+                            if line.startswith("| `")
+                            for name in re.findall(r"`([^`]+)`",
+                                                   line.split("|")[1])]
+                  for section, body in tables}
+    assert documented == {section: list(keys) for section, keys in KEYS.items()}
 
 
 def test_load_config(tmp_path):

@@ -34,8 +34,7 @@ def test_second_moment_tail_stabilizes_at_large_radius():
 def test_divergent_moment_is_fatal():
     from semifold.problem import WeightSpec
 
-    slow = WeightSpec(evaluator=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2),
-                      preset_id="custom", N=3)
+    slow = WeightSpec(evaluator=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2), N=3)
     grid = sf.build_grid(3, 100.0, 2000)
     with pytest.raises(DivergentMoment):
         check_P1(slow, grid)
@@ -55,7 +54,7 @@ def test_kernel_bound_oracle(canonical):
 
 def test_slack_constants_recover_offset(canonical):
     nl = canonical.nonlinearity
-    rep = derive_slack_constants(nl.g, nl.g_prime, nl.mu_lower, nl.mu_upper)
+    rep = derive_slack_constants(nl.g, nl.mu_lower, nl.mu_upper)
     assert rep["theta"] == pytest.approx(1.0, abs=1e-6)
     assert not rep["boundary_attained"]
 
@@ -65,13 +64,13 @@ def test_slack_constants_reject_single_slope():
     other slack line the gap grows without bound."""
     nl = sf.linear_nonlinearity(2.0)
     with pytest.raises(SlopeViolation):
-        derive_slack_constants(nl.g, nl.g_prime, 1.0, 2.0)
+        derive_slack_constants(nl.g, 1.0, 2.0)
 
 
 def test_slack_constants_reject_bad_ordering():
     nl = sf.smooth_ramp_nonlinearity(1.0, 2.0)
     with pytest.raises(SlopeViolation):
-        derive_slack_constants(nl.g, nl.g_prime, 2.0, 1.0)
+        derive_slack_constants(nl.g, 2.0, 1.0)
 
 
 def test_smooth_ramp_shape():
