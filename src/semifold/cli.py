@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -31,6 +32,27 @@ from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
 from .verify import check_comparison, e0_norm, tau_star, verify_solution
 
 OUTDIR_ENV = "SEMIFOLD_OUTDIR"
+# glibc mallopt parameter: free bytes kept at the top of the heap
+M_TOP_PAD = -2
+HEAP_TOP_PAD = 64 << 20
+
+
+def keep_heap_pages() -> None:
+    """Ask glibc to keep HEAP_TOP_PAD bytes of freed heap in the process.
+
+    At n = 64000 each temporary vector is 512 KiB.  When several are freed
+    together, glibc trims the heap top and the next temporary faults its
+    pages back in, a cost comparable to the kernel that fills it.  Setting
+    M_TOP_PAD alone keeps glibc's dynamic mmap threshold; an explicit
+    M_TRIM_THRESHOLD would switch it off and map every such vector anew.
+    A libc without mallopt leaves the allocator as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
 def _write_json(path: Path, data) -> None:
@@ -64,7 +86,11 @@ class _Run:
         self.outdir = outdir
         self.files = []
         self.stages = {}
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {outdir}: "
+                              f"{exc}") from exc
 
     def emit(self, name: str, writer) -> Path:
         path = self.outdir / name
@@ -352,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keep_heap_pages()
     try:
         # not an argparse type: its usage errors exit 2
         t = getattr(args, "t", None)

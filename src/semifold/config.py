@@ -57,13 +57,16 @@ def _choice(*options):
 
 
 def _pairs(text):
-    """Inline table 'r0:v0, r1:v1, ...' as finite (r, v) pairs."""
+    """Inline table 'r0:v0, r1:v1, ...' as finite (r, v) pairs with
+    strictly increasing r, the abscissae np.interp needs."""
     try:
         pairs = [tuple(map(float, item.split(":"))) for item in text.split(",")]
     except ValueError:
         pairs = [()]
-    if any(len(p) != 2 or not np.isfinite(p).all() for p in pairs):
-        raise ValueError("pairs r0:v0, r1:v1, ... of finite numbers")
+    if any(len(p) != 2 or not np.isfinite(p).all() for p in pairs) or \
+            any(a[0] >= b[0] for a, b in zip(pairs, pairs[1:])):
+        raise ValueError("pairs r0:v0, r1:v1, ... of finite numbers "
+                         "with r0 < r1 < ...")
     return pairs
 
 

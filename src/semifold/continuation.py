@@ -17,7 +17,7 @@ import numpy as np
 from .eigen import smallest_eigenvalue
 from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
-from .grid import solve_tridiagonal
+from .grid import dot, solve_tridiagonal
 from .nonlinear import SOLVE_TOL, jacobian, newton_solve, residual
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
@@ -99,7 +99,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
 
     # initial tangent from the parameter derivative du/dt
     y = solve_tridiagonal(jacobian(instance, u), Pphi)
-    nrm = np.sqrt(w2 * float(y @ y) + 1.0)
+    nrm = np.sqrt(w2 * dot(y, y) + 1.0)
     tau_u, tau_t = y / nrm, 1.0 / nrm
 
     branch = Branch()
@@ -117,7 +117,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         ok = False
         for _ in range(12):
             F = residual(instance, uc, tc)
-            con = w2 * float(tau_u @ (uc - u)) + tau_t * (tc - t) - ds
+            con = w2 * dot(tau_u, uc - u) + tau_t * (tc - t) - ds
             if np.abs(F).max() <= SOLVE_TOL * rs and \
                     abs(con) <= 1e-10 * (1.0 + abs(ds)):
                 ok = True
@@ -128,10 +128,10 @@ def trace_branch(instance: ProblemInstance, t_start: float,
                 q = solve_tridiagonal(J, Pphi)
             except SingularOperator:
                 break
-            denom = w2 * float(tau_u @ q) + tau_t
+            denom = w2 * dot(tau_u, q) + tau_t
             if denom == 0.0:
                 break
-            dt = (-con - w2 * float(tau_u @ p)) / denom
+            dt = (-con - w2 * dot(tau_u, p)) / denom
             uc = uc + p + dt * q
             tc = tc + dt
             if not np.isfinite(uc).all():
@@ -147,7 +147,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         # accept: secant tangent keeps orientation through the fold
         new_tau_u = (uc - u) / ds
         new_tau_t = (tc - t) / ds
-        nrm = np.sqrt(w2 * float(new_tau_u @ new_tau_u) + new_tau_t ** 2)
+        nrm = np.sqrt(w2 * dot(new_tau_u, new_tau_u) + new_tau_t ** 2)
         tau_u, tau_t = new_tau_u / nrm, new_tau_t / nrm
         arc += abs(ds)
         u, t = uc, tc
@@ -172,7 +172,7 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     gsec = instance.nonlinearity.g_second
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
-    c = v0 / float(v0 @ v0)  # so that c.v0 = 1
+    c = v0 / dot(v0, v0)  # so that c.v0 = 1
     u, t, v = u0.copy(), float(t0), v0.copy()
     rs = instance.A.row_scale()
     for _ in range(FOLD_MAXIT):
@@ -187,10 +187,10 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
         D = P * np.asarray(gsec(u)) * v
         a1 = solve_tridiagonal(J, D * p)
         a2 = solve_tridiagonal(J, D * q)
-        ca2 = float(c @ a2)
+        ca2 = dot(c, a2)
         if ca2 == 0.0:
             raise NoConvergence("fold system degenerate (c.a2 = 0)")
-        dt = (1.0 - float(c @ a1)) / ca2
+        dt = (1.0 - dot(c, a1)) / ca2
         u = u + p + dt * q
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2

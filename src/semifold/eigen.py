@@ -25,7 +25,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
                      SingularOperator, ZeroDenominator)
-from .grid import (RadialGrid, TridiagonalOperator, solve_tridiagonal,
+from .grid import (RadialGrid, TridiagonalOperator, dot, solve_tridiagonal,
                    weighted_integral)
 
 PLATEAU_RATIO_LIMIT = 1.05
@@ -116,10 +116,19 @@ def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,
     any trial function.  (The plain Dirichlet-energy quotient would miss
     the far-field boundary term of the decay-matched Robin row.)"""
     v = np.asarray(v, dtype=float)
+    # BLAS np.dot, not grid.dot: this runs only while an instance is built
     den = float(np.dot(grid.volumes * v, weight_values * v))
     if den <= 0.0 or not np.isfinite(den):
         raise ZeroDenominator("trial function vanishes in the P-weighted norm")
     return float(np.dot(grid.volumes * v, A.apply(v))) / den
+
+
+def _rayleigh_residual(S: TridiagonalOperator, x: np.ndarray):
+    """Rayleigh quotient mu of a unit vector x and ||S x - mu x||_2."""
+    Sx = S.apply(x)
+    mu = dot(x, Sx)
+    res = Sx - mu * x
+    return mu, float(np.sqrt(dot(res, res)))
 
 
 def _factor_below(S: TridiagonalOperator, sigma: float):
@@ -157,13 +166,11 @@ def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator,
     floor = 50.0 * np.finfo(float).eps * S.row_scale()
 
     x = np.asarray(start, dtype=float)
-    nrm = float(np.linalg.norm(x)) if x.shape == (grid.n,) else 0.0
+    nrm = float(np.sqrt(dot(x, x))) if x.shape == (grid.n,) else 0.0
     if not (np.isfinite(nrm) and nrm > 0.0):
         raise ZeroDenominator("start vector is zero, non-finite or off the grid")
     x = x / nrm
-    Sx = S.apply(x)
-    mu = float(x @ Sx)
-    r = float(np.linalg.norm(Sx - mu * x))
+    mu, r = _rayleigh_residual(S, x)
 
     radius = np.zeros(S.n)
     radius[:-1] -= off
@@ -181,14 +188,12 @@ def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator,
 
     for k in range(1, STABILITY_MAXIT + 1):
         y, info = dpttrs(*factors, x)
-        nrm = float(np.linalg.norm(y))
+        nrm = float(np.sqrt(dot(y, y)))
         if info != 0 or not (np.isfinite(nrm) and nrm > 0.0):
             raise NoConvergence(f"shifted solve failed at step {k}",
                                 iterations=k, residual=r)
         x = y / nrm
-        Sx = S.apply(x)
-        mu = float(x @ Sx)
-        r = float(np.linalg.norm(Sx - mu * x))
+        mu, r = _rayleigh_residual(S, x)
         if r <= floor:
             break
         if mu - r > sigma:

@@ -5,14 +5,6 @@ class SemifoldError(Exception):
     """Base class for all package errors."""
 
 
-class NonPositiveWeight(SemifoldError):
-    pass
-
-
-class DivergentMoment(SemifoldError):
-    pass
-
-
 class ProbeOutOfRange(SemifoldError):
     pass
 
@@ -73,6 +65,15 @@ class BadGridConfig(ConfigError):
 
 class SlopeViolation(ConfigError):
     pass
+
+
+class NonPositiveWeight(ConfigError):
+    """P is not positive at some node: the paper needs P > 0."""
+
+
+class DivergentMoment(ConfigError):
+    """A moment of P does not settle on [0, R]: the paper needs finite
+    mass and second moment."""
 
 
 class NonSimpleWarning(UserWarning):

@@ -185,6 +185,13 @@ def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y of two grid vectors, summed by einsum rather than BLAS: at
+    n = 64000 a BLAS ddot wakes OpenBLAS helper threads, which burn a
+    second core without making the sum faster."""
+    return float(np.einsum("i,i->", x, y))
+
+
 def weighted_integral(grid: RadialGrid, v: np.ndarray) -> float:
     """Integral of a radial profile over R^N by trapezoidal shell quadrature."""
     return float(grid.sphere_area

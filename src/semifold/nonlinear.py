@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoConvergence, SingularOperator
-from .grid import TridiagonalOperator, solve_tridiagonal
+from .grid import TridiagonalOperator, dot, solve_tridiagonal
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
 
@@ -42,7 +42,7 @@ def _deflation_factor(u: np.ndarray, known: Sequence[SolutionProfile]):
     grads = []
     for prof in known:
         d = u - prof.u
-        n2 = float(d @ d)
+        n2 = dot(d, d)
         if n2 < 1e-300:
             return 1e300, None  # sitting on a known root: hard penalty
         eta *= 1.0 / n2 + 1.0
@@ -85,11 +85,11 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
             raise NoConvergence(f"singular Jacobian at step {k}: {exc}",
                                 iterations=k, residual=float(np.abs(F).max()))
         if known:
-            denom = 1.0 - float(grad_log_eta @ du)
+            denom = 1.0 - dot(grad_log_eta, du)
             if abs(denom) < 1e-12:
                 denom = np.sign(denom) * 1e-12 if denom != 0.0 else 1e-12
             du = du / denom
-        merit = eta ** 2 * float(F @ F)
+        merit = eta ** 2 * dot(F, F)
         step = 1.0
         for _ in range(30):
             u_try = u + step * du
@@ -97,7 +97,7 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
             if known:
                 eta, grad_log_eta = _deflation_factor(u_try, known)
             if np.isfinite(F_try).all() and \
-                    eta ** 2 * float(F_try @ F_try) <= (1.0 - 1e-4 * step) * merit:
+                    eta ** 2 * dot(F_try, F_try) <= (1.0 - 1e-4 * step) * merit:
                 break
             step *= 0.5
         else:

@@ -64,8 +64,14 @@ def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
     gap = mu_upper - mu_lower
 
     def g(s):
+        # softplus log(1 + e^s) as max(s, 0) + log1p(e^-|s|), the formula
+        # np.logaddexp(0, s) uses inside its loop, built from vectorized
+        # ufuncs that are several times cheaper on long vectors; e^-|s| is
+        # subnormal or 0 for |s| > 708, an underflow that is meant
         s = np.asarray(s, dtype=float)
-        return mu_lower * s + gap * np.logaddexp(0.0, s) - offset
+        with np.errstate(under="ignore"):
+            softplus = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
+            return mu_lower * s + gap * softplus - offset
 
     def g_prime(s):
         return mu_lower + gap * expit(np.asarray(s, dtype=float))

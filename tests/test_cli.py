@@ -1,6 +1,10 @@
 import configparser
+import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import semifold
 from semifold import continuation
 from semifold.cli import main
 from semifold.config import CANONICAL_CONFIG, KEYS
@@ -201,11 +206,59 @@ def test_sweep_command(scenario, tmp_path):
     ("offset = 1.0", "offset = 1.0\nslope = x"),
     ("offset = 1.0", "offset = 1.0\nmu_upper = 8.0"),
     ("dimension = 3", "dimension = 200"),
+    ("power = 3.0", "power = 1e6"),
+    ("power = 3.0", "power = -1"),
+    ("preset = rational_decay", "preset = table\ntable = 40:0.1, 10:0.5, 0:1"),
 ])
 def test_config_mistakes_exit_1(tmp_path, old, new):
+    # check builds what eigen builds, then tests the hypotheses on P:
+    # power = 1e6 underflows P to 0 at the nodes, power = -1 makes it grow
     path = tmp_path / "bad.ini"
     path.write_text(SMALL.replace(old, new))
-    assert main(["eigen", str(path), "--outdir", str(tmp_path / "out")]) == 1
+    assert main(["check", str(path), "--outdir", str(tmp_path / "out")]) == 1
+
+
+def test_uncreatable_outdir_exits_1(scenario, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    outdir = afile / "sub"
+    assert main(["eigen", scenario, "--outdir", str(outdir)]) == 1
+    assert str(outdir) in capsys.readouterr().err
+
+
+HEAP_PROBE = """
+import resource
+from semifold.cli import keep_heap_pages
+from semifold.config import canonical_instance
+from semifold.nonlinear import residual
+keep_heap_pages()
+inst = canonical_instance(n=64000)
+u = -inst.eigen.phi1
+residual(inst, u, -20.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    residual(inst, u, -20.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_heap_pad_keeps_64k_temporaries_resident():
+    """Once keep_heap_pages has run, freed 512 KiB temporaries at
+    n = 64000 stay in the heap: 20 residual evaluations fault fewer than
+    200 pages in (several thousand without the pad).  Measured in a
+    fresh interpreter, as a CLI run starts: how much freed heap a
+    long-lived process such as this one keeps depends on its history."""
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pytest.skip("libc has no mallopt")
+    src = str(Path(semifold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    assert int(out.stdout) < 200
 
 
 @pytest.mark.parametrize("argv", [

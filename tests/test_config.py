@@ -102,3 +102,11 @@ def test_table_weight_preset():
     inst = build_scenario_instance(cfg)
     assert inst.weight_values[0] == pytest.approx(1.0)
     assert inst.weight_values[-1] == pytest.approx(0.1)
+
+
+def test_table_radii_must_increase_strictly():
+    # a decreasing table is one of test_cli's config mistakes
+    text = SMALL.replace("preset = rational_decay",
+                         "preset = table\ntable = 0:1, 10:0.5, 10:0.1")
+    with pytest.raises(ConfigError, match="r0 < r1"):
+        parse_config(text)

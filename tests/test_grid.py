@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import semifold as sf
 from semifold.errors import BadGridConfig, NonPositiveWeight, SingularOperator
-from semifold.grid import (dirichlet_energy, sphere_area, solve_tridiagonal,
-                           weighted_integral)
+from semifold.grid import (dirichlet_energy, dot, sphere_area,
+                           solve_tridiagonal, weighted_integral)
 
 
 def test_sphere_area_closed_forms():
@@ -90,6 +92,17 @@ def test_apply_matches_banded_form():
     u = rng.standard_normal(grid.n)
     sol = solve_tridiagonal(A, A.apply(u))
     assert np.abs(sol - u).max() < 1e-9 * (1.0 + np.abs(u).max())
+
+
+def test_dot_matches_exact_sum():
+    """grid.dot sums in its own order: it agrees with the correctly
+    rounded sum to n eps times the sum of |x_i y_i|."""
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((2, 64000))
+    exact = math.fsum(x * y)
+    assert abs(dot(x, y) - exact) <= x.size * np.finfo(float).eps * \
+        float(np.abs(x * y).sum())
+    assert dot(x[:1], y[:1]) == x[0] * y[0]
 
 
 def test_weighted_integral_gaussian_oracle():

@@ -86,6 +86,21 @@ def test_smooth_ramp_shape():
     assert (gs >= 3.0 * s - 1.0 - 1e-10).all()
 
 
+def test_softplus_kernel_matches_logaddexp():
+    """With slopes (0, 1) and offset 0, g is the softplus log(1 + e^s)
+    alone.  It agrees with np.logaddexp(0, s) to 4 eps relative wherever
+    that is a normal number, to one unit of the last subnormal place
+    below, and at +-1e300, and it raises no floating-point error."""
+    g = sf.smooth_ramp_nonlinearity(0.0, 1.0, 0.0).g
+    s = np.concatenate([np.linspace(-745.0, 745.0, 200001),
+                        [-1e300, 1e300, 0.0, -0.0]])
+    with np.errstate(all="raise"):
+        got = g(s)
+    np.testing.assert_allclose(got, np.logaddexp(0.0, s),
+                               rtol=4.0 * np.finfo(float).eps,
+                               atol=np.finfo(float).smallest_subnormal)
+
+
 def test_sigma_growth_report(canonical):
     rep = check_sigma_growth(canonical.nonlinearity, 3)
     assert rep["sigma"] == pytest.approx(3.0)
