@@ -8,15 +8,15 @@ __version__ = "0.1.0"
 from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
                      canonical_instance, load_config, parse_config)
 from .continuation import (Branch, BranchPoint, FoldResult, bisect_alpha,
-                           detect_fold, refine_fold, trace_branch,
-                           two_solutions)
+                           climb_alpha, detect_fold, refine_fold,
+                           trace_branch, two_solutions)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
                    assemble_weight_mass, build_grid, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
-from .nonlinear import (apply_solution_operator, jacobian, newton_solve,
-                        picard_solve, residual, second_solution)
+from .nonlinear import (apply_solution_operator, certify, jacobian,
+                        newton_solve, picard_solve, residual, second_solution)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
                       WeightSpec, canonical_weight, check_P1, check_P2,
                       decompose_forcing, derive_slack_constants,

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import bisect_alpha, detect_fold, trace_branch, two_solutions
+from .continuation import (bisect_alpha, climb_alpha, detect_fold,
+                           trace_branch, two_solutions)
 from .errors import ConfigError, SemifoldError
 from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
@@ -192,14 +193,10 @@ def _solve_monotone(inst, t, L=None):
     # the climbed solution (a supersolution for every smaller coefficient)
     interval0 = OrderedInterval(lower=build_subsolution(inst, t_thr), upper=v)
     prof = monotone_iterate(inst, t_thr, interval0)
-    fold = bisect_alpha(inst, t_thr, prof.u, dt_init=max(abs(t - t_thr), 1.0),
-                        dt_min=1e-8, t_cap=t)
-    if not fold.hit_cap:
-        raise SemifoldError(
-            f"no solution reachable at t = {t}; branch folds near {fold.alpha}")
+    upper = bisect_alpha(inst, t_thr, prof.u, t,
+                         dt_init=max(abs(t - t_thr), 1.0), dt_min=1e-8)
     # polish the climbed solution hard: it bounds the minimal solution
     # from above only to within its own residual
-    upper = fold.u_fold.u
     try:
         upper = newton_solve(inst, upper, t, tol=1e-13).u
     except SemifoldError:
@@ -273,15 +270,16 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     ts = tau_star(inst)
     with run.stage("alpha"):
         fold = detect_fold(branch, inst)
-        p0 = branch.points[0]
-        bis = bisect_alpha(inst, p0.t, p0.u,
-                           dt_init=0.25 * (fold.alpha - p0.t),
-                           dt_min=1e-6 * (1.0 + abs(fold.alpha)))
-        gap = abs(fold.alpha - bis.alpha)
+        climb = climb_alpha(inst, branch, fold.alpha,
+                            dt_min=1e-6 * (1.0 + abs(fold.alpha)))
     run.emit("branch.csv", lambda p: emit_bifurcation(inst, branch, p))
+    # alpha_bisection keeps its name: the certified lower bound from the
+    # climb below alpha_arclength
     run.emit("alpha.json", lambda p: _write_json(p, {
-        "alpha_arclength": fold.alpha, "alpha_bisection": bis.alpha,
-        "agreement_gap": gap, "tau_star": ts,
+        "alpha_arclength": fold.alpha, "alpha_bisection": climb.alpha,
+        "agreement_gap": abs(fold.alpha - climb.alpha), "tau_star": ts,
+        "certified_delta": climb.delta, "certificate_eta": climb.eta,
+        "certificate_beta": climb.beta, "certificate_h": climb.h,
         "fold_method": fold.method, "branch_status": branch.status,
     }))
     run.finish("alpha")

@@ -3,8 +3,9 @@
 Pseudo-arclength continuation with a bordered tridiagonal corrector
 passes the turning point where plain parameter continuation has a
 singular Jacobian.  The fold estimate comes from a quadratic fit along
-the branch, sharpened by Newton on the extended fold system; an
-independent supersolution-reuse bisection climbs to the same value.
+the branch, sharpened by Newton on the extended fold system.  A climb
+of probes placed just below that estimate, each accepted only by a
+Newton-Kantorovich certificate, gives a proved lower bound on the fold.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .eigen import smallest_eigenvalue
 from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
-from .nonlinear import SOLVE_TOL, jacobian, newton_solve, residual
+from .nonlinear import SOLVE_TOL, certify, jacobian, newton_solve, residual
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, make_profile
 
@@ -63,8 +64,18 @@ class FoldResult:
     alpha: float
     u_fold: SolutionProfile
     method: str
-    hit_cap: bool = False
     alpha_fit: Optional[float] = None
+
+
+@dataclass
+class ClimbResult:
+    """The last certified probe of climb_alpha: alpha = alpha_arc - delta,
+    with its certificate (eta, beta, h) from nonlinear.certify."""
+    alpha: float
+    delta: float
+    eta: float
+    beta: float
+    h: float
 
 
 def _stability(instance, u):
@@ -124,8 +135,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
                 break
             J = jacobian(instance, uc)
             try:
-                p = solve_tridiagonal(J, -F)
-                q = solve_tridiagonal(J, Pphi)
+                p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
             except SingularOperator:
                 break
             denom = w2 * dot(tau_u, q) + tau_t
@@ -182,11 +192,9 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
         if np.abs(F).max() <= FOLD_TOL * rs and \
                 np.abs(Jv).max() <= 1e-8 * rs * np.abs(v).max():
             break
-        p = solve_tridiagonal(J, -F)
-        q = solve_tridiagonal(J, Pphi)
+        p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
         D = P * np.asarray(gsec(u)) * v
-        a1 = solve_tridiagonal(J, D * p)
-        a2 = solve_tridiagonal(J, D * q)
+        a1, a2 = solve_tridiagonal(J, np.column_stack((D * p, D * q))).T
         ca2 = dot(c, a2)
         if ca2 == 0.0:
             raise NoConvergence("fold system degenerate (c.a2 = 0)")
@@ -250,21 +258,56 @@ def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
                       alpha_fit=alpha_fit)
 
 
+def climb_alpha(instance: ProblemInstance, branch: Branch, alpha_arc: float,
+                dt_min: float) -> ClimbResult:
+    """A certified lower bound on the discrete fold, from probes at
+    t_k = alpha_arc - delta_k, delta_k = 10^-k (1 + |alpha_arc|), for
+    k = 1, 2, ... while delta_k >= dt_min.  The first probe starts from
+    the pre-fold branch point with the largest t <= t_1, each later one
+    from the last certified probe.  A probe is Newton's solution passed
+    by nonlinear.certify (h <= 1/2); the climb stops at the first probe
+    that is not, and returns the last one that is."""
+    scale = 1.0 + abs(alpha_arc)
+    ts = branch.t_values
+    ts = ts[:int(np.argmax(ts)) + 1]  # the pre-fold segment
+    below = np.flatnonzero(ts <= alpha_arc - 0.1 * scale)
+    start = int(below[np.argmax(ts[below])]) if below.size else 0
+    u = branch.points[start].u
+    best = None
+    k = 1
+    # delta_k and dt_min are the same decade apart from rounding
+    while (delta := scale / 10.0 ** k) >= dt_min * (1.0 - 1e-9):
+        t = alpha_arc - delta
+        try:
+            u_k = newton_solve(instance, u, t, maxit=30).u
+        except NoConvergence:
+            break
+        u_k, eta, beta, h = certify(instance, u_k, t)
+        if not h <= 0.5:
+            break
+        best = ClimbResult(alpha=t, delta=delta, eta=eta, beta=beta, h=h)
+        u = u_k
+        k += 1
+    if best is None:
+        raise NoConvergence(f"no probe below alpha = {alpha_arc} certifies "
+                            f"a solution (first at t = {alpha_arc - 0.1 * scale})")
+    return best
+
+
 def bisect_alpha(instance: ProblemInstance, t_known: float,
-                 u_known: np.ndarray, dt_init: float = 0.5,
-                 dt_min: float = 1e-6,
-                 t_cap: Optional[float] = None) -> FoldResult:
-    """Climb the solvable half-line by Newton warm starts; each success
-    certifies solvability at the new t, each failure halves the step."""
+                 u_known: np.ndarray, t_cap: float, dt_init: float,
+                 dt_min: float) -> np.ndarray:
+    """Reach t_cap from a solution at t_known by Newton warm starts: each
+    success moves up to its t, each failure halves the step.  Returns the
+    solution at t_cap; raises NoConvergence once the step falls below
+    dt_min first."""
     t = float(t_known)
     u = np.asarray(u_known, dtype=float).copy()
     dt = float(dt_init)
     hi: Optional[float] = None
     streak = 0
     while dt >= dt_min:
-        t_try = t + dt
-        if t_cap is not None and t_try > t_cap:
-            t_try = t_cap
+        t_try = min(t + dt, t_cap)
         if hi is not None and t_try >= hi:
             dt *= 0.5
             continue
@@ -277,15 +320,13 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
             continue
         t, u = t_try, prof.u
         streak += 1
-        if t_cap is not None and t >= t_cap:
-            return FoldResult(alpha=t, u_fold=_profile(instance, u, t),
-                              method="bisection", hit_cap=True)
+        if t >= t_cap:
+            return u
         if streak >= 2:
             dt = min(dt * 2.0, dt_init)
             streak = 0
-    alpha = 0.5 * (t + hi) if hi is not None else t + dt_min
-    return FoldResult(alpha=float(alpha), u_fold=_profile(instance, u, t),
-                      method="bisection")
+    raise NoConvergence(f"no solution reachable at t = {t_cap}: the climb "
+                        f"stalled between t = {t} and {hi}")
 
 
 def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,

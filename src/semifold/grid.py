@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.special import gamma
 
 from .errors import BadGridConfig, NonPositiveWeight, SingularOperator
@@ -165,23 +165,60 @@ def _row_sums(op: TridiagonalOperator) -> np.ndarray:
     return rows
 
 
-def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
-    """LAPACK ?gtsv (partial pivoting), guarded against a (near-)zero row,
-    non-finite output and a solve residual above 1e-10 of the row scale."""
+def _checked_row_scale(op: TridiagonalOperator) -> float:
+    """The largest absolute row sum; raises on a (near-)zero row."""
     rows = _row_sums(op)
     scale = float(rows.max())
     if (rows <= 1e-14 * max(scale, 1.0)).any():
         raise SingularOperator("operator has a (near-)zero row")
-    *_, u, info = dgtsv(op.sub, op.diag, op.sup, rhs)
+    return scale
+
+
+@dataclass(frozen=True)
+class TridiagonalFactor:
+    """LU factors of an operator (LAPACK ?gttrf, partial pivoting), for
+    many solves with one matrix: solve_tridiagonal takes it in place of
+    the operator and runs only ?gttrs and the per-solve guards."""
+
+    op: TridiagonalOperator
+    row_scale: float
+    lu: tuple  # dl, d, du, du2, ipiv as ?gttrf returns them
+
+
+def factor_tridiagonal(op: TridiagonalOperator) -> TridiagonalFactor:
+    """Factor once, with solve_tridiagonal's zero-row and zero-pivot
+    guards.  For a single right-hand side ?gtsv is cheaper."""
+    scale = _checked_row_scale(op)
+    *lu, info = dgttrf(op.sub, op.diag, op.sup)
     if info > 0:
         raise SingularOperator(f"exactly singular: zero pivot at row {info}")
+    return TridiagonalFactor(op=op, row_scale=scale, lu=tuple(lu))
+
+
+def solve_tridiagonal(op, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK ?gtsv (partial pivoting), guarded against a (near-)zero row,
+    non-finite output and a solve residual above 1e-10 of the row scale.
+
+    `op` is a TridiagonalOperator, or its TridiagonalFactor, whose solve
+    gives the same bits.  `rhs` may hold several columns, solved in one
+    call; each column's solution is bitwise the one-column solution, and
+    each column is guarded on its own."""
+    if isinstance(op, TridiagonalFactor):
+        u, info = dgttrs(*op.lu, rhs)
+        scale, op = op.row_scale, op.op
+    else:
+        scale = _checked_row_scale(op)
+        *_, u, info = dgtsv(op.sub, op.diag, op.sup, rhs)
+        if info > 0:
+            raise SingularOperator(f"exactly singular: zero pivot at row {info}")
     if not np.isfinite(u).all():
         raise SingularOperator("direct solve produced non-finite values")
-    res = np.abs(op.apply(u) - rhs).max()
-    tol = 1e-10 * (np.abs(rhs).max() + np.abs(u).max() * scale)
-    if res > tol:
-        raise SingularOperator(
-            f"solve residual {res:.3e} exceeds {tol:.3e}; operator near-singular")
+    for u_j, rhs_j in (zip(u.T, rhs.T) if u.ndim == 2 else [(u, rhs)]):
+        res = np.abs(op.apply(u_j) - rhs_j).max()
+        tol = 1e-10 * (np.abs(rhs_j).max() + np.abs(u_j).max() * scale)
+        if res > tol:
+            raise SingularOperator(f"solve residual {res:.3e} exceeds "
+                                   f"{tol:.3e}; operator near-singular")
     return u
 
 

@@ -15,6 +15,9 @@ from .subsuper import SolutionProfile, make_profile
 # residual tolerance, relative to the operator's row scale, at which a
 # solve accepts its iterate
 SOLVE_TOL = 1e-10
+# full Newton steps certify takes at most, natural monotonicity allowing
+CERTIFY_MAXIT = 8
+EPS = float(np.finfo(float).eps)
 
 
 def residual(inst: ProblemInstance, u: np.ndarray, t: float) -> np.ndarray:
@@ -107,6 +110,55 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
     raise NoConvergence(f"Newton: {maxit} iterations, residual "
                         f"{np.abs(F).max():.3e}", iterations=maxit,
                         residual=float(np.abs(F).max()))
+
+
+def certify(inst: ProblemInstance, u: np.ndarray, t: float):
+    """Newton-Kantorovich test for a discrete solution near u.
+
+    Takes full Newton steps while the correction eta = ||J^-1 F||_inf
+    decreases (Deuflhard's natural-monotonicity test) and returns the
+    iterate with the smallest eta as (u, eta, beta, h).  On that iterate's
+    Jacobian, x = J^-1 1 comes from the same solve as the correction.  J
+    is a Z-matrix (A's off-diagonals are <= 0, the shift is diagonal), so
+    x > 0 with J x > 0 proves J an M-matrix, and then ||J^-1||_inf <=
+    beta = ||x||_inf / min(J x).  With L = max P * sup|g''|, a Lipschitz
+    constant of J in the inf-norm, h = beta L eta <= 1/2 proves a
+    solution within (1 - sqrt(1 - 2h)) / (beta L) of u (Kantorovich;
+    Ortega & Rheinboldt 1970).  beta and h are inf where the M-matrix
+    proof fails, as on the upper solution or for a singular J.
+
+    Rounding in x is bounded: min(J x) is taken less 4 eps (|J| x), which
+    covers the rounding of the product, so the solve's error in x needs
+    no bound, and beta is rounded up.  Rounding in F, in g' and in the
+    matrix entries is not bounded: eta, and so h, is a floating-point
+    value."""
+    L = float(inst.weight_values.max()) * inst.nonlinearity.g_second_sup
+    u = np.asarray(u, dtype=float)
+    rhs = np.ones((u.size, 2), order="F")
+    best = None
+    for _ in range(CERTIFY_MAXIT):
+        J = jacobian(inst, u)
+        rhs[:, 0] = -residual(inst, u, t)
+        try:
+            du, x = solve_tridiagonal(J, rhs).T
+        except SingularOperator:
+            break
+        eta = float(np.abs(du).max())
+        if best is not None and not eta < best[1]:
+            break
+        best = (u, eta, J, x)
+        u = u + du
+    if best is None:
+        return u, np.inf, np.inf, np.inf
+    u, eta, J, x = best
+    beta = h = np.inf
+    if (J.sub <= 0.0).all() and (J.sup <= 0.0).all() and (x > 0.0).all():
+        abs_J = TridiagonalOperator(sub=-J.sub, diag=np.abs(J.diag), sup=-J.sup)
+        low = float((J.apply(x) - 4.0 * EPS * abs_J.apply(x)).min())
+        if low > 0.0:
+            beta = float(np.nextafter(np.abs(x).max() / low, np.inf))
+            h = beta * L * eta
+    return u, eta, beta, h
 
 
 def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,

@@ -54,6 +54,7 @@ class NonlinearitySpec:
     mu_upper: float
     theta: float
     g_second: Callable
+    g_second_sup: float  # sup |g''|: with max P, the Lipschitz constant of J
     preset_id: str = "custom"
 
 
@@ -82,7 +83,8 @@ def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=mu_lower,
                             mu_upper=mu_upper, theta=offset,
-                            g_second=g_second, preset_id="smooth_ramp")
+                            g_second=g_second, g_second_sup=0.25 * abs(gap),
+                            preset_id="smooth_ramp")
 
 
 def linear_nonlinearity(slope: float) -> NonlinearitySpec:
@@ -97,7 +99,7 @@ def linear_nonlinearity(slope: float) -> NonlinearitySpec:
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=slope,
                             mu_upper=slope, theta=0.0, g_second=g_second,
-                            preset_id="linear")
+                            g_second_sup=0.0, preset_id="linear")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .eigen import decay_constants
 from .errors import (MonotonicityBroken, NoConvergence, RampFailed,
                      SingularOperator)
-from .grid import RadialGrid, solve_tridiagonal
+from .grid import RadialGrid, factor_tridiagonal, solve_tridiagonal
 from .problem import ProblemInstance
 
 
@@ -119,7 +119,8 @@ def monotone_iterate(instance: ProblemInstance, t: float,
         s = np.linspace(float(lower.min()), float(upper.max()), 2001)
         shift = 1.05 * max(0.0, float(np.asarray(nl.g_prime(s)).max()))
     P = instance.weight_values
-    op = instance.A.shifted(shift * P)
+    # one operator for every step: factor it once
+    op = factor_tridiagonal(instance.A.shifted(shift * P))
     forcing = instance.forcing_term(t)
     # containment slack: the upper bound may itself be a solution at the
     # same t (the climb path), so allow rounding-level grazing

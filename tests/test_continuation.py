@@ -3,11 +3,11 @@ import pytest
 
 import semifold as sf
 import semifold.continuation as continuation
-from semifold.continuation import (bisect_alpha, detect_fold, refine_fold,
-                                   trace_branch, two_solutions)
+from semifold.continuation import (bisect_alpha, climb_alpha, detect_fold,
+                                   refine_fold, trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, NoConvergence,
                              NoFoldInBranch, QueryPastFold)
-from semifold.nonlinear import jacobian, newton_solve, residual
+from semifold.nonlinear import certify, jacobian, newton_solve, residual
 from semifold.subsuper import build_subsolution
 from semifold.verify import tau_star
 from branching import make_branch
@@ -79,10 +79,8 @@ def test_fit_fallback_is_labelled(inst, branch, fold, monkeypatch):
 
 
 def test_bisection_agrees_with_arclength(inst, branch, fold):
-    p0 = branch.points[0]
-    bis = bisect_alpha(inst, p0.t, p0.u,
-                       dt_init=0.25 * (fold.alpha - p0.t),
-                       dt_min=1e-6 * (1.0 + abs(fold.alpha)))
+    bis = climb_alpha(inst, branch, fold.alpha,
+                      dt_min=1e-6 * (1.0 + abs(fold.alpha)))
     assert abs(bis.alpha - fold.alpha) <= 1e-3 * (1.0 + abs(fold.alpha))
     assert bis.alpha <= tau_star(inst)
     assert fold.alpha <= tau_star(inst)
@@ -91,9 +89,67 @@ def test_bisection_agrees_with_arclength(inst, branch, fold):
 def test_bisect_alpha_respects_cap(inst, branch, fold):
     p0 = branch.points[0]
     cap = fold.alpha - 2.0
-    out = bisect_alpha(inst, p0.t, p0.u, dt_init=1.0, dt_min=1e-4, t_cap=cap)
-    assert out.hit_cap
-    assert out.alpha == pytest.approx(cap)
+    u = bisect_alpha(inst, p0.t, p0.u, cap, dt_init=1.0, dt_min=1e-4)
+    assert np.abs(residual(inst, u, cap)).max() <= 1e-10 * inst.A.row_scale()
+    # past the fold there is nothing to reach
+    with pytest.raises(NoConvergence, match="no solution reachable"):
+        bisect_alpha(inst, p0.t, p0.u, fold.alpha + 0.5, dt_init=1.0,
+                     dt_min=1e-2)
+
+
+def test_climb_certifies_every_probe_down_to_dt_min(inst, branch, fold):
+    scale = 1.0 + abs(fold.alpha)
+    climb = climb_alpha(inst, branch, fold.alpha, dt_min=1e-6 * scale)
+    assert climb.delta == pytest.approx(1e-6 * scale, rel=1e-12)
+    assert climb.alpha == fold.alpha - climb.delta
+    assert 0.0 <= climb.h <= 0.5
+    assert climb.h == pytest.approx(
+        climb.beta * inst.nonlinearity.g_second_sup
+        * inst.weight_values.max() * climb.eta, rel=1e-12)
+
+
+def test_upper_solution_is_not_certified(inst, branch, fold):
+    """The certificate covers the stable branch only: on the upper
+    solution J is no M-matrix, so x = J^-1 1 is not positive."""
+    t_q = fold.alpha - 1.0
+    lo, hi = two_solutions(inst, t_q, branch, fold)
+    assert certify(inst, lo.u, t_q)[3] <= 0.5
+    _, eta, beta, h = certify(inst, hi.u, t_q)
+    assert eta < 1e-6
+    assert beta == h == np.inf
+
+
+@pytest.mark.parametrize("start", ["fold", "pre_fold", "post_fold"])
+def test_probe_past_the_fold_never_certifies(inst, branch, fold, start):
+    t = fold.alpha + 1e-3
+    idx = int(np.argmax(branch.t_values))
+    u0 = {"fold": fold.u_fold.u, "pre_fold": branch.points[idx - 1].u,
+          "post_fold": branch.points[idx + 1].u}[start]
+    assert not certify(inst, u0, t)[3] <= 0.5
+
+
+def test_climb_above_the_fold_certifies_nothing(inst, branch, fold):
+    # the first probe, 0.1 (1 + |alpha|) below the alpha given, lies past
+    # the fold
+    with pytest.raises(NoConvergence, match="certifies"):
+        climb_alpha(inst, branch, fold.alpha + 1.0, dt_min=1.0)
+
+
+def test_certified_bound_within_discretization_error():
+    """At n = 4000 and 16000 the certified bound lies below the arclength
+    fold by no more than the fold's O(h^2) error estimate
+    |alpha_n - alpha_(n/2)| / 3 (refinement ratio about 4)."""
+    prev = None
+    for n in (2000, 4000, 8000, 16000):
+        fine = sf.canonical_instance(R=40.0, n=n)
+        fine_branch = make_branch(fine)
+        a_arc = detect_fold(fine_branch, fine).alpha
+        if n in (4000, 16000):
+            bound = abs(a_arc - prev) / 3.0
+            climb = climb_alpha(fine, fine_branch, a_arc,
+                                dt_min=1e-6 * (1.0 + abs(a_arc)))
+            assert 0.0 <= a_arc - climb.alpha <= bound
+        prev = a_arc
 
 
 def test_no_fold_in_short_window(inst):

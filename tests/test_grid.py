@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 import semifold as sf
 from semifold.errors import BadGridConfig, NonPositiveWeight, SingularOperator
-from semifold.grid import (dirichlet_energy, dot, sphere_area,
-                           solve_tridiagonal, weighted_integral)
+from semifold.grid import (TridiagonalOperator, dirichlet_energy, dot,
+                           factor_tridiagonal, sphere_area, solve_tridiagonal,
+                           weighted_integral)
 
 
 def test_sphere_area_closed_forms():
@@ -83,6 +84,61 @@ def test_solve_tridiagonal_flags_singular_operator():
     sub[20] = sup[20] = 1.0
     with pytest.raises(SingularOperator):
         solve_tridiagonal(bad, np.ones(n))
+
+
+def test_factor_solve_is_bitwise_the_direct_solve():
+    """?gttrf + ?gttrs and ?gtsv pivot alike and give the same bits, for
+    one right-hand side and for each column of several; the factor is
+    reusable."""
+    rng = np.random.default_rng(11)
+    grid = sf.build_grid(3, 40.0, 2000)
+    A = sf.assemble_laplacian(grid)
+    J = A.shifted(-rng.random(grid.n) * 1e-2)  # a Jacobian-like shift
+    lu = factor_tridiagonal(J)
+    for _ in range(3):
+        rhs = rng.standard_normal((grid.n, 2))
+        one = solve_tridiagonal(J, rhs[:, 0])
+        assert np.array_equal(solve_tridiagonal(lu, rhs[:, 0]), one)
+        both = solve_tridiagonal(J, rhs)
+        assert np.array_equal(both[:, 0], one)
+        assert np.array_equal(both[:, 1], solve_tridiagonal(J, rhs[:, 1]))
+        assert np.array_equal(solve_tridiagonal(lu, rhs), both)
+
+
+def _raised(fn):
+    with pytest.raises(SingularOperator) as info:
+        fn()
+    return str(info.value)
+
+
+def test_factor_solve_raises_as_the_direct_solve():
+    n = 50
+    # a zero row, caught when the factor is made
+    diag = np.ones(n)
+    diag[20] = 0.0
+    zero_row = TridiagonalOperator(sub=np.zeros(n - 1), diag=diag,
+                                   sup=np.zeros(n - 1))
+    assert _raised(lambda: factor_tridiagonal(zero_row)) == \
+        _raised(lambda: solve_tridiagonal(zero_row, np.ones(n)))
+    # a solution that overflows
+    tiny = TridiagonalOperator(sub=np.full(n - 1, -1e-11),
+                               diag=np.full(n, 1e-10), sup=np.full(n - 1, -1e-11))
+    big = np.full(n, 1e300)
+    assert _raised(lambda: solve_tridiagonal(factor_tridiagonal(tiny), big)) \
+        == _raised(lambda: solve_tridiagonal(tiny, big)) \
+        == "direct solve produced non-finite values"
+    # a solve residual above its tolerance: with a subnormal right-hand
+    # side the solution rounds by a whole subnormal unit, and the
+    # tolerance underflows to 0
+    op = TridiagonalOperator(sub=-np.ones(n - 1), diag=np.full(n, 3.0),
+                             sup=-np.ones(n - 1))
+    sub = np.full(n, 1e-320)
+    msg = _raised(lambda: solve_tridiagonal(op, sub))
+    assert "near-singular" in msg
+    assert _raised(lambda: solve_tridiagonal(factor_tridiagonal(op), sub)) == msg
+    # and each column of a two-column solve is guarded on its own
+    both = np.column_stack((np.ones(n), sub))
+    assert "near-singular" in _raised(lambda: solve_tridiagonal(op, both))
 
 
 def test_apply_matches_banded_form():

@@ -3,7 +3,7 @@ import pytest
 
 import semifold as sf
 from semifold.errors import NoConvergence
-from semifold.nonlinear import (apply_solution_operator, jacobian,
+from semifold.nonlinear import (apply_solution_operator, certify, jacobian,
                                 newton_solve, picard_solve, residual,
                                 second_solution)
 from semifold.subsuper import build_subsolution
@@ -43,6 +43,32 @@ def test_newton_exact_on_linear_problem():
     prof = newton_solve(inst, np.zeros(inst.grid.n), 1.0)
     assert prof.iterations <= 1
     assert prof.residual_inf <= 1e-10 * inst.A.row_scale()
+
+
+def test_certify_on_linear_problem_has_h_zero():
+    """g linear: J is constant (L = 0), so h = 0 wherever J is proved an
+    M-matrix, which it is for a slope below lambda1; beta bounds the
+    inverse's row sums."""
+    from dataclasses import replace
+
+    base = sf.canonical_instance(R=20.0, n=500)
+    inst = replace(base,
+                   nonlinearity=sf.linear_nonlinearity(0.5 * base.eigen.lambda1))
+    u, eta, beta, h = certify(inst, np.zeros(inst.grid.n), 1.0)
+    assert h == 0.0
+    assert eta <= 1e-10 * (1.0 + np.abs(u).max())
+    J = jacobian(inst, u)
+    x = np.linalg.solve(np.diag(J.diag) + np.diag(J.sub, -1) + np.diag(J.sup, 1),
+                        np.ones(inst.grid.n))
+    assert x.max() <= beta <= x.max() * (1.0 + 1e-6)
+
+
+def test_certify_proves_the_minimal_solution(inst, minimal):
+    u, eta, beta, h = certify(inst, minimal.u, -50.0)
+    assert 0.0 < h <= 0.5
+    assert h == beta * inst.nonlinearity.g_second_sup \
+        * inst.weight_values.max() * eta
+    assert np.abs(u - minimal.u).max() <= 1e-8 * np.abs(minimal.u).max()
 
 
 def test_picard_matches_newton(inst, minimal):

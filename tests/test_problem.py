@@ -84,6 +84,10 @@ def test_smooth_ramp_shape():
     gs = np.asarray(nl.g(s))
     assert (gs >= 1.0 * s - 1.0 - 1e-10).all()
     assert (gs >= 3.0 * s - 1.0 - 1e-10).all()
+    # sup |g''| is a quarter of the slope gap, at s = 0
+    assert nl.g_second_sup == 0.5
+    assert np.abs(nl.g_second(s)).max() == pytest.approx(0.5, rel=1e-12)
+    assert sf.linear_nonlinearity(2.0).g_second_sup == 0.0
 
 
 def test_softplus_kernel_matches_logaddexp():
