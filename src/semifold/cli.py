@@ -270,8 +270,7 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     ts = tau_star(inst)
     with run.stage("alpha"):
         fold = detect_fold(branch, inst)
-        climb = climb_alpha(inst, branch, fold.alpha,
-                            dt_min=1e-6 * (1.0 + abs(fold.alpha)))
+        climb = climb_alpha(inst, branch, fold.alpha)
     run.emit("branch.csv", lambda p: emit_bifurcation(inst, branch, p))
     # alpha_bisection keeps its name: the certified lower bound from the
     # climb below alpha_arclength

@@ -27,6 +27,9 @@ from .subsuper import SolutionProfile, make_profile
 # row scale, and its iteration cap
 FOLD_TOL = 1e-12
 FOLD_MAXIT = 40
+# climb_alpha's last probe sits 10^-CLIMB_DECADES (1 + |alpha_arc|) below
+# the arclength fold
+CLIMB_DECADES = 6
 
 
 @dataclass
@@ -258,11 +261,11 @@ def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
                       alpha_fit=alpha_fit)
 
 
-def climb_alpha(instance: ProblemInstance, branch: Branch, alpha_arc: float,
-                dt_min: float) -> ClimbResult:
+def climb_alpha(instance: ProblemInstance, branch: Branch,
+                alpha_arc: float) -> ClimbResult:
     """A certified lower bound on the discrete fold, from probes at
     t_k = alpha_arc - delta_k, delta_k = 10^-k (1 + |alpha_arc|), for
-    k = 1, 2, ... while delta_k >= dt_min.  The first probe starts from
+    k = 1, ..., CLIMB_DECADES.  The first probe starts from
     the pre-fold branch point with the largest t <= t_1, each later one
     from the last certified probe.  A probe is Newton's solution passed
     by nonlinear.certify (h <= 1/2); the climb stops at the first probe
@@ -274,9 +277,8 @@ def climb_alpha(instance: ProblemInstance, branch: Branch, alpha_arc: float,
     start = int(below[np.argmax(ts[below])]) if below.size else 0
     u = branch.points[start].u
     best = None
-    k = 1
-    # delta_k and dt_min are the same decade apart from rounding
-    while (delta := scale / 10.0 ** k) >= dt_min * (1.0 - 1e-9):
+    for k in range(1, CLIMB_DECADES + 1):
+        delta = scale / 10.0 ** k
         t = alpha_arc - delta
         try:
             u_k = newton_solve(instance, u, t, maxit=30).u
@@ -287,7 +289,6 @@ def climb_alpha(instance: ProblemInstance, branch: Branch, alpha_arc: float,
             break
         best = ClimbResult(alpha=t, delta=delta, eta=eta, beta=beta, h=h)
         u = u_k
-        k += 1
     if best is None:
         raise NoConvergence(f"no probe below alpha = {alpha_arc} certifies "
                             f"a solution (first at t = {alpha_arc - 0.1 * scale})")

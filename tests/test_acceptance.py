@@ -119,8 +119,7 @@ def test_acceptance_5_fold_location(canonical, canonical_branch,
     alpha_star = fixture_data["alpha_star"]["value"]
     tol = 1e-3 * (1.0 + abs(alpha_star))
     a_arc = canonical_fold.alpha
-    a_bis = climb_alpha(canonical, canonical_branch, a_arc,
-                        dt_min=1e-6 * (1.0 + abs(a_arc))).alpha
+    a_bis = climb_alpha(canonical, canonical_branch, a_arc).alpha
     ts = tau_star(canonical)
     # second-order refinement stability across n = 2000, 4000, 8000
     mid = sf.canonical_instance(R=40.0, n=2000)

@@ -8,7 +8,7 @@ from semifold.continuation import (bisect_alpha, climb_alpha, detect_fold,
 from semifold.errors import (InitialPointInvalid, NoConvergence,
                              NoFoldInBranch, QueryPastFold)
 from semifold.nonlinear import certify, jacobian, newton_solve, residual
-from semifold.subsuper import build_subsolution
+from semifold.subsuper import build_subsolution, make_profile
 from semifold.verify import tau_star
 from branching import make_branch
 
@@ -79,8 +79,7 @@ def test_fit_fallback_is_labelled(inst, branch, fold, monkeypatch):
 
 
 def test_bisection_agrees_with_arclength(inst, branch, fold):
-    bis = climb_alpha(inst, branch, fold.alpha,
-                      dt_min=1e-6 * (1.0 + abs(fold.alpha)))
+    bis = climb_alpha(inst, branch, fold.alpha)
     assert abs(bis.alpha - fold.alpha) <= 1e-3 * (1.0 + abs(fold.alpha))
     assert bis.alpha <= tau_star(inst)
     assert fold.alpha <= tau_star(inst)
@@ -97,10 +96,11 @@ def test_bisect_alpha_respects_cap(inst, branch, fold):
                      dt_min=1e-2)
 
 
-def test_climb_certifies_every_probe_down_to_dt_min(inst, branch, fold):
+def test_climb_certifies_every_probe(inst, branch, fold):
     scale = 1.0 + abs(fold.alpha)
-    climb = climb_alpha(inst, branch, fold.alpha, dt_min=1e-6 * scale)
-    assert climb.delta == pytest.approx(1e-6 * scale, rel=1e-12)
+    climb = climb_alpha(inst, branch, fold.alpha)
+    assert climb.delta == pytest.approx(
+        10.0 ** -continuation.CLIMB_DECADES * scale, rel=1e-12)
     assert climb.alpha == fold.alpha - climb.delta
     assert 0.0 <= climb.h <= 0.5
     assert climb.h == pytest.approx(
@@ -128,11 +128,40 @@ def test_probe_past_the_fold_never_certifies(inst, branch, fold, start):
     assert not certify(inst, u0, t)[3] <= 0.5
 
 
-def test_climb_above_the_fold_certifies_nothing(inst, branch, fold):
-    # the first probe, 0.1 (1 + |alpha|) below the alpha given, lies past
-    # the fold
+def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
+                                                monkeypatch):
+    """Every probe of a climb placed above the fold lies past it: Newton
+    finds no solution there, and a probe handed on unsolved is refused by
+    the certificate."""
+    alpha = fold.alpha + 1.0
+    assert alpha - 0.1 * (1.0 + abs(alpha)) > fold.alpha
+    probes = []
+
+    def counted_newton(inst_, u0, t, **kwargs):
+        probes.append(t)
+        return newton_solve(inst_, u0, t, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", counted_newton)
     with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, branch, fold.alpha + 1.0, dt_min=1.0)
+        climb_alpha(inst, branch, alpha)
+    assert probes and min(probes) > fold.alpha
+
+    # with Newton's verdict skipped, the certificate alone stops the climb
+    hs = []
+
+    def unsolved(inst_, u0, t, **kwargs):
+        return make_profile(inst_, u0, t, 0.0)
+
+    def recorded_certify(inst_, u, t):
+        out = certify(inst_, u, t)
+        hs.append(out[3])
+        return out
+
+    monkeypatch.setattr(continuation, "newton_solve", unsolved)
+    monkeypatch.setattr(continuation, "certify", recorded_certify)
+    with pytest.raises(NoConvergence, match="certifies"):
+        climb_alpha(inst, branch, alpha)
+    assert hs and not any(h <= 0.5 for h in hs)
 
 
 def test_certified_bound_within_discretization_error():
@@ -146,8 +175,7 @@ def test_certified_bound_within_discretization_error():
         a_arc = detect_fold(fine_branch, fine).alpha
         if n in (4000, 16000):
             bound = abs(a_arc - prev) / 3.0
-            climb = climb_alpha(fine, fine_branch, a_arc,
-                                dt_min=1e-6 * (1.0 + abs(a_arc)))
+            climb = climb_alpha(fine, fine_branch, a_arc)
             assert 0.0 <= a_arc - climb.alpha <= bound
         prev = a_arc
 
