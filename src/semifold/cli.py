@@ -24,7 +24,7 @@ from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import (bisect_alpha, climb_alpha, detect_fold,
                            trace_branch, two_solutions)
-from .errors import ConfigError, SemifoldError
+from .errors import ConfigError, IncompleteBranch, SemifoldError
 from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
@@ -231,7 +231,7 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _traced_branch(cfg, inst, run):
+def _traced_branch(cfg, inst, run, stop_below=None):
     ts = tau_star(inst)
     t_start = cfg.get("run", "t_start")
     t_start = -10.0 * abs(ts) if t_start is None else t_start
@@ -242,7 +242,14 @@ def _traced_branch(cfg, inst, run):
         branch = trace_branch(inst, t_start, start.u,
                               step_ds=cfg.get("run", "step_ds"),
                               t_window=(t_start - 1.0, ts + 1.0),
-                              max_points=cfg.get("run", "max_points"))
+                              max_points=cfg.get("run", "max_points"),
+                              stop_below=stop_below)
+    # a command that reads the fold (it passes stop_below) refuses a trace
+    # cut short; `branch` writes whatever was traced
+    if stop_below is not None and \
+            branch.status in ("step_underflow", "max_points"):
+        raise IncompleteBranch(f"branch trace ended with status "
+                               f"{branch.status} after {len(branch)} points")
     return branch
 
 
@@ -266,7 +273,7 @@ def cmd_branch(cfg: ScenarioConfig, args) -> int:
 
 def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
-    branch = _traced_branch(cfg, inst, run)
+    branch = _traced_branch(cfg, inst, run, stop_below=np.inf)
     ts = tau_star(inst)
     with run.stage("alpha"):
         fold = detect_fold(branch, inst)
@@ -287,7 +294,7 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
 
 def cmd_two(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
-    branch = _traced_branch(cfg, inst, run)
+    branch = _traced_branch(cfg, inst, run, stop_below=args.t)
     with run.stage("two"):
         fold = detect_fold(branch, inst)
         lower, upper = two_solutions(inst, args.t, branch, fold)

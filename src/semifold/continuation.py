@@ -30,6 +30,10 @@ FOLD_MAXIT = 40
 # climb_alpha's last probe sits 10^-CLIMB_DECADES (1 + |alpha_arc|) below
 # the arclength fold
 CLIMB_DECADES = 6
+# detect_fold fits the branch points turn - FOLD_WINDOW ... turn +
+# FOLD_WINDOW; trace_branch's stop rule keeps FOLD_WINDOW + 1 points past
+# the turn, one more than that window reads
+FOLD_WINDOW = 5
 
 
 @dataclass
@@ -98,7 +102,18 @@ def _profile(instance, u, t):
 
 def trace_branch(instance: ProblemInstance, t_start: float,
                  u_start: np.ndarray, step_ds: float = 0.5,
-                 t_window=(-np.inf, np.inf), max_points: int = 600) -> Branch:
+                 t_window=(-np.inf, np.inf), max_points: int = 600,
+                 stop_below: Optional[float] = None) -> Branch:
+    """Pseudo-arclength continuation of the branch through (t_start,
+    u_start), until t leaves t_window (status "window_exit"), the step
+    underflows ("step_underflow") or max_points are traced ("max_points").
+
+    A corrector attempt is abandoned as soon as its weighted step
+    sqrt(w2 |du|^2 + dt^2) stops shrinking, and the step ds is halved.
+    With stop_below given, the trace also ends ("fold_bracketed") once
+    FOLD_WINDOW + 1 points lie past an interior maximum of t and the last
+    point's t is below stop_below: np.inf stops there, a query t at the
+    first post-fold point below it."""
     u = np.asarray(u_start, dtype=float).copy()
     t = float(t_start)
     rs = instance.A.row_scale()
@@ -124,11 +139,13 @@ def trace_branch(instance: ProblemInstance, t_start: float,
     ds0 = abs(ds)
     easy = 0
     arc = 0.0
+    top = 0  # index of the largest t traced so far
     while len(branch) < max_points:
         u_pred = u + ds * tau_u
         t_pred = t + ds * tau_t
         uc, tc = u_pred.copy(), t_pred
         ok = False
+        step_prev = np.inf
         for _ in range(12):
             F = residual(instance, uc, tc)
             con = w2 * dot(tau_u, uc - u) + tau_t * (tc - t) - ds
@@ -145,6 +162,12 @@ def trace_branch(instance: ProblemInstance, t_start: float,
             if denom == 0.0:
                 break
             dt = (-con - w2 * dot(tau_u, p)) / denom
+            du = p + dt * q
+            step = np.sqrt(w2 * dot(du, du) + dt ** 2)
+            if step >= step_prev:  # no contraction: the attempt diverges
+                break
+            step_prev = step
+            # not uc + du: that rounds differently and moves every branch
             uc = uc + p + dt * q
             tc = tc + dt
             if not np.isfinite(uc).all():
@@ -169,6 +192,12 @@ def trace_branch(instance: ProblemInstance, t_start: float,
             arclength=arc, residual_inf=float(np.abs(F).max())))
         if not (t_window[0] <= t <= t_window[1]):
             branch.status = "window_exit"
+            return branch
+        if t > branch.points[top].t:
+            top = len(branch) - 1
+        if stop_below is not None and 0 < top < len(branch) - FOLD_WINDOW - 1 \
+                and t < stop_below:
+            branch.status = "fold_bracketed"
             return branch
         easy += 1
         if easy >= 4:
@@ -227,8 +256,8 @@ def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
     # fit only points within a local arclength radius of the turn: the
     # adaptive stepping leaves wildly nonuniform spacing there, and far
     # points poison the parabola
-    lo = max(idx - 5, 0)
-    hi = min(idx + 6, len(branch))
+    lo = max(idx - FOLD_WINDOW, 0)
+    hi = min(idx + FOLD_WINDOW + 1, len(branch))
     local = np.abs(np.diff(ss[max(idx - 2, 0):min(idx + 3, len(branch))]))
     radius = 10.0 * float(np.median(local)) if local.size else np.inf
     sel = np.arange(lo, hi)

@@ -51,6 +51,10 @@ class NoFoldInBranch(SemifoldError):
     pass
 
 
+class IncompleteBranch(SemifoldError):
+    """A branch trace ended by step underflow or its point cap."""
+
+
 class QueryPastFold(SemifoldError):
     pass
 

@@ -111,9 +111,10 @@ class TridiagonalOperator:
         return float(_row_sums(self).max())
 
     def shifted(self, d) -> "TridiagonalOperator":
-        """Operator with d (scalar or array) added to the diagonal."""
-        return TridiagonalOperator(
-            sub=self.sub.copy(), diag=self.diag + d, sup=self.sup.copy())
+        """Operator with d (scalar or array) added to the diagonal.  It
+        shares sub and sup with this one: nothing writes to them."""
+        return TridiagonalOperator(sub=self.sub, diag=self.diag + d,
+                                   sup=self.sup)
 
     def is_m_matrix(self) -> bool:
         return bool((self.sub <= 0.0).all() and (self.sup <= 0.0).all()

@@ -6,9 +6,11 @@ from semifold.subsuper import build_subsolution
 from semifold.verify import tau_star
 
 
-def make_branch(inst):
+def make_branch(inst, **kwargs):
+    """The branch from t0 = -10 |tau*| over the window t0 - 1 ... tau* + 1;
+    keyword arguments override trace_branch's."""
     ts = tau_star(inst)
     t0 = -10.0 * abs(ts)
     start = newton_solve(inst, build_subsolution(inst, t0), t0)
-    return trace_branch(inst, t0, start.u, step_ds=0.5,
-                        t_window=(t0 - 1.0, ts + 1.0))
+    kwargs = {"step_ds": 0.5, "t_window": (t0 - 1.0, ts + 1.0), **kwargs}
+    return trace_branch(inst, t0, start.u, **kwargs)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semifold
-from semifold import continuation
+from semifold import cli, continuation
 from semifold.cli import main
 from semifold.config import CANONICAL_CONFIG, KEYS
 from semifold.errors import NoConvergence
@@ -124,7 +124,7 @@ def test_reports_name_the_fold_estimator(scenario, tmp_path, monkeypatch,
 
     refined = run("refined")
     assert refined["fold_method"] == "arclength"
-    assert refined["branch_status"] == "window_exit"
+    assert refined["branch_status"] == "fold_bracketed"
 
     def fail(*args, **kwargs):
         raise NoConvergence("fold refinement did not converge")
@@ -132,7 +132,7 @@ def test_reports_name_the_fold_estimator(scenario, tmp_path, monkeypatch,
     monkeypatch.setattr(continuation, "refine_fold", fail)
     fit = run("fit")
     assert fit["fold_method"] == "fit"
-    assert fit["branch_status"] == "window_exit"
+    assert fit["branch_status"] == "fold_bracketed"
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -155,6 +155,30 @@ def test_numerical_failure_exit_code(scenario, tmp_path):
     rc = main(["solve", scenario, "--method", "newton", "--t", "10",
                "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [["alpha"], ["two", "--t", "-9"]])
+@pytest.mark.parametrize("status", ["max_points", "step_underflow"])
+def test_incomplete_branch_exits_2(tmp_path, capsys, monkeypatch, argv,
+                                   status):
+    """A trace cut short by its point cap or by step underflow is refused
+    before fold detection; the message names the status."""
+    path = tmp_path / "scenario.ini"
+    if status == "max_points":
+        path.write_text(SMALL.replace("seed = 0", "seed = 0\nmax_points = 4"))
+    else:
+        path.write_text(SMALL)
+        trace = cli.trace_branch
+
+        def underflowing(*args, **kwargs):
+            branch = trace(*args, **kwargs)
+            branch.status = "step_underflow"
+            return branch
+
+        monkeypatch.setattr(cli, "trace_branch", underflowing)
+    assert main([argv[0], str(path), *argv[1:],
+                 "--outdir", str(tmp_path / "out")]) == 2
+    assert f"status {status}" in capsys.readouterr().err
 
 
 def test_outdir_env_override(scenario, tmp_path, monkeypatch):

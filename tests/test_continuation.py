@@ -7,6 +7,7 @@ from semifold.continuation import (bisect_alpha, climb_alpha, detect_fold,
                                    refine_fold, trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, NoConvergence,
                              NoFoldInBranch, QueryPastFold)
+from semifold.grid import solve_tridiagonal
 from semifold.nonlinear import certify, jacobian, newton_solve, residual
 from semifold.subsuper import build_subsolution, make_profile
 from semifold.verify import tau_star
@@ -49,6 +50,82 @@ def test_stability_changes_across_fold(inst, branch):
     idx = int(np.argmax(ts))
     assert branch.points[0].stability_mu > 0
     assert branch.points[-1].stability_mu < 0
+
+
+def test_corrector_abandons_a_growing_step(inst, monkeypatch):
+    """The second corrector step of the first attempt is made to grow: the
+    attempt ends at that iteration, after two solves, and the next
+    residual is taken at the predictor of the halved step."""
+    log = []
+
+    def counted_residual(inst_, u, t):
+        log.append(("F", u.copy(), t))
+        return residual(inst_, u, t)
+
+    def counted_solve(op, rhs):
+        out = solve_tridiagonal(op, rhs)
+        if rhs.ndim == 2:  # a corrector solve: columns -F and P phi1
+            log.append(("S",))
+            if sum(e[0] == "S" for e in log) == 2:
+                out = out.copy()
+                out[:, 0] *= 1e6
+        return out
+
+    monkeypatch.setattr(continuation, "residual", counted_residual)
+    monkeypatch.setattr(continuation, "solve_tridiagonal", counted_solve)
+    br = make_branch(inst, step_ds=8.0, max_points=2)
+    assert len(br) == 2 and br.status == "max_points"
+    t0, u0 = br.points[0].t, br.points[0].u
+    # the start check, then two iterations of the first attempt
+    assert "".join(e[0] for e in log[:6]) == "FFSFSF"
+    (_, u_pred, t_pred), (_, u_next, t_next) = log[1], log[5]
+    np.testing.assert_allclose(u_next, 0.5 * (u0 + u_pred), rtol=1e-12,
+                               atol=1e-12 * np.abs(u0).max())
+    assert t_next == pytest.approx(0.5 * (t0 + t_pred), rel=1e-12)
+
+
+def test_alpha_stop_keeps_what_detect_fold_reads(inst, branch, fold):
+    """Stopped FOLD_WINDOW + 1 points past the turn, the branch is a
+    prefix of the full-window branch, and the fold and the climb read
+    from it are bit-identical."""
+    stopped = make_branch(inst, stop_below=np.inf)
+    assert stopped.status == "fold_bracketed"
+    idx = int(np.argmax(stopped.t_values))
+    assert len(stopped) == idx + continuation.FOLD_WINDOW + 2
+    assert len(stopped) < len(branch)
+    for a, b in zip(stopped.points, branch.points):
+        assert (a.t, a.arclength, a.stability_mu, a.residual_inf) == \
+            (b.t, b.arclength, b.stability_mu, b.residual_inf)
+        assert np.array_equal(a.u, b.u)
+    short = detect_fold(stopped, inst)
+    assert (short.alpha, short.alpha_fit, short.method) == \
+        (fold.alpha, fold.alpha_fit, fold.method)
+    assert climb_alpha(inst, stopped, short.alpha) == \
+        climb_alpha(inst, branch, fold.alpha)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1.0])
+def test_two_stop_at_the_first_point_below_the_query(inst, branch, fold, gap):
+    """With stop_below = t_query the trace ends at the first post-fold
+    point below t_query, but never before FOLD_WINDOW + 1 points past
+    the turn; the two solutions are those of the full branch."""
+    t_q = fold.alpha - gap
+    stopped = make_branch(inst, stop_below=t_q)
+    ts = branch.t_values
+    idx = int(np.argmax(ts))
+    below = idx + 1 + int(np.argmax(ts[idx + 1:] < t_q))
+    end = max(below, idx + continuation.FOLD_WINDOW + 1)
+    assert stopped.status == "fold_bracketed"
+    assert np.array_equal(stopped.t_values, ts[:end + 1])
+    for a, b in zip(two_solutions(inst, t_q, stopped, fold),
+                    two_solutions(inst, t_q, branch, fold)):
+        assert np.array_equal(a.u, b.u)
+
+
+def test_query_below_the_window_ends_by_window_exit(inst, branch):
+    far = make_branch(inst, stop_below=branch.points[0].t - 2.0)
+    assert far.status == "window_exit"
+    assert np.array_equal(far.t_values, branch.t_values)
 
 
 def test_trace_rejects_non_solution_start(inst):

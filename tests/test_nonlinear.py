@@ -3,6 +3,7 @@ import pytest
 
 import semifold as sf
 from semifold.errors import NoConvergence
+from semifold.grid import factor_tridiagonal, solve_tridiagonal
 from semifold.nonlinear import (apply_solution_operator, certify, jacobian,
                                 newton_solve, picard_solve, residual,
                                 second_solution)
@@ -32,6 +33,21 @@ def test_jacobian_consistency(inst):
               - residual(inst, u - eps * d, -50.0)) / (2 * eps)
         jd = jacobian(inst, u).apply(d)
         assert np.abs(fd - jd).max() < 1e-6 * inst.A.row_scale()
+
+
+def test_jacobian_solve_leaves_the_operator_alone(inst, minimal):
+    """J shares A's off-diagonals; neither a solve nor a factorization
+    with J writes to them, nor to A's diagonal."""
+    A = inst.A
+    before = [A.sub.copy(), A.diag.copy(), A.sup.copy()]
+    J = jacobian(inst, minimal.u)
+    assert J.sub is A.sub and J.sup is A.sup
+    rhs = np.ones(inst.grid.n)
+    solve_tridiagonal(J, rhs)
+    solve_tridiagonal(J, np.column_stack((rhs, 2.0 * rhs)))
+    solve_tridiagonal(factor_tridiagonal(J), rhs)
+    for kept, now in zip(before, [A.sub, A.diag, A.sup]):
+        assert np.array_equal(kept, now)
 
 
 def test_newton_exact_on_linear_problem():
