@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (bisect_alpha, climb_alpha, detect_fold,
+from .continuation import (bisect_alpha, climb_alpha, detect_fold, stability,
                            trace_branch, two_solutions)
+from .eigen import decay_constants
 from .errors import ConfigError, IncompleteBranch, SemifoldError
 from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
@@ -178,12 +179,11 @@ def cmd_eigen(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _solve_monotone(inst, t, L=None):
+def _solve_monotone(inst, t):
     w = build_subsolution(inst, t)
-    if L is None:
-        # keep the plateau as low as ordering allows: raising it only
-        # drags the supersolution threshold further down
-        L = max(1.0, 2.0 * float(w.max()))
+    # keep the plateau as low as ordering allows: raising it only drags
+    # the supersolution threshold further down
+    L = max(1.0, 2.0 * float(w.max()))
     grid = inst.grid
     v, t_thr = build_supersolution(inst, L, 0.125 * grid.R, 0.25 * grid.R)
     if t <= t_thr:
@@ -221,9 +221,11 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
             solver = newton_solve if args.method == "newton" else picard_solve
             prof = solver(inst, u0, t, tol=cfg.get("run", "newton_tol"))
     run.emit("solution.csv", lambda p: _write_solution_csv(p, grid, prof.u))
+    dec = decay_constants(grid, np.abs(prof.u) + 1e-300)
     report = {"converged": True, "t": t, "iterations": prof.iterations,
-              "residual_inf": prof.residual_inf, "e0_norm": prof.e0_norm,
-              "decay_coeff": prof.decay_coeff, "method": args.method}
+              "residual_inf": prof.residual_inf,
+              "e0_norm": e0_norm(grid, prof.u),
+              "decay_coeff": 0.5 * (dec.C1 + dec.C2), "method": args.method}
     if interval is not None:
         report["interval_margin"] = interval.ordering_margin
     run.emit("report.json", lambda p: _write_json(p, report))
@@ -257,7 +259,8 @@ def emit_bifurcation(inst, branch, path: Path) -> None:
     if not branch.points:
         raise SemifoldError("cannot emit an empty branch")
     rows = [[i, p.t, p.u_at_0, e0_norm(inst.grid, p.u), p.residual_inf,
-             p.stability_mu, p.arclength] for i, p in enumerate(branch.points)]
+             stability(inst, p.u), p.arclength]
+            for i, p in enumerate(branch.points)]
     np.savetxt(path, np.array(rows), delimiter=",",
                header="index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength",
                comments="")
@@ -297,7 +300,7 @@ def cmd_two(cfg: ScenarioConfig, args) -> int:
     branch = _traced_branch(cfg, inst, run, stop_below=args.t)
     with run.stage("two"):
         fold = detect_fold(branch, inst)
-        lower, upper = two_solutions(inst, args.t, branch, fold)
+        lower, upper = two_solutions(inst, args.t, branch, fold.alpha)
     grid = inst.grid
     run.emit("solution_lower.csv", lambda p: _write_solution_csv(p, grid, lower.u))
     run.emit("solution_upper.csv", lambda p: _write_solution_csv(p, grid, upper.u))

@@ -21,7 +21,6 @@ from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
 from .grid import dot, solve_tridiagonal
 from .nonlinear import SOLVE_TOL, certify, jacobian, newton_solve, residual
 from .problem import ProblemInstance
-from .subsuper import SolutionProfile, make_profile
 
 # Newton on the extended fold system: residual tolerance relative to the
 # row scale, and its iteration cap
@@ -40,7 +39,6 @@ FOLD_WINDOW = 5
 class BranchPoint:
     t: float
     u: np.ndarray
-    stability_mu: float
     arclength: float
     residual_inf: float
 
@@ -69,9 +67,8 @@ class Branch:
 @dataclass
 class FoldResult:
     alpha: float
-    u_fold: SolutionProfile
     method: str
-    alpha_fit: Optional[float] = None
+    alpha_fit: float
 
 
 @dataclass
@@ -85,19 +82,13 @@ class ClimbResult:
     h: float
 
 
-def _stability(instance, u):
+def stability(instance: ProblemInstance, u: np.ndarray) -> float:
+    """The stability indicator mu of u: the smallest eigenvalue of its
+    Jacobian, positive on the stable branch and negative past the fold."""
     # sqrt(volumes) phi1 is positive, so it has a component along the
     # positive ground state of the symmetrized Jacobian
     return smallest_eigenvalue(instance.grid, jacobian(instance, u),
                                np.sqrt(instance.grid.volumes) * instance.eigen.phi1)
-
-
-def _profile(instance, u, t):
-    """The profile of u at t, with its residual and stability eigenvalue."""
-    prof = make_profile(instance, u, t,
-                        float(np.abs(residual(instance, u, t)).max()))
-    prof.stability_mu = _stability(instance, u)
-    return prof
 
 
 def trace_branch(instance: ProblemInstance, t_start: float,
@@ -133,8 +124,7 @@ def trace_branch(instance: ProblemInstance, t_start: float,
 
     branch = Branch()
     branch.points.append(BranchPoint(
-        t=t, u=u.copy(), stability_mu=_stability(instance, u), arclength=0.0,
-        residual_inf=float(np.abs(F).max())))
+        t=t, u=u.copy(), arclength=0.0, residual_inf=float(np.abs(F).max())))
     ds = float(step_ds)
     ds0 = abs(ds)
     easy = 0
@@ -188,8 +178,8 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         arc += abs(ds)
         u, t = uc, tc
         branch.points.append(BranchPoint(
-            t=t, u=u.copy(), stability_mu=_stability(instance, u),
-            arclength=arc, residual_inf=float(np.abs(F).max())))
+            t=t, u=u.copy(), arclength=arc,
+            residual_inf=float(np.abs(F).max())))
         if not (t_window[0] <= t <= t_window[1]):
             branch.status = "window_exit"
             return branch
@@ -271,22 +261,12 @@ def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
     # null-vector seed from the branch secant around the turn
     v0 = branch.points[min(idx + 1, len(branch) - 1)].u - branch.points[idx - 1].u
     v0 = v0 / np.abs(v0).max()
-    method = "arclength"
     try:
-        u_star, alpha, _ = refine_fold(instance, branch.points[idx].u.copy(),
-                                       float(ts[idx]), v0)
+        _, alpha, _ = refine_fold(instance, branch.points[idx].u.copy(),
+                                  float(ts[idx]), v0)
     except (NoConvergence, SingularOperator):
-        alpha, u_star = alpha_fit, branch.points[idx].u.copy()
-        method = "fit"
-
-    t_polish = alpha - 1e-8 * (1.0 + abs(alpha))
-    try:
-        prof = newton_solve(instance, u_star, t_polish, tol=1e-8, maxit=20)
-    except NoConvergence:
-        prof = _profile(instance, u_star, t_polish)
-    else:
-        prof.stability_mu = _stability(instance, prof.u)
-    return FoldResult(alpha=float(alpha), u_fold=prof, method=method,
+        return FoldResult(alpha=alpha_fit, method="fit", alpha_fit=alpha_fit)
+    return FoldResult(alpha=float(alpha), method="arclength",
                       alpha_fit=alpha_fit)
 
 
@@ -360,11 +340,12 @@ def bisect_alpha(instance: ProblemInstance, t_known: float,
 
 
 def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
-                  fold: FoldResult):
+                  alpha: float):
     """The minimal and the second solution at t_query < alpha, polished
-    from the pre-fold and post-fold branch segments."""
-    if t_query >= fold.alpha:
-        raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.alpha}")
+    from the pre-fold and post-fold branch segments, each with its
+    stability indicator."""
+    if t_query >= alpha:
+        raise QueryPastFold(f"t = {t_query} is not below alpha = {alpha}")
     ts = branch.t_values
     idx = int(np.argmax(ts))
     out = []
@@ -373,7 +354,7 @@ def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
         j = int(np.argmin(np.abs(seg_ts - t_query)))
         u0 = branch.points[seg[j]].u
         prof = newton_solve(instance, u0, t_query, maxit=60)
-        prof.stability_mu = _stability(instance, prof.u)
+        prof.stability_mu = stability(instance, prof.u)
         out.append(prof)
     u_lower, u_upper = out
     if u_lower.u.mean() > u_upper.u.mean():

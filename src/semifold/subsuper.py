@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .eigen import decay_constants
 from .errors import (MonotonicityBroken, NoConvergence, RampFailed,
                      SingularOperator)
 from .grid import RadialGrid, factor_tridiagonal, solve_tridiagonal
@@ -35,21 +34,15 @@ class SolutionProfile:
     u: np.ndarray
     t: float
     residual_inf: float
-    e0_norm: float
-    decay_coeff: float
     stability_mu: Optional[float] = None
     iterations: int = 0
 
 
 def make_profile(instance: ProblemInstance, u: np.ndarray, t: float,
                  residual_inf: float, iterations: int = 0) -> SolutionProfile:
-    from .verify import e0_norm
-
-    grid = instance.grid
-    dec = decay_constants(grid, np.abs(u) + 1e-300)
+    """The profile of a solution u at t.  `instance` is not read; callers
+    outside the package (perfbench's output checks) pass it."""
     return SolutionProfile(u=u, t=float(t), residual_inf=float(residual_inf),
-                           e0_norm=e0_norm(grid, u),
-                           decay_coeff=0.5 * (dec.C1 + dec.C2),
                            iterations=iterations)
 
 

@@ -144,7 +144,7 @@ def test_acceptance_6_multiplicity(canonical, canonical_branch,
     tic = time.perf_counter()
     alpha = canonical_fold.alpha
     t = alpha - 0.5 * (1.0 + abs(alpha))
-    u1, u2 = two_solutions(canonical, t, canonical_branch, canonical_fold)
+    u1, u2 = two_solutions(canonical, t, canonical_branch, alpha)
     sep = np.abs(u1.u - u2.u).max()
     sep_ok = sep >= 1e-3 * (1.0 + np.abs(u1.u).max())
     w = build_subsolution(canonical, t)

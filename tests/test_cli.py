@@ -16,6 +16,7 @@ import semifold
 from semifold import cli, continuation
 from semifold.cli import main
 from semifold.config import CANONICAL_CONFIG, KEYS
+from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
@@ -60,6 +61,7 @@ def test_solve_and_verify_roundtrip(scenario, tmp_path):
     assert rc == 0
     rep = json.loads((sol / "report.json").read_text())
     assert rep["converged"] and rep["t"] == -50.0
+    assert rep["e0_norm"] > 0 and np.isfinite(rep["decay_coeff"])
     # the coarse grid cannot meet the representation tolerance: verify
     # must fail honestly with the dedicated exit code
     rc = main(["verify", scenario, "--solutions", str(sol),
@@ -98,6 +100,37 @@ def test_alpha_command_and_determinism(scenario, tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["files"] == m2["files"]
     assert m1["scenario_id"] == m2["scenario_id"]
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return smallest_eigenvalue(*args)
+
+    monkeypatch.setattr(continuation, "smallest_eigenvalue", counted)
+    return calls
+
+
+def test_branch_command_writes_stability(scenario, tmp_path, monkeypatch):
+    """One eigensolve per written row; the indicator changes sign across
+    the fold."""
+    eigensolves = _count_eigensolves(monkeypatch)
+    assert main(["branch", scenario, "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "branch.csv") as f:
+        header = f.readline().strip().split(",")
+    mu = np.loadtxt(tmp_path / "branch.csv", delimiter=",",
+                    skiprows=1)[:, header.index("stability_mu")]
+    assert len(eigensolves) == len(mu)
+    assert mu[0] > 0 > mu[-1]
+
+
+def test_two_command_makes_two_eigensolves(scenario, tmp_path, monkeypatch):
+    """One stability indicator per written solution, none for the branch."""
+    eigensolves = _count_eigensolves(monkeypatch)
+    assert main(["two", scenario, "--t", "-9", "--outdir", str(tmp_path)]) == 0
+    assert len(eigensolves) == 2
 
 
 def test_two_command(scenario, tmp_path):

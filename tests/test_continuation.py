@@ -4,7 +4,8 @@ import pytest
 import semifold as sf
 import semifold.continuation as continuation
 from semifold.continuation import (bisect_alpha, climb_alpha, detect_fold,
-                                   refine_fold, trace_branch, two_solutions)
+                                   refine_fold, stability, trace_branch,
+                                   two_solutions)
 from semifold.errors import (InitialPointInvalid, NoConvergence,
                              NoFoldInBranch, QueryPastFold)
 from semifold.grid import solve_tridiagonal
@@ -29,6 +30,16 @@ def fold(inst, branch):
     return detect_fold(branch, inst)
 
 
+@pytest.fixture(scope="module")
+def fold_point(inst, branch):
+    """refine_fold's (u, alpha, v) from detect_fold's seed: the turn
+    point and the branch secant across it."""
+    idx = int(np.argmax(branch.t_values))
+    v0 = branch.points[idx + 1].u - branch.points[idx - 1].u
+    return refine_fold(inst, branch.points[idx].u.copy(), branch.points[idx].t,
+                       v0 / np.abs(v0).max())
+
+
 def test_branch_passes_the_turn(inst, branch):
     ts = branch.t_values
     assert branch.status in ("window_exit", "max_points")
@@ -46,10 +57,24 @@ def test_branch_points_are_solutions(inst, branch):
 
 
 def test_stability_changes_across_fold(inst, branch):
-    ts = branch.t_values
-    idx = int(np.argmax(ts))
-    assert branch.points[0].stability_mu > 0
-    assert branch.points[-1].stability_mu < 0
+    assert stability(inst, branch.points[0].u) > 0
+    assert stability(inst, branch.points[-1].u) < 0
+
+
+def test_trace_makes_no_eigensolve(inst, monkeypatch):
+    """The stability indicator is computed by the writers that report it,
+    never by the trace."""
+    calls = []
+    eigensolve = continuation.smallest_eigenvalue
+
+    def counted(*args):
+        calls.append(args)
+        return eigensolve(*args)
+
+    monkeypatch.setattr(continuation, "smallest_eigenvalue", counted)
+    br = make_branch(inst, stop_below=np.inf)
+    assert br.status == "fold_bracketed"
+    assert len(calls) == 0
 
 
 def test_corrector_abandons_a_growing_step(inst, monkeypatch):
@@ -94,8 +119,8 @@ def test_alpha_stop_keeps_what_detect_fold_reads(inst, branch, fold):
     assert len(stopped) == idx + continuation.FOLD_WINDOW + 2
     assert len(stopped) < len(branch)
     for a, b in zip(stopped.points, branch.points):
-        assert (a.t, a.arclength, a.stability_mu, a.residual_inf) == \
-            (b.t, b.arclength, b.stability_mu, b.residual_inf)
+        assert (a.t, a.arclength, a.residual_inf) == \
+            (b.t, b.arclength, b.residual_inf)
         assert np.array_equal(a.u, b.u)
     short = detect_fold(stopped, inst)
     assert (short.alpha, short.alpha_fit, short.method) == \
@@ -117,8 +142,8 @@ def test_two_stop_at_the_first_point_below_the_query(inst, branch, fold, gap):
     end = max(below, idx + continuation.FOLD_WINDOW + 1)
     assert stopped.status == "fold_bracketed"
     assert np.array_equal(stopped.t_values, ts[:end + 1])
-    for a, b in zip(two_solutions(inst, t_q, stopped, fold),
-                    two_solutions(inst, t_q, branch, fold)):
+    for a, b in zip(two_solutions(inst, t_q, stopped, fold.alpha),
+                    two_solutions(inst, t_q, branch, fold.alpha)):
         assert np.array_equal(a.u, b.u)
 
 
@@ -133,13 +158,14 @@ def test_trace_rejects_non_solution_start(inst):
         trace_branch(inst, 0.0, np.ones(inst.grid.n))
 
 
-def test_fold_refinement_is_sharp(inst, branch, fold):
+def test_fold_refinement_is_sharp(inst, branch, fold, fold_point):
     """At the refined fold the Jacobian's stability indicator vanishes to
     rounding and the extended-system residual is tiny."""
-    assert abs(fold.u_fold.stability_mu) < 1e-8
+    u, alpha, _ = fold_point
+    assert alpha == fold.alpha
+    assert abs(stability(inst, u)) < 1e-8
     assert fold.alpha_fit == pytest.approx(fold.alpha, abs=0.05)
-    # a nearby Newton polish stays within the expected fold distance
-    assert np.abs(residual(inst, fold.u_fold.u, fold.alpha)).max() \
+    assert np.abs(residual(inst, u, fold.alpha)).max() \
         < 1e-4 * inst.A.row_scale()
 
 
@@ -189,7 +215,7 @@ def test_upper_solution_is_not_certified(inst, branch, fold):
     """The certificate covers the stable branch only: on the upper
     solution J is no M-matrix, so x = J^-1 1 is not positive."""
     t_q = fold.alpha - 1.0
-    lo, hi = two_solutions(inst, t_q, branch, fold)
+    lo, hi = two_solutions(inst, t_q, branch, fold.alpha)
     assert certify(inst, lo.u, t_q)[3] <= 0.5
     _, eta, beta, h = certify(inst, hi.u, t_q)
     assert eta < 1e-6
@@ -197,10 +223,11 @@ def test_upper_solution_is_not_certified(inst, branch, fold):
 
 
 @pytest.mark.parametrize("start", ["fold", "pre_fold", "post_fold"])
-def test_probe_past_the_fold_never_certifies(inst, branch, fold, start):
+def test_probe_past_the_fold_never_certifies(inst, branch, fold, fold_point,
+                                             start):
     t = fold.alpha + 1e-3
     idx = int(np.argmax(branch.t_values))
-    u0 = {"fold": fold.u_fold.u, "pre_fold": branch.points[idx - 1].u,
+    u0 = {"fold": fold_point[0], "pre_fold": branch.points[idx - 1].u,
           "post_fold": branch.points[idx + 1].u}[start]
     assert not certify(inst, u0, t)[3] <= 0.5
 
@@ -270,7 +297,7 @@ def test_no_fold_in_short_window(inst):
 
 def test_two_solutions_ordering_and_stability(inst, branch, fold):
     t_q = fold.alpha - 1.0
-    lo, hi = two_solutions(inst, t_q, branch, fold)
+    lo, hi = two_solutions(inst, t_q, branch, fold.alpha)
     assert (lo.u <= hi.u + 1e-9).all()
     assert np.abs(hi.u - lo.u).max() > 1e-3
     assert lo.stability_mu > 0 > hi.stability_mu
@@ -280,7 +307,7 @@ def test_two_solutions_ordering_and_stability(inst, branch, fold):
 
 def test_query_past_fold_raises(inst, branch, fold):
     with pytest.raises(QueryPastFold):
-        two_solutions(inst, fold.alpha + 0.1, branch, fold)
+        two_solutions(inst, fold.alpha + 0.1, branch, fold.alpha)
 
 
 def test_refine_fold_from_crude_seed(inst, branch, fold):
