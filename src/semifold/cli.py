@@ -57,14 +57,31 @@ def keep_heap_pages() -> None:
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+# rows per formatted block of a CSV: one block's string, its bytes and its
+# tuple of floats stay small next to a 64000-row table
+CSV_BLOCK_ROWS = 2048
 
 
-def _write_solution_csv(path: Path, grid, u) -> None:
-    scaled = grid.nodes ** (grid.N - 2) * u
-    np.savetxt(path, np.column_stack([grid.nodes, u, scaled]), delimiter=",",
-               header="r,u,r_pow_u", comments="")
+def _json_text(data) -> list:
+    return [json.dumps(data, indent=2, sort_keys=True) + "\n"]
+
+
+def _csv_blocks(header: str, columns):
+    """The text of a CSV of equal-length `columns`: the header line, then
+    blocks of CSV_BLOCK_ROWS rows.  The bytes are those of `np.savetxt`
+    with `delimiter=","`, `comments=""` and its default `%.18e`, which
+    reads back exactly."""
+    yield header + "\n"
+    line = ",".join(["%.18e"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS]
+                                 for c in columns])
+        yield (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def _solution_csv(grid, u):
+    return _csv_blocks("r,u,r_pow_u",
+                       [grid.nodes, u, grid.nodes ** (grid.N - 2) * u])
 
 
 def _read_solution_csv(path, grid) -> np.ndarray:
@@ -81,12 +98,13 @@ def _read_solution_csv(path, grid) -> np.ndarray:
 
 
 class _Run:
-    """Tracks emitted files and per-stage wall clock for the manifest."""
+    """Writes the run's files and keeps, for the manifest, the SHA-256 of
+    each one's bytes and the wall clock of each stage."""
 
     def __init__(self, cfg: ScenarioConfig, outdir: Path):
         self.cfg = cfg
         self.outdir = outdir
-        self.files = []
+        self.files = {}
         self.stages = {}
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -94,11 +112,16 @@ class _Run:
             raise ConfigError(f"cannot create output directory {outdir}: "
                               f"{exc}") from exc
 
-    def emit(self, name: str, writer) -> Path:
-        path = self.outdir / name
-        writer(path)
-        self.files.append(name)
-        return path
+    def emit(self, name: str, chunks) -> None:
+        """Write the text `chunks` to `name` as ASCII, hashing the bytes
+        as they are written."""
+        digest = hashlib.sha256()
+        with open(self.outdir / name, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode("ascii")
+                fh.write(data)
+                digest.update(data)
+        self.files[name] = digest.hexdigest()
 
     @contextlib.contextmanager
     def stage(self, name):
@@ -115,11 +138,10 @@ class _Run:
             "version": __version__,
             "config_hash": self.cfg.content_hash(),
             "seed": self.cfg.get("run", "seed"),
-            "files": {name: hashlib.sha256((self.outdir / name).read_bytes())
-                      .hexdigest() for name in self.files},
+            "files": self.files,
             "wall_clock_s": self.stages,
         }
-        _write_json(self.outdir / "manifest.json", manifest)
+        self.emit("manifest.json", _json_text(manifest))
 
 
 def _resolve_outdir(cfg: ScenarioConfig, args) -> Path:
@@ -160,7 +182,7 @@ def cmd_check(cfg: ScenarioConfig, args) -> int:
             "lambda1": lam,
             "comparison_principle": comparison,
         }
-    run.emit("report.json", lambda p: _write_json(p, report))
+    run.emit("report.json", _json_text(report))
     run.finish("check")
     return 0
 
@@ -169,8 +191,8 @@ def cmd_eigen(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
     eig = inst.eigen
     grid = inst.grid
-    run.emit("eigen.csv", lambda p: _write_solution_csv(p, grid, eig.phi1))
-    run.emit("eigen.json", lambda p: _write_json(p, {
+    run.emit("eigen.csv", _solution_csv(grid, eig.phi1))
+    run.emit("eigen.json", _json_text({
         "lambda1": eig.lambda1, "C1": eig.decay_C1, "C2": eig.decay_C2,
         "normalization_residual": eig.normalization_residual,
         "plateau_ok": eig.plateau_ok,
@@ -206,6 +228,9 @@ def _solve_monotone(inst, t):
 
 
 def cmd_solve(cfg: ScenarioConfig, args) -> int:
+    if args.start and args.method == "monotone":
+        raise ConfigError("--start applies only to --method newton and "
+                          "picard; monotone starts from its ordered interval")
     run, inst = _start(cfg, args)
     t = args.t if args.t is not None else inst.forcing.t
     grid = inst.grid
@@ -220,7 +245,7 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
                 u0 = np.zeros(grid.n)
             solver = newton_solve if args.method == "newton" else picard_solve
             prof = solver(inst, u0, t, tol=cfg.get("run", "newton_tol"))
-    run.emit("solution.csv", lambda p: _write_solution_csv(p, grid, prof.u))
+    run.emit("solution.csv", _solution_csv(grid, prof.u))
     dec = decay_constants(grid, np.abs(prof.u) + 1e-300)
     report = {"converged": True, "t": t, "iterations": prof.iterations,
               "residual_inf": prof.residual_inf,
@@ -228,7 +253,7 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
               "decay_coeff": 0.5 * (dec.C1 + dec.C2), "method": args.method}
     if interval is not None:
         report["interval_margin"] = interval.ordering_margin
-    run.emit("report.json", lambda p: _write_json(p, report))
+    run.emit("report.json", _json_text(report))
     run.finish("solve")
     return 0
 
@@ -255,21 +280,23 @@ def _traced_branch(cfg, inst, run, stop_below=None):
     return branch
 
 
-def emit_bifurcation(inst, branch, path: Path) -> None:
+def emit_bifurcation(inst, branch):
+    """The text of `branch.csv`; its rows, and their eigensolves, are
+    computed here, before any of it is written."""
     if not branch.points:
         raise SemifoldError("cannot emit an empty branch")
     rows = [[i, p.t, p.u_at_0, e0_norm(inst.grid, p.u), p.residual_inf,
              stability(inst, p.u), p.arclength]
             for i, p in enumerate(branch.points)]
-    np.savetxt(path, np.array(rows), delimiter=",",
-               header="index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength",
-               comments="")
+    return _csv_blocks(
+        "index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength",
+        np.array(rows).T)
 
 
 def cmd_branch(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
     branch = _traced_branch(cfg, inst, run)
-    run.emit("branch.csv", lambda p: emit_bifurcation(inst, branch, p))
+    run.emit("branch.csv", emit_bifurcation(inst, branch))
     run.finish("branch")
     return 0
 
@@ -281,10 +308,10 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     with run.stage("alpha"):
         fold = detect_fold(branch, inst)
         climb = climb_alpha(inst, branch, fold.alpha)
-    run.emit("branch.csv", lambda p: emit_bifurcation(inst, branch, p))
+    run.emit("branch.csv", emit_bifurcation(inst, branch))
     # alpha_bisection keeps its name: the certified lower bound from the
     # climb below alpha_arclength
-    run.emit("alpha.json", lambda p: _write_json(p, {
+    run.emit("alpha.json", _json_text({
         "alpha_arclength": fold.alpha, "alpha_bisection": climb.alpha,
         "agreement_gap": abs(fold.alpha - climb.alpha), "tau_star": ts,
         "certified_delta": climb.delta, "certificate_eta": climb.eta,
@@ -302,9 +329,9 @@ def cmd_two(cfg: ScenarioConfig, args) -> int:
         fold = detect_fold(branch, inst)
         lower, upper = two_solutions(inst, args.t, branch, fold.alpha)
     grid = inst.grid
-    run.emit("solution_lower.csv", lambda p: _write_solution_csv(p, grid, lower.u))
-    run.emit("solution_upper.csv", lambda p: _write_solution_csv(p, grid, upper.u))
-    run.emit("two.json", lambda p: _write_json(p, {
+    run.emit("solution_lower.csv", _solution_csv(grid, lower.u))
+    run.emit("solution_upper.csv", _solution_csv(grid, upper.u))
+    run.emit("two.json", _json_text({
         "t": args.t, "alpha": fold.alpha,
         "separation_inf": float(np.abs(lower.u - upper.u).max()),
         "stability_mu_lower": lower.stability_mu,
@@ -315,31 +342,48 @@ def cmd_two(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
+# the solution files of each report that holds a coefficient `t`, by the
+# id `verify` reports them under
+SOLUTION_FILES = {
+    "report.json": {"report": "solution.csv"},
+    "two.json": {"two_lower": "solution_lower.csv",
+                 "two_upper": "solution_upper.csv"},
+}
+
+
 def cmd_verify(cfg: ScenarioConfig, args) -> int:
-    run, inst = _start(cfg, args)
     soldir = Path(args.solutions)
+    targets = []
+    for meta_name, solutions in SOLUTION_FILES.items():
+        meta_path = soldir / meta_name
+        if not meta_path.is_file():
+            continue
+        try:
+            t = json.loads(meta_path.read_text()).get("t")
+            if t is None:
+                continue
+            t = float(t)
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"{meta_path}: not a readable report "
+                              f"({exc})") from exc
+        targets += [(sid, soldir / csv, t) for sid, csv in solutions.items()]
+    if not targets:
+        raise ConfigError(f"{soldir}: no solution to verify (looked for "
+                          f"{' and '.join(SOLUTION_FILES)} with a 't')")
+    run, inst = _start(cfg, args)
     reports = []
     with run.stage("verify"):
-        for meta_path in sorted(soldir.glob("*.json")):
-            if meta_path.name == "manifest.json":
-                continue
-            meta = json.loads(meta_path.read_text())
-            if "t" not in meta:
-                continue
-            csv_path = meta_path.with_suffix(".csv")
-            if not csv_path.exists():
-                csv_path = soldir / "solution.csv"
+        for solution_id, csv_path, t in targets:
             u = _read_solution_csv(csv_path, inst.grid)
-            t = float(meta["t"])
             prof = make_profile(inst, u, t,
                                 float(np.abs(residual(inst, u, t)).max()))
             reports.append(verify_solution(inst, prof,
-                                           solution_id=meta_path.stem,
+                                           solution_id=solution_id,
                                            instance_id=cfg.scenario_id()))
     summary = {"reports": [r.to_dict() for r in reports],
                "all_pass": all(r.all_pass for r in reports),
                "count": len(reports)}
-    run.emit("report.json", lambda p: _write_json(p, summary))
+    run.emit("report.json", _json_text(summary))
     run.finish("verify")
     return 0 if summary["all_pass"] else 3
 

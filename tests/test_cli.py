@@ -1,12 +1,15 @@
 import configparser
 import ctypes
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from hypothesis import given, strategies as st
 import semifold
 from semifold import cli, continuation
 from semifold.cli import main
-from semifold.config import CANONICAL_CONFIG, KEYS
+from semifold.config import CANONICAL_CONFIG, KEYS, load_config
 from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
+from semifold.grid import build_grid
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
 
@@ -50,8 +54,104 @@ def test_eigen_command(scenario, tmp_path):
     data = np.loadtxt(tmp_path / "eigen.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 3
     assert (data[:, 1] > 0).all()
+
+
+@pytest.mark.parametrize("argv, emitted", [
+    (["eigen"], {"eigen.csv", "eigen.json"}),
+    (["solve", "--t", "-50"], {"solution.csv", "report.json"}),
+    (["alpha"], {"branch.csv", "alpha.json"}),
+    (["two", "--t", "-9"],
+     {"solution_lower.csv", "solution_upper.csv", "two.json"}),
+], ids=["eigen", "solve", "alpha", "two"])
+def test_manifest_digests_every_emitted_file(scenario, tmp_path, argv,
+                                             emitted):
+    assert main([argv[0], scenario, *argv[1:],
+                 "--outdir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["files"]["eigen.csv"] == _sha(tmp_path / "eigen.csv")
+    on_disk = {p.name: _sha(p) for p in tmp_path.iterdir()
+               if p.name != "manifest.json"}
+    assert set(on_disk) == emitted
+    assert manifest["files"] == on_disk
+
+
+def test_manifest_hashes_the_bytes_as_written(scenario, tmp_path):
+    """finish reads no emitted file back: a file changed on disk after it
+    was emitted keeps the digest of what was written."""
+    run = cli._Run(load_config(scenario), tmp_path)
+    run.emit("a.csv", ["x\n", "1\n"])
+    (tmp_path / "a.csv").write_text("changed\n")
+    run.finish("test")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1\n").hexdigest()}
+
+
+def _savetxt_bytes(table, header):
+    """The reference writer the CSV renderer must match byte for byte."""
+    buf = io.BytesIO()
+    np.savetxt(buf, table, delimiter=",", header=header, comments="")
+    return buf.getvalue()
+
+
+def _rendered_bytes(chunks):
+    return b"".join(chunk.encode("ascii") for chunk in chunks)
+
+
+SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
+                           np.nan, 1e300, -1e-300, 1e-300, -1e300, 1.0, 0.1])
+
+
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 64000])
+def test_csv_blocks_match_savetxt(rows):
+    """Row counts around one block of CSV_BLOCK_ROWS = 2048, and a
+    64000-row table, over magnitudes 1e-300 ... 1e300; each column starts
+    with -0.0, subnormals, infinities, nan and 1e+-300 where it has room."""
+    assert cli.CSV_BLOCK_ROWS == 2048
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+               for _ in range(3)]
+    for shift, col in enumerate(columns):
+        head = np.roll(SPECIAL_VALUES, shift)[:rows]
+        col[:len(head)] = head
+    header = "r,u,r_pow_u"
+    assert _rendered_bytes(cli._csv_blocks(header, columns)) == \
+        _savetxt_bytes(np.column_stack(columns), header)
+
+
+def test_branch_csv_matches_savetxt(monkeypatch):
+    """The 7-column branch table, integer index first, past one block."""
+    monkeypatch.setattr(cli, "stability", lambda inst, u: -float(u[0]))
+    monkeypatch.setattr(cli, "e0_norm", lambda grid, u: float(u[1]) * 1e-300)
+    rng = np.random.default_rng(7)
+    points = [SimpleNamespace(t=-10.0 + 1e-3 * i, u_at_0=x[0], u=x,
+                              residual_inf=abs(x[2]) * 1e-310,
+                              arclength=0.5 * i)
+              for i, x in enumerate(rng.standard_normal((2100, 3)))]
+    inst = SimpleNamespace(grid=None)
+    header = "index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength"
+    rows = [[i, p.t, p.u_at_0, p.u[1] * 1e-300, p.residual_inf, -p.u[0],
+             p.arclength] for i, p in enumerate(points)]
+    emitted = cli.emit_bifurcation(inst, SimpleNamespace(points=points))
+    assert _rendered_bytes(emitted) == _savetxt_bytes(np.array(rows), header)
+
+
+def test_solution_csv_writes_in_small_blocks(tmp_path):
+    """Writing a 64000-row solution allocates at most 4 MB at its peak
+    (the table itself is 1.5 MB, its text about 5 MB), and the file holds
+    savetxt's bytes."""
+    grid = build_grid(3, 40.0, 64000)
+    u = -np.exp(-grid.nodes)
+    run = cli._Run(None, tmp_path)
+    tracemalloc.start()
+    try:
+        run.emit("solution.csv", cli._solution_csv(grid, u))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+    expected = _savetxt_bytes(np.column_stack(
+        [grid.nodes, u, grid.nodes ** (grid.N - 2) * u]), "r,u,r_pow_u")
+    assert (tmp_path / "solution.csv").read_bytes() == expected
+    assert run.files["solution.csv"] == hashlib.sha256(expected).hexdigest()
 
 
 def test_solve_and_verify_roundtrip(scenario, tmp_path):
@@ -74,6 +174,38 @@ def test_solve_and_verify_roundtrip(scenario, tmp_path):
         assert {e["name"] for e in failed} == {"representation_residual"}
     else:
         assert rc == 0
+
+
+def test_verify_checks_both_solutions_of_two(scenario, tmp_path):
+    two = tmp_path / "two"
+    assert main(["two", scenario, "--t", "-9", "--outdir", str(two)]) == 0
+    rc = main(["verify", scenario, "--solutions", str(two),
+               "--outdir", str(tmp_path / "ver")])
+    report = json.loads((tmp_path / "ver" / "report.json").read_text())
+    assert [r["solution_id"] for r in report["reports"]] == \
+        ["two_lower", "two_upper"]
+    assert rc == (0 if report["all_pass"] else 3)
+
+
+@pytest.mark.parametrize("source", ["eigen", None])
+def test_verify_without_a_solution_exits_1(scenario, tmp_path, capsys,
+                                          source):
+    soldir = tmp_path / "sol"
+    if source:
+        assert main([source, scenario, "--outdir", str(soldir)]) == 0
+    rc = main(["verify", scenario, "--solutions", str(soldir),
+               "--outdir", str(tmp_path / "ver")])
+    assert rc == 1
+    assert str(soldir) in capsys.readouterr().err
+    assert not (tmp_path / "ver").exists()
+
+
+def test_solve_start_is_refused_by_monotone(scenario, tmp_path, capsys):
+    rc = main(["solve", scenario, "--method", "monotone", "--t", "-50",
+               "--start", str(tmp_path / "missing.csv"),
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "--start applies only to" in capsys.readouterr().err
 
 
 def test_verify_passes_at_production_resolution(tmp_path):

@@ -99,3 +99,28 @@ def test_no_global_statement():
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def savetxt_calls(source: str) -> list:
+    """Lines that call `savetxt`, as `np.savetxt(...)` or a bare name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "attr",
+                              getattr(node.func, "id", None)) == "savetxt")
+
+
+def test_scan_sees_a_savetxt_call():
+    src = ("import numpy as np\n"
+           "from numpy import savetxt\n"
+           "np.savetxt('a.csv', [1.0])\n"
+           "savetxt('b.csv', [2.0])\n"
+           "writer = np.savetxt\n")
+    assert savetxt_calls(src) == [3, 4]
+
+
+def test_csv_has_one_writer():
+    """CSV text comes from cli._csv_blocks alone, written and hashed by
+    _Run.emit: no module calls savetxt."""
+    found = [(p.name, line) for p in PACKAGE.glob("*.py")
+             for line in savetxt_calls(p.read_text())]
+    assert found == []
