@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +88,11 @@ def _solution_csv(grid, u):
 def _read_solution_csv(path, grid) -> np.ndarray:
     """The u column of a solution CSV whose r column is this grid's nodes."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
+        # a file with no rows makes loadtxt warn; that is this error too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: not a readable solution CSV ({exc})") from exc
     if data.shape[0] != grid.n or data.shape[1] < 2 or not np.allclose(
             data[:, 0], grid.nodes, rtol=1e-12, atol=1e-12 * grid.R):
@@ -116,11 +120,15 @@ class _Run:
         """Write the text `chunks` to `name` as ASCII, hashing the bytes
         as they are written."""
         digest = hashlib.sha256()
-        with open(self.outdir / name, "wb") as fh:
-            for chunk in chunks:
-                data = chunk.encode("ascii")
-                fh.write(data)
-                digest.update(data)
+        path = self.outdir / name
+        try:
+            with open(path, "wb") as fh:
+                for chunk in chunks:
+                    data = chunk.encode("ascii")
+                    fh.write(data)
+                    digest.update(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         self.files[name] = digest.hexdigest()
 
     @contextlib.contextmanager

@@ -1,9 +1,10 @@
 """First eigenpair of the weighted problem -Lap u = lambda P(x) u, and
 the smallest eigenvalue of a linearization (the stability indicator).
 
-Inverse power iteration with the tridiagonal direct solve as inner
-kernel.  The discrete operator is self-adjoint in the cell-volume inner
-product, so Rayleigh quotients and deflation use that weighting.
+Inverse power iteration with the tridiagonal direct solve, from one LU
+factorization of the operator, as inner kernel.  The discrete operator
+is self-adjoint in the cell-volume inner product, so Rayleigh quotients
+and deflation use that weighting.
 
 The stability indicator mu is the smallest eigenvalue of the
 volume-symmetrized tridiagonal S of a Jacobian.  It comes from shifted
@@ -25,8 +26,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
                      SingularOperator, ZeroDenominator)
-from .grid import (RadialGrid, TridiagonalOperator, dot, solve_tridiagonal,
-                   weighted_integral)
+from .grid import (RadialGrid, TridiagonalOperator, dot, factor_tridiagonal,
+                   solve_tridiagonal, weighted_integral)
 
 PLATEAU_RATIO_LIMIT = 1.05
 # inverse power iterations of first_eigenpair before NoConvergence
@@ -72,17 +73,17 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
                     tol: float = 1e-12) -> EigenPair:
     x = 1.0 / (1.0 + grid.nodes ** 2)
     lam = rayleigh_quotient(grid, A, mP, x)
+    lu = factor_tridiagonal(A)
+    # rounding floor: applying A to a vector of max norm 1, as each
+    # iterate is, cannot be more accurate than eps times its row scale
+    floor = 50.0 * np.finfo(float).eps * lu.row_scale
     prev_res = None
-    eps = np.finfo(float).eps
     for k in range(1, EIGENPAIR_MAXIT + 1):
-        y = solve_tridiagonal(A, mP * x)
+        y = solve_tridiagonal(lu, mP * x)
         y /= np.abs(y).max()
         lam = rayleigh_quotient(grid, A, mP, y)
         res = np.abs(A.apply(y) - lam * mP * y).max()
         x = y
-        # rounding floor: applying A cannot be more accurate than
-        # eps times its row scale
-        floor = 50.0 * eps * A.row_scale() * np.abs(y).max()
         if res <= tol * abs(lam) * np.abs(mP * y).max() + floor:
             if prev_res is not None and prev_res > 0.0:
                 # contraction factor approximates lambda1/lambda2

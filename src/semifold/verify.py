@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import SingularOperator
 from .grid import (RadialGrid, TridiagonalOperator, dirichlet_energy,
@@ -57,14 +56,22 @@ def e0_norm(grid: RadialGrid, u: np.ndarray) -> float:
     return float(np.abs(u).max() + (grid.nodes ** (grid.N - 2) * np.abs(u)).max())
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting from 0 at x[0]:
+    the arithmetic of scipy.integrate.cumulative_trapezoid(y, x,
+    initial=0), in its order, so the bits are the same, without importing
+    scipy.integrate (which pulls in scipy.optimize, sparse and spatial)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def riesz_potential(grid: RadialGrid, rho: np.ndarray) -> np.ndarray:
     """Newtonian potential of a radial source by the shell formula
     u(r) = (1/(N-2)) [ r^{-(N-2)} int_0^r s^{N-1} rho ds + int_r^R s rho ds ],
     so that -Lap u = rho on the truncated domain."""
     r = grid.nodes
     rho = np.asarray(rho, dtype=float)
-    inner = cumulative_trapezoid(r ** (grid.N - 1) * rho, r, initial=0.0)
-    outer_full = cumulative_trapezoid(r * rho, r, initial=0.0)
+    inner = _cumulative_trapezoid(r ** (grid.N - 1) * rho, r)
+    outer_full = _cumulative_trapezoid(r * rho, r)
     outer = outer_full[-1] - outer_full
     u = np.empty_like(rho)
     u[1:] = (inner[1:] / r[1:] ** (grid.N - 2) + outer[1:]) / (grid.N - 2)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -413,6 +414,36 @@ def test_uncreatable_outdir_exits_1(scenario, tmp_path, capsys):
     outdir = afile / "sub"
     assert main(["eigen", scenario, "--outdir", str(outdir)]) == 1
     assert str(outdir) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,blocked", [(["check"], "report.json"),
+                                           (["eigen"], "manifest.json")])
+def test_blocked_output_file_exits_1(scenario, tmp_path, capsys, argv,
+                                     blocked):
+    """An output name taken by a directory is a config error naming the
+    file, not an IsADirectoryError traceback."""
+    (tmp_path / blocked).mkdir()
+    assert main([argv[0], scenario, "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ")
+    assert str(tmp_path / blocked) in err
+
+
+def test_verify_header_only_solution_prints_one_message(scenario, tmp_path,
+                                                        capsys):
+    soldir = tmp_path / "sol"
+    soldir.mkdir()
+    (soldir / "report.json").write_text('{"t": -50.0}')
+    (soldir / "solution.csv").write_text("r,u,r_pow_u\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["verify", scenario, "--solutions", str(soldir),
+                   "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert str(soldir / "solution.csv") in err
 
 
 HEAP_PROBE = """

@@ -6,6 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 
 import semifold as sf
 from semifold import eigen
+from semifold import grid as grid_module
 from semifold.eigen import (decay_constants, rayleigh_quotient,
                             smallest_eigenvalue)
 from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
@@ -149,6 +150,29 @@ def test_smallest_eigenvalue_rejects_nan_promptly(coarse, entry):
     with pytest.raises(SemifoldError):
         smallest_eigenvalue(coarse.grid, J, start)
     assert time.perf_counter() - tic < 1.0
+
+
+def test_first_eigenpair_factors_once(canonical, monkeypatch):
+    """Inverse power iteration runs every step from one ?gttrf factor
+    and makes no ?gtsv solve, yet returns the same eigenpair."""
+    calls = {"dgttrf": 0, "dgtsv": 0}
+
+    def counted(name):
+        kernel = getattr(grid_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(grid_module, name, counted(name))
+    pair = sf.first_eigenpair(canonical.grid, canonical.A,
+                              canonical.weight_values)
+    assert calls == {"dgttrf": 1, "dgtsv": 0}
+    assert pair.iterations > 1
+    assert pair.lambda1 == canonical.eigen.lambda1
+    assert np.array_equal(pair.phi1, canonical.eigen.phi1)
 
 
 def test_smallest_eigenvalue_iteration_cap_raises(canonical, canonical_branch,

@@ -1,6 +1,8 @@
 """Package hygiene: no module imports a name it never uses, no module
-keeps state behind a `global` statement, and every public top-level
-function or class has a use in the package or is exported.
+keeps state behind a `global` statement, every public top-level
+function or class has a use in the package or is exported, and the
+package imports only the third-party modules it needs, so a cold start
+stays small.
 
 No linter ships with the test dependencies, so these are plain `ast`
 scans.  `__init__.py` is exempt from the import scan: its imports are the
@@ -8,6 +10,9 @@ public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +129,67 @@ def test_csv_has_one_writer():
     found = [(p.name, line) for p in PACKAGE.glob("*.py")
              for line in savetxt_calls(p.read_text())]
     assert found == []
+
+
+# every third-party module the package may import; scipy.integrate alone
+# would pull in scipy.optimize, sparse, spatial, fft and constants
+THIRD_PARTY = {"numpy", "scipy.linalg.lapack", "scipy.special"}
+
+
+def third_party_imports(source: str) -> list:
+    """(line, module) of each absolute import outside the standard
+    library, at any depth of the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, m) for m in modules
+                  if m.split(".")[0] not in sys.stdlib_module_names]
+    return sorted(found)
+
+
+def test_scan_sees_third_party_imports():
+    src = ("from __future__ import annotations\n"
+           "import json, numpy as np\n"
+           "from . import grid\n"
+           "from .grid import dot\n"
+           "from scipy.linalg.lapack import dgtsv\n"
+           "def f():\n"
+           "    import scipy.optimize\n"
+           "    from scipy.integrate import cumulative_trapezoid\n")
+    assert third_party_imports(src) == [(2, "numpy"), (5, "scipy.linalg.lapack"),
+                                        (7, "scipy.optimize"),
+                                        (8, "scipy.integrate")]
+
+
+def test_only_the_needed_third_party_modules():
+    found = [(p.name, line, module) for p in PACKAGE.glob("*.py")
+             for line, module in third_party_imports(p.read_text())
+             if module not in THIRD_PARTY]
+    assert found == []
+
+
+COLD_START = """
+import sys
+import semifold.cli
+from semifold.config import CANONICAL_CONFIG, build_scenario_instance, parse_config
+build_scenario_instance(parse_config(CANONICAL_CONFIG))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
+def test_cold_start_loads_no_heavy_scipy_subpackage():
+    """What every CLI call pays before its first solve: importing the CLI
+    and building the canonical instance loads none of these."""
+    proc = subprocess.run([sys.executable, "-c", COLD_START],
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "scipy.linalg" in loaded  # the probe lists what it loaded
+    for heavy in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                  "scipy.spatial"):
+        assert heavy not in loaded

@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 import semifold as sf
 from semifold.errors import SingularOperator
 from semifold.subsuper import make_profile
-from semifold.verify import (check_comparison, check_negative_part, e0_norm,
-                             gradient_bound, representation_residual,
-                             riesz_potential, tau_star, verify_solution,
+from semifold.verify import (_cumulative_trapezoid, check_comparison,
+                             check_negative_part, e0_norm, gradient_bound,
+                             representation_residual, riesz_potential,
+                             tau_star, verify_solution,
                              weighted_source_functional)
 
 
@@ -38,6 +39,28 @@ def test_riesz_inverts_the_laplacian(canonical):
     # pointwise gap there, even though u itself is accurate to O(h^2)
     inner = slice(2, grid.n // 2)
     assert np.abs(Au[inner] - rho[inner]).max() < 1e-3
+
+
+def _stretched(n, R=40.0, ratio=1.001):
+    nodes = np.concatenate(([0.0], np.cumsum(ratio ** np.arange(n - 1))))
+    return nodes * (R / nodes[-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4000, 64000])
+@pytest.mark.parametrize("spacing", ["uniform", "stretched"])
+def test_cumulative_trapezoid_is_scipys_bitwise(n, spacing):
+    """The numpy running trapezoid gives scipy's bits, on mixed magnitudes
+    up to 1e+-300 and on the shell integrand riesz_potential passes."""
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(n)
+    x = np.linspace(0.0, 40.0, n) if spacing == "uniform" else _stretched(n)
+    mixed = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    shell = x ** 2 * np.exp(-x)
+    for y in (mixed, shell):
+        expected = cumulative_trapezoid(y, x, initial=0.0)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(_cumulative_trapezoid(y, x), expected)
 
 
 def test_representation_residual_fixture_solutions(canonical,
