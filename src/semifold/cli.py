@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import (bisect_alpha, climb_alpha, detect_fold, stability,
                            trace_branch, two_solutions)
@@ -35,26 +35,33 @@ from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
 from .verify import check_comparison, e0_norm, tau_star, verify_solution
 
 OUTDIR_ENV = "SEMIFOLD_OUTDIR"
-# glibc mallopt parameter: free bytes kept at the top of the heap
+# glibc mallopt parameters: free bytes kept at the top of the heap, and
+# the request size from which an allocation is mapped on its own
 M_TOP_PAD = -2
+M_MMAP_THRESHOLD = -3
 HEAP_TOP_PAD = 64 << 20
+HEAP_MMAP_THRESHOLD = 32 << 20  # the largest glibc accepts on 64-bit
 
 
 def keep_heap_pages() -> None:
-    """Ask glibc to keep HEAP_TOP_PAD bytes of freed heap in the process.
+    """Ask glibc to take vectors below HEAP_MMAP_THRESHOLD from the heap
+    and to keep HEAP_TOP_PAD bytes of freed heap in the process.
 
-    At n = 64000 each temporary vector is 512 KiB.  When several are freed
-    together, glibc trims the heap top and the next temporary faults its
-    pages back in, a cost comparable to the kernel that fills it.  Setting
-    M_TOP_PAD alone keeps glibc's dynamic mmap threshold; an explicit
-    M_TRIM_THRESHOLD would switch it off and map every such vector anew.
-    A libc without mallopt leaves the allocator as it is."""
+    At n = 64000 each temporary vector is 512 KiB.  Above glibc's default
+    mmap threshold of 128 KiB, each is mapped on its own and its pages
+    fault in anew on every allocation, a cost comparable to the kernel
+    that fills it; glibc raises that threshold only after it frees a
+    mapped chunk larger than it, which nothing in a run need do.  On the
+    heap, when several are freed together, glibc trims the heap top, and
+    the pad keeps those pages.  A libc without mallopt leaves the
+    allocator as it is."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
@@ -148,6 +155,7 @@ class _Run:
             "seed": self.cfg.get("run", "seed"),
             "files": self.files,
             "wall_clock_s": self.stages,
+            "lapack": _lapack.LIBRARY,
         }
         self.emit("manifest.json", _json_text(manifest))
 

@@ -22,8 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
                      SingularOperator, ZeroDenominator)
 from .grid import (RadialGrid, TridiagonalOperator, dot, factor_tridiagonal,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .eigen import EigenPair
 from .errors import (BadGridConfig, BoundarySlackWarning, DivergentMoment,
@@ -22,6 +21,20 @@ from .grid import RadialGrid, TridiagonalOperator, weighted_integral
 
 TAIL_WARN_REL = 0.01
 TAIL_DIVERGENT_REL = 0.25
+
+
+def expit(s) -> np.ndarray:
+    """The logistic 1/(1 + e^-s), by the formula of scipy.special.expit.
+    numpy's vectorized exp and libm's differ by one unit in the last
+    place on a few percent of arguments, so the two differ by up to
+    2 eps relative.  e^-s overflows to inf for s < -709, where the
+    result is 0, as it should be."""
+    e = np.array(s, dtype=float)
+    np.negative(e, out=e)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 # ---------------------------------------------------------------- weights
@@ -75,10 +88,10 @@ def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
             return mu_lower * s + gap * softplus - offset
 
     def g_prime(s):
-        return mu_lower + gap * expit(np.asarray(s, dtype=float))
+        return mu_lower + gap * expit(s)
 
     def g_second(s):
-        e = expit(np.asarray(s, dtype=float))
+        e = expit(s)
         return gap * e * (1.0 - e)
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=mu_lower,

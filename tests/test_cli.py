@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semifold
-from semifold import cli, continuation
+from semifold import _lapack, cli, continuation
 from semifold.cli import main
 from semifold.config import CANONICAL_CONFIG, KEYS, load_config
 from semifold.eigen import smallest_eigenvalue
@@ -84,6 +84,16 @@ def test_manifest_hashes_the_bytes_as_written(scenario, tmp_path):
     run.finish("test")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1\n").hexdigest()}
+
+
+def test_manifest_names_the_lapack_in_use(scenario, tmp_path):
+    """The bound OpenBLAS's configuration string or the SciPy fallback:
+    which LAPACK ran shows in the output files alone."""
+    assert main(["eigen", scenario, "--outdir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["lapack"] == _lapack.LIBRARY
+    assert (manifest["lapack"] == "scipy.linalg.lapack"
+            or manifest["lapack"].startswith("OpenBLAS "))
 
 
 def _savetxt_bytes(table, header):

@@ -133,7 +133,10 @@ def test_csv_has_one_writer():
 
 # every third-party module the package may import; scipy.integrate alone
 # would pull in scipy.optimize, sparse, spatial, fft and constants
-THIRD_PARTY = {"numpy", "scipy.linalg.lapack", "scipy.special"}
+THIRD_PARTY = {"numpy"}
+# and where else: _lapack falls back on SciPy's LAPACK where numpy bundles
+# no OpenBLAS of its own
+FALLBACK = {("_lapack.py", "scipy.linalg.lapack")}
 
 
 def third_party_imports(source: str) -> list:
@@ -169,27 +172,36 @@ def test_scan_sees_third_party_imports():
 def test_only_the_needed_third_party_modules():
     found = [(p.name, line, module) for p in PACKAGE.glob("*.py")
              for line, module in third_party_imports(p.read_text())
-             if module not in THIRD_PARTY]
+             if module not in THIRD_PARTY and (p.name, module) not in FALLBACK]
     assert found == []
 
 
 COLD_START = """
 import sys
 import semifold.cli
+from semifold import _lapack
 from semifold.config import CANONICAL_CONFIG, build_scenario_instance, parse_config
 build_scenario_instance(parse_config(CANONICAL_CONFIG))
-print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy."))))
+print(_lapack.LIBRARY)
+print(" ".join(sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("numpy", "scipy"))))
 """
 
 
 def test_cold_start_loads_no_heavy_scipy_subpackage():
     """What every CLI call pays before its first solve: importing the CLI
-    and building the canonical instance loads none of these."""
+    and building the canonical instance loads no scipy module at all when
+    numpy bundles its OpenBLAS, and none of the heavy subpackages where
+    the LAPACK routines fall back on scipy.linalg.lapack."""
     proc = subprocess.run([sys.executable, "-c", COLD_START],
                           env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
                           capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
-    assert "scipy.linalg" in loaded  # the probe lists what it loaded
+    library, modules = proc.stdout.splitlines()
+    loaded = set(modules.split())
+    assert "numpy" in loaded  # the probe lists what it loaded
+    scipy = {m for m in loaded if m.split(".")[0] == "scipy"}
+    if library != "scipy.linalg.lapack":
+        assert scipy == set()
     for heavy in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
-                  "scipy.spatial"):
-        assert heavy not in loaded
+                  "scipy.spatial", "scipy.special"):
+        assert heavy not in scipy

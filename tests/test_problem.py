@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +8,27 @@ import semifold as sf
 from semifold.errors import (DivergentMoment, NotNormalized, ProbeOutOfRange,
                              SlopeViolation, TailInstabilityWarning)
 from semifold.problem import (check_P1, check_P2, check_sigma_growth,
-                              decompose_forcing, derive_slack_constants)
+                              decompose_forcing, derive_slack_constants, expit)
+
+
+def test_expit_is_scipys_to_the_rounding_of_exp():
+    """numpy's exp and libm's differ by one unit in the last place on a
+    few percent of arguments.  After 1 + e and the division that is at
+    most 2 eps relative (up to 3 units where 1/(1 + e) lies just below a
+    power of 2), and one unit of the subnormal range."""
+    from scipy.special import expit as reference
+    s = np.concatenate([np.random.default_rng(7).uniform(-800.0, 800.0, 10 ** 6),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, -709.5, -744.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(s)
+    want = reference(s)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    tiny = np.finfo(float).smallest_subnormal
+    assert (np.abs(got - want)[ok]
+            <= np.maximum(2.0 * np.finfo(float).eps * want[ok], tiny)).all()
+    assert expit(0.0) == 0.5 and expit(np.inf) == 1.0 and expit(-np.inf) == 0.0
 
 
 def test_weight_mass_oracle(canonical):
