@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 
 from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
                      canonical_instance, load_config, parse_config)
-from .continuation import (Branch, BranchPoint, FoldResult, bisect_alpha,
-                           climb_alpha, detect_fold, refine_fold,
-                           trace_branch, two_solutions)
+from .continuation import (Branch, BranchPoint, FoldPoint, FoldResult,
+                           bisect_alpha, climb_alpha, climb_start, detect_fold,
+                           refine_fold, trace_branch, two_solutions)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -23,10 +24,12 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (bisect_alpha, climb_alpha, detect_fold, stability,
-                           trace_branch, two_solutions)
+from .continuation import (COARSE_N, bisect_alpha, climb_alpha, climb_start,
+                           detect_fold, refine_fold, stability, trace_branch,
+                           two_solutions)
 from .eigen import decay_constants
-from .errors import ConfigError, IncompleteBranch, SemifoldError
+from .errors import (ConfigError, IncompleteBranch, NoConvergence,
+                     NoFoldInBranch, SemifoldError, SingularOperator)
 from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
@@ -140,11 +143,13 @@ class _Run:
 
     @contextlib.contextmanager
     def stage(self, name):
+        """Time the block into stage `name`, added to what it holds."""
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            self.stages[name] = time.perf_counter() - t0
+            self.stages[name] = (self.stages.get(name, 0.0)
+                                 + time.perf_counter() - t0)
 
     def finish(self, command: str) -> None:
         manifest = {
@@ -312,27 +317,69 @@ def emit_bifurcation(inst, branch):
 def cmd_branch(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
     branch = _traced_branch(cfg, inst, run)
-    run.emit("branch.csv", emit_bifurcation(inst, branch))
+    with run.stage("branch_rows"):
+        rows = emit_bifurcation(inst, branch)
+    run.emit("branch.csv", rows)
     run.finish("branch")
     return 0
 
 
+def _lift(src, dst, u):
+    """u on src's nodes, linearly interpolated onto dst's."""
+    return u if src is dst else np.interp(dst.grid.nodes, src.grid.nodes, u)
+
+
+def _coarse_fold(cfg, inst, run):
+    """The fold traced on a COARSE_N-node twin of inst and refined once on
+    inst: (twin, its branch, its fold, inst's FoldPoint), or None when the
+    twin's fold has no point to refine from or the refinement on inst
+    fails, as it may on a stretched grid, whose twin has another cell
+    profile."""
+    with run.stage("build_instance"):
+        coarse = build_scenario_instance(dataclasses.replace(
+            cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
+    branch = _traced_branch(cfg, coarse, run, stop_below=np.inf)
+    with run.stage("alpha"):
+        try:
+            fold = detect_fold(branch, coarse)
+        except NoFoldInBranch as exc:
+            raise NoFoldInBranch(f"on the {COARSE_N}-node grid: {exc}") from exc
+        if fold.point is None:
+            return None
+        try:
+            point = refine_fold(inst, _lift(coarse, inst, fold.point.u),
+                                fold.alpha, _lift(coarse, inst, fold.point.v))
+        except (NoConvergence, SingularOperator):
+            return None
+    return coarse, branch, fold, point
+
+
 def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
-    branch = _traced_branch(cfg, inst, run, stop_below=np.inf)
-    ts = tau_star(inst)
+    level = _coarse_fold(cfg, inst, run) if inst.grid.n > COARSE_N else None
+    if level is None:
+        branch = _traced_branch(cfg, inst, run, stop_below=np.inf)
+        with run.stage("alpha"):
+            fold = detect_fold(branch, inst)
+        level = inst, branch, fold, fold.point
+    coarse, branch, fold, point = level
+    alpha = fold.alpha if point is None else point.t
     with run.stage("alpha"):
-        fold = detect_fold(branch, inst)
-        climb = climb_alpha(inst, branch, fold.alpha)
-    run.emit("branch.csv", emit_bifurcation(inst, branch))
+        climb = climb_alpha(inst, _lift(coarse, inst, climb_start(branch, alpha)),
+                            alpha)
+    with run.stage("branch_rows"):
+        rows = emit_bifurcation(coarse, branch)
+    run.emit("branch.csv", rows)
     # alpha_bisection keeps its name: the certified lower bound from the
     # climb below alpha_arclength
     run.emit("alpha.json", _json_text({
-        "alpha_arclength": fold.alpha, "alpha_bisection": climb.alpha,
-        "agreement_gap": abs(fold.alpha - climb.alpha), "tau_star": ts,
+        "alpha_arclength": alpha, "alpha_bisection": climb.alpha,
+        "agreement_gap": abs(alpha - climb.alpha), "tau_star": tau_star(inst),
         "certified_delta": climb.delta, "certificate_eta": climb.eta,
         "certificate_beta": climb.beta, "certificate_h": climb.h,
         "fold_method": fold.method, "branch_status": branch.status,
+        "coarse_n": coarse.grid.n, "alpha_coarse": fold.alpha,
+        "fold_iterations": None if point is None else point.iterations,
     }))
     run.finish("alpha")
     return 0

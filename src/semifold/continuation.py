@@ -4,14 +4,14 @@ Pseudo-arclength continuation with a bordered tridiagonal corrector
 passes the turning point where plain parameter continuation has a
 singular Jacobian.  The fold estimate comes from a quadratic fit along
 the branch, sharpened by Newton on the extended fold system.  A climb
-of probes placed just below that estimate, each accepted only by a
-Newton-Kantorovich certificate, gives a proved lower bound on the fold.
+of probes placed just below that estimate, the closest one accepted by
+a Newton-Kantorovich certificate, gives a proved lower bound on the fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,10 +22,19 @@ from .grid import dot, solve_tridiagonal
 from .nonlinear import SOLVE_TOL, certify, jacobian, newton_solve, residual
 from .problem import ProblemInstance
 
-# Newton on the extended fold system: residual tolerance relative to the
-# row scale, and its iteration cap
-FOLD_TOL = 1e-12
+# Newton on the extended fold system stops once its correction is below
+# FOLD_TOL relative to the iterate (|dt| against 1 + |t|, |du|_inf against
+# 1 + |u|_inf): converging quadratically, the corrected iterate is then
+# accurate to about the square of that.  The correction's rounding floor
+# grows with n (about 1e-12 at n = 4000, 4e-10 at 128000); a correction
+# that stops contracting below FOLD_FLOOR has reached it, and its iterate
+# is accepted.  FOLD_MAXIT caps the steps
+FOLD_TOL = 1e-8
+FOLD_FLOOR = 1e-7
 FOLD_MAXIT = 40
+# above COARSE_N nodes, alpha locates the fold on a COARSE_N-node instance
+# and refines it on the fine grid only (mesh independence of Newton)
+COARSE_N = 4000
 # climb_alpha's last probe sits 10^-CLIMB_DECADES (1 + |alpha_arc|) below
 # the arclength fold
 CLIMB_DECADES = 6
@@ -64,11 +73,21 @@ class Branch:
         return np.array([p.arclength for p in self.points])
 
 
+class FoldPoint(NamedTuple):
+    """The turning point (u, t, v) found by refine_fold, after
+    `iterations` extended Newton steps."""
+    u: np.ndarray
+    t: float
+    v: np.ndarray
+    iterations: int
+
+
 @dataclass
 class FoldResult:
     alpha: float
     method: str
     alpha_fit: float
+    point: Optional[FoldPoint] = None  # None for method "fit"
 
 
 @dataclass
@@ -198,36 +217,45 @@ def trace_branch(instance: ProblemInstance, t_start: float,
 
 
 def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
-                v0: np.ndarray):
-    """Newton on the extended system {F(u,t)=0, J(u,t)v=0, c.v=1}.
-    Returns (u, t, v) at the quadratic turning point."""
+                v0: np.ndarray) -> FoldPoint:
+    """Newton on the extended system {F(u,t)=0, J(u,t)v=0, c.v=1}, to the
+    quadratic turning point.  It stops on its correction, not on the
+    residual, whose row scale grows as h^-2: once the correction is below
+    FOLD_TOL, or once it stops contracting below FOLD_FLOOR (the rounding
+    floor).  A correction that stops contracting above FOLD_FLOOR raises
+    NoConvergence."""
     gsec = instance.nonlinearity.g_second
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
     c = v0 / dot(v0, v0)  # so that c.v0 = 1
     u, t, v = u0.copy(), float(t0), v0.copy()
-    rs = instance.A.row_scale()
-    for _ in range(FOLD_MAXIT):
+    size_prev = np.inf
+    for k in range(FOLD_MAXIT):
         F = residual(instance, u, t)
         J = jacobian(instance, u)
-        Jv = J.apply(v)
-        if np.abs(F).max() <= FOLD_TOL * rs and \
-                np.abs(Jv).max() <= 1e-8 * rs * np.abs(v).max():
-            break
         p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
         D = P * np.asarray(gsec(u)) * v
         a1, a2 = solve_tridiagonal(J, np.column_stack((D * p, D * q))).T
         ca2 = dot(c, a2)
         if ca2 == 0.0:
-            raise NoConvergence("fold system degenerate (c.a2 = 0)")
+            raise NoConvergence("fold system degenerate (c.a2 = 0)",
+                                iterations=k)
         dt = (1.0 - dot(c, a1)) / ca2
-        u = u + p + dt * q
+        du = p + dt * q
+        size = max(abs(dt) / (1.0 + abs(t)),
+                   float(np.abs(du).max()) / (1.0 + float(np.abs(u).max())))
+        if not size < size_prev:  # no contraction: the floor, or divergence
+            if size <= FOLD_FLOOR:
+                return FoldPoint(u, float(t), v, k)
+            break
+        u = u + du
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2
-    else:
-        raise NoConvergence("fold refinement did not converge",
-                            iterations=FOLD_MAXIT)
-    return u, t, v
+        if size <= FOLD_TOL:
+            return FoldPoint(u, float(t), v, k + 1)
+        size_prev = size
+    raise NoConvergence(f"fold refinement did not converge (last correction "
+                        f"{size:.2e} relative)", iterations=k + 1)
 
 
 def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
@@ -262,46 +290,51 @@ def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
     v0 = branch.points[min(idx + 1, len(branch) - 1)].u - branch.points[idx - 1].u
     v0 = v0 / np.abs(v0).max()
     try:
-        _, alpha, _ = refine_fold(instance, branch.points[idx].u.copy(),
-                                  float(ts[idx]), v0)
+        point = refine_fold(instance, branch.points[idx].u.copy(),
+                            float(ts[idx]), v0)
     except (NoConvergence, SingularOperator):
         return FoldResult(alpha=alpha_fit, method="fit", alpha_fit=alpha_fit)
-    return FoldResult(alpha=float(alpha), method="arclength",
-                      alpha_fit=alpha_fit)
+    return FoldResult(alpha=float(point.t), method="arclength",
+                      alpha_fit=alpha_fit, point=point)
 
 
-def climb_alpha(instance: ProblemInstance, branch: Branch,
+def climb_start(branch: Branch, alpha_arc: float) -> np.ndarray:
+    """The warm start of climb_alpha: the pre-fold branch point with the
+    largest t at or below its first probe, alpha_arc - 0.1 (1 + |alpha_arc|),
+    or the first point if none is."""
+    ts = branch.t_values
+    ts = ts[:int(np.argmax(ts)) + 1]  # the pre-fold segment
+    below = np.flatnonzero(ts <= alpha_arc - 0.1 * (1.0 + abs(alpha_arc)))
+    return branch.points[int(below[np.argmax(ts[below])]) if below.size
+                         else 0].u
+
+
+def climb_alpha(instance: ProblemInstance, u_start: np.ndarray,
                 alpha_arc: float) -> ClimbResult:
     """A certified lower bound on the discrete fold, from probes at
     t_k = alpha_arc - delta_k, delta_k = 10^-k (1 + |alpha_arc|), for
-    k = 1, ..., CLIMB_DECADES.  The first probe starts from
-    the pre-fold branch point with the largest t <= t_1, each later one
-    from the last certified probe.  A probe is Newton's solution passed
-    by nonlinear.certify (h <= 1/2); the climb stops at the first probe
-    that is not, and returns the last one that is."""
+    k = 1, ..., CLIMB_DECADES.  Newton walks the probes up from u_start,
+    each from the one before, until it fails; then nonlinear.certify
+    tests them from the closest down, and the first one it passes
+    (h <= 1/2) is returned.  Each certificate proves a solution at its
+    own t, so one is all the bound needs."""
     scale = 1.0 + abs(alpha_arc)
-    ts = branch.t_values
-    ts = ts[:int(np.argmax(ts)) + 1]  # the pre-fold segment
-    below = np.flatnonzero(ts <= alpha_arc - 0.1 * scale)
-    start = int(below[np.argmax(ts[below])]) if below.size else 0
-    u = branch.points[start].u
-    best = None
+    probes = []
+    u = u_start
     for k in range(1, CLIMB_DECADES + 1):
         delta = scale / 10.0 ** k
-        t = alpha_arc - delta
         try:
-            u_k = newton_solve(instance, u, t, maxit=30).u
+            u = newton_solve(instance, u, alpha_arc - delta, maxit=30).u
         except NoConvergence:
             break
-        u_k, eta, beta, h = certify(instance, u_k, t)
-        if not h <= 0.5:
-            break
-        best = ClimbResult(alpha=t, delta=delta, eta=eta, beta=beta, h=h)
-        u = u_k
-    if best is None:
-        raise NoConvergence(f"no probe below alpha = {alpha_arc} certifies "
-                            f"a solution (first at t = {alpha_arc - 0.1 * scale})")
-    return best
+        probes.append((delta, u))
+    for delta, u in reversed(probes):
+        t = alpha_arc - delta
+        _, eta, beta, h = certify(instance, u, t)
+        if h <= 0.5:
+            return ClimbResult(alpha=t, delta=delta, eta=eta, beta=beta, h=h)
+    raise NoConvergence(f"no probe below alpha = {alpha_arc} certifies "
+                        f"a solution (first at t = {alpha_arc - 0.1 * scale})")
 
 
 def bisect_alpha(instance: ProblemInstance, t_known: float,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import semifold as sf
-from semifold.continuation import climb_alpha, detect_fold
+from semifold.continuation import climb_alpha, climb_start, detect_fold
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
 from semifold.nonlinear import (newton_solve, picard_solve, residual,
@@ -119,7 +119,8 @@ def test_acceptance_5_fold_location(canonical, canonical_branch,
     alpha_star = fixture_data["alpha_star"]["value"]
     tol = 1e-3 * (1.0 + abs(alpha_star))
     a_arc = canonical_fold.alpha
-    a_bis = climb_alpha(canonical, canonical_branch, a_arc).alpha
+    a_bis = climb_alpha(canonical, climb_start(canonical_branch, a_arc),
+                        a_arc).alpha
     ts = tau_star(canonical)
     # second-order refinement stability across n = 2000, 4000, 8000
     mid = sf.canonical_instance(R=40.0, n=2000)

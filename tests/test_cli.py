@@ -19,10 +19,12 @@ from hypothesis import given, strategies as st
 import semifold
 from semifold import _lapack, cli, continuation
 from semifold.cli import main
-from semifold.config import CANONICAL_CONFIG, KEYS, load_config
+from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
+                             load_config)
 from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
 from semifold.grid import build_grid
+from branching import make_branch
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
 
@@ -243,6 +245,124 @@ def test_alpha_command_and_determinism(scenario, tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["files"] == m2["files"]
     assert m1["scenario_id"] == m2["scenario_id"]
+
+
+def test_alpha_single_level_reports_its_own_grid(scenario, tmp_path):
+    """At n <= COARSE_N the fold is traced and refined on the grid itself."""
+    assert main(["alpha", scenario, "--outdir", str(tmp_path)]) == 0
+    a = json.loads((tmp_path / "alpha.json").read_text())
+    assert a["coarse_n"] == 800
+    assert a["alpha_coarse"] == a["alpha_arclength"]
+    assert 1 <= a["fold_iterations"] <= 6
+
+
+@pytest.mark.parametrize("argv", [["alpha"], ["branch"]])
+def test_branch_rows_have_their_own_stage(scenario, tmp_path, argv):
+    assert main([*argv, scenario, "--outdir", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
+    assert {"build_instance", "branch_start", "trace",
+            "branch_rows"} <= set(stages)
+
+
+def _scenario(path, n, **keys):
+    """The canonical scenario at n nodes, with `stretch` set in [grid] and
+    other keys in [run], written to `path`."""
+    cp = configparser.ConfigParser()
+    cp.read_string(CANONICAL_CONFIG)
+    cp["grid"]["n"] = str(n)
+    for key, value in keys.items():
+        cp["grid" if key == "stretch" else "run"][key] = repr(value)
+    with open(path, "w") as fh:
+        cp.write(fh)
+    return str(path)
+
+
+def _alpha(path, outdir):
+    assert main(["alpha", path, "--outdir", str(outdir)]) == 0
+    return json.loads((outdir / "alpha.json").read_text())
+
+
+def _traced_fold(path):
+    """The fold refined from the turn of a trace on the file's own grid."""
+    inst = build_scenario_instance(load_config(path))
+    return continuation.detect_fold(make_branch(inst, stop_below=np.inf),
+                                    inst).alpha
+
+
+@pytest.fixture(scope="module")
+def fold_16k(tmp_path_factory):
+    return _traced_fold(_scenario(
+        tmp_path_factory.mktemp("f16") / "scenario.ini", 16000))
+
+
+def test_nested_alpha_is_the_fine_fold(fixture_data, fold_16k, tmp_path):
+    """alpha at n = 16000 from two (step_ds, t_start) draws of the fold-64k
+    range: the fold is traced at COARSE_N and refined on the fine grid,
+    and both land on the fold refined from a fine trace.  (The single-level
+    path with a residual-stopped refinement missed it by about 3e-8, by an
+    amount that moved with the draw.)"""
+    tau = abs(fixture_data["tau_star_canonical"])
+    alphas = []
+    for step_ds, t_start in ((1.6, -8.5 * tau), (2.4, -11.5 * tau)):
+        path = _scenario(tmp_path / f"draw{step_ds}.ini", 16000,
+                         step_ds=step_ds, t_start=t_start)
+        a = _alpha(path, tmp_path / f"out{step_ds}")
+        assert (a["coarse_n"], a["fold_method"]) == (4000, "arclength")
+        assert 1 <= a["fold_iterations"] <= 4
+        assert abs(a["alpha_coarse"] - a["alpha_arclength"]) < 1e-3
+        assert a["certified_delta"] == pytest.approx(
+            1e-6 * (1.0 + abs(a["alpha_arclength"])), rel=1e-12)
+        assert a["certificate_h"] <= 0.5
+        alphas.append(a["alpha_arclength"])
+    assert abs(alphas[0] - alphas[1]) <= 1e-9
+    assert max(abs(a - fold_16k) for a in alphas) <= 1e-9
+
+
+def test_failed_fine_refinement_falls_back_to_one_level(tmp_path,
+                                                        monkeypatch):
+    """The fine refinement raising gives the single-level run at n."""
+    path = _scenario(tmp_path / "scenario.ini", 16000)
+    monkeypatch.setattr(cli, "COARSE_N", 16000)
+    single = _alpha(path, tmp_path / "single")
+    monkeypatch.setattr(cli, "COARSE_N", continuation.COARSE_N)
+
+    def fail(*args, **kwargs):
+        raise NoConvergence("fold refinement did not converge")
+
+    monkeypatch.setattr(cli, "refine_fold", fail)
+    fallback = _alpha(path, tmp_path / "fallback")
+    assert fallback == single
+    assert fallback["coarse_n"] == 16000
+
+
+def test_nested_alpha_on_a_stretched_grid(tmp_path):
+    """The 4000-node twin of a stretched grid has another cell profile
+    (the cell ratio is stretch^(n - 1)); the fine refinement still lands
+    on the fold traced on the fine grid."""
+    path = _scenario(tmp_path / "scenario.ini", 16000, stretch=1.0001)
+    a = _alpha(path, tmp_path / "out")
+    assert a["coarse_n"] == 4000
+    assert abs(a["alpha_arclength"] - _traced_fold(path)) <= 1e-9
+
+
+def test_coarse_trace_without_a_fold_exits_2(tmp_path, capsys, monkeypatch):
+    """A linear g has no fold: the coarse trace finds none, the run exits
+    2 naming the coarse grid, and no fine trace is made."""
+    text = CANONICAL_CONFIG.replace("n = 4000", "n = 8000").replace(
+        "preset = smooth_ramp", "preset = linear\nslope = 2.0")
+    path = tmp_path / "linear.ini"
+    path.write_text(text)
+    traced = []
+    trace = cli.trace_branch
+
+    def recorded(inst, *args, **kwargs):
+        traced.append(inst.grid.n)
+        return trace(inst, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "trace_branch", recorded)
+    assert main(["alpha", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert "on the 4000-node grid" in capsys.readouterr().err
+    assert traced == [4000]
 
 
 def _count_eigensolves(monkeypatch):

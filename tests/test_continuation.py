@@ -3,9 +3,9 @@ import pytest
 
 import semifold as sf
 import semifold.continuation as continuation
-from semifold.continuation import (bisect_alpha, climb_alpha, detect_fold,
-                                   refine_fold, stability, trace_branch,
-                                   two_solutions)
+from semifold.continuation import (bisect_alpha, climb_alpha, climb_start,
+                                   detect_fold, refine_fold, stability,
+                                   trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, NoConvergence,
                              NoFoldInBranch, QueryPastFold)
 from semifold.grid import solve_tridiagonal
@@ -125,8 +125,9 @@ def test_alpha_stop_keeps_what_detect_fold_reads(inst, branch, fold):
     short = detect_fold(stopped, inst)
     assert (short.alpha, short.alpha_fit, short.method) == \
         (fold.alpha, fold.alpha_fit, fold.method)
-    assert climb_alpha(inst, stopped, short.alpha) == \
-        climb_alpha(inst, branch, fold.alpha)
+    assert climb_alpha(inst, climb_start(stopped, short.alpha),
+                       short.alpha) == \
+        climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1.0])
@@ -161,7 +162,7 @@ def test_trace_rejects_non_solution_start(inst):
 def test_fold_refinement_is_sharp(inst, branch, fold, fold_point):
     """At the refined fold the Jacobian's stability indicator vanishes to
     rounding and the extended-system residual is tiny."""
-    u, alpha, _ = fold_point
+    u, alpha, _, _ = fold_point
     assert alpha == fold.alpha
     assert abs(stability(inst, u)) < 1e-8
     assert fold.alpha_fit == pytest.approx(fold.alpha, abs=0.05)
@@ -182,7 +183,7 @@ def test_fit_fallback_is_labelled(inst, branch, fold, monkeypatch):
 
 
 def test_bisection_agrees_with_arclength(inst, branch, fold):
-    bis = climb_alpha(inst, branch, fold.alpha)
+    bis = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
     assert abs(bis.alpha - fold.alpha) <= 1e-3 * (1.0 + abs(fold.alpha))
     assert bis.alpha <= tau_star(inst)
     assert fold.alpha <= tau_star(inst)
@@ -201,7 +202,7 @@ def test_bisect_alpha_respects_cap(inst, branch, fold):
 
 def test_climb_certifies_every_probe(inst, branch, fold):
     scale = 1.0 + abs(fold.alpha)
-    climb = climb_alpha(inst, branch, fold.alpha)
+    climb = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
     assert climb.delta == pytest.approx(
         10.0 ** -continuation.CLIMB_DECADES * scale, rel=1e-12)
     assert climb.alpha == fold.alpha - climb.delta
@@ -247,7 +248,7 @@ def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
 
     monkeypatch.setattr(continuation, "newton_solve", counted_newton)
     with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, branch, alpha)
+        climb_alpha(inst, climb_start(branch, alpha), alpha)
     assert probes and min(probes) > fold.alpha
 
     # with Newton's verdict skipped, the certificate alone stops the climb
@@ -264,7 +265,7 @@ def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
     monkeypatch.setattr(continuation, "newton_solve", unsolved)
     monkeypatch.setattr(continuation, "certify", recorded_certify)
     with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, branch, alpha)
+        climb_alpha(inst, climb_start(branch, alpha), alpha)
     assert hs and not any(h <= 0.5 for h in hs)
 
 
@@ -279,7 +280,7 @@ def test_certified_bound_within_discretization_error():
         a_arc = detect_fold(fine_branch, fine).alpha
         if n in (4000, 16000):
             bound = abs(a_arc - prev) / 3.0
-            climb = climb_alpha(fine, fine_branch, a_arc)
+            climb = climb_alpha(fine, climb_start(fine_branch, a_arc), a_arc)
             assert 0.0 <= a_arc - climb.alpha <= bound
         prev = a_arc
 
@@ -314,8 +315,97 @@ def test_refine_fold_from_crude_seed(inst, branch, fold):
     ts = branch.t_values
     idx = int(np.argmax(ts))
     v0 = np.ones(inst.grid.n)
-    u, alpha, v = refine_fold(inst, branch.points[idx].u.copy(),
-                              float(ts[idx]), v0)
+    u, alpha, v, _ = refine_fold(inst, branch.points[idx].u.copy(),
+                                 float(ts[idx]), v0)
     assert alpha == pytest.approx(fold.alpha, abs=1e-8)
     J = jacobian(inst, u)
     assert np.abs(J.apply(v)).max() < 1e-6 * inst.A.row_scale() * np.abs(v).max()
+
+
+@pytest.mark.parametrize("n_coarse, n", [(1000, 4000), (4000, 16000)])
+def test_refine_fold_from_an_interpolated_coarse_fold(n_coarse, n):
+    """The extended Newton stops on its correction, so it reaches the same
+    fold from the fine trace's turn and from the coarse fold: mesh
+    independence leaves the fine grid a few steps."""
+    coarse = sf.canonical_instance(n=n_coarse)
+    fine = sf.canonical_instance(n=n)
+    traced = detect_fold(make_branch(fine, stop_below=np.inf), fine)
+    u, t, v, _ = detect_fold(make_branch(coarse, stop_below=np.inf),
+                             coarse).point
+    nodes = fine.grid.nodes, coarse.grid.nodes
+    lifted = refine_fold(fine, np.interp(*nodes, u), t, np.interp(*nodes, v))
+    assert traced.method == "arclength"
+    assert abs(lifted.t - traced.alpha) <= 1e-10
+    assert lifted.iterations <= 4
+
+
+def test_small_residual_with_a_large_correction_is_not_a_fold(canonical,
+                                                              canonical_fold):
+    """At the converged fold with t moved by delta, F and J v pass the
+    row-scaled residual test refine_fold used to stop on, while the
+    correction, delta, is above FOLD_TOL: refine_fold steps back to the
+    fold."""
+    u, t, v, _ = canonical_fold.point
+    J = jacobian(canonical, u)
+    v = solve_tridiagonal(J, v)  # one inverse-iteration step: J v ~ 0
+    v = v / np.abs(v).max()
+    rs = canonical.A.row_scale()
+    Pphi = canonical.weight_values * canonical.eigen.phi1
+    delta = 0.9e-12 * rs / np.abs(Pphi).max()
+    assert delta / (1.0 + abs(t)) > continuation.FOLD_TOL
+    assert np.abs(residual(canonical, u, t + delta)).max() <= 1e-12 * rs
+    assert np.abs(J.apply(v)).max() <= 1e-8 * rs * np.abs(v).max()
+    point = refine_fold(canonical, u, t + delta, v)
+    assert point.iterations >= 1
+    assert abs(point.t - t) <= 1e-10
+
+
+def test_refine_fold_stops_where_the_correction_stops_contracting(
+        inst, branch, fold_point, monkeypatch):
+    """With no tolerance to reach, the extended Newton from the turn of
+    the branch runs to its rounding floor and stops where the correction
+    no longer contracts; a correction that stops contracting above
+    FOLD_FLOOR is refused."""
+    idx = int(np.argmax(branch.t_values))
+    v0 = branch.points[idx + 1].u - branch.points[idx - 1].u
+    seed = (branch.points[idx].u, branch.points[idx].t, v0 / np.abs(v0).max())
+    monkeypatch.setattr(continuation, "FOLD_TOL", 0.0)
+    floor = refine_fold(inst, *seed)
+    assert floor.iterations > fold_point.iterations
+    assert abs(floor.t - fold_point.t) <= 1e-10
+    monkeypatch.setattr(continuation, "FOLD_FLOOR", 0.0)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        refine_fold(inst, *seed)
+
+
+def _recorded_certify(monkeypatch, refuse=()):
+    """certify, recording the t of each call; it refuses (h = inf) the
+    probes whose t is in `refuse`."""
+    calls = []
+
+    def recorded(inst_, u, t):
+        calls.append(t)
+        out = certify(inst_, u, t)
+        return out[:3] + (np.inf,) if t in refuse else out
+
+    monkeypatch.setattr(continuation, "certify", recorded)
+    return calls
+
+
+def test_climb_certifies_only_the_closest_probe(inst, branch, fold,
+                                                monkeypatch):
+    calls = _recorded_certify(monkeypatch)
+    climb = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+    assert calls == [climb.alpha]
+    assert climb.delta == pytest.approx(
+        10.0 ** -continuation.CLIMB_DECADES * (1.0 + abs(fold.alpha)),
+        rel=1e-12)
+
+
+def test_climb_falls_back_to_the_next_probe(inst, branch, fold, monkeypatch):
+    closest = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+    calls = _recorded_certify(monkeypatch, refuse={closest.alpha})
+    climb = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+    assert calls == [closest.alpha, climb.alpha]
+    assert climb.delta == pytest.approx(10.0 * closest.delta, rel=1e-12)
+    assert climb.h <= 0.5
