@@ -12,8 +12,10 @@ independent of the library's production path:
   Richardson extrapolation; the error bar is twice the n-refinement gap
   plus the measured domain-truncation shift R = 40 -> 60.
 * Three reference solutions on the canonical grid, stored as CSV, each
-  produced by the ordered-interval iteration (not Newton), so Newton
-  and the representation check can be tested against them.
+  the minimal solution by monotone Newton from the subsolution, with a
+  passing Newton-Kantorovich certificate (the stored CSVs were made by
+  the ordered-interval iteration; tests/test_subsuper.py checks that
+  monotone Newton reproduces them).
 
 Run from the repository root:  python3 scripts/make_fixtures.py
 """
@@ -26,10 +28,9 @@ import numpy as np
 import scipy.linalg
 
 import semifold as sf
-from semifold.cli import _solve_monotone
 from semifold.continuation import detect_fold, trace_branch
 from semifold.nonlinear import newton_solve
-from semifold.subsuper import build_subsolution
+from semifold.subsuper import build_subsolution, monotone_newton
 from semifold.verify import tau_star
 
 FIXDIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
@@ -93,7 +94,7 @@ def main() -> None:
     solutions = []
     for label, t in (("deep", -300.0), ("mid", -50.0),
                      ("near_fold", alpha_star - 1.0)):
-        prof, _ = _solve_monotone(inst, t)
+        prof = monotone_newton(inst, t).profile
         name = f"solution_{label}.csv"
         np.savetxt(FIXDIR / name,
                    np.column_stack([inst.grid.nodes, prof.u]),

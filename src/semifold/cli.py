@@ -24,17 +24,15 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (COARSE_N, bisect_alpha, climb_alpha, climb_start,
-                           detect_fold, refine_fold, stability, trace_branch,
-                           two_solutions)
+from .continuation import (COARSE_N, climb_alpha, climb_start, detect_fold,
+                           refine_fold, stability, trace_branch, two_solutions)
 from .eigen import decay_constants
 from .errors import (ConfigError, IncompleteBranch, NoConvergence,
                      NoFoldInBranch, SemifoldError, SingularOperator)
 from .nonlinear import newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
-from .subsuper import (OrderedInterval, build_subsolution, build_supersolution,
-                       make_profile, monotone_iterate)
+from .subsuper import build_subsolution, make_profile, monotone_newton
 from .verify import check_comparison, e0_norm, tau_star, verify_solution
 
 OUTDIR_ENV = "SEMIFOLD_OUTDIR"
@@ -222,48 +220,25 @@ def cmd_eigen(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _solve_monotone(inst, t):
-    w = build_subsolution(inst, t)
-    # keep the plateau as low as ordering allows: raising it only drags
-    # the supersolution threshold further down
-    L = max(1.0, 2.0 * float(w.max()))
-    grid = inst.grid
-    v, t_thr = build_supersolution(inst, L, 0.125 * grid.R, 0.25 * grid.R)
-    if t <= t_thr:
-        interval = OrderedInterval(lower=w, upper=v)
-        return monotone_iterate(inst, t, interval), interval
-    # plateau threshold exceeded: reach t by the half-line climb, then use
-    # the climbed solution (a supersolution for every smaller coefficient)
-    interval0 = OrderedInterval(lower=build_subsolution(inst, t_thr), upper=v)
-    prof = monotone_iterate(inst, t_thr, interval0)
-    upper = bisect_alpha(inst, t_thr, prof.u, t,
-                         dt_init=max(abs(t - t_thr), 1.0), dt_min=1e-8)
-    # polish the climbed solution hard: it bounds the minimal solution
-    # from above only to within its own residual
-    try:
-        upper = newton_solve(inst, upper, t, tol=1e-13).u
-    except SemifoldError:
-        pass
-    interval = OrderedInterval(lower=w, upper=upper)
-    return monotone_iterate(inst, t, interval), interval
-
-
 def cmd_solve(cfg: ScenarioConfig, args) -> int:
     if args.start and args.method == "monotone":
         raise ConfigError("--start applies only to --method newton and "
-                          "picard; monotone starts from its ordered interval")
+                          "picard; monotone starts from the subsolution")
     run, inst = _start(cfg, args)
     t = args.t if args.t is not None else inst.forcing.t
     grid = inst.grid
+    extra = {}
     with run.stage("solve"):
-        interval = None
         if args.method == "monotone":
-            prof, interval = _solve_monotone(inst, t)
+            minimal = monotone_newton(inst, t)
+            prof = minimal.profile
+            extra = {"certificate_eta": minimal.eta,
+                     "certificate_beta": minimal.beta,
+                     "certificate_h": minimal.h,
+                     "subsolution_defect": minimal.subsolution_defect}
         else:
-            if args.start:
-                u0 = _read_solution_csv(args.start, grid)
-            else:
-                u0 = np.zeros(grid.n)
+            u0 = (_read_solution_csv(args.start, grid) if args.start
+                  else np.zeros(grid.n))
             solver = newton_solve if args.method == "newton" else picard_solve
             prof = solver(inst, u0, t, tol=cfg.get("run", "newton_tol"))
     run.emit("solution.csv", _solution_csv(grid, prof.u))
@@ -271,9 +246,8 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
     report = {"converged": True, "t": t, "iterations": prof.iterations,
               "residual_inf": prof.residual_inf,
               "e0_norm": e0_norm(grid, prof.u),
-              "decay_coeff": 0.5 * (dec.C1 + dec.C2), "method": args.method}
-    if interval is not None:
-        report["interval_margin"] = interval.ordering_margin
+              "decay_coeff": 0.5 * (dec.C1 + dec.C2), "method": args.method,
+              **extra}
     run.emit("report.json", _json_text(report))
     run.finish("solve")
     return 0

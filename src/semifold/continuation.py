@@ -337,41 +337,6 @@ def climb_alpha(instance: ProblemInstance, u_start: np.ndarray,
                         f"a solution (first at t = {alpha_arc - 0.1 * scale})")
 
 
-def bisect_alpha(instance: ProblemInstance, t_known: float,
-                 u_known: np.ndarray, t_cap: float, dt_init: float,
-                 dt_min: float) -> np.ndarray:
-    """Reach t_cap from a solution at t_known by Newton warm starts: each
-    success moves up to its t, each failure halves the step.  Returns the
-    solution at t_cap; raises NoConvergence once the step falls below
-    dt_min first."""
-    t = float(t_known)
-    u = np.asarray(u_known, dtype=float).copy()
-    dt = float(dt_init)
-    hi: Optional[float] = None
-    streak = 0
-    while dt >= dt_min:
-        t_try = min(t + dt, t_cap)
-        if hi is not None and t_try >= hi:
-            dt *= 0.5
-            continue
-        try:
-            prof = newton_solve(instance, u, t_try, maxit=30)
-        except NoConvergence:
-            hi = t_try
-            dt *= 0.5
-            streak = 0
-            continue
-        t, u = t_try, prof.u
-        streak += 1
-        if t >= t_cap:
-            return u
-        if streak >= 2:
-            dt = min(dt * 2.0, dt_init)
-            streak = 0
-    raise NoConvergence(f"no solution reachable at t = {t_cap}: the climb "
-                        f"stalled between t = {t} and {hi}")
-
-
 def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
                   alpha: float):
     """The minimal and the second solution at t_query < alpha, polished

@@ -19,7 +19,8 @@ from semifold.errors import NoConvergence
 from semifold.nonlinear import (newton_solve, picard_solve, residual,
                                 second_solution)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
-                               check_order_interval, monotone_iterate)
+                               check_order_interval, monotone_iterate,
+                               monotone_newton)
 from semifold.verify import (check_comparison, dirichlet_energy,
                              representation_residual, riesz_potential,
                              tau_star, weighted_source_functional)
@@ -93,8 +94,7 @@ def test_acceptance_4_monotone_method(canonical, fixture_data):
     w = build_subsolution(canonical, t)
     # supersolution: the minimal solution at a strictly larger forcing
     # coefficient (the plateau construction only covers much smaller t)
-    from semifold.cli import _solve_monotone
-    v = _solve_monotone(canonical, alpha - 0.5)[0].u
+    v = monotone_newton(canonical, alpha - 0.5).profile.u
     F_w = residual(canonical, w, t)
     F_v = residual(canonical, v, t)
     defect_ok = F_w.max() <= 1e-8 * rs and F_v.min() >= -1e-8 * rs
@@ -139,7 +139,6 @@ def test_acceptance_5_fold_location(canonical, canonical_branch,
 
 def test_acceptance_6_multiplicity(canonical, canonical_branch,
                                    canonical_fold):
-    from semifold.cli import _solve_monotone
     from semifold.continuation import two_solutions
 
     tic = time.perf_counter()
@@ -149,7 +148,7 @@ def test_acceptance_6_multiplicity(canonical, canonical_branch,
     sep = np.abs(u1.u - u2.u).max()
     sep_ok = sep >= 1e-3 * (1.0 + np.abs(u1.u).max())
     w = build_subsolution(canonical, t)
-    v = _solve_monotone(canonical, alpha - 0.4 * (1.0 + abs(alpha)))[0].u
+    v = monotone_newton(canonical, alpha - 0.4 * (1.0 + abs(alpha))).profile.u
     interval = OrderedInterval(lower=w, upper=v)
     m1 = check_order_interval(u1.u, interval, canonical.grid)
     m2 = check_order_interval(u2.u, interval, canonical.grid)

@@ -175,6 +175,10 @@ def test_solve_and_verify_roundtrip(scenario, tmp_path):
     rep = json.loads((sol / "report.json").read_text())
     assert rep["converged"] and rep["t"] == -50.0
     assert rep["e0_norm"] > 0 and np.isfinite(rep["decay_coeff"])
+    assert "interval_margin" not in rep
+    assert 0.0 <= rep["certificate_h"] <= 0.5
+    assert rep["certificate_eta"] >= 0.0 and rep["certificate_beta"] > 0.0
+    assert 0.0 <= rep["subsolution_defect"] <= 1e-13
     # the coarse grid cannot meet the representation tolerance: verify
     # must fail honestly with the dedicated exit code
     rc = main(["verify", scenario, "--solutions", str(sol),
@@ -219,6 +223,23 @@ def test_solve_start_is_refused_by_monotone(scenario, tmp_path, capsys):
                "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert "--start applies only to" in capsys.readouterr().err
+
+
+def test_monotone_solve_above_the_fold_exits_2(tmp_path, capsys):
+    """Just above the fold of the scenario's own grid there is no minimal
+    solution: exit 2 with one line, and no solution written."""
+    path = tmp_path / "fine.ini"
+    path.write_text(CANONICAL_CONFIG)
+    inst = build_scenario_instance(load_config(str(path)))
+    alpha = continuation.detect_fold(make_branch(inst), inst).alpha
+    out = tmp_path / "out"
+    rc = main(["solve", str(path), "--method", "monotone",
+               "--t", repr(alpha + 1e-3), "--outdir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: no minimal solution")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "solution.csv").exists()
 
 
 def test_verify_passes_at_production_resolution(tmp_path):

@@ -3,9 +3,9 @@ import pytest
 
 import semifold as sf
 import semifold.continuation as continuation
-from semifold.continuation import (bisect_alpha, climb_alpha, climb_start,
-                                   detect_fold, refine_fold, stability,
-                                   trace_branch, two_solutions)
+from semifold.continuation import (climb_alpha, climb_start, detect_fold,
+                                   refine_fold, stability, trace_branch,
+                                   two_solutions)
 from semifold.errors import (InitialPointInvalid, NoConvergence,
                              NoFoldInBranch, QueryPastFold)
 from semifold.grid import solve_tridiagonal
@@ -187,17 +187,6 @@ def test_bisection_agrees_with_arclength(inst, branch, fold):
     assert abs(bis.alpha - fold.alpha) <= 1e-3 * (1.0 + abs(fold.alpha))
     assert bis.alpha <= tau_star(inst)
     assert fold.alpha <= tau_star(inst)
-
-
-def test_bisect_alpha_respects_cap(inst, branch, fold):
-    p0 = branch.points[0]
-    cap = fold.alpha - 2.0
-    u = bisect_alpha(inst, p0.t, p0.u, cap, dt_init=1.0, dt_min=1e-4)
-    assert np.abs(residual(inst, u, cap)).max() <= 1e-10 * inst.A.row_scale()
-    # past the fold there is nothing to reach
-    with pytest.raises(NoConvergence, match="no solution reachable"):
-        bisect_alpha(inst, p0.t, p0.u, fold.alpha + 0.5, dt_init=1.0,
-                     dt_min=1e-2)
 
 
 def test_climb_certifies_every_probe(inst, branch, fold):

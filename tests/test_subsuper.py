@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import semifold as sf
+import semifold.nonlinear as nonlinear
+from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
+                             parse_config)
 from semifold.errors import MonotonicityBroken, RampFailed, SingularOperator
 from semifold.nonlinear import residual
 from semifold.subsuper import (OrderedInterval, build_subsolution,
                                build_supersolution, check_order_interval,
-                               monotone_iterate)
+                               monotone_iterate, monotone_newton)
 
 T_DEEP = -300.0
 
@@ -104,3 +107,80 @@ def test_profile_metadata(inst, pair):
     assert sol.t == T_DEEP
     assert sol.iterations > 0
     assert sol.residual_inf == np.abs(residual(inst, sol.u, T_DEEP)).max()
+
+
+def _iterates(monkeypatch, inst, t):
+    """monotone_newton's limit and every iterate whose residual it, or the
+    certificate after it, evaluates, in order."""
+    seen = []
+
+    def recording(inst_, u, t_):
+        F = residual(inst_, u, t_)
+        seen.append((u.copy(), F))
+        return F
+
+    monkeypatch.setattr(nonlinear, "residual", recording)
+    return monotone_newton(inst, t), seen
+
+
+@pytest.mark.parametrize("stretch", ["1.0", "1.0005"])
+def test_monotone_newton_rises_through_subsolutions(monkeypatch, stretch):
+    """On the canonical n = 4000 grid and on a stretched one, every Newton
+    iterate from the subsolution lies above the one before (to rounding)
+    and is itself a subsolution (F <= 0 to rounding)."""
+    inst = build_scenario_instance(parse_config(
+        CANONICAL_CONFIG.replace("stretch = 1.0", f"stretch = {stretch}")))
+    rs = inst.A.row_scale()
+    for t in (T_DEEP, -50.0, -7.04):
+        minimal, seen = _iterates(monkeypatch, inst, t)
+        assert len(seen) >= 3
+        assert np.array_equal(seen[0][0], build_subsolution(inst, t))
+        for (u, F), (u_next, _) in zip(seen, seen[1:]):
+            assert (u_next >= u - 1e-8 * (1.0 + np.abs(u).max())).all()
+            assert F.max() <= 1e-13 * rs
+        assert minimal.subsolution_defect <= 1e-13
+        assert 0.0 <= minimal.h <= 0.5
+
+
+def test_monotone_newton_matches_monotone_iteration(inst, pair):
+    lo = monotone_iterate(inst, T_DEEP, pair)
+    minimal = monotone_newton(inst, T_DEEP)
+    assert np.abs(minimal.profile.u - lo.u).max() <= 5e-8
+    # any subsolution starts it, the plateau pair's lower end among them
+    again = monotone_newton(inst, T_DEEP, u0=pair.lower)
+    assert np.abs(again.profile.u - lo.u).max() <= 5e-8
+
+
+def test_monotone_newton_steps_up_to_the_fold(canonical, canonical_fold):
+    """From deep below the fold to 1.4e-3 under it, at most 15 steps."""
+    for t in (-300.0, -50.0, -24.86, -7.04, -6.663,
+              canonical_fold.alpha - 1.4e-3):
+        minimal = monotone_newton(canonical, t)
+        assert 1 <= minimal.profile.iterations <= 15
+        assert minimal.h <= 0.5
+        assert minimal.profile.residual_inf <= 1e-10 * canonical.A.row_scale()
+
+
+def test_monotone_newton_reproduces_the_fixture_solutions(canonical,
+                                                          fixture_solutions):
+    """The stored solutions came from the ordered-interval iteration."""
+    for t, u in fixture_solutions:
+        minimal = monotone_newton(canonical, t)
+        assert np.abs(minimal.profile.u - u).max() <= 1e-9 * np.abs(u).max()
+
+
+def test_monotone_newton_refuses_past_the_fold(inst):
+    with pytest.raises(sf.SemifoldError, match="no minimal solution"):
+        monotone_newton(inst, sf.tau_star(inst) + 1.0)
+
+
+def test_monotone_newton_catches_a_concave_g(inst):
+    """No preset has a concave g; a custom one is refused at run time by
+    the first correction that falls."""
+    from dataclasses import replace
+
+    lam = inst.eigen.lambda1
+    concave = replace(inst, nonlinearity=sf.smooth_ramp_nonlinearity(
+        0.5 * lam, 0.1 * lam))
+    with pytest.raises(MonotonicityBroken, match="not convex"):
+        monotone_newton(concave, 0.0)
