@@ -29,8 +29,8 @@ import scipy.linalg
 
 import semifold as sf
 from semifold.continuation import detect_fold, trace_branch
-from semifold.nonlinear import newton_solve
-from semifold.subsuper import build_subsolution, monotone_newton
+from semifold.nonlinear import monotone_newton, newton_solve
+from semifold.subsuper import build_subsolution
 from semifold.verify import tau_star
 
 FIXDIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
@@ -94,7 +94,7 @@ def main() -> None:
     solutions = []
     for label, t in (("deep", -300.0), ("mid", -50.0),
                      ("near_fold", alpha_star - 1.0)):
-        prof = monotone_newton(inst, t).profile
+        prof = monotone_newton(inst, t)[0]
         name = f"solution_{label}.csv"
         np.savetxt(FIXDIR / name,
                    np.column_stack([inst.grid.nodes, prof.u]),

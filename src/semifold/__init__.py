@@ -16,14 +16,15 @@ from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
                    assemble_weight_mass, build_grid, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
 from .nonlinear import (apply_solution_operator, certify, jacobian,
-                        newton_solve, picard_solve, residual, second_solution)
+                        monotone_newton, newton_solve, picard_solve, residual,
+                        second_solution)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
                       WeightSpec, canonical_weight, check_P1, check_P2,
                       decompose_forcing, derive_slack_constants,
                       linear_nonlinearity, smooth_ramp_nonlinearity)
-from .subsuper import (MinimalSolution, OrderedInterval, SolutionProfile,
-                       build_subsolution, build_supersolution,
-                       check_order_interval, monotone_iterate, monotone_newton)
+from .subsuper import (OrderedInterval, SolutionProfile, build_subsolution,
+                       build_supersolution, check_order_interval,
+                       monotone_iterate)
 from .verify import (VerificationReport, check_comparison, e0_norm,
                      representation_residual, riesz_potential, tau_star,
                      verify_solution)

@@ -29,10 +29,10 @@ from .continuation import (COARSE_N, climb_alpha, climb_start, detect_fold,
 from .eigen import decay_constants
 from .errors import (ConfigError, IncompleteBranch, NoConvergence,
                      NoFoldInBranch, SemifoldError, SingularOperator)
-from .nonlinear import newton_solve, picard_solve, residual
+from .nonlinear import monotone_newton, newton_solve, picard_solve, residual
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
-from .subsuper import build_subsolution, make_profile, monotone_newton
+from .subsuper import build_subsolution, make_profile
 from .verify import check_comparison, e0_norm, tau_star, verify_solution
 
 OUTDIR_ENV = "SEMIFOLD_OUTDIR"
@@ -230,15 +230,14 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
     extra = {}
     with run.stage("solve"):
         if args.method == "monotone":
-            minimal = monotone_newton(inst, t)
-            prof = minimal.profile
-            extra = {"certificate_eta": minimal.eta,
-                     "certificate_beta": minimal.beta,
-                     "certificate_h": minimal.h,
-                     "subsolution_defect": minimal.subsolution_defect}
+            prof, eta, beta, h, defect = monotone_newton(inst, t)
+            extra = {"certificate_eta": eta, "certificate_beta": beta,
+                     "certificate_h": h, "subsolution_defect": defect}
         else:
-            u0 = (_read_solution_csv(args.start, grid) if args.start
-                  else np.zeros(grid.n))
+            if args.start:
+                u0 = _read_solution_csv(args.start, grid)
+            else:
+                u0 = np.zeros(grid.n)
             solver = newton_solve if args.method == "newton" else picard_solve
             prof = solver(inst, u0, t, tol=cfg.get("run", "newton_tol"))
     run.emit("solution.csv", _solution_csv(grid, prof.u))

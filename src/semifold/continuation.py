@@ -19,19 +19,10 @@ from .eigen import smallest_eigenvalue
 from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
-from .nonlinear import SOLVE_TOL, certify, jacobian, newton_solve, residual
+from .nonlinear import (FOLD_MAXIT, FOLD_TOL, SOLVE_TOL, _correction_stop,
+                        certify, jacobian, newton_solve, residual)
 from .problem import ProblemInstance
 
-# Newton on the extended fold system stops once its correction is below
-# FOLD_TOL relative to the iterate (|dt| against 1 + |t|, |du|_inf against
-# 1 + |u|_inf): converging quadratically, the corrected iterate is then
-# accurate to about the square of that.  The correction's rounding floor
-# grows with n (about 1e-12 at n = 4000, 4e-10 at 128000); a correction
-# that stops contracting below FOLD_FLOOR has reached it, and its iterate
-# is accepted.  FOLD_MAXIT caps the steps
-FOLD_TOL = 1e-8
-FOLD_FLOOR = 1e-7
-FOLD_MAXIT = 40
 # above COARSE_N nodes, alpha locates the fold on a COARSE_N-node instance
 # and refines it on the fine grid only (mesh independence of Newton)
 COARSE_N = 4000
@@ -222,8 +213,8 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     quadratic turning point.  It stops on its correction, not on the
     residual, whose row scale grows as h^-2: once the correction is below
     FOLD_TOL, or once it stops contracting below FOLD_FLOOR (the rounding
-    floor).  A correction that stops contracting above FOLD_FLOOR raises
-    NoConvergence."""
+    floor; nonlinear._correction_stop).  A correction that stops
+    contracting above FOLD_FLOOR raises NoConvergence."""
     gsec = instance.nonlinearity.g_second
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
@@ -244,10 +235,8 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
         du = p + dt * q
         size = max(abs(dt) / (1.0 + abs(t)),
                    float(np.abs(du).max()) / (1.0 + float(np.abs(u).max())))
-        if not size < size_prev:  # no contraction: the floor, or divergence
-            if size <= FOLD_FLOOR:
-                return FoldPoint(u, float(t), v, k)
-            break
+        if _correction_stop(size, size_prev, "fold refinement"):
+            return FoldPoint(u, float(t), v, k)
         u = u + du
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2

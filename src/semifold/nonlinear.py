@@ -1,5 +1,6 @@
-"""Nonlinear residual/Jacobian assembly, damped Newton, Picard solution
-operator, and deflation for extra roots."""
+"""Nonlinear residual/Jacobian assembly, damped Newton, monotone Newton
+from the subsolution, Picard solution operator, and deflation for extra
+roots."""
 
 from __future__ import annotations
 
@@ -7,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, SingularOperator
+from .errors import MonotonicityBroken, NoConvergence, SingularOperator
 from .grid import TridiagonalOperator, dot, solve_tridiagonal
 from .problem import ProblemInstance
-from .subsuper import SolutionProfile, make_profile
+from .subsuper import SolutionProfile, build_subsolution, make_profile
 
 # residual tolerance, relative to the operator's row scale, at which a
 # solve accepts its iterate
@@ -18,6 +19,17 @@ SOLVE_TOL = 1e-10
 # full Newton steps certify takes at most, natural monotonicity allowing
 CERTIFY_MAXIT = 8
 EPS = float(np.finfo(float).eps)
+# Newton on the fold system (continuation.refine_fold) and monotone Newton
+# stop once their correction is below FOLD_TOL relative to the iterate
+# (|dt| against 1 + |t|, |du|_inf against 1 + |u|_inf): converging
+# quadratically, the corrected iterate is then accurate to about the
+# square of that.  The correction's rounding floor grows with n (about
+# 1e-12 at n = 4000, 4e-10 at 128000); a correction that stops
+# contracting below FOLD_FLOOR has reached it, and its iterate is
+# accepted.  FOLD_MAXIT caps the steps
+FOLD_TOL = 1e-8
+FOLD_FLOOR = 1e-7
+FOLD_MAXIT = 40
 
 
 def residual(inst: ProblemInstance, u: np.ndarray, t: float) -> np.ndarray:
@@ -110,6 +122,66 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
     raise NoConvergence(f"Newton: {maxit} iterations, residual "
                         f"{np.abs(F).max():.3e}", iterations=maxit,
                         residual=float(np.abs(F).max()))
+
+
+def _correction_stop(size: float, size_prev: float, what: str) -> bool:
+    """True once a correction of relative size `size`, after one of
+    `size_prev`, no longer contracts at the rounding floor: keep the
+    iterate and drop the correction.  A correction that no longer
+    contracts above FOLD_FLOOR raises NoConvergence naming `what`."""
+    if size < size_prev:
+        return False
+    if size <= FOLD_FLOOR:
+        return True
+    raise NoConvergence(f"{what} did not converge (last correction "
+                        f"{size:.2e} relative)")
+
+
+def monotone_newton(inst: ProblemInstance, t: float):
+    """The minimal solution at t by full Newton steps from the subsolution
+    build_subsolution(inst, t), as (profile, eta, beta, h, defect): the
+    limit, its certificate from certify, and max(F, 0) / rs over the
+    iterates, rs the row scale of A.
+
+    For convex g, F is order-concave and J = A - P g'(u) a Z-matrix, so
+    Newton from a subsolution rises monotonically through subsolutions
+    below every solution, to the minimal one, with no supersolution
+    (Ortega & Rheinboldt 1970, 13.3).  Every preset's g is convex
+    (smooth_ramp: mu_upper > mu_lower; linear: g'' = 0); a correction
+    with an entry below -FOLD_FLOOR (1 + |u|_inf), as for a custom
+    nonconvex g or past the fold, raises MonotonicityBroken.  The steps
+    stop by refine_fold's rule, and the certified iterate is returned
+    only if its h <= 1/2."""
+    u = build_subsolution(inst, t)
+    why = f"no minimal solution at t = {t}: Newton from the subsolution"
+    F = residual(inst, u, t)
+    defect, size_prev, steps = max(float(F.max()), 0.0), np.inf, 0
+    for _ in range(FOLD_MAXIT):
+        du = solve_tridiagonal(jacobian(inst, u), -F)
+        scale = 1.0 + float(np.abs(u).max())
+        if du.min() < -FOLD_FLOOR * scale:
+            raise MonotonicityBroken(
+                f"{why} falls by {-du.min() / scale:.1e} relative at step "
+                f"{steps + 1} (past the fold, or g is not convex)")
+        size = float(np.abs(du).max()) / scale
+        if _correction_stop(size, size_prev, why):
+            break
+        u, steps = u + du, steps + 1
+        F = residual(inst, u, t)
+        defect = max(defect, float(F.max()))
+        if size <= FOLD_TOL:
+            break
+        size_prev = size
+    else:
+        raise NoConvergence(f"{why} did not converge in {FOLD_MAXIT} steps",
+                            iterations=steps)
+    u, eta, beta, h = certify(inst, u, t)
+    if not h <= 0.5:
+        raise NoConvergence(f"the minimal solution at t = {t} does not "
+                            f"certify (h = {h:.2e} > 1/2)", iterations=steps)
+    res = float(np.abs(residual(inst, u, t)).max())
+    prof = make_profile(inst, u, t, res, iterations=steps)
+    return prof, eta, beta, h, defect / inst.A.row_scale()
 
 
 def certify(inst: ProblemInstance, u: np.ndarray, t: float):

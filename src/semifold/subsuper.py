@@ -1,17 +1,17 @@
-"""Explicit sub/supersolutions, the shifted monotone iteration, and
-monotone Newton.
+"""Explicit sub/supersolutions and the shifted monotone iteration.
 
 The subsolution solves the linear comparison problem with the lower
 slack slope; the supersolution is the potential of a plateau source
 that dominates the nonlinearity on [0, L].  Between an ordered pair the
 shifted Picard scheme converges monotonically to the minimal solution;
-for a convex g, Newton from the subsolution alone does too.
+for a convex g, Newton from the subsolution alone does too
+(nonlinear.monotone_newton).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -143,67 +143,6 @@ def monotone_iterate(instance: ProblemInstance, t: float,
             return make_profile(instance, u, t, res, iterations=k)
     raise NoConvergence(f"monotone iteration: {maxit} steps, last delta {delta:.3e}",
                         iterations=maxit, residual=float(delta))
-
-
-class MinimalSolution(NamedTuple):
-    """monotone_newton's limit, its certificate from nonlinear.certify,
-    and max(F, 0) / rs over its iterates, rs the row scale of A."""
-    profile: SolutionProfile
-    eta: float
-    beta: float
-    h: float
-    subsolution_defect: float
-
-
-def monotone_newton(instance: ProblemInstance, t: float,
-                    u0: Optional[np.ndarray] = None) -> MinimalSolution:
-    """The minimal solution at t by full Newton steps from the subsolution
-    build_subsolution(instance, t), or from any subsolution u0.
-
-    For convex g, F is order-concave and J = A - P g'(u) a Z-matrix, so
-    Newton from a subsolution rises monotonically through subsolutions
-    below every solution, to the minimal one, with no supersolution
-    (Ortega & Rheinboldt 1970, 13.3).  Every preset's g is convex
-    (smooth_ramp: mu_upper > mu_lower; linear: g'' = 0); a correction
-    with an entry below -FOLD_FLOOR (1 + |u|_inf), as for a custom
-    nonconvex g or past the fold, raises MonotonicityBroken.  The steps
-    stop by refine_fold's rule, or after FOLD_MAXIT, and certify's
-    iterate is returned only if its h <= 1/2."""
-    from .continuation import FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL
-    from .nonlinear import certify, jacobian, residual
-
-    u = (build_subsolution(instance, t) if u0 is None
-         else np.asarray(u0, dtype=float).copy())
-    rs = instance.A.row_scale()
-    why = f"no minimal solution at t = {t}: Newton from the subsolution"
-    defect, size_prev = 0.0, np.inf
-    for steps in range(FOLD_MAXIT):
-        F = residual(instance, u, t)
-        defect = max(defect, float(F.max()) / rs)
-        if size_prev <= FOLD_TOL:
-            break
-        du = solve_tridiagonal(jacobian(instance, u), -F)
-        scale = 1.0 + float(np.abs(u).max())
-        if du.min() < -FOLD_FLOOR * scale:
-            raise MonotonicityBroken(
-                f"{why} falls by {-du.min() / scale:.1e} relative at step "
-                f"{steps + 1} (past the fold, or g is not convex)")
-        size = float(np.abs(du).max()) / scale
-        if not size < size_prev:  # no contraction: the floor, or no solution
-            if size <= FOLD_FLOOR:
-                break
-            raise NoConvergence(f"{why} stalls at a correction of {size:.1e} "
-                                f"relative after {steps} steps (past the "
-                                "fold?)", iterations=steps)
-        u = u + du
-        size_prev = size
-    u, eta, beta, h = certify(instance, u, t)
-    if not h <= 0.5:
-        raise NoConvergence(f"the minimal solution at t = {t} does not "
-                            f"certify (h = {h:.2e} > 1/2)", iterations=steps)
-    res = float(np.abs(residual(instance, u, t)).max())
-    return MinimalSolution(make_profile(instance, u, t, res, iterations=steps),
-                           eta, beta, h, defect)
 
 
 def check_order_interval(u: np.ndarray, interval: OrderedInterval,

@@ -16,11 +16,10 @@ import semifold as sf
 from semifold.continuation import climb_alpha, climb_start, detect_fold
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
-from semifold.nonlinear import (newton_solve, picard_solve, residual,
-                                second_solution)
+from semifold.nonlinear import (monotone_newton, newton_solve, picard_solve,
+                                residual, second_solution)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
-                               check_order_interval, monotone_iterate,
-                               monotone_newton)
+                               check_order_interval, monotone_iterate)
 from semifold.verify import (check_comparison, dirichlet_energy,
                              representation_residual, riesz_potential,
                              tau_star, weighted_source_functional)
@@ -94,7 +93,7 @@ def test_acceptance_4_monotone_method(canonical, fixture_data):
     w = build_subsolution(canonical, t)
     # supersolution: the minimal solution at a strictly larger forcing
     # coefficient (the plateau construction only covers much smaller t)
-    v = monotone_newton(canonical, alpha - 0.5).profile.u
+    v = monotone_newton(canonical, alpha - 0.5)[0].u
     F_w = residual(canonical, w, t)
     F_v = residual(canonical, v, t)
     defect_ok = F_w.max() <= 1e-8 * rs and F_v.min() >= -1e-8 * rs
@@ -148,7 +147,7 @@ def test_acceptance_6_multiplicity(canonical, canonical_branch,
     sep = np.abs(u1.u - u2.u).max()
     sep_ok = sep >= 1e-3 * (1.0 + np.abs(u1.u).max())
     w = build_subsolution(canonical, t)
-    v = monotone_newton(canonical, alpha - 0.4 * (1.0 + abs(alpha))).profile.u
+    v = monotone_newton(canonical, alpha - 0.4 * (1.0 + abs(alpha)))[0].u
     interval = OrderedInterval(lower=w, upper=v)
     m1 = check_order_interval(u1.u, interval, canonical.grid)
     m2 = check_order_interval(u2.u, interval, canonical.grid)

@@ -3,6 +3,7 @@ import pytest
 
 import semifold as sf
 import semifold.continuation as continuation
+import semifold.nonlinear as nonlinear
 from semifold.continuation import (climb_alpha, climb_start, detect_fold,
                                    refine_fold, stability, trace_branch,
                                    two_solutions)
@@ -362,7 +363,7 @@ def test_refine_fold_stops_where_the_correction_stops_contracting(
     floor = refine_fold(inst, *seed)
     assert floor.iterations > fold_point.iterations
     assert abs(floor.t - fold_point.t) <= 1e-10
-    monkeypatch.setattr(continuation, "FOLD_FLOOR", 0.0)
+    monkeypatch.setattr(nonlinear, "FOLD_FLOOR", 0.0)
     with pytest.raises(NoConvergence, match="did not converge"):
         refine_fold(inst, *seed)
 

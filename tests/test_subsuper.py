@@ -5,11 +5,12 @@ import semifold as sf
 import semifold.nonlinear as nonlinear
 from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
                              parse_config)
-from semifold.errors import MonotonicityBroken, RampFailed, SingularOperator
-from semifold.nonlinear import residual
+from semifold.errors import (MonotonicityBroken, NoConvergence, RampFailed,
+                             SingularOperator)
+from semifold.nonlinear import monotone_newton, residual
 from semifold.subsuper import (OrderedInterval, build_subsolution,
                                build_supersolution, check_order_interval,
-                               monotone_iterate, monotone_newton)
+                               monotone_iterate)
 
 T_DEEP = -300.0
 
@@ -132,41 +133,48 @@ def test_monotone_newton_rises_through_subsolutions(monkeypatch, stretch):
         CANONICAL_CONFIG.replace("stretch = 1.0", f"stretch = {stretch}")))
     rs = inst.A.row_scale()
     for t in (T_DEEP, -50.0, -7.04):
-        minimal, seen = _iterates(monkeypatch, inst, t)
+        (_, _, _, h, defect), seen = _iterates(monkeypatch, inst, t)
         assert len(seen) >= 3
         assert np.array_equal(seen[0][0], build_subsolution(inst, t))
         for (u, F), (u_next, _) in zip(seen, seen[1:]):
             assert (u_next >= u - 1e-8 * (1.0 + np.abs(u).max())).all()
             assert F.max() <= 1e-13 * rs
-        assert minimal.subsolution_defect <= 1e-13
-        assert 0.0 <= minimal.h <= 0.5
+        assert defect <= 1e-13
+        assert 0.0 <= h <= 0.5
 
 
 def test_monotone_newton_matches_monotone_iteration(inst, pair):
     lo = monotone_iterate(inst, T_DEEP, pair)
-    minimal = monotone_newton(inst, T_DEEP)
-    assert np.abs(minimal.profile.u - lo.u).max() <= 5e-8
-    # any subsolution starts it, the plateau pair's lower end among them
-    again = monotone_newton(inst, T_DEEP, u0=pair.lower)
-    assert np.abs(again.profile.u - lo.u).max() <= 5e-8
+    minimal = monotone_newton(inst, T_DEEP)[0]
+    assert np.abs(minimal.u - lo.u).max() <= 5e-8
 
 
 def test_monotone_newton_steps_up_to_the_fold(canonical, canonical_fold):
     """From deep below the fold to 1.4e-3 under it, at most 15 steps."""
     for t in (-300.0, -50.0, -24.86, -7.04, -6.663,
               canonical_fold.alpha - 1.4e-3):
-        minimal = monotone_newton(canonical, t)
-        assert 1 <= minimal.profile.iterations <= 15
-        assert minimal.h <= 0.5
-        assert minimal.profile.residual_inf <= 1e-10 * canonical.A.row_scale()
+        minimal, _, _, h, _ = monotone_newton(canonical, t)
+        assert 1 <= minimal.iterations <= 15
+        assert h <= 0.5
+        assert minimal.residual_inf <= 1e-10 * canonical.A.row_scale()
 
 
 def test_monotone_newton_reproduces_the_fixture_solutions(canonical,
                                                           fixture_solutions):
     """The stored solutions came from the ordered-interval iteration."""
     for t, u in fixture_solutions:
-        minimal = monotone_newton(canonical, t)
-        assert np.abs(minimal.profile.u - u).max() <= 1e-9 * np.abs(u).max()
+        minimal = monotone_newton(canonical, t)[0]
+        assert np.abs(minimal.u - u).max() <= 1e-9 * np.abs(u).max()
+
+
+def test_monotone_newton_counts_the_steps_it_ran_out_of(inst, monkeypatch):
+    """Out of steps before its correction stops, monotone Newton raises,
+    reporting every correction it applied."""
+    assert monotone_newton(inst, -7.04)[0].iterations > 2
+    monkeypatch.setattr(nonlinear, "FOLD_MAXIT", 2)
+    with pytest.raises(NoConvergence, match="in 2 steps") as exc:
+        monotone_newton(inst, -7.04)
+    assert exc.value.iterations == 2
 
 
 def test_monotone_newton_refuses_past_the_fold(inst):
