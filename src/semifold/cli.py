@@ -14,6 +14,7 @@ import ctypes
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -66,26 +67,106 @@ def keep_heap_pages() -> None:
     mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
-# rows per formatted block of a CSV: one block's string, its bytes and its
-# tuple of floats stay small next to a 64000-row table
+# rows per formatted block of a CSV: one block's text and its working
+# arrays stay small next to a 64000-row table
 CSV_BLOCK_ROWS = 2048
+# bytes per number in a block's text: the longest '%.18e',
+# -d.<18 digits>e-308, and its delimiter
+CSV_FIELD = 27
+# the decimal exponents that _e18_fields writes by integer arithmetic:
+# from 1e-9, so that 5**(18 - k) < 2**64, to below 1e14, so that the
+# scaled mantissa is shifted right by at least one bit
+EXACT_K_LOW, EXACT_K_HIGH = -9, 13
+
+
+def _least_float_at_least(num: int, den: int) -> float:
+    t = num / den  # correctly rounded
+    a, b = t.as_integer_ratio()
+    return t if a * den >= num * b else math.nextafter(t, math.inf)
+
+
+# _DECADES[i] is the least float >= 10**(EXACT_K_LOW + i): a float x has
+# decimal exponent EXACT_K_LOW + i exactly when
+# _DECADES[i] <= |x| < _DECADES[i + 1]
+_DECADES = np.array([_least_float_at_least(10 ** max(k, 0), 10 ** max(-k, 0))
+                     for k in range(EXACT_K_LOW, EXACT_K_HIGH + 2)])
+_POW5 = np.array([5 ** p for p in range(18 - EXACT_K_LOW + 1)], np.uint64)
 
 
 def _json_text(data) -> list:
     return [json.dumps(data, indent=2, sort_keys=True) + "\n"]
 
 
+def _e18_fields(x: np.ndarray) -> np.ndarray:
+    """Row i is the ASCII of `'%.18e' % x[i]`, NUL-padded to CSV_FIELD
+    bytes; the last byte is always free for a delimiter.
+
+    For |x| in [_DECADES[0], _DECADES[-1]), about [1e-9, 1e14), with
+    decimal exponent k, the 19 digits are |x| * 10**(18 - k) rounded half
+    to even, computed exactly: |x| = M * 2**(e - 53) with an integer
+    M < 2**53, so they are the 128-bit M * 5**(18 - k) shifted right by
+    s = 35 + k - e >= 1 bits, rounded on the s bits shifted out.  Zeros,
+    subnormals, nan, inf and magnitudes outside that window are
+    formatted by `'%.18e'` one at a time."""
+    u64 = np.uint64
+    a = np.abs(x)
+    exact = (a >= _DECADES[0]) & (a < _DECADES[-1])
+    a = np.where(exact, a, 1.0)
+    m, e = np.frexp(a)
+    mant = (m * 2.0 ** 53).astype(u64)
+    k = np.searchsorted(_DECADES, a, side="right") + (EXACT_K_LOW - 1)
+    pow5 = _POW5[18 - k]
+    s = (35 + k - e).astype(u64)
+    # mant * pow5 = hi * 2**64 + lo, from 32-bit halves that cannot overflow
+    m_lo, m_hi = mant & u64(0xFFFFFFFF), mant >> u64(32)
+    p_lo, p_hi = pow5 & u64(0xFFFFFFFF), pow5 >> u64(32)
+    mid = m_lo * p_hi + m_hi * p_lo
+    mid_low = mid << u64(32)
+    lo = m_lo * p_lo + mid_low
+    hi = m_hi * p_hi + (mid >> u64(32)) + (lo < mid_low)  # carry of lo
+    q = (hi << (u64(64) - s)) | (lo >> s)
+    rem = lo & ((u64(1) << s) - u64(1))
+    half = u64(1) << (s - u64(1))
+    # never up to 10**19: in the window, the floats below 10**(k + 1) are
+    # at least 4e-17 of it below, far more than the 5e-20 of half a unit
+    # of the 19th digit
+    q += (rem > half) | ((rem == half) & (q & u64(1) == u64(1)))
+    out = np.zeros((len(x), CSV_FIELD), np.uint8)
+    for col in (*range(20, 2, -1), 1):
+        tenth = q // u64(10)
+        out[:, col] = q - tenth * u64(10)
+        q = tenth
+    out[:, 1:21] += ord("0")
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 2] = ord(".")
+    out[:, 21] = ord("e")
+    out[:, 22] = np.where(k < 0, ord("-"), ord("+"))
+    k = np.abs(k)
+    out[:, 23] = k // 10 + ord("0")
+    out[:, 24] = k % 10 + ord("0")
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        text = b"".join(("%.18e" % v).encode("ascii").ljust(CSV_FIELD, b"\0")
+                        for v in x[rest].tolist())
+        out[rest] = np.frombuffer(text, np.uint8).reshape(len(rest), -1)
+    return out
+
+
 def _csv_blocks(header: str, columns):
     """The text of a CSV of equal-length `columns`: the header line, then
-    blocks of CSV_BLOCK_ROWS rows.  The bytes are those of `np.savetxt`
-    with `delimiter=","`, `comments=""` and its default `%.18e`, which
-    reads back exactly."""
+    blocks of CSV_BLOCK_ROWS rows.  Every number is `%.18e`, which reads
+    back exactly, and the bytes are those of `np.savetxt` with
+    `delimiter=","`, `comments=""` and its default format.  The digits
+    come from exact integer arithmetic on whole blocks (`_e18_fields`),
+    with `'%.18e'` per value outside its window of about 1e-9 to 1e14."""
     yield header + "\n"
-    line = ",".join(["%.18e"] * len(columns)) + "\n"
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = np.column_stack([c[start:start + CSV_BLOCK_ROWS]
                                  for c in columns])
-        yield (line * len(block)) % tuple(block.ravel().tolist())
+        text = _e18_fields(block.ravel()).reshape(*block.shape, CSV_FIELD)
+        text[:, :-1, -1] = ord(",")
+        text[:, -1, -1] = ord("\n")
+        yield text.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _solution_csv(grid, u):
@@ -94,7 +175,8 @@ def _solution_csv(grid, u):
 
 
 def _read_solution_csv(path, grid) -> np.ndarray:
-    """The u column of a solution CSV whose r column is this grid's nodes."""
+    """The u column of a solution CSV whose r column is this grid's nodes
+    and whose every entry is finite."""
     try:
         # a file with no rows makes loadtxt warn; that is this error too
         with warnings.catch_warnings():
@@ -102,6 +184,10 @@ def _read_solution_csv(path, grid) -> np.ndarray:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"{path}: not a readable solution CSV ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ConfigError(f"{path}: data row {bad[0] + 1} holds a "
+                          f"non-finite number")
     if data.shape[0] != grid.n or data.shape[1] < 2 or not np.allclose(
             data[:, 0], grid.nodes, rtol=1e-12, atol=1e-12 * grid.R):
         raise ConfigError(f"{path}: r column does not match the grid "

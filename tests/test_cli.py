@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -128,6 +129,62 @@ def test_csv_blocks_match_savetxt(rows):
     header = "r,u,r_pow_u"
     assert _rendered_bytes(cli._csv_blocks(header, columns)) == \
         _savetxt_bytes(np.column_stack(columns), header)
+
+
+def _rendered_lines(values):
+    """The data lines of a one-column CSV of `values`, from the renderer."""
+    text = "".join(cli._csv_blocks("x", [np.asarray(values, dtype=float)]))
+    return text.split("\n")[1:-1]
+
+
+def _ulps_around(x, count):
+    """x and the `count` floats on each side of it."""
+    down = up = x
+    near = [x]
+    for _ in range(count):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        near += [down, up]
+    return near
+
+
+def test_decades_bracket_powers_of_ten():
+    """Each of the renderer's decade bounds is the least float at or
+    above its power of ten, which is what places a value's exponent."""
+    for k, bound in zip(range(cli.EXACT_K_LOW, cli.EXACT_K_HIGH + 2),
+                        cli._DECADES):
+        power = Fraction(10) ** k
+        assert Fraction(bound) >= power > Fraction(np.nextafter(bound, 0.0))
+
+
+def test_exact_window_matches_percent_format():
+    """Inside the window of exact integer arithmetic, about 1e-9 to 1e14,
+    and at its edges, each number is `'%.18e' % v`: random bit patterns
+    (over every float, and with exponents in and around the window),
+    powers of ten and both window edges within 2 ulps, where the decimal
+    exponent changes, dyadic values, whose 20th digit can be an exact
+    tie, and the values outside the window."""
+    rng = np.random.default_rng(2018)
+    bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+    windowed = bits & np.uint64(0x800F_FFFF_FFFF_FFFF) | (
+        rng.integers(1023 - 32, 1023 + 49, 100_000).astype(np.uint64) << 52)
+    powers = [y for k in range(cli.EXACT_K_LOW - 1, cli.EXACT_K_HIGH + 3)
+              for y in _ulps_around(float(Fraction(10) ** k), 2)]
+    edges = [y for b in (cli._DECADES[0], cli._DECADES[-1])
+             for y in _ulps_around(b, 1)]
+    dyadic = (rng.integers(1, 2 ** 21, 50_000)
+              * np.ldexp(1.0, rng.integers(-40, 48, 50_000)))
+    ties = [1e13 + 2.0 ** -6, 20973 * 2.0 ** -21]
+    values = np.concatenate([
+        bits.view(np.float64), windowed.view(np.float64), powers, edges,
+        dyadic, ties, [-0.0, 0.0, 5e-324, -2.2e-308, np.nan, np.inf, -np.inf]])
+    values = np.concatenate([values, -values])
+    assert _rendered_lines(values) == ["%.18e" % v for v in values.tolist()]
+
+
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-9, 1e14),
+                          st.floats(-1e14, -1e-9)), min_size=1))
+def test_any_float_renders_as_percent_format(values):
+    assert _rendered_lines(values) == ["%.18e" % v for v in values]
 
 
 def test_branch_csv_matches_savetxt(monkeypatch):
@@ -703,3 +760,29 @@ def test_solve_start_rejects_solution_from_other_grid(scenario, coarse_solution,
                "--outdir", str(tmp_path)])
     assert rc == 1
     assert "does not match the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["nan", "-inf", "1e400"])
+def test_nonfinite_solution_csv_is_a_config_error(coarse_solution, tmp_path,
+                                                  capsys, entry):
+    """`solve --start` and `verify` refuse a solution CSV holding a
+    non-finite u (`1e400` reads as inf) with exit 1, naming the file and
+    the row, before any arithmetic on it can warn."""
+    config = str(coarse_solution.parent / "coarse.ini")
+    sol = tmp_path / "sol"
+    sol.mkdir()
+    (sol / "report.json").write_bytes(
+        (coarse_solution / "report.json").read_bytes())
+    lines = (coarse_solution / "solution.csv").read_text().splitlines(True)
+    r, _, r_pow_u = lines[7].split(",")
+    lines[7] = ",".join([r, entry, r_pow_u])
+    csv = sol / "solution.csv"
+    csv.write_text("".join(lines))
+    for argv in (["solve", config, "--t", "-50", "--start", str(csv)],
+                 ["verify", config, "--solutions", str(sol)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--outdir", str(tmp_path / argv[0])])
+        assert rc == 1
+        assert f"{csv}: data row 7 holds a non-finite number" in \
+            capsys.readouterr().err
