@@ -7,17 +7,16 @@ __version__ = "0.1.0"
 
 from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
                      canonical_instance, load_config, parse_config)
-from .continuation import (Branch, BranchPoint, FoldPoint, FoldResult,
-                           climb_alpha, climb_start, detect_fold, refine_fold,
-                           trace_branch, two_solutions)
+from .continuation import (Branch, BranchPoint, FoldPoint, climb_alpha,
+                           find_fold, refine_fold, trace_branch, two_solutions)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
                    assemble_weight_mass, build_grid, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
 from .nonlinear import (apply_solution_operator, certify, jacobian,
-                        monotone_newton, newton_solve, picard_solve, residual,
-                        second_solution)
+                        monotone_newton, monotone_rise, newton_solve,
+                        picard_solve, residual, second_solution)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
                       WeightSpec, canonical_weight, check_P1, check_P2,
                       decompose_forcing, derive_slack_constants,

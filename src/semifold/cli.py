@@ -25,12 +25,13 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (COARSE_N, climb_alpha, climb_start, detect_fold,
-                           refine_fold, stability, trace_branch, two_solutions)
+from .continuation import (COARSE_N, climb_alpha, find_fold, refine_fold,
+                           stability, trace_branch, two_solutions)
 from .eigen import decay_constants
-from .errors import (ConfigError, IncompleteBranch, NoConvergence,
-                     NoFoldInBranch, SemifoldError, SingularOperator)
-from .nonlinear import monotone_newton, newton_solve, picard_solve, residual
+from .errors import (ConfigError, NoConvergence, SemifoldError,
+                     SingularOperator)
+from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
+                        picard_solve, residual)
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
 from .subsuper import build_subsolution, make_profile
@@ -94,7 +95,7 @@ _POW5 = np.array([5 ** p for p in range(18 - EXACT_K_LOW + 1)], np.uint64)
 
 
 def _json_text(data) -> list:
-    return [json.dumps(data, indent=2, sort_keys=True) + "\n"]
+    return [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode("ascii")]
 
 
 def _e18_fields(x: np.ndarray) -> np.ndarray:
@@ -153,20 +154,20 @@ def _e18_fields(x: np.ndarray) -> np.ndarray:
 
 
 def _csv_blocks(header: str, columns):
-    """The text of a CSV of equal-length `columns`: the header line, then
-    blocks of CSV_BLOCK_ROWS rows.  Every number is `%.18e`, which reads
-    back exactly, and the bytes are those of `np.savetxt` with
-    `delimiter=","`, `comments=""` and its default format.  The digits
+    """The ASCII bytes of a CSV of equal-length `columns`: the header
+    line, then blocks of CSV_BLOCK_ROWS rows.  Every number is `%.18e`,
+    which reads back exactly, and the bytes are those of `np.savetxt`
+    with `delimiter=","`, `comments=""` and its default format.  The digits
     come from exact integer arithmetic on whole blocks (`_e18_fields`),
     with `'%.18e'` per value outside its window of about 1e-9 to 1e14."""
-    yield header + "\n"
+    yield (header + "\n").encode("ascii")
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = np.column_stack([c[start:start + CSV_BLOCK_ROWS]
                                  for c in columns])
         text = _e18_fields(block.ravel()).reshape(*block.shape, CSV_FIELD)
         text[:, :-1, -1] = ord(",")
         text[:, -1, -1] = ord("\n")
-        yield text.tobytes().replace(b"\0", b"").decode("ascii")
+        yield text.tobytes().replace(b"\0", b"")
 
 
 def _solution_csv(grid, u):
@@ -211,16 +212,15 @@ class _Run:
                               f"{exc}") from exc
 
     def emit(self, name: str, chunks) -> None:
-        """Write the text `chunks` to `name` as ASCII, hashing the bytes
-        as they are written."""
+        """Write the byte `chunks` to `name`, hashing them as they are
+        written."""
         digest = hashlib.sha256()
         path = self.outdir / name
         try:
             with open(path, "wb") as fh:
                 for chunk in chunks:
-                    data = chunk.encode("ascii")
-                    fh.write(data)
-                    digest.update(data)
+                    fh.write(chunk)
+                    digest.update(chunk)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
         self.files[name] = digest.hexdigest()
@@ -338,26 +338,24 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _traced_branch(cfg, inst, run, stop_below=None):
+def _t_range(cfg, inst):
+    """[run] t_start, by default -10 |tau*|, and tau* + 1: the paper
+    leaves no solution above tau*."""
     ts = tau_star(inst)
     t_start = cfg.get("run", "t_start")
-    t_start = -10.0 * abs(ts) if t_start is None else t_start
+    return -10.0 * abs(ts) if t_start is None else t_start, ts + 1.0
+
+
+def _traced_branch(cfg, inst, run):
+    t_start, t_max = _t_range(cfg, inst)
     with run.stage("branch_start"):
         w = build_subsolution(inst, t_start)
         start = newton_solve(inst, w, t_start)
     with run.stage("trace"):
-        branch = trace_branch(inst, t_start, start.u,
-                              step_ds=cfg.get("run", "step_ds"),
-                              t_window=(t_start - 1.0, ts + 1.0),
-                              max_points=cfg.get("run", "max_points"),
-                              stop_below=stop_below)
-    # a command that reads the fold (it passes stop_below) refuses a trace
-    # cut short; `branch` writes whatever was traced
-    if stop_below is not None and \
-            branch.status in ("step_underflow", "max_points"):
-        raise IncompleteBranch(f"branch trace ended with status "
-                               f"{branch.status} after {len(branch)} points")
-    return branch
+        return trace_branch(inst, t_start, start.u,
+                            step_ds=cfg.get("run", "step_ds"),
+                            t_window=(t_start - 1.0, t_max),
+                            max_points=cfg.get("run", "max_points"))
 
 
 def emit_bifurcation(inst, branch):
@@ -388,47 +386,46 @@ def _lift(src, dst, u):
     return u if src is dst else np.interp(dst.grid.nodes, src.grid.nodes, u)
 
 
-def _coarse_fold(cfg, inst, run):
-    """The fold traced on a COARSE_N-node twin of inst and refined once on
-    inst: (twin, its branch, its fold, inst's FoldPoint), or None when the
-    twin's fold has no point to refine from or the refinement on inst
-    fails, as it may on a stretched grid, whose twin has another cell
-    profile."""
-    with run.stage("build_instance"):
-        coarse = build_scenario_instance(dataclasses.replace(
-            cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
-    branch = _traced_branch(cfg, coarse, run, stop_below=np.inf)
-    with run.stage("alpha"):
-        try:
-            fold = detect_fold(branch, coarse)
-        except NoFoldInBranch as exc:
-            raise NoFoldInBranch(f"on the {COARSE_N}-node grid: {exc}") from exc
-        if fold.point is None:
-            return None
-        try:
-            point = refine_fold(inst, _lift(coarse, inst, fold.point.u),
-                                fold.alpha, _lift(coarse, inst, fold.point.v))
-        except (NoConvergence, SingularOperator):
-            return None
-    return coarse, branch, fold, point
+def _ladder_fold(cfg, inst, run):
+    """find_fold on inst from the minimal solution at [run] t_start, its
+    rise timed as `branch_start` and the rest of the ladder as `trace`."""
+    t_start, t_max = _t_range(cfg, inst)
+    with run.stage("branch_start"):
+        u = monotone_rise(inst, t_start)[0]
+    with run.stage("trace"):
+        return find_fold(inst, t_start, u, t_max)
+
+
+def _fold(cfg, inst, run):
+    """(level, its fold, inst's fold).  Above COARSE_N nodes the level is
+    a COARSE_N-node twin of inst, and its fold is refined once on inst.
+    At n <= COARSE_N, and when that refinement fails, as it may on a
+    stretched grid, whose twin has another cell profile, the level is
+    inst itself."""
+    if inst.grid.n > COARSE_N:
+        with run.stage("build_instance"):
+            coarse = build_scenario_instance(dataclasses.replace(
+                cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
+        found = _ladder_fold(cfg, coarse, run)
+        with run.stage("trace"):
+            try:
+                return coarse, found, refine_fold(
+                    inst, _lift(coarse, inst, found.u), found.t,
+                    _lift(coarse, inst, found.v))
+            except (NoConvergence, SingularOperator):
+                pass
+    found = _ladder_fold(cfg, inst, run)
+    return inst, found, found
 
 
 def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
-    level = _coarse_fold(cfg, inst, run) if inst.grid.n > COARSE_N else None
-    if level is None:
-        branch = _traced_branch(cfg, inst, run, stop_below=np.inf)
-        with run.stage("alpha"):
-            fold = detect_fold(branch, inst)
-        level = inst, branch, fold, fold.point
-    coarse, branch, fold, point = level
-    alpha = fold.alpha if point is None else point.t
+    level, found, point = _fold(cfg, inst, run)
+    alpha = point.t
     with run.stage("alpha"):
-        climb = climb_alpha(inst, _lift(coarse, inst, climb_start(branch, alpha)),
-                            alpha)
-    with run.stage("branch_rows"):
-        rows = emit_bifurcation(coarse, branch)
-    run.emit("branch.csv", rows)
+        # the climb's warm start: the minimal solution at its first probe
+        u = monotone_rise(level, alpha - 0.1 * (1.0 + abs(alpha)))[0]
+        climb = climb_alpha(inst, _lift(level, inst, u), alpha)
     # alpha_bisection keeps its name: the certified lower bound from the
     # climb below alpha_arclength
     run.emit("alpha.json", _json_text({
@@ -436,9 +433,8 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
         "agreement_gap": abs(alpha - climb.alpha), "tau_star": tau_star(inst),
         "certified_delta": climb.delta, "certificate_eta": climb.eta,
         "certificate_beta": climb.beta, "certificate_h": climb.h,
-        "fold_method": fold.method, "branch_status": branch.status,
-        "coarse_n": coarse.grid.n, "alpha_coarse": fold.alpha,
-        "fold_iterations": None if point is None else point.iterations,
+        "coarse_n": level.grid.n, "alpha_coarse": found.t,
+        "fold_iterations": point.iterations,
     }))
     run.finish("alpha")
     return 0
@@ -446,19 +442,20 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
 
 def cmd_two(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
-    branch = _traced_branch(cfg, inst, run, stop_below=args.t)
+    point = _fold(cfg, inst, run)[2]
     with run.stage("two"):
-        fold = detect_fold(branch, inst)
-        lower, upper = two_solutions(inst, args.t, branch, fold.alpha)
+        lower, upper = two_solutions(inst, args.t, point)
     grid = inst.grid
+    gap = point.t - args.t
+    separation = float(np.abs(lower.u - upper.u).max())
     run.emit("solution_lower.csv", _solution_csv(grid, lower.u))
     run.emit("solution_upper.csv", _solution_csv(grid, upper.u))
     run.emit("two.json", _json_text({
-        "t": args.t, "alpha": fold.alpha,
-        "separation_inf": float(np.abs(lower.u - upper.u).max()),
+        "t": args.t, "alpha": point.t, "gap": gap,
+        "separation_inf": separation,
+        "separation_over_sqrt_gap": separation / math.sqrt(gap),
         "stability_mu_lower": lower.stability_mu,
         "stability_mu_upper": upper.stability_mu,
-        "fold_method": fold.method, "branch_status": branch.status,
     }))
     run.finish("two")
     return 0

@@ -1,38 +1,37 @@
-"""Branch tracing in the forcing coefficient t and fold location.
+"""Fold location in the forcing coefficient t, and branch tracing.
 
+A ladder of minimal solutions, each the warm start of the next, climbs
+towards the fold along an extrapolation of the amplitude derivative,
+and Newton on the extended fold system finishes it.  A climb of probes
+placed just below the fold, the closest one accepted by a
+Newton-Kantorovich certificate, gives a proved lower bound on it.
 Pseudo-arclength continuation with a bordered tridiagonal corrector
-passes the turning point where plain parameter continuation has a
-singular Jacobian.  The fold estimate comes from a quadratic fit along
-the branch, sharpened by Newton on the extended fold system.  A climb
-of probes placed just below that estimate, the closest one accepted by
-a Newton-Kantorovich certificate, gives a proved lower bound on the fold.
+traces the whole branch, through the turning point where plain
+parameter continuation has a singular Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
 from .eigen import smallest_eigenvalue
-from .errors import (InitialPointInvalid, NoConvergence, NoFoldInBranch,
-                     QueryPastFold, SingularOperator)
+from .errors import (InitialPointInvalid, MonotonicityBroken, NoConvergence,
+                     NoFoldInBranch, QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
 from .nonlinear import (FOLD_MAXIT, FOLD_TOL, SOLVE_TOL, _correction_stop,
-                        certify, jacobian, newton_solve, residual)
+                        certify, jacobian, monotone_newton, monotone_rise,
+                        newton_solve, residual)
 from .problem import ProblemInstance
 
-# above COARSE_N nodes, alpha locates the fold on a COARSE_N-node instance
-# and refines it on the fine grid only (mesh independence of Newton)
+# above COARSE_N nodes, alpha and two locate the fold on a COARSE_N-node
+# instance and refine it on the fine grid only (mesh independence of Newton)
 COARSE_N = 4000
 # climb_alpha's last probe sits 10^-CLIMB_DECADES (1 + |alpha_arc|) below
 # the arclength fold
 CLIMB_DECADES = 6
-# detect_fold fits the branch points turn - FOLD_WINDOW ... turn +
-# FOLD_WINDOW; trace_branch's stop rule keeps FOLD_WINDOW + 1 points past
-# the turn, one more than that window reads
-FOLD_WINDOW = 5
 
 
 @dataclass
@@ -59,10 +58,6 @@ class Branch:
     def t_values(self) -> np.ndarray:
         return np.array([p.t for p in self.points])
 
-    @property
-    def arclengths(self) -> np.ndarray:
-        return np.array([p.arclength for p in self.points])
-
 
 class FoldPoint(NamedTuple):
     """The turning point (u, t, v) found by refine_fold, after
@@ -71,14 +66,6 @@ class FoldPoint(NamedTuple):
     t: float
     v: np.ndarray
     iterations: int
-
-
-@dataclass
-class FoldResult:
-    alpha: float
-    method: str
-    alpha_fit: float
-    point: Optional[FoldPoint] = None  # None for method "fit"
 
 
 @dataclass
@@ -103,18 +90,13 @@ def stability(instance: ProblemInstance, u: np.ndarray) -> float:
 
 def trace_branch(instance: ProblemInstance, t_start: float,
                  u_start: np.ndarray, step_ds: float = 0.5,
-                 t_window=(-np.inf, np.inf), max_points: int = 600,
-                 stop_below: Optional[float] = None) -> Branch:
+                 t_window=(-np.inf, np.inf), max_points: int = 600) -> Branch:
     """Pseudo-arclength continuation of the branch through (t_start,
     u_start), until t leaves t_window (status "window_exit"), the step
     underflows ("step_underflow") or max_points are traced ("max_points").
 
     A corrector attempt is abandoned as soon as its weighted step
-    sqrt(w2 |du|^2 + dt^2) stops shrinking, and the step ds is halved.
-    With stop_below given, the trace also ends ("fold_bracketed") once
-    FOLD_WINDOW + 1 points lie past an interior maximum of t and the last
-    point's t is below stop_below: np.inf stops there, a query t at the
-    first post-fold point below it."""
+    sqrt(w2 |du|^2 + dt^2) stops shrinking, and the step ds is halved."""
     u = np.asarray(u_start, dtype=float).copy()
     t = float(t_start)
     rs = instance.A.row_scale()
@@ -139,7 +121,6 @@ def trace_branch(instance: ProblemInstance, t_start: float,
     ds0 = abs(ds)
     easy = 0
     arc = 0.0
-    top = 0  # index of the largest t traced so far
     while len(branch) < max_points:
         u_pred = u + ds * tau_u
         t_pred = t + ds * tau_t
@@ -193,12 +174,6 @@ def trace_branch(instance: ProblemInstance, t_start: float,
         if not (t_window[0] <= t <= t_window[1]):
             branch.status = "window_exit"
             return branch
-        if t > branch.points[top].t:
-            top = len(branch) - 1
-        if stop_below is not None and 0 < top < len(branch) - FOLD_WINDOW - 1 \
-                and t < stop_below:
-            branch.status = "fold_bracketed"
-            return branch
         easy += 1
         if easy >= 4:
             ds = np.sign(ds) * min(abs(ds) * 2.0, 8.0 * ds0)
@@ -247,55 +222,48 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
                         f"{size:.2e} relative)", iterations=k + 1)
 
 
-def detect_fold(branch: Branch, instance: ProblemInstance) -> FoldResult:
-    """The turn of the branch in t, refined on the extended fold system;
-    if refinement fails, the vertex of a local quadratic fit (method "fit")."""
-    ts = branch.t_values
-    ss = branch.arclengths
-    if len(branch) < 5:
-        raise NoFoldInBranch("branch too short")
-    d = np.diff(ts)
-    turns = np.where((d[:-1] > 0) & (d[1:] < 0))[0] + 1
-    if turns.size == 0:
-        raise NoFoldInBranch("no sign change of dt/ds along the branch")
-    idx = int(turns[np.argmax(ts[turns])])
+def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
+              t_max: float) -> FoldPoint:
+    """The fold, from the minimal solution u_start at t_start, by a ladder
+    of minimal solutions and refine_fold from its last rung.
 
-    # fit only points within a local arclength radius of the turn: the
-    # adaptive stepping leaves wildly nonuniform spacing there, and far
-    # points poison the parabola
-    lo = max(idx - FOLD_WINDOW, 0)
-    hi = min(idx + FOLD_WINDOW + 1, len(branch))
-    local = np.abs(np.diff(ss[max(idx - 2, 0):min(idx + 3, len(branch))]))
-    radius = 10.0 * float(np.median(local)) if local.size else np.inf
-    sel = np.arange(lo, hi)
-    sel = sel[np.abs(ss[sel] - ss[idx]) <= radius]
-    if sel.size < 3:
-        sel = np.arange(max(idx - 1, 0), min(idx + 2, len(branch)))
-    coef = np.polyfit(ss[sel] - ss[idx], ts[sel], 2)
-    alpha_fit = float(coef[2] - coef[1] ** 2 / (4.0 * coef[0])) \
-        if coef[0] != 0.0 else float(ts[idx])
-
-    # null-vector seed from the branch secant around the turn
-    v0 = branch.points[min(idx + 1, len(branch) - 1)].u - branch.points[idx - 1].u
-    v0 = v0 / np.abs(v0).max()
-    try:
-        point = refine_fold(instance, branch.points[idx].u.copy(),
-                            float(ts[idx]), v0)
-    except (NoConvergence, SingularOperator):
-        return FoldResult(alpha=alpha_fit, method="fit", alpha_fit=alpha_fit)
-    return FoldResult(alpha=float(point.t), method="arclength",
-                      alpha_fit=alpha_fit, point=point)
-
-
-def climb_start(branch: Branch, alpha_arc: float) -> np.ndarray:
-    """The warm start of climb_alpha: the pre-fold branch point with the
-    largest t at or below its first probe, alpha_arc - 0.1 (1 + |alpha_arc|),
-    or the first point if none is."""
-    ts = branch.t_values
-    ts = ts[:int(np.argmax(ts)) + 1]  # the pre-fold segment
-    below = np.flatnonzero(ts <= alpha_arc - 0.1 * (1.0 + abs(alpha_arc)))
-    return branch.points[int(below[np.argmax(ts[below])]) if below.size
-                         else 0].u
+    Each rung is monotone_rise from the one below, which is a subsolution
+    at the rung's t.  At each, s' = <V P phi1, q> with q = J^-1 P phi1 =
+    du/dt is the derivative of the amplitude <V P phi1, u>; near a
+    quadratic fold 1/s'^2 falls linearly to zero at the fold, so its line
+    through the last two rungs estimates alpha.  The ladder stops once
+    the estimate is within 0.2 (1 + |alpha|) of the rung, and otherwise
+    steps half way to it; the first step, and any step while 1/s'^2 does
+    not fall, is that before (0.25 (1 + |t_start|) at first).  A rise
+    that breaks, as past the fold, halves the step.  No rung lies above
+    t_max: a ladder that would go past it raises NoFoldInBranch."""
+    Pphi = instance.weight_values * instance.eigen.phi1
+    VPphi = instance.grid.volumes * Pphi
+    t, u = float(t_start), u_start
+    step = 0.25 * (1.0 + abs(t))
+    last = None  # (t, 1/s'^2) of the rung below
+    while True:
+        q = solve_tridiagonal(jacobian(instance, u), Pphi)
+        y = 1.0 / dot(VPphi, q) ** 2
+        if last is not None and y < last[1]:
+            est = t - y * (t - last[0]) / (y - last[1])
+            if est - t <= 0.2 * (1.0 + abs(est)):
+                return refine_fold(instance, u, t, q / np.abs(q).max())
+            step = 0.5 * (est - t)
+        last = t, y
+        if t >= t_max:
+            raise NoFoldInBranch(f"on the {instance.grid.n}-node grid: no "
+                                 f"fold below t = {t_max}")
+        step = min(step, t_max - t)
+        for _ in range(60):
+            try:
+                u = monotone_rise(instance, t + step, u)[0]
+                break
+            except (MonotonicityBroken, NoConvergence, SingularOperator):
+                step *= 0.5
+        else:
+            raise NoConvergence(f"fold ladder: no rung above t = {t}")
+        t += step
 
 
 def climb_alpha(instance: ProblemInstance, u_start: np.ndarray,
@@ -326,24 +294,18 @@ def climb_alpha(instance: ProblemInstance, u_start: np.ndarray,
                         f"a solution (first at t = {alpha_arc - 0.1 * scale})")
 
 
-def two_solutions(instance: ProblemInstance, t_query: float, branch: Branch,
-                  alpha: float):
-    """The minimal and the second solution at t_query < alpha, polished
-    from the pre-fold and post-fold branch segments, each with its
-    stability indicator."""
-    if t_query >= alpha:
-        raise QueryPastFold(f"t = {t_query} is not below alpha = {alpha}")
-    ts = branch.t_values
-    idx = int(np.argmax(ts))
-    out = []
-    for seg in (list(range(0, idx + 1)), list(range(len(branch) - 1, idx - 1, -1))):
-        seg_ts = ts[seg]
-        j = int(np.argmin(np.abs(seg_ts - t_query)))
-        u0 = branch.points[seg[j]].u
-        prof = newton_solve(instance, u0, t_query, maxit=60)
+def two_solutions(instance: ProblemInstance, t_query: float,
+                  fold: FoldPoint):
+    """The minimal and the second solution at t_query below the fold,
+    each with its stability indicator: the minimal one by monotone
+    Newton, the second by Newton from its reflection 2 u* - u_lower
+    through the fold point u*.  Near a quadratic fold the two lie at
+    u* -+ c sqrt(alpha - t) v*, so the reflection is the second to
+    O(alpha - t)."""
+    if t_query >= fold.t:
+        raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.t}")
+    lower = monotone_newton(instance, t_query)[0]
+    upper = newton_solve(instance, 2.0 * fold.u - lower.u, t_query, maxit=60)
+    for prof in (lower, upper):
         prof.stability_mu = stability(instance, prof.u)
-        out.append(prof)
-    u_lower, u_upper = out
-    if u_lower.u.mean() > u_upper.u.mean():
-        u_lower, u_upper = u_upper, u_lower
-    return u_lower, u_upper
+    return lower, upper

@@ -51,10 +51,6 @@ class NoFoldInBranch(SemifoldError):
     pass
 
 
-class IncompleteBranch(SemifoldError):
-    """A branch trace ended by step underflow or its point cap."""
-
-
 class QueryPastFold(SemifoldError):
     pass
 

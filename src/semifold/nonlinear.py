@@ -137,22 +137,21 @@ def _correction_stop(size: float, size_prev: float, what: str) -> bool:
                         f"{size:.2e} relative)")
 
 
-def monotone_newton(inst: ProblemInstance, t: float):
-    """The minimal solution at t by full Newton steps from the subsolution
-    build_subsolution(inst, t), as (profile, eta, beta, h, defect): the
-    limit, its certificate from certify, and max(F, 0) / rs over the
-    iterates, rs the row scale of A.
+def monotone_rise(inst: ProblemInstance, t: float, u=None):
+    """Full Newton steps at t from the subsolution u, by default
+    build_subsolution(inst, t), as (limit, steps, defect): the last
+    iterate, the steps taken and max(F, 0) over the iterates.
 
     For convex g, F is order-concave and J = A - P g'(u) a Z-matrix, so
     Newton from a subsolution rises monotonically through subsolutions
     below every solution, to the minimal one, with no supersolution
-    (Ortega & Rheinboldt 1970, 13.3).  Every preset's g is convex
-    (smooth_ramp: mu_upper > mu_lower; linear: g'' = 0); a correction
-    with an entry below -FOLD_FLOOR (1 + |u|_inf), as for a custom
-    nonconvex g or past the fold, raises MonotonicityBroken.  The steps
-    stop by refine_fold's rule, and the certified iterate is returned
-    only if its h <= 1/2."""
-    u = build_subsolution(inst, t)
+    (Ortega & Rheinboldt 1970, 13.3).  The minimal solution at a smaller
+    t is a subsolution at t, since F(u, t) = F(u, s) - (t - s) P phi1.
+    Every preset's g is convex (smooth_ramp: mu_upper > mu_lower; linear:
+    g'' = 0); a correction with an entry below -FOLD_FLOOR (1 + |u|_inf),
+    as for a custom nonconvex g or past the fold, raises
+    MonotonicityBroken.  The steps stop by refine_fold's rule."""
+    u = build_subsolution(inst, t) if u is None else u
     why = f"no minimal solution at t = {t}: Newton from the subsolution"
     F = residual(inst, u, t)
     defect, size_prev, steps = max(float(F.max()), 0.0), np.inf, 0
@@ -175,6 +174,15 @@ def monotone_newton(inst: ProblemInstance, t: float):
     else:
         raise NoConvergence(f"{why} did not converge in {FOLD_MAXIT} steps",
                             iterations=steps)
+    return u, steps, defect
+
+
+def monotone_newton(inst: ProblemInstance, t: float):
+    """The minimal solution at t by monotone_rise from the subsolution,
+    as (profile, eta, beta, h, defect): the limit, its certificate from
+    certify, and max(F, 0) / rs over the iterates, rs the row scale of A.
+    The certified iterate is returned only if its h <= 1/2."""
+    u, steps, defect = monotone_rise(inst, t)
     u, eta, beta, h = certify(inst, u, t)
     if not h <= 0.5:
         raise NoConvergence(f"the minimal solution at t = {t} does not "

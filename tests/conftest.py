@@ -6,8 +6,7 @@ import pytest
 from hypothesis import settings
 
 import semifold as sf
-from branching import make_branch
-from semifold.continuation import detect_fold
+from branching import ladder_fold, make_branch
 
 settings.register_profile("suite", max_examples=25, derandomize=True,
                           deadline=None)
@@ -38,8 +37,8 @@ def canonical_branch(canonical):
 
 
 @pytest.fixture(scope="session")
-def canonical_fold(canonical, canonical_branch):
-    return detect_fold(canonical_branch, canonical)
+def canonical_fold(canonical):
+    return ladder_fold(canonical)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import semifold as sf
-from semifold.continuation import climb_alpha, climb_start, detect_fold
+from semifold.continuation import climb_alpha
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
 from semifold.nonlinear import (monotone_newton, newton_solve, picard_solve,
@@ -23,7 +23,7 @@ from semifold.subsuper import (OrderedInterval, build_subsolution,
 from semifold.verify import (check_comparison, dirichlet_energy,
                              representation_residual, riesz_potential,
                              tau_star, weighted_source_functional)
-from branching import make_branch
+from branching import climb_warm_start, ladder_fold, make_branch
 
 T0 = time.perf_counter()
 
@@ -111,20 +111,19 @@ def test_acceptance_4_monotone_method(canonical, fixture_data):
             f"[w, v], defects signed to 1e-8*rowscale ({elapsed:.2f}s < 5s)")
 
 
-def test_acceptance_5_fold_location(canonical, canonical_branch,
-                                    canonical_fold, fine, fine_branch,
+def test_acceptance_5_fold_location(canonical, canonical_fold, fine,
                                     fixture_data):
     tic = time.perf_counter()
     alpha_star = fixture_data["alpha_star"]["value"]
     tol = 1e-3 * (1.0 + abs(alpha_star))
-    a_arc = canonical_fold.alpha
-    a_bis = climb_alpha(canonical, climb_start(canonical_branch, a_arc),
+    a_arc = canonical_fold.t
+    a_bis = climb_alpha(canonical, climb_warm_start(canonical, a_arc),
                         a_arc).alpha
     ts = tau_star(canonical)
     # second-order refinement stability across n = 2000, 4000, 8000
     mid = sf.canonical_instance(R=40.0, n=2000)
-    a_2000 = detect_fold(make_branch(mid), mid).alpha
-    a_8000 = detect_fold(fine_branch, fine).alpha
+    a_2000 = ladder_fold(mid).t
+    a_8000 = ladder_fold(fine).t
     ratio = (a_2000 - a_arc) / (a_arc - a_8000)
     elapsed = time.perf_counter() - tic
     ok = (abs(a_arc - a_bis) <= tol and a_arc <= ts and a_bis <= ts
@@ -136,14 +135,13 @@ def test_acceptance_5_fold_location(canonical, canonical_branch,
             f"{ratio:.3f} in [3.5, 4.5] ({elapsed:.2f}s < 60s)")
 
 
-def test_acceptance_6_multiplicity(canonical, canonical_branch,
-                                   canonical_fold):
+def test_acceptance_6_multiplicity(canonical, canonical_fold):
     from semifold.continuation import two_solutions
 
     tic = time.perf_counter()
-    alpha = canonical_fold.alpha
+    alpha = canonical_fold.t
     t = alpha - 0.5 * (1.0 + abs(alpha))
-    u1, u2 = two_solutions(canonical, t, canonical_branch, alpha)
+    u1, u2 = two_solutions(canonical, t, canonical_fold)
     sep = np.abs(u1.u - u2.u).max()
     sep_ok = sep >= 1e-3 * (1.0 + np.abs(u1.u).max())
     w = build_subsolution(canonical, t)
@@ -251,9 +249,8 @@ def test_acceptance_10_reproducibility(tmp_path):
     for sub in ("a", "b"):
         out = tmp_path / sub
         assert main(["alpha", str(cfg), "--outdir", str(out)]) == 0
-        digests.append(tuple(
-            hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("alpha.json", "branch.csv")))
+        digests.append(
+            hashlib.sha256((out / "alpha.json").read_bytes()).hexdigest())
     identical = digests[0] == digests[1]
     suite_elapsed = time.perf_counter() - T0
     elapsed = time.perf_counter() - tic

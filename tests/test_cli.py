@@ -25,7 +25,7 @@ from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
 from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
 from semifold.grid import build_grid
-from branching import make_branch
+from branching import ladder_fold, traced_fold
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
 
@@ -63,7 +63,7 @@ def test_eigen_command(scenario, tmp_path):
 @pytest.mark.parametrize("argv, emitted", [
     (["eigen"], {"eigen.csv", "eigen.json"}),
     (["solve", "--t", "-50"], {"solution.csv", "report.json"}),
-    (["alpha"], {"branch.csv", "alpha.json"}),
+    (["alpha"], {"alpha.json"}),
     (["two", "--t", "-9"],
      {"solution_lower.csv", "solution_upper.csv", "two.json"}),
 ], ids=["eigen", "solve", "alpha", "two"])
@@ -82,7 +82,7 @@ def test_manifest_hashes_the_bytes_as_written(scenario, tmp_path):
     """finish reads no emitted file back: a file changed on disk after it
     was emitted keeps the digest of what was written."""
     run = cli._Run(load_config(scenario), tmp_path)
-    run.emit("a.csv", ["x\n", "1\n"])
+    run.emit("a.csv", [b"x\n", b"1\n"])
     (tmp_path / "a.csv").write_text("changed\n")
     run.finish("test")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -107,7 +107,7 @@ def _savetxt_bytes(table, header):
 
 
 def _rendered_bytes(chunks):
-    return b"".join(chunk.encode("ascii") for chunk in chunks)
+    return b"".join(chunks)
 
 
 SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
@@ -133,7 +133,8 @@ def test_csv_blocks_match_savetxt(rows):
 
 def _rendered_lines(values):
     """The data lines of a one-column CSV of `values`, from the renderer."""
-    text = "".join(cli._csv_blocks("x", [np.asarray(values, dtype=float)]))
+    text = b"".join(cli._csv_blocks("x", [np.asarray(values, dtype=float)]))
+    text = text.decode("ascii")
     return text.split("\n")[1:-1]
 
 
@@ -288,7 +289,7 @@ def test_monotone_solve_above_the_fold_exits_2(tmp_path, capsys):
     path = tmp_path / "fine.ini"
     path.write_text(CANONICAL_CONFIG)
     inst = build_scenario_instance(load_config(str(path)))
-    alpha = continuation.detect_fold(make_branch(inst), inst).alpha
+    alpha = ladder_fold(inst).t
     out = tmp_path / "out"
     rc = main(["solve", str(path), "--method", "monotone",
                "--t", repr(alpha + 1e-3), "--outdir", str(out)])
@@ -317,8 +318,7 @@ def test_alpha_command_and_determinism(scenario, tmp_path):
     assert a1["agreement_gap"] <= 1e-3 * (1.0 + abs(a1["alpha_arclength"]))
     assert a1["alpha_arclength"] <= a1["tau_star"]
     # bit-reproducibility: identical bytes on a re-run
-    for name in ("alpha.json", "branch.csv"):
-        assert _sha(out1 / name) == _sha(out2 / name)
+    assert _sha(out1 / "alpha.json") == _sha(out2 / "alpha.json")
     m1 = json.loads((out1 / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["files"] == m2["files"]
@@ -326,7 +326,7 @@ def test_alpha_command_and_determinism(scenario, tmp_path):
 
 
 def test_alpha_single_level_reports_its_own_grid(scenario, tmp_path):
-    """At n <= COARSE_N the fold is traced and refined on the grid itself."""
+    """At n <= COARSE_N the fold is found and refined on the grid itself."""
     assert main(["alpha", scenario, "--outdir", str(tmp_path)]) == 0
     a = json.loads((tmp_path / "alpha.json").read_text())
     assert a["coarse_n"] == 800
@@ -334,12 +334,30 @@ def test_alpha_single_level_reports_its_own_grid(scenario, tmp_path):
     assert 1 <= a["fold_iterations"] <= 6
 
 
-@pytest.mark.parametrize("argv", [["alpha"], ["branch"]])
-def test_branch_rows_have_their_own_stage(scenario, tmp_path, argv):
-    assert main([*argv, scenario, "--outdir", str(tmp_path)]) == 0
+def test_branch_rows_have_their_own_stage(scenario, tmp_path):
+    assert main(["branch", scenario, "--outdir", str(tmp_path)]) == 0
     stages = json.loads((tmp_path / "manifest.json").read_text())["wall_clock_s"]
     assert {"build_instance", "branch_start", "trace",
             "branch_rows"} <= set(stages)
+
+
+@pytest.mark.parametrize("n", [800, 16000])
+def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
+    """The fold comes from the ladder: neither alpha nor two calls
+    trace_branch, on one grid or with the 4000-node twin, and each
+    manifest keeps the stages of the trace's place."""
+    path = _scenario(tmp_path / "scenario.ini", n)
+    traced = []
+    monkeypatch.setattr(cli, "trace_branch",
+                        lambda *args, **kwargs: traced.append(args))
+    monkeypatch.setattr(continuation, "trace_branch", cli.trace_branch)
+    for argv in (["alpha"], ["two", "--t", "-9"]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], path, *argv[1:], "--outdir", str(out)]) == 0
+        stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
+        assert {"build_instance", "branch_start", "trace", argv[0]} == \
+            set(stages)
+    assert traced == []
 
 
 def _scenario(path, n, **keys):
@@ -362,9 +380,7 @@ def _alpha(path, outdir):
 
 def _traced_fold(path):
     """The fold refined from the turn of a trace on the file's own grid."""
-    inst = build_scenario_instance(load_config(path))
-    return continuation.detect_fold(make_branch(inst, stop_below=np.inf),
-                                    inst).alpha
+    return traced_fold(build_scenario_instance(load_config(path))).t
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +391,7 @@ def fold_16k(tmp_path_factory):
 
 def test_nested_alpha_is_the_fine_fold(fixture_data, fold_16k, tmp_path):
     """alpha at n = 16000 from two (step_ds, t_start) draws of the fold-64k
-    range: the fold is traced at COARSE_N and refined on the fine grid,
+    range: the fold is found at COARSE_N and refined on the fine grid,
     and both land on the fold refined from a fine trace.  (The single-level
     path with a residual-stopped refinement missed it by about 3e-8, by an
     amount that moved with the draw.)"""
@@ -385,7 +401,7 @@ def test_nested_alpha_is_the_fine_fold(fixture_data, fold_16k, tmp_path):
         path = _scenario(tmp_path / f"draw{step_ds}.ini", 16000,
                          step_ds=step_ds, t_start=t_start)
         a = _alpha(path, tmp_path / f"out{step_ds}")
-        assert (a["coarse_n"], a["fold_method"]) == (4000, "arclength")
+        assert a["coarse_n"] == 4000
         assert 1 <= a["fold_iterations"] <= 4
         assert abs(a["alpha_coarse"] - a["alpha_arclength"]) < 1e-3
         assert a["certified_delta"] == pytest.approx(
@@ -416,31 +432,32 @@ def test_failed_fine_refinement_falls_back_to_one_level(tmp_path,
 def test_nested_alpha_on_a_stretched_grid(tmp_path):
     """The 4000-node twin of a stretched grid has another cell profile
     (the cell ratio is stretch^(n - 1)); the fine refinement still lands
-    on the fold traced on the fine grid."""
+    on the fold refined from a trace on the fine grid."""
     path = _scenario(tmp_path / "scenario.ini", 16000, stretch=1.0001)
     a = _alpha(path, tmp_path / "out")
     assert a["coarse_n"] == 4000
     assert abs(a["alpha_arclength"] - _traced_fold(path)) <= 1e-9
 
 
-def test_coarse_trace_without_a_fold_exits_2(tmp_path, capsys, monkeypatch):
-    """A linear g has no fold: the coarse trace finds none, the run exits
-    2 naming the coarse grid, and no fine trace is made."""
+def test_coarse_ladder_without_a_fold_exits_2(tmp_path, capsys, monkeypatch):
+    """A linear g has no fold: the coarse ladder climbs to tau* + 1 and
+    finds none, the run exits 2 naming the coarse grid, and no fine
+    ladder is climbed."""
     text = CANONICAL_CONFIG.replace("n = 4000", "n = 8000").replace(
         "preset = smooth_ramp", "preset = linear\nslope = 2.0")
     path = tmp_path / "linear.ini"
     path.write_text(text)
-    traced = []
-    trace = cli.trace_branch
+    ladders = []
+    ladder = cli.find_fold
 
     def recorded(inst, *args, **kwargs):
-        traced.append(inst.grid.n)
-        return trace(inst, *args, **kwargs)
+        ladders.append(inst.grid.n)
+        return ladder(inst, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "trace_branch", recorded)
+    monkeypatch.setattr(cli, "find_fold", recorded)
     assert main(["alpha", str(path), "--outdir", str(tmp_path / "out")]) == 2
     assert "on the 4000-node grid" in capsys.readouterr().err
-    assert traced == [4000]
+    assert ladders == [4000]
 
 
 def _count_eigensolves(monkeypatch):
@@ -479,34 +496,32 @@ def test_two_command(scenario, tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "two.json").read_text())
     assert meta["separation_inf"] > 1e-3
+    assert meta["gap"] == meta["alpha"] - meta["t"]
+    assert meta["separation_over_sqrt_gap"] == \
+        meta["separation_inf"] / np.sqrt(meta["gap"])
     assert meta["stability_mu_lower"] > 0 > meta["stability_mu_upper"]
     lo = np.loadtxt(tmp_path / "solution_lower.csv", delimiter=",", skiprows=1)
     hi = np.loadtxt(tmp_path / "solution_upper.csv", delimiter=",", skiprows=1)
     assert (lo[:, 1] <= hi[:, 1] + 1e-9).all()
 
 
-@pytest.mark.parametrize("argv, report", [
-    (["alpha"], "alpha.json"),
-    (["two", "--t", "-9"], "two.json"),
-])
-def test_reports_name_the_fold_estimator(scenario, tmp_path, monkeypatch,
-                                         argv, report):
-    def run(outdir):
-        assert main([argv[0], scenario, *argv[1:],
-                     "--outdir", str(tmp_path / outdir)]) == 0
-        return json.loads((tmp_path / outdir / report).read_text())
-
-    refined = run("refined")
-    assert refined["fold_method"] == "arclength"
-    assert refined["branch_status"] == "fold_bracketed"
-
-    def fail(*args, **kwargs):
-        raise NoConvergence("fold refinement did not converge")
-
-    monkeypatch.setattr(continuation, "refine_fold", fail)
-    fit = run("fit")
-    assert fit["fold_method"] == "fit"
-    assert fit["branch_status"] == "fold_bracketed"
+def test_two_roots_separate_as_the_square_root_of_the_gap(tmp_path):
+    """At n = 4000 the two roots of `two` at alpha - gap, gap = 1e-2 ...
+    1e-6, stay apart by at least half of c sqrt(gap), c fitted at 1e-2,
+    as a quadratic fold has them, the lower stable and the upper not."""
+    path = _scenario(tmp_path / "scenario.ini", 4000)
+    alpha = ladder_fold(build_scenario_instance(load_config(path))).t
+    c = None
+    for k in range(2, 7):
+        gap = 10.0 ** -k
+        out = tmp_path / f"gap{k}"
+        assert main(["two", path, "--t", repr(alpha - gap),
+                     "--outdir", str(out)]) == 0
+        meta = json.loads((out / "two.json").read_text())
+        sep = meta["separation_inf"]
+        c = sep / np.sqrt(gap) if c is None else c
+        assert sep >= 0.5 * c * np.sqrt(gap), (gap, sep)
+        assert meta["stability_mu_lower"] > 0.0 > meta["stability_mu_upper"]
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -529,30 +544,6 @@ def test_numerical_failure_exit_code(scenario, tmp_path):
     rc = main(["solve", scenario, "--method", "newton", "--t", "10",
                "--outdir", str(tmp_path)])
     assert rc == 2
-
-
-@pytest.mark.parametrize("argv", [["alpha"], ["two", "--t", "-9"]])
-@pytest.mark.parametrize("status", ["max_points", "step_underflow"])
-def test_incomplete_branch_exits_2(tmp_path, capsys, monkeypatch, argv,
-                                   status):
-    """A trace cut short by its point cap or by step underflow is refused
-    before fold detection; the message names the status."""
-    path = tmp_path / "scenario.ini"
-    if status == "max_points":
-        path.write_text(SMALL.replace("seed = 0", "seed = 0\nmax_points = 4"))
-    else:
-        path.write_text(SMALL)
-        trace = cli.trace_branch
-
-        def underflowing(*args, **kwargs):
-            branch = trace(*args, **kwargs)
-            branch.status = "step_underflow"
-            return branch
-
-        monkeypatch.setattr(cli, "trace_branch", underflowing)
-    assert main([argv[0], str(path), *argv[1:],
-                 "--outdir", str(tmp_path / "out")]) == 2
-    assert f"status {status}" in capsys.readouterr().err
 
 
 def test_outdir_env_override(scenario, tmp_path, monkeypatch):

@@ -4,16 +4,18 @@ import pytest
 import semifold as sf
 import semifold.continuation as continuation
 import semifold.nonlinear as nonlinear
-from semifold.continuation import (climb_alpha, climb_start, detect_fold,
-                                   refine_fold, stability, trace_branch,
-                                   two_solutions)
-from semifold.errors import (InitialPointInvalid, NoConvergence,
-                             NoFoldInBranch, QueryPastFold)
+from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
+                             parse_config)
+from semifold.continuation import (climb_alpha, find_fold, refine_fold,
+                                   stability, trace_branch, two_solutions)
+from semifold.errors import (InitialPointInvalid, MonotonicityBroken,
+                             NoConvergence, NoFoldInBranch, QueryPastFold)
 from semifold.grid import solve_tridiagonal
-from semifold.nonlinear import certify, jacobian, newton_solve, residual
-from semifold.subsuper import build_subsolution, make_profile
+from semifold.nonlinear import (certify, jacobian, monotone_newton,
+                                monotone_rise, newton_solve, residual)
+from semifold.subsuper import make_profile
 from semifold.verify import tau_star
-from branching import make_branch
+from branching import climb_warm_start, ladder_fold, make_branch, traced_fold
 
 
 @pytest.fixture(scope="module")
@@ -27,18 +29,15 @@ def branch(inst):
 
 
 @pytest.fixture(scope="module")
-def fold(inst, branch):
-    return detect_fold(branch, inst)
+def fold(inst):
+    return ladder_fold(inst)
 
 
 @pytest.fixture(scope="module")
 def fold_point(inst, branch):
-    """refine_fold's (u, alpha, v) from detect_fold's seed: the turn
-    point and the branch secant across it."""
-    idx = int(np.argmax(branch.t_values))
-    v0 = branch.points[idx + 1].u - branch.points[idx - 1].u
-    return refine_fold(inst, branch.points[idx].u.copy(), branch.points[idx].t,
-                       v0 / np.abs(v0).max())
+    """refine_fold's (u, alpha, v) from the turn point of the branch and
+    the branch secant across it."""
+    return traced_fold(inst, branch)
 
 
 def test_branch_passes_the_turn(inst, branch):
@@ -73,8 +72,8 @@ def test_trace_makes_no_eigensolve(inst, monkeypatch):
         return eigensolve(*args)
 
     monkeypatch.setattr(continuation, "smallest_eigenvalue", counted)
-    br = make_branch(inst, stop_below=np.inf)
-    assert br.status == "fold_bracketed"
+    br = make_branch(inst)
+    assert br.status == "window_exit"
     assert len(calls) == 0
 
 
@@ -110,103 +109,45 @@ def test_corrector_abandons_a_growing_step(inst, monkeypatch):
     assert t_next == pytest.approx(0.5 * (t0 + t_pred), rel=1e-12)
 
 
-def test_alpha_stop_keeps_what_detect_fold_reads(inst, branch, fold):
-    """Stopped FOLD_WINDOW + 1 points past the turn, the branch is a
-    prefix of the full-window branch, and the fold and the climb read
-    from it are bit-identical."""
-    stopped = make_branch(inst, stop_below=np.inf)
-    assert stopped.status == "fold_bracketed"
-    idx = int(np.argmax(stopped.t_values))
-    assert len(stopped) == idx + continuation.FOLD_WINDOW + 2
-    assert len(stopped) < len(branch)
-    for a, b in zip(stopped.points, branch.points):
-        assert (a.t, a.arclength, a.residual_inf) == \
-            (b.t, b.arclength, b.residual_inf)
-        assert np.array_equal(a.u, b.u)
-    short = detect_fold(stopped, inst)
-    assert (short.alpha, short.alpha_fit, short.method) == \
-        (fold.alpha, fold.alpha_fit, fold.method)
-    assert climb_alpha(inst, climb_start(stopped, short.alpha),
-                       short.alpha) == \
-        climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
-
-
-@pytest.mark.parametrize("gap", [1e-3, 1.0])
-def test_two_stop_at_the_first_point_below_the_query(inst, branch, fold, gap):
-    """With stop_below = t_query the trace ends at the first post-fold
-    point below t_query, but never before FOLD_WINDOW + 1 points past
-    the turn; the two solutions are those of the full branch."""
-    t_q = fold.alpha - gap
-    stopped = make_branch(inst, stop_below=t_q)
-    ts = branch.t_values
-    idx = int(np.argmax(ts))
-    below = idx + 1 + int(np.argmax(ts[idx + 1:] < t_q))
-    end = max(below, idx + continuation.FOLD_WINDOW + 1)
-    assert stopped.status == "fold_bracketed"
-    assert np.array_equal(stopped.t_values, ts[:end + 1])
-    for a, b in zip(two_solutions(inst, t_q, stopped, fold.alpha),
-                    two_solutions(inst, t_q, branch, fold.alpha)):
-        assert np.array_equal(a.u, b.u)
-
-
-def test_query_below_the_window_ends_by_window_exit(inst, branch):
-    far = make_branch(inst, stop_below=branch.points[0].t - 2.0)
-    assert far.status == "window_exit"
-    assert np.array_equal(far.t_values, branch.t_values)
-
-
 def test_trace_rejects_non_solution_start(inst):
     with pytest.raises(InitialPointInvalid):
         trace_branch(inst, 0.0, np.ones(inst.grid.n))
 
 
-def test_fold_refinement_is_sharp(inst, branch, fold, fold_point):
-    """At the refined fold the Jacobian's stability indicator vanishes to
-    rounding and the extended-system residual is tiny."""
-    u, alpha, _, _ = fold_point
-    assert alpha == fold.alpha
-    assert abs(stability(inst, u)) < 1e-8
-    assert fold.alpha_fit == pytest.approx(fold.alpha, abs=0.05)
-    assert np.abs(residual(inst, u, fold.alpha)).max() \
-        < 1e-4 * inst.A.row_scale()
+def test_fold_refinement_is_sharp(inst, fold, fold_point):
+    """At the refined fold, from the ladder and from the trace, the
+    Jacobian's stability indicator vanishes to rounding and the
+    extended-system residual is tiny."""
+    for u, alpha, _, _ in (fold, fold_point):
+        assert abs(stability(inst, u)) < 1e-8
+        assert np.abs(residual(inst, u, alpha)).max() \
+            < 1e-4 * inst.A.row_scale()
 
 
-def test_fit_fallback_is_labelled(inst, branch, fold, monkeypatch):
-    assert fold.method == "arclength"
-
-    def fail(*args, **kwargs):
-        raise NoConvergence("fold refinement did not converge")
-
-    monkeypatch.setattr(continuation, "refine_fold", fail)
-    fit = detect_fold(branch, inst)
-    assert fit.method == "fit"
-    assert fit.alpha == fit.alpha_fit
-
-
-def test_bisection_agrees_with_arclength(inst, branch, fold):
-    bis = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
-    assert abs(bis.alpha - fold.alpha) <= 1e-3 * (1.0 + abs(fold.alpha))
+def test_bisection_agrees_with_arclength(inst, fold):
+    bis = climb_alpha(inst, climb_warm_start(inst, fold.t), fold.t)
+    assert abs(bis.alpha - fold.t) <= 1e-3 * (1.0 + abs(fold.t))
     assert bis.alpha <= tau_star(inst)
-    assert fold.alpha <= tau_star(inst)
+    assert fold.t <= tau_star(inst)
 
 
-def test_climb_certifies_every_probe(inst, branch, fold):
-    scale = 1.0 + abs(fold.alpha)
-    climb = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+def test_climb_certifies_every_probe(inst, fold):
+    scale = 1.0 + abs(fold.t)
+    climb = climb_alpha(inst, climb_warm_start(inst, fold.t), fold.t)
     assert climb.delta == pytest.approx(
         10.0 ** -continuation.CLIMB_DECADES * scale, rel=1e-12)
-    assert climb.alpha == fold.alpha - climb.delta
+    assert climb.alpha == fold.t - climb.delta
     assert 0.0 <= climb.h <= 0.5
     assert climb.h == pytest.approx(
         climb.beta * inst.nonlinearity.g_second_sup
         * inst.weight_values.max() * climb.eta, rel=1e-12)
 
 
-def test_upper_solution_is_not_certified(inst, branch, fold):
+def test_upper_solution_is_not_certified(inst, fold):
     """The certificate covers the stable branch only: on the upper
     solution J is no M-matrix, so x = J^-1 1 is not positive."""
-    t_q = fold.alpha - 1.0
-    lo, hi = two_solutions(inst, t_q, branch, fold.alpha)
+    t_q = fold.t - 1.0
+    lo, hi = two_solutions(inst, t_q, fold)
     assert certify(inst, lo.u, t_q)[3] <= 0.5
     _, eta, beta, h = certify(inst, hi.u, t_q)
     assert eta < 1e-6
@@ -216,7 +157,7 @@ def test_upper_solution_is_not_certified(inst, branch, fold):
 @pytest.mark.parametrize("start", ["fold", "pre_fold", "post_fold"])
 def test_probe_past_the_fold_never_certifies(inst, branch, fold, fold_point,
                                              start):
-    t = fold.alpha + 1e-3
+    t = fold.t + 1e-3
     idx = int(np.argmax(branch.t_values))
     u0 = {"fold": fold_point[0], "pre_fold": branch.points[idx - 1].u,
           "post_fold": branch.points[idx + 1].u}[start]
@@ -227,9 +168,10 @@ def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
                                                 monkeypatch):
     """Every probe of a climb placed above the fold lies past it: Newton
     finds no solution there, and a probe handed on unsolved is refused by
-    the certificate."""
-    alpha = fold.alpha + 1.0
-    assert alpha - 0.1 * (1.0 + abs(alpha)) > fold.alpha
+    the certificate.  The climb starts from the turn of the branch."""
+    alpha = fold.t + 1.0
+    assert alpha - 0.1 * (1.0 + abs(alpha)) > fold.t
+    top = branch.points[int(np.argmax(branch.t_values))].u
     probes = []
 
     def counted_newton(inst_, u0, t, **kwargs):
@@ -238,8 +180,8 @@ def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
 
     monkeypatch.setattr(continuation, "newton_solve", counted_newton)
     with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, climb_start(branch, alpha), alpha)
-    assert probes and min(probes) > fold.alpha
+        climb_alpha(inst, top, alpha)
+    assert probes and min(probes) > fold.t
 
     # with Newton's verdict skipped, the certificate alone stops the climb
     hs = []
@@ -255,7 +197,7 @@ def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
     monkeypatch.setattr(continuation, "newton_solve", unsolved)
     monkeypatch.setattr(continuation, "certify", recorded_certify)
     with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, climb_start(branch, alpha), alpha)
+        climb_alpha(inst, top, alpha)
     assert hs and not any(h <= 0.5 for h in hs)
 
 
@@ -266,11 +208,10 @@ def test_certified_bound_within_discretization_error():
     prev = None
     for n in (2000, 4000, 8000, 16000):
         fine = sf.canonical_instance(R=40.0, n=n)
-        fine_branch = make_branch(fine)
-        a_arc = detect_fold(fine_branch, fine).alpha
+        a_arc = ladder_fold(fine).t
         if n in (4000, 16000):
             bound = abs(a_arc - prev) / 3.0
-            climb = climb_alpha(fine, climb_start(fine_branch, a_arc), a_arc)
+            climb = climb_alpha(fine, climb_warm_start(fine, a_arc), a_arc)
             assert 0.0 <= a_arc - climb.alpha <= bound
         prev = a_arc
 
@@ -278,17 +219,15 @@ def test_certified_bound_within_discretization_error():
 def test_no_fold_in_short_window(inst):
     ts = tau_star(inst)
     t0 = -10.0 * abs(ts)
-    start = newton_solve(inst, build_subsolution(inst, t0), t0)
-    # window closes long before the branch can turn
-    stub = trace_branch(inst, t0, start.u, step_ds=0.5,
-                        t_window=(t0 - 1.0, t0 + 3.0))
-    with pytest.raises(NoFoldInBranch):
-        detect_fold(stub, inst)
+    start = monotone_rise(inst, t0)[0]
+    # the ladder may not climb far enough for the branch to turn
+    with pytest.raises(NoFoldInBranch, match="1000-node grid"):
+        find_fold(inst, t0, start, t0 + 3.0)
 
 
-def test_two_solutions_ordering_and_stability(inst, branch, fold):
-    t_q = fold.alpha - 1.0
-    lo, hi = two_solutions(inst, t_q, branch, fold.alpha)
+def test_two_solutions_ordering_and_stability(inst, fold):
+    t_q = fold.t - 1.0
+    lo, hi = two_solutions(inst, t_q, fold)
     assert (lo.u <= hi.u + 1e-9).all()
     assert np.abs(hi.u - lo.u).max() > 1e-3
     assert lo.stability_mu > 0 > hi.stability_mu
@@ -296,9 +235,9 @@ def test_two_solutions_ordering_and_stability(inst, branch, fold):
     assert hi.residual_inf <= 1e-8 * inst.A.row_scale()
 
 
-def test_query_past_fold_raises(inst, branch, fold):
+def test_query_past_fold_raises(inst, fold):
     with pytest.raises(QueryPastFold):
-        two_solutions(inst, fold.alpha + 0.1, branch, fold.alpha)
+        two_solutions(inst, fold.t + 0.1, fold)
 
 
 def test_refine_fold_from_crude_seed(inst, branch, fold):
@@ -307,7 +246,7 @@ def test_refine_fold_from_crude_seed(inst, branch, fold):
     v0 = np.ones(inst.grid.n)
     u, alpha, v, _ = refine_fold(inst, branch.points[idx].u.copy(),
                                  float(ts[idx]), v0)
-    assert alpha == pytest.approx(fold.alpha, abs=1e-8)
+    assert alpha == pytest.approx(fold.t, abs=1e-8)
     J = jacobian(inst, u)
     assert np.abs(J.apply(v)).max() < 1e-6 * inst.A.row_scale() * np.abs(v).max()
 
@@ -315,17 +254,15 @@ def test_refine_fold_from_crude_seed(inst, branch, fold):
 @pytest.mark.parametrize("n_coarse, n", [(1000, 4000), (4000, 16000)])
 def test_refine_fold_from_an_interpolated_coarse_fold(n_coarse, n):
     """The extended Newton stops on its correction, so it reaches the same
-    fold from the fine trace's turn and from the coarse fold: mesh
-    independence leaves the fine grid a few steps."""
+    fold from the fine trace's turn and from the coarse ladder's fold:
+    mesh independence leaves the fine grid a few steps."""
     coarse = sf.canonical_instance(n=n_coarse)
     fine = sf.canonical_instance(n=n)
-    traced = detect_fold(make_branch(fine, stop_below=np.inf), fine)
-    u, t, v, _ = detect_fold(make_branch(coarse, stop_below=np.inf),
-                             coarse).point
+    traced = traced_fold(fine)
+    u, t, v, _ = ladder_fold(coarse)
     nodes = fine.grid.nodes, coarse.grid.nodes
     lifted = refine_fold(fine, np.interp(*nodes, u), t, np.interp(*nodes, v))
-    assert traced.method == "arclength"
-    assert abs(lifted.t - traced.alpha) <= 1e-10
+    assert abs(lifted.t - traced.t) <= 1e-10
     assert lifted.iterations <= 4
 
 
@@ -335,7 +272,7 @@ def test_small_residual_with_a_large_correction_is_not_a_fold(canonical,
     row-scaled residual test refine_fold used to stop on, while the
     correction, delta, is above FOLD_TOL: refine_fold steps back to the
     fold."""
-    u, t, v, _ = canonical_fold.point
+    u, t, v, _ = canonical_fold
     J = jacobian(canonical, u)
     v = solve_tridiagonal(J, v)  # one inverse-iteration step: J v ~ 0
     v = v / np.abs(v).max()
@@ -382,20 +319,96 @@ def _recorded_certify(monkeypatch, refuse=()):
     return calls
 
 
-def test_climb_certifies_only_the_closest_probe(inst, branch, fold,
-                                                monkeypatch):
+def test_climb_certifies_only_the_closest_probe(inst, fold, monkeypatch):
     calls = _recorded_certify(monkeypatch)
-    climb = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+    climb = climb_alpha(inst, climb_warm_start(inst, fold.t), fold.t)
     assert calls == [climb.alpha]
     assert climb.delta == pytest.approx(
-        10.0 ** -continuation.CLIMB_DECADES * (1.0 + abs(fold.alpha)),
+        10.0 ** -continuation.CLIMB_DECADES * (1.0 + abs(fold.t)),
         rel=1e-12)
 
 
-def test_climb_falls_back_to_the_next_probe(inst, branch, fold, monkeypatch):
-    closest = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+def test_climb_falls_back_to_the_next_probe(inst, fold, monkeypatch):
+    start = climb_warm_start(inst, fold.t)
+    closest = climb_alpha(inst, start, fold.t)
     calls = _recorded_certify(monkeypatch, refuse={closest.alpha})
-    climb = climb_alpha(inst, climb_start(branch, fold.alpha), fold.alpha)
+    climb = climb_alpha(inst, start, fold.t)
     assert calls == [closest.alpha, climb.alpha]
     assert climb.delta == pytest.approx(10.0 * closest.delta, rel=1e-12)
     assert climb.h <= 0.5
+
+
+@pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])
+def test_find_fold_equals_the_traced_fold(canonical, canonical_branch, t0):
+    """From t_start across the fold-64k draw range, the ladder and
+    refine_fold land on the fold refined from the turn of a trace."""
+    traced = traced_fold(canonical, canonical_branch)
+    found = find_fold(canonical, t0, monotone_rise(canonical, t0)[0],
+                      tau_star(canonical) + 1.0)
+    assert abs(found.t - traced.t) <= 1e-10
+
+
+def test_find_fold_equals_the_traced_fold_on_a_stretched_grid():
+    stretched = build_scenario_instance(parse_config(
+        CANONICAL_CONFIG.replace("stretch = 1.0", "stretch = 1.0001")))
+    assert abs(ladder_fold(stretched).t - traced_fold(stretched).t) <= 1e-10
+
+
+def _recorded_rises(monkeypatch, fail_first=False):
+    """monotone_rise as the ladder calls it, recording (t, ok) per call;
+    the first call raises MonotonicityBroken if fail_first."""
+    calls = []
+
+    def recorded(inst_, t, u=None):
+        if fail_first and not calls:
+            calls.append((t, False))
+            raise MonotonicityBroken("made to fail")
+        try:
+            out = monotone_rise(inst_, t, u)
+        except (MonotonicityBroken, NoConvergence):
+            calls.append((t, False))
+            raise
+        calls.append((t, True))
+        return out
+
+    monkeypatch.setattr(continuation, "monotone_rise", recorded)
+    return calls
+
+
+def test_ladder_stops_below_the_fold(inst, fold, monkeypatch):
+    """Every rung the ladder keeps lies below the fold, the first one
+    0.25 (1 + |t0|) above t0, and the last within 0.4 (1 + |alpha|) of it,
+    close enough for refine_fold to finish in a few steps."""
+    t0 = -10.0 * abs(tau_star(inst))
+    calls = _recorded_rises(monkeypatch)
+    found = find_fold(inst, t0, monotone_rise(inst, t0)[0],
+                      tau_star(inst) + 1.0)
+    kept = [t for t, ok in calls if ok]
+    assert calls[0][0] == t0 + 0.25 * (1.0 + abs(t0))
+    assert kept and max(kept) < fold.t
+    assert fold.t - kept[-1] <= 0.4 * (1.0 + abs(fold.t))
+    assert found.iterations <= 6
+    assert abs(found.t - fold.t) <= 1e-10
+
+
+def test_a_broken_rise_halves_the_step(inst, fold, monkeypatch):
+    t0 = -10.0 * abs(tau_star(inst))
+    calls = _recorded_rises(monkeypatch, fail_first=True)
+    found = find_fold(inst, t0, monotone_rise(inst, t0)[0],
+                      tau_star(inst) + 1.0)
+    assert calls[0] == (t0 + 0.25 * (1.0 + abs(t0)), False)
+    assert calls[1] == (t0 + 0.125 * (1.0 + abs(t0)), True)
+    assert abs(found.t - fold.t) <= 1e-10
+
+
+def test_two_solutions_straddle_the_fold_point(inst, fold):
+    """The lower root is the minimal solution; the upper one, Newton's
+    from the reflection of the lower through the fold point, lies on the
+    other side of it along the null vector."""
+    t_q = fold.t - 1e-3
+    lo, hi = two_solutions(inst, t_q, fold)
+    assert np.array_equal(lo.u, monotone_newton(inst, t_q)[0].u)
+    v = fold.v / np.abs(fold.v).max()
+    w = inst.grid.volumes * v
+    assert np.dot(w, lo.u - fold.u) < 0.0 < np.dot(w, hi.u - fold.u)
+    assert lo.stability_mu > 0 > hi.stability_mu

@@ -7,7 +7,8 @@ from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
                              parse_config)
 from semifold.errors import (MonotonicityBroken, NoConvergence, RampFailed,
                              SingularOperator)
-from semifold.nonlinear import monotone_newton, residual
+from semifold.nonlinear import (certify, monotone_newton, monotone_rise,
+                                residual)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
                                build_supersolution, check_order_interval,
                                monotone_iterate)
@@ -149,10 +150,32 @@ def test_monotone_newton_matches_monotone_iteration(inst, pair):
     assert np.abs(minimal.u - lo.u).max() <= 5e-8
 
 
+def test_monotone_newton_is_the_certified_rise(inst):
+    """monotone_newton is monotone_rise from the subsolution, then
+    certify, bit for bit."""
+    u, steps, defect = monotone_rise(inst, -50.0)
+    minimal, eta, beta, h, rel_defect = monotone_newton(inst, -50.0)
+    polished, *cert = certify(inst, u, -50.0)
+    assert np.array_equal(minimal.u, polished)
+    assert [eta, beta, h] == cert
+    assert minimal.iterations == steps
+    assert rel_defect == defect / inst.A.row_scale()
+
+
+@pytest.mark.parametrize("t_low, t", [(-50.0, -24.86), (-7.04, -6.663)])
+def test_monotone_rise_from_a_smaller_minimal_solution(inst, t_low, t):
+    """The minimal solution at a smaller t is a subsolution at t: the
+    rise from it reaches the minimal solution at t."""
+    cold = monotone_rise(inst, t)[0]
+    warm, _, defect = monotone_rise(inst, t, monotone_rise(inst, t_low)[0])
+    assert np.abs(warm - cold).max() <= 1e-9 * (1.0 + np.abs(cold).max())
+    assert defect <= 1e-13 * inst.A.row_scale()
+
+
 def test_monotone_newton_steps_up_to_the_fold(canonical, canonical_fold):
     """From deep below the fold to 1.4e-3 under it, at most 15 steps."""
     for t in (-300.0, -50.0, -24.86, -7.04, -6.663,
-              canonical_fold.alpha - 1.4e-3):
+              canonical_fold.t - 1.4e-3):
         minimal, _, _, h, _ = monotone_newton(canonical, t)
         assert 1 <= minimal.iterations <= 15
         assert h <= 0.5
