@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (COARSE_N, climb_alpha, find_fold, refine_fold,
-                           stability, trace_branch, two_solutions)
+from .continuation import (COARSE_N, find_fold, refine_fold, stability,
+                           trace_branch, two_solutions)
 from .eigen import decay_constants
 from .errors import (ConfigError, NoConvergence, SemifoldError,
                      SingularOperator)
@@ -418,21 +418,26 @@ def _fold(cfg, inst, run):
     return inst, found, found
 
 
+# alpha's certified lower bound is the minimal solution at one probe,
+# 10^-PROBE_DECADES (1 + |alpha_arclength|) below the fold
+PROBE_DECADES = 6
+
+
 def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     run, inst = _start(cfg, args)
     level, found, point = _fold(cfg, inst, run)
     alpha = point.t
+    delta = (1.0 + abs(alpha)) / 10.0 ** PROBE_DECADES
+    probe = alpha - delta
     with run.stage("alpha"):
-        # the climb's warm start: the minimal solution at its first probe
-        u = monotone_rise(level, alpha - 0.1 * (1.0 + abs(alpha)))[0]
-        climb = climb_alpha(inst, _lift(level, inst, u), alpha)
-    # alpha_bisection keeps its name: the certified lower bound from the
-    # climb below alpha_arclength
+        _, eta, beta, h, _ = monotone_newton(inst, probe)
+    # alpha_bisection keeps its name: the probe, where monotone Newton
+    # from the subsolution certified a solution
     run.emit("alpha.json", _json_text({
-        "alpha_arclength": alpha, "alpha_bisection": climb.alpha,
-        "agreement_gap": abs(alpha - climb.alpha), "tau_star": tau_star(inst),
-        "certified_delta": climb.delta, "certificate_eta": climb.eta,
-        "certificate_beta": climb.beta, "certificate_h": climb.h,
+        "alpha_arclength": alpha, "alpha_bisection": probe,
+        "agreement_gap": abs(alpha - probe), "tau_star": tau_star(inst),
+        "certified_delta": delta, "certificate_eta": eta,
+        "certificate_beta": beta, "certificate_h": h,
         "coarse_n": level.grid.n, "alpha_coarse": found.t,
         "fold_iterations": point.iterations,
     }))

@@ -2,9 +2,9 @@
 
 A ladder of minimal solutions, each the warm start of the next, climbs
 towards the fold along an extrapolation of the amplitude derivative,
-and Newton on the extended fold system finishes it.  A climb of probes
-placed just below the fold, the closest one accepted by a
-Newton-Kantorovich certificate, gives a proved lower bound on it.
+and Newton on the extended fold system finishes it.  (`semifold alpha`
+takes its certified lower bound on the fold from
+nonlinear.monotone_newton at one t just below it.)
 Pseudo-arclength continuation with a bordered tridiagonal corrector
 traces the whole branch, through the turning point where plain
 parameter continuation has a singular Jacobian.
@@ -22,16 +22,13 @@ from .errors import (InitialPointInvalid, MonotonicityBroken, NoConvergence,
                      NoFoldInBranch, QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
 from .nonlinear import (FOLD_MAXIT, FOLD_TOL, SOLVE_TOL, _correction_stop,
-                        certify, jacobian, monotone_newton, monotone_rise,
-                        newton_solve, residual)
+                        jacobian, monotone_newton, monotone_rise, newton_solve,
+                        residual)
 from .problem import ProblemInstance
 
 # above COARSE_N nodes, alpha and two locate the fold on a COARSE_N-node
 # instance and refine it on the fine grid only (mesh independence of Newton)
 COARSE_N = 4000
-# climb_alpha's last probe sits 10^-CLIMB_DECADES (1 + |alpha_arc|) below
-# the arclength fold
-CLIMB_DECADES = 6
 
 
 @dataclass
@@ -66,17 +63,6 @@ class FoldPoint(NamedTuple):
     t: float
     v: np.ndarray
     iterations: int
-
-
-@dataclass
-class ClimbResult:
-    """The last certified probe of climb_alpha: alpha = alpha_arc - delta,
-    with its certificate (eta, beta, h) from nonlinear.certify."""
-    alpha: float
-    delta: float
-    eta: float
-    beta: float
-    h: float
 
 
 def stability(instance: ProblemInstance, u: np.ndarray) -> float:
@@ -264,34 +250,6 @@ def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
         else:
             raise NoConvergence(f"fold ladder: no rung above t = {t}")
         t += step
-
-
-def climb_alpha(instance: ProblemInstance, u_start: np.ndarray,
-                alpha_arc: float) -> ClimbResult:
-    """A certified lower bound on the discrete fold, from probes at
-    t_k = alpha_arc - delta_k, delta_k = 10^-k (1 + |alpha_arc|), for
-    k = 1, ..., CLIMB_DECADES.  Newton walks the probes up from u_start,
-    each from the one before, until it fails; then nonlinear.certify
-    tests them from the closest down, and the first one it passes
-    (h <= 1/2) is returned.  Each certificate proves a solution at its
-    own t, so one is all the bound needs."""
-    scale = 1.0 + abs(alpha_arc)
-    probes = []
-    u = u_start
-    for k in range(1, CLIMB_DECADES + 1):
-        delta = scale / 10.0 ** k
-        try:
-            u = newton_solve(instance, u, alpha_arc - delta, maxit=30).u
-        except NoConvergence:
-            break
-        probes.append((delta, u))
-    for delta, u in reversed(probes):
-        t = alpha_arc - delta
-        _, eta, beta, h = certify(instance, u, t)
-        if h <= 0.5:
-            return ClimbResult(alpha=t, delta=delta, eta=eta, beta=beta, h=h)
-    raise NoConvergence(f"no probe below alpha = {alpha_arc} certifies "
-                        f"a solution (first at t = {alpha_arc - 0.1 * scale})")
 
 
 def two_solutions(instance: ProblemInstance, t_query: float,

@@ -36,8 +36,3 @@ def traced_fold(inst, branch=None):
     return refine_fold(inst, branch.points[idx].u.copy(), branch.points[idx].t,
                        v0 / np.abs(v0).max())
 
-
-def climb_warm_start(inst, alpha):
-    """The climb's warm start: the minimal solution at its first probe,
-    alpha - 0.1 (1 + |alpha|)."""
-    return monotone_rise(inst, alpha - 0.1 * (1.0 + abs(alpha)))[0]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import semifold as sf
-from semifold.continuation import climb_alpha
+from semifold.cli import PROBE_DECADES
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
 from semifold.nonlinear import (monotone_newton, newton_solve, picard_solve,
@@ -23,7 +23,7 @@ from semifold.subsuper import (OrderedInterval, build_subsolution,
 from semifold.verify import (check_comparison, dirichlet_energy,
                              representation_residual, riesz_potential,
                              tau_star, weighted_source_functional)
-from branching import climb_warm_start, ladder_fold, make_branch
+from branching import ladder_fold, make_branch
 
 T0 = time.perf_counter()
 
@@ -117,8 +117,8 @@ def test_acceptance_5_fold_location(canonical, canonical_fold, fine,
     alpha_star = fixture_data["alpha_star"]["value"]
     tol = 1e-3 * (1.0 + abs(alpha_star))
     a_arc = canonical_fold.t
-    a_bis = climb_alpha(canonical, climb_warm_start(canonical, a_arc),
-                        a_arc).alpha
+    a_bis = monotone_newton(
+        canonical, a_arc - (1.0 + abs(a_arc)) / 10.0 ** PROBE_DECADES)[0].t
     ts = tau_star(canonical)
     # second-order refinement stability across n = 2000, 4000, 8000
     mid = sf.canonical_instance(R=40.0, n=2000)

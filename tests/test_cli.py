@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semifold
-from semifold import _lapack, cli, continuation
+from semifold import _lapack, cli, continuation, nonlinear
 from semifold.cli import main
 from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
                              load_config)
@@ -345,18 +345,36 @@ def test_branch_rows_have_their_own_stage(scenario, tmp_path):
 def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
     trace_branch, on one grid or with the 4000-node twin, and each
-    manifest keeps the stages of the trace's place."""
+    manifest keeps the stages of the trace's place.  alpha's bound is one
+    certified probe: one certify call and no newton_solve."""
     path = _scenario(tmp_path / "scenario.ini", n)
     traced = []
     monkeypatch.setattr(cli, "trace_branch",
                         lambda *args, **kwargs: traced.append(args))
     monkeypatch.setattr(continuation, "trace_branch", cli.trace_branch)
+    calls = []
+
+    def counted(fn):
+        def recorded(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return recorded
+
+    # each module calls the name it imported
+    for module in (nonlinear, continuation, cli):
+        for name in ("certify", "newton_solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(getattr(module, name)))
     for argv in (["alpha"], ["two", "--t", "-9"]):
         out = tmp_path / argv[0]
+        calls.clear()
         assert main([argv[0], path, *argv[1:], "--outdir", str(out)]) == 0
         stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
         assert {"build_instance", "branch_start", "trace", argv[0]} == \
             set(stages)
+        if argv[0] == "alpha":
+            assert calls == ["certify"]
     assert traced == []
 
 
@@ -437,6 +455,9 @@ def test_nested_alpha_on_a_stretched_grid(tmp_path):
     a = _alpha(path, tmp_path / "out")
     assert a["coarse_n"] == 4000
     assert abs(a["alpha_arclength"] - _traced_fold(path)) <= 1e-9
+    assert a["certified_delta"] == pytest.approx(
+        1e-6 * (1.0 + abs(a["alpha_arclength"])), rel=1e-12)
+    assert a["certificate_h"] <= 0.5
 
 
 def test_coarse_ladder_without_a_fold_exits_2(tmp_path, capsys, monkeypatch):

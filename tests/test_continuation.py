@@ -6,16 +6,16 @@ import semifold.continuation as continuation
 import semifold.nonlinear as nonlinear
 from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
                              parse_config)
-from semifold.continuation import (climb_alpha, find_fold, refine_fold,
-                                   stability, trace_branch, two_solutions)
+from semifold.cli import PROBE_DECADES
+from semifold.continuation import (find_fold, refine_fold, stability,
+                                   trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, MonotonicityBroken,
                              NoConvergence, NoFoldInBranch, QueryPastFold)
 from semifold.grid import solve_tridiagonal
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
-                                monotone_rise, newton_solve, residual)
-from semifold.subsuper import make_profile
+                                monotone_rise, residual)
 from semifold.verify import tau_star
-from branching import climb_warm_start, ladder_fold, make_branch, traced_fold
+from branching import ladder_fold, make_branch, traced_fold
 
 
 @pytest.fixture(scope="module")
@@ -124,23 +124,28 @@ def test_fold_refinement_is_sharp(inst, fold, fold_point):
             < 1e-4 * inst.A.row_scale()
 
 
+def _probe(inst, alpha):
+    """alpha's certified lower bound, as `semifold alpha` takes it: the
+    probe t just below alpha and monotone_newton's (eta, beta, h) there."""
+    t = alpha - (1.0 + abs(alpha)) / 10.0 ** PROBE_DECADES
+    _, eta, beta, h, _ = monotone_newton(inst, t)
+    return t, eta, beta, h
+
+
 def test_bisection_agrees_with_arclength(inst, fold):
-    bis = climb_alpha(inst, climb_warm_start(inst, fold.t), fold.t)
-    assert abs(bis.alpha - fold.t) <= 1e-3 * (1.0 + abs(fold.t))
-    assert bis.alpha <= tau_star(inst)
+    bis = _probe(inst, fold.t)[0]
+    assert abs(bis - fold.t) <= 1e-3 * (1.0 + abs(fold.t))
+    assert bis <= tau_star(inst)
     assert fold.t <= tau_star(inst)
 
 
 def test_climb_certifies_every_probe(inst, fold):
-    scale = 1.0 + abs(fold.t)
-    climb = climb_alpha(inst, climb_warm_start(inst, fold.t), fold.t)
-    assert climb.delta == pytest.approx(
-        10.0 ** -continuation.CLIMB_DECADES * scale, rel=1e-12)
-    assert climb.alpha == fold.t - climb.delta
-    assert 0.0 <= climb.h <= 0.5
-    assert climb.h == pytest.approx(
-        climb.beta * inst.nonlinearity.g_second_sup
-        * inst.weight_values.max() * climb.eta, rel=1e-12)
+    t, eta, beta, h = _probe(inst, fold.t)
+    assert fold.t - t == pytest.approx(1e-6 * (1.0 + abs(fold.t)), rel=1e-12)
+    assert 0.0 <= h <= 0.5
+    assert h == pytest.approx(
+        beta * inst.nonlinearity.g_second_sup
+        * inst.weight_values.max() * eta, rel=1e-12)
 
 
 def test_upper_solution_is_not_certified(inst, fold):
@@ -164,43 +169,6 @@ def test_probe_past_the_fold_never_certifies(inst, branch, fold, fold_point,
     assert not certify(inst, u0, t)[3] <= 0.5
 
 
-def test_climb_above_the_fold_certifies_nothing(inst, branch, fold,
-                                                monkeypatch):
-    """Every probe of a climb placed above the fold lies past it: Newton
-    finds no solution there, and a probe handed on unsolved is refused by
-    the certificate.  The climb starts from the turn of the branch."""
-    alpha = fold.t + 1.0
-    assert alpha - 0.1 * (1.0 + abs(alpha)) > fold.t
-    top = branch.points[int(np.argmax(branch.t_values))].u
-    probes = []
-
-    def counted_newton(inst_, u0, t, **kwargs):
-        probes.append(t)
-        return newton_solve(inst_, u0, t, **kwargs)
-
-    monkeypatch.setattr(continuation, "newton_solve", counted_newton)
-    with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, top, alpha)
-    assert probes and min(probes) > fold.t
-
-    # with Newton's verdict skipped, the certificate alone stops the climb
-    hs = []
-
-    def unsolved(inst_, u0, t, **kwargs):
-        return make_profile(inst_, u0, t, 0.0)
-
-    def recorded_certify(inst_, u, t):
-        out = certify(inst_, u, t)
-        hs.append(out[3])
-        return out
-
-    monkeypatch.setattr(continuation, "newton_solve", unsolved)
-    monkeypatch.setattr(continuation, "certify", recorded_certify)
-    with pytest.raises(NoConvergence, match="certifies"):
-        climb_alpha(inst, top, alpha)
-    assert hs and not any(h <= 0.5 for h in hs)
-
-
 def test_certified_bound_within_discretization_error():
     """At n = 4000 and 16000 the certified bound lies below the arclength
     fold by no more than the fold's O(h^2) error estimate
@@ -211,8 +179,7 @@ def test_certified_bound_within_discretization_error():
         a_arc = ladder_fold(fine).t
         if n in (4000, 16000):
             bound = abs(a_arc - prev) / 3.0
-            climb = climb_alpha(fine, climb_warm_start(fine, a_arc), a_arc)
-            assert 0.0 <= a_arc - climb.alpha <= bound
+            assert 0.0 <= a_arc - _probe(fine, a_arc)[0] <= bound
         prev = a_arc
 
 
@@ -303,39 +270,6 @@ def test_refine_fold_stops_where_the_correction_stops_contracting(
     monkeypatch.setattr(nonlinear, "FOLD_FLOOR", 0.0)
     with pytest.raises(NoConvergence, match="did not converge"):
         refine_fold(inst, *seed)
-
-
-def _recorded_certify(monkeypatch, refuse=()):
-    """certify, recording the t of each call; it refuses (h = inf) the
-    probes whose t is in `refuse`."""
-    calls = []
-
-    def recorded(inst_, u, t):
-        calls.append(t)
-        out = certify(inst_, u, t)
-        return out[:3] + (np.inf,) if t in refuse else out
-
-    monkeypatch.setattr(continuation, "certify", recorded)
-    return calls
-
-
-def test_climb_certifies_only_the_closest_probe(inst, fold, monkeypatch):
-    calls = _recorded_certify(monkeypatch)
-    climb = climb_alpha(inst, climb_warm_start(inst, fold.t), fold.t)
-    assert calls == [climb.alpha]
-    assert climb.delta == pytest.approx(
-        10.0 ** -continuation.CLIMB_DECADES * (1.0 + abs(fold.t)),
-        rel=1e-12)
-
-
-def test_climb_falls_back_to_the_next_probe(inst, fold, monkeypatch):
-    start = climb_warm_start(inst, fold.t)
-    closest = climb_alpha(inst, start, fold.t)
-    calls = _recorded_certify(monkeypatch, refuse={closest.alpha})
-    climb = climb_alpha(inst, start, fold.t)
-    assert calls == [closest.alpha, climb.alpha]
-    assert climb.delta == pytest.approx(10.0 * closest.delta, rel=1e-12)
-    assert climb.h <= 0.5
 
 
 @pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])
