@@ -7,8 +7,9 @@ __version__ = "0.1.0"
 
 from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
                      canonical_instance, load_config, parse_config)
-from .continuation import (Branch, BranchPoint, FoldPoint, find_fold,
-                           refine_fold, trace_branch, two_solutions)
+from .continuation import (Branch, BranchPoint, FoldPoint, certified_below,
+                           find_fold, refine_fold, trace_branch,
+                           two_solutions)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
@@ -22,8 +23,7 @@ from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
                       decompose_forcing, derive_slack_constants,
                       linear_nonlinearity, smooth_ramp_nonlinearity)
 from .subsuper import (OrderedInterval, SolutionProfile, build_subsolution,
-                       build_supersolution, check_order_interval,
-                       monotone_iterate)
+                       check_order_interval, monotone_iterate)
 from .verify import (VerificationReport, check_comparison, e0_norm,
                      representation_residual, riesz_potential, tau_star,
                      verify_solution)

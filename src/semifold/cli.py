@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (COARSE_N, find_fold, refine_fold, stability,
-                           trace_branch, two_solutions)
+from .continuation import (COARSE_N, certified_below, find_fold,
+                           refine_fold, stability, trace_branch, two_solutions)
 from .eigen import decay_constants
 from .errors import (ConfigError, NoConvergence, SemifoldError,
                      SingularOperator)
@@ -430,9 +430,9 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
     delta = (1.0 + abs(alpha)) / 10.0 ** PROBE_DECADES
     probe = alpha - delta
     with run.stage("alpha"):
-        _, eta, beta, h, _ = monotone_newton(inst, probe)
-    # alpha_bisection keeps its name: the probe, where monotone Newton
-    # from the subsolution certified a solution
+        _, eta, beta, h = certified_below(inst, point, probe)
+    # alpha_bisection keeps its name: the probe, where certified_below
+    # proves the minimal solution
     run.emit("alpha.json", _json_text({
         "alpha_arclength": alpha, "alpha_bisection": probe,
         "agreement_gap": abs(alpha - probe), "tau_star": tau_star(inst),

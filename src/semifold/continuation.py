@@ -2,9 +2,9 @@
 
 A ladder of minimal solutions, each the warm start of the next, climbs
 towards the fold along an extrapolation of the amplitude derivative,
-and Newton on the extended fold system finishes it.  (`semifold alpha`
-takes its certified lower bound on the fold from
-nonlinear.monotone_newton at one t just below it.)
+and Newton on the extended fold system finishes it.  (certified_below,
+`semifold alpha`'s lower bound on the fold, certifies the minimal
+solution just below it from the fold's quadratic normal form.)
 Pseudo-arclength continuation with a bordered tridiagonal corrector
 traces the whole branch, through the turning point where plain
 parameter continuation has a singular Jacobian.
@@ -22,8 +22,8 @@ from .errors import (InitialPointInvalid, MonotonicityBroken, NoConvergence,
                      NoFoldInBranch, QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
 from .nonlinear import (FOLD_MAXIT, FOLD_TOL, SOLVE_TOL, _correction_stop,
-                        jacobian, monotone_newton, monotone_rise, newton_solve,
-                        residual)
+                        certify, jacobian, monotone_newton, monotone_rise,
+                        newton_solve, residual)
 from .problem import ProblemInstance
 
 # above COARSE_N nodes, alpha and two locate the fold on a COARSE_N-node
@@ -250,6 +250,29 @@ def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
         else:
             raise NoConvergence(f"fold ladder: no rung above t = {t}")
         t += step
+
+
+def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
+    """certify's (u, eta, beta, h) at t below the fold, from the normal
+    form: the minimal solution is u* - sqrt((alpha - t) / kappa) v* +
+    O(alpha - t), v* = v / ||v||_inf signed so that <V v*, P phi1> > 0,
+    kappa = <V v*, P g''(u*) v*^2> / (2 <V v*, P phi1>) (V v* is J(u*)'s
+    left null vector, V the cell volumes).  Where kappa is not positive
+    and finite, or h is not below 1/2, it is monotone_newton's instead."""
+    P = instance.weight_values
+    v = fold.v / np.abs(fold.v).max()
+    Vv = instance.grid.volumes * v
+    s = dot(Vv, P * instance.eigen.phi1)
+    # kappa is the same for -v, so v's sign enters only the predictor
+    kappa = 0.5 * dot(Vv, P * np.asarray(
+        instance.nonlinearity.g_second(fold.u)) * v * v) / s if s else np.nan
+    if 0.0 < kappa < np.inf:
+        u, eta, beta, h = certify(
+            instance, fold.u - np.sqrt((fold.t - t) / kappa) * np.sign(s) * v, t)
+        if h < 0.5:
+            return u, eta, beta, h
+    prof, eta, beta, h, _ = monotone_newton(instance, t)
+    return prof.u, eta, beta, h
 
 
 def two_solutions(instance: ProblemInstance, t_query: float,

@@ -207,6 +207,13 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     Ortega & Rheinboldt 1970).  beta and h are inf where the M-matrix
     proof fails, as on the upper solution or for a singular J.
 
+    For convex g, h < 1/2 also proves that solution u' the minimal one,
+    wherever the iteration started.  J(u') - J(u) is diagonal and at most
+    L r in size, r the radius, so with m = min(J x), J(u') x >= m -
+    ||x||_inf L r = m (1 - beta L r) = m sqrt(1 - 2h) > 0: J(u') is an
+    M-matrix too.  F is order-concave, so any solution u'' has 0 =
+    F(u'') <= J(u') (u'' - u'), and u'' >= u'.
+
     Rounding in x is bounded: min(J x) is taken less 4 eps (|J| x), which
     covers the rounding of the product, so the solve's error in x needs
     no bound, and beta is rounded up.  Rounding in F, in g' and in the

@@ -1,11 +1,10 @@
-"""Explicit sub/supersolutions and the shifted monotone iteration.
+"""The explicit subsolution and the shifted monotone iteration.
 
 The subsolution solves the linear comparison problem with the lower
-slack slope; the supersolution is the potential of a plateau source
-that dominates the nonlinearity on [0, L].  Between an ordered pair the
-shifted Picard scheme converges monotonically to the minimal solution;
-for a convex g, Newton from the subsolution alone does too
-(nonlinear.monotone_newton).
+slack slope.  Between it and a supersolution, such as the minimal
+solution at a larger t, the shifted Picard scheme converges
+monotonically to the minimal solution; for a convex g, Newton from the
+subsolution alone does too (nonlinear.monotone_newton).
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (MonotonicityBroken, NoConvergence, RampFailed,
-                     SingularOperator)
+from .errors import MonotonicityBroken, NoConvergence, SingularOperator
 from .grid import RadialGrid, factor_tridiagonal, solve_tridiagonal
 from .problem import ProblemInstance
 
@@ -58,42 +56,6 @@ def build_subsolution(instance: ProblemInstance, t: float) -> np.ndarray:
         raise SingularOperator("shifted operator lost the M-matrix pattern")
     rhs = P * (-nl.theta + t * instance.eigen.phi1 + instance.forcing.f1)
     return solve_tridiagonal(op, rhs)
-
-
-def _smoothstep(r, r1, r2):
-    x = np.clip((r - r1) / (r2 - r1), 0.0, 1.0)
-    return x * x * (3.0 - 2.0 * x)
-
-
-def build_supersolution(instance: ProblemInstance, L: float,
-                        R1: float, R2: float):
-    """Plateau supersolution: v solves -Lap v = P F with F ramping from 0
-    inside radius R1 to the dominating level m outside R2.  Also returns
-    the largest t for which v is a strict supersolution."""
-    grid = instance.grid
-    if not (0.0 < R1 < R2 <= grid.R) or L <= 0.0:
-        raise RampFailed(f"need 0 < R1 < R2 <= R and L > 0, got {R1}, {R2}, {L}")
-    nl = instance.nonlinearity
-    f1_max = float(instance.forcing.f1.max())
-    s = np.linspace(0.0, L, 2001)
-    m = float(np.asarray(nl.g(s)).max()) + f1_max
-
-    r1 = R1
-    while True:
-        F = m * _smoothstep(grid.nodes, r1, max(R2, min(2.0 * r1, grid.R)))
-        v = solve_tridiagonal(instance.A, instance.weight_values * F)
-        if np.abs(v).max() <= L or m == 0.0:
-            break
-        r1 *= 1.5
-        if r1 > 0.5 * grid.R:
-            raise RampFailed(
-                f"no inner radius <= R/2 keeps the plateau potential below {L}")
-
-    eps0 = 1e-6 * (1.0 + abs(m))
-    phi1 = instance.eigen.phi1
-    # largest t with m + t*phi1 <= F - eps0 everywhere
-    t_threshold = float(((F - eps0 - m) / phi1).min())
-    return v, t_threshold
 
 
 def monotone_iterate(instance: ProblemInstance, t: float,

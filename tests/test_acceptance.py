@@ -14,6 +14,7 @@ import pytest
 
 import semifold as sf
 from semifold.cli import PROBE_DECADES
+from semifold.continuation import certified_below
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
 from semifold.nonlinear import (monotone_newton, newton_solve, picard_solve,
@@ -117,8 +118,8 @@ def test_acceptance_5_fold_location(canonical, canonical_fold, fine,
     alpha_star = fixture_data["alpha_star"]["value"]
     tol = 1e-3 * (1.0 + abs(alpha_star))
     a_arc = canonical_fold.t
-    a_bis = monotone_newton(
-        canonical, a_arc - (1.0 + abs(a_arc)) / 10.0 ** PROBE_DECADES)[0].t
+    a_bis = a_arc - (1.0 + abs(a_arc)) / 10.0 ** PROBE_DECADES
+    certified_below(canonical, canonical_fold, a_bis)  # raises unless h <= 1/2
     ts = tau_star(canonical)
     # second-order refinement stability across n = 2000, 4000, 8000
     mid = sf.canonical_instance(R=40.0, n=2000)

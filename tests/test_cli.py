@@ -346,7 +346,8 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
     trace_branch, on one grid or with the 4000-node twin, and each
     manifest keeps the stages of the trace's place.  alpha's bound is one
-    certified probe: one certify call and no newton_solve."""
+    certified probe from the fold's normal form: one certify call, and
+    neither monotone_newton nor newton_solve."""
     path = _scenario(tmp_path / "scenario.ini", n)
     traced = []
     monkeypatch.setattr(cli, "trace_branch",
@@ -362,7 +363,7 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
 
     # each module calls the name it imported
     for module in (nonlinear, continuation, cli):
-        for name in ("certify", "newton_solve"):
+        for name in ("certify", "monotone_newton", "newton_solve"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(getattr(module, name)))
@@ -376,6 +377,23 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
         if argv[0] == "alpha":
             assert calls == ["certify"]
     assert traced == []
+
+
+def test_alpha_falls_back_to_monotone_newton(scenario, tmp_path,
+                                             monkeypatch):
+    """Where the predictor does not certify, alpha takes monotone
+    Newton's certificate at the same probe."""
+    kept = _alpha(scenario, tmp_path / "kept")
+    monkeypatch.setattr(continuation, "certify",
+                        lambda inst, u, t: (u, np.inf, np.inf, np.inf))
+    fallback = _alpha(scenario, tmp_path / "fallback")
+    probe = fallback["alpha_bisection"]
+    assert probe == kept["alpha_bisection"]
+    _, eta, beta, h, _ = nonlinear.monotone_newton(
+        build_scenario_instance(load_config(scenario)), probe)
+    assert [fallback[f"certificate_{k}"] for k in ("eta", "beta", "h")] == \
+        [eta, beta, h]
+    assert h <= 0.5
 
 
 def _scenario(path, n, **keys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ import semifold.nonlinear as nonlinear
 from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
                              parse_config)
 from semifold.cli import PROBE_DECADES
-from semifold.continuation import (find_fold, refine_fold, stability,
-                                   trace_branch, two_solutions)
+from semifold.continuation import (certified_below, find_fold, refine_fold,
+                                   stability, trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, MonotonicityBroken,
                              NoConvergence, NoFoldInBranch, QueryPastFold)
 from semifold.grid import solve_tridiagonal
@@ -124,28 +126,58 @@ def test_fold_refinement_is_sharp(inst, fold, fold_point):
             < 1e-4 * inst.A.row_scale()
 
 
-def _probe(inst, alpha):
+def _probe(inst, fold):
     """alpha's certified lower bound, as `semifold alpha` takes it: the
-    probe t just below alpha and monotone_newton's (eta, beta, h) there."""
-    t = alpha - (1.0 + abs(alpha)) / 10.0 ** PROBE_DECADES
-    _, eta, beta, h, _ = monotone_newton(inst, t)
+    probe t just below the fold and certified_below's (eta, beta, h)
+    there."""
+    t = fold.t - (1.0 + abs(fold.t)) / 10.0 ** PROBE_DECADES
+    _, eta, beta, h = certified_below(inst, fold, t)
     return t, eta, beta, h
 
 
-def test_bisection_agrees_with_arclength(inst, fold):
-    bis = _probe(inst, fold.t)[0]
+def test_certified_probe_agrees_with_arclength(inst, fold):
+    bis = _probe(inst, fold)[0]
     assert abs(bis - fold.t) <= 1e-3 * (1.0 + abs(fold.t))
     assert bis <= tau_star(inst)
     assert fold.t <= tau_star(inst)
 
 
-def test_climb_certifies_every_probe(inst, fold):
-    t, eta, beta, h = _probe(inst, fold.t)
+def test_probe_certifies_one_millionth_below_the_fold(inst, fold):
+    t, eta, beta, h = _probe(inst, fold)
     assert fold.t - t == pytest.approx(1e-6 * (1.0 + abs(fold.t)), rel=1e-12)
     assert 0.0 <= h <= 0.5
     assert h == pytest.approx(
         beta * inst.nonlinearity.g_second_sup
         * inst.weight_values.max() * eta, rel=1e-12)
+
+
+@pytest.mark.parametrize("stretch, n", [("1.0", 4000), ("1.0001", 16000)])
+def test_certified_probe_is_the_minimal_solution(stretch, n, monkeypatch):
+    """certify from the normal-form predictor, with no fallback, lands on
+    monotone Newton's minimal solution at the probe, to 1e-8 relative."""
+    inst = build_scenario_instance(parse_config(CANONICAL_CONFIG.replace(
+        "stretch = 1.0", f"stretch = {stretch}").replace(
+        "n = 4000", f"n = {n}")))
+    fold = ladder_fold(inst)
+    t = _probe(inst, fold)[0]
+    monkeypatch.setattr(continuation, "monotone_newton", None)  # no fallback
+    u, _, _, h = certified_below(inst, fold, t)
+    minimal = monotone_newton(inst, t)[0].u
+    assert h < 0.5
+    assert np.abs(u - minimal).max() <= 1e-8 * np.abs(minimal).max()
+
+
+def test_nonpositive_curvature_falls_back_to_monotone_newton(inst, fold):
+    """With kappa < 0 there is no predictor: the point and its
+    certificate are monotone_newton's."""
+    nl = inst.nonlinearity
+    flipped = dataclasses.replace(inst, nonlinearity=dataclasses.replace(
+        nl, g_second=lambda s: -nl.g_second(s)))
+    t = fold.t - 1e-3
+    u, *cert = certified_below(flipped, fold, t)
+    minimal, eta, beta, h, _ = monotone_newton(inst, t)
+    assert np.array_equal(u, minimal.u)
+    assert cert == [eta, beta, h]
 
 
 def test_upper_solution_is_not_certified(inst, fold):
@@ -176,10 +208,11 @@ def test_certified_bound_within_discretization_error():
     prev = None
     for n in (2000, 4000, 8000, 16000):
         fine = sf.canonical_instance(R=40.0, n=n)
-        a_arc = ladder_fold(fine).t
+        fold = ladder_fold(fine)
+        a_arc = fold.t
         if n in (4000, 16000):
             bound = abs(a_arc - prev) / 3.0
-            assert 0.0 <= a_arc - _probe(fine, a_arc)[0] <= bound
+            assert 0.0 <= a_arc - _probe(fine, fold)[0] <= bound
         prev = a_arc
 
 

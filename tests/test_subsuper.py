@@ -5,15 +5,15 @@ import semifold as sf
 import semifold.nonlinear as nonlinear
 from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
                              parse_config)
-from semifold.errors import (MonotonicityBroken, NoConvergence, RampFailed,
+from semifold.errors import (MonotonicityBroken, NoConvergence,
                              SingularOperator)
 from semifold.nonlinear import (certify, monotone_newton, monotone_rise,
                                 residual)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
-                               build_supersolution, check_order_interval,
-                               monotone_iterate)
+                               check_order_interval, monotone_iterate)
 
 T_DEEP = -300.0
+T_SUPER = -50.0
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +23,11 @@ def inst():
 
 @pytest.fixture(scope="module")
 def pair(inst):
+    """The subsolution at T_DEEP, and the minimal solution at T_SUPER: a
+    supersolution at T_DEEP, as F(v, T_DEEP) = (T_SUPER - T_DEEP) P phi1."""
     w = build_subsolution(inst, T_DEEP)
-    v, t_thr = build_supersolution(inst, 1.0, 5.0, 10.0)
-    assert T_DEEP <= t_thr
+    v = monotone_newton(inst, T_SUPER)[0].u
+    assert residual(inst, v, T_DEEP).min() > 0.0
     return OrderedInterval(lower=w, upper=v)
 
 
@@ -51,22 +53,6 @@ def test_subsolution_needs_subcritical_slope(inst):
     bad = replace(inst, nonlinearity=nl)
     with pytest.raises(SingularOperator):
         build_subsolution(bad, 0.0)
-
-
-def test_supersolution_defect_sign(inst, pair):
-    v, t_thr = build_supersolution(inst, 1.0, 5.0, 10.0)
-    F = residual(inst, v, t_thr)
-    assert F.min() >= -1e-8 * inst.A.row_scale()
-    # strictly below the threshold the defect has a strict margin
-    F2 = residual(inst, v, t_thr - 1.0)
-    assert F2.min() > 0.0
-
-
-def test_supersolution_rejects_impossible_plateau(inst):
-    with pytest.raises(RampFailed):
-        build_supersolution(inst, -1.0, 5.0, 10.0)
-    with pytest.raises(RampFailed):
-        build_supersolution(inst, 1.0, 30.0, 20.0)
 
 
 def test_monotone_limits_coincide(inst, pair):
