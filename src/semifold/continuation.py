@@ -2,9 +2,9 @@
 
 A ladder of minimal solutions, each the warm start of the next, climbs
 towards the fold along an extrapolation of the amplitude derivative,
-and Newton on the extended fold system finishes it.  (certified_below,
-`semifold alpha`'s lower bound on the fold, certifies the minimal
-solution just below it from the fold's quadratic normal form.)
+and Newton on the extended fold system finishes it.  Below the fold,
+certify corrects the fold's quadratic normal form to each of the two
+solutions (`semifold alpha`'s certified bound and `semifold two`).
 Pseudo-arclength continuation with a bordered tridiagonal corrector
 traces the whole branch, through the turning point where plain
 parameter continuation has a singular Jacobian.
@@ -21,10 +21,11 @@ from .eigen import smallest_eigenvalue
 from .errors import (InitialPointInvalid, MonotonicityBroken, NoConvergence,
                      NoFoldInBranch, QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
-from .nonlinear import (FOLD_MAXIT, FOLD_TOL, SOLVE_TOL, _correction_stop,
-                        certify, jacobian, monotone_newton, monotone_rise,
-                        newton_solve, residual)
+from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, SOLVE_TOL,
+                        _correction_stop, certify, jacobian, monotone_newton,
+                        monotone_rise, residual)
 from .problem import ProblemInstance
+from .subsuper import SolutionProfile
 
 # above COARSE_N nodes, alpha and two locate the fold on a COARSE_N-node
 # instance and refine it on the fine grid only (mesh independence of Newton)
@@ -252,23 +253,28 @@ def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
         t += step
 
 
-def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
-    """certify's (u, eta, beta, h) at t below the fold, from the normal
-    form: the minimal solution is u* - sqrt((alpha - t) / kappa) v* +
-    O(alpha - t), v* = v / ||v||_inf signed so that <V v*, P phi1> > 0,
-    kappa = <V v*, P g''(u*) v*^2> / (2 <V v*, P phi1>) (V v* is J(u*)'s
-    left null vector, V the cell volumes).  Where kappa is not positive
-    and finite, or h is not below 1/2, it is monotone_newton's instead."""
+def _normal_form(instance: ProblemInstance, fold: FoldPoint):
+    """(v*, kappa): below the fold the two solutions are u* -+ sqrt((alpha
+    - t) / kappa) v* + O(alpha - t), v* = v / ||v||_inf signed so that
+    <V v*, P phi1> > 0, kappa = <V v*, P g''(u*) v*^2> / (2 <V v*, P
+    phi1>), V v* J(u*)'s left null vector (Keller 1977)."""
     P = instance.weight_values
     v = fold.v / np.abs(fold.v).max()
     Vv = instance.grid.volumes * v
     s = dot(Vv, P * instance.eigen.phi1)
-    # kappa is the same for -v, so v's sign enters only the predictor
     kappa = 0.5 * dot(Vv, P * np.asarray(
         instance.nonlinearity.g_second(fold.u)) * v * v) / s if s else np.nan
+    return np.sign(s) * v, kappa
+
+
+def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
+    """certify's (u, eta, beta, h) at t from u* - sqrt((alpha - t) / kappa)
+    v*; monotone_newton's where kappa is not positive and finite or h is
+    not below 1/2."""
+    v, kappa = _normal_form(instance, fold)
     if 0.0 < kappa < np.inf:
         u, eta, beta, h = certify(
-            instance, fold.u - np.sqrt((fold.t - t) / kappa) * np.sign(s) * v, t)
+            instance, fold.u - np.sqrt((fold.t - t) / kappa) * v, t)
         if h < 0.5:
             return u, eta, beta, h
     prof, eta, beta, h, _ = monotone_newton(instance, t)
@@ -277,16 +283,20 @@ def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
 
 def two_solutions(instance: ProblemInstance, t_query: float,
                   fold: FoldPoint):
-    """The minimal and the second solution at t_query below the fold,
-    each with its stability indicator: the minimal one by monotone
-    Newton, the second by Newton from its reflection 2 u* - u_lower
-    through the fold point u*.  Near a quadratic fold the two lie at
-    u* -+ c sqrt(alpha - t) v*, so the reflection is the second to
-    O(alpha - t)."""
+    """The minimal solution at t_query below the fold (certified_below's)
+    and the second (certify's from u* + sqrt((alpha - t) / kappa) v*),
+    with stability indicators; NoConvergence where kappa is not positive
+    and finite, or where the second's eta >= FOLD_FLOOR (1 + |u|_inf)."""
     if t_query >= fold.t:
         raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.t}")
-    lower = monotone_newton(instance, t_query)[0]
-    upper = newton_solve(instance, 2.0 * fold.u - lower.u, t_query, maxit=60)
-    for prof in (lower, upper):
-        prof.stability_mu = stability(instance, prof.u)
-    return lower, upper
+    v, kappa = _normal_form(instance, fold)
+    if not 0.0 < kappa < np.inf:
+        raise NoConvergence(f"no predictor: the fold's kappa is {kappa:.2e}")
+    lower = certified_below(instance, fold, t_query)[0]
+    upper, eta = certify(instance, fold.u + np.sqrt(
+        (fold.t - t_query) / kappa) * v, t_query)[:2]
+    if not eta < FOLD_FLOOR * (1.0 + float(np.abs(upper).max())):
+        raise NoConvergence(f"no converged second solution (eta {eta:.1e})")
+    return tuple(SolutionProfile(
+        u, t_query, float(np.abs(residual(instance, u, t_query)).max()),
+        stability(instance, u)) for u in (lower, upper))

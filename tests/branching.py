@@ -1,6 +1,8 @@
 """Branch and fold construction shared by the test modules and their
 fixtures."""
 
+import dataclasses
+
 import numpy as np
 
 from semifold.continuation import find_fold, refine_fold, trace_branch
@@ -36,3 +38,9 @@ def traced_fold(inst, branch=None):
     return refine_fold(inst, branch.points[idx].u.copy(), branch.points[idx].t,
                        v0 / np.abs(v0).max())
 
+
+def flipped_curvature(inst):
+    """inst with g'' negated, so that the fold's kappa is negative."""
+    nl = inst.nonlinearity
+    return dataclasses.replace(inst, nonlinearity=dataclasses.replace(
+        nl, g_second=lambda s: -nl.g_second(s)))

@@ -25,7 +25,7 @@ from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
 from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
 from semifold.grid import build_grid
-from branching import ladder_fold, traced_fold
+from branching import flipped_curvature, ladder_fold, traced_fold
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
 
@@ -345,9 +345,9 @@ def test_branch_rows_have_their_own_stage(scenario, tmp_path):
 def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
     trace_branch, on one grid or with the 4000-node twin, and each
-    manifest keeps the stages of the trace's place.  alpha's bound is one
-    certified probe from the fold's normal form: one certify call, and
-    neither monotone_newton nor newton_solve."""
+    manifest keeps the stages of the trace's place.  Both alpha's bound
+    and two's roots come from the fold's normal form, one certify call
+    per point, and neither calls monotone_newton or newton_solve."""
     path = _scenario(tmp_path / "scenario.ini", n)
     traced = []
     monkeypatch.setattr(cli, "trace_branch",
@@ -374,8 +374,7 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
         stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
         assert {"build_instance", "branch_start", "trace", argv[0]} == \
             set(stages)
-        if argv[0] == "alpha":
-            assert calls == ["certify"]
+        assert calls == ["certify"] * {"alpha": 1, "two": 2}[argv[0]]
     assert traced == []
 
 
@@ -542,6 +541,17 @@ def test_two_command(scenario, tmp_path):
     lo = np.loadtxt(tmp_path / "solution_lower.csv", delimiter=",", skiprows=1)
     hi = np.loadtxt(tmp_path / "solution_upper.csv", delimiter=",", skiprows=1)
     assert (lo[:, 1] <= hi[:, 1] + 1e-9).all()
+
+
+def test_two_without_a_second_solution_exits_2(scenario, tmp_path,
+                                               monkeypatch, capsys):
+    """With g'' flipped the fold's kappa is negative, so there is no
+    predictor for the second solution: a message and exit code 2."""
+    real = cli.two_solutions
+    monkeypatch.setattr(cli, "two_solutions", lambda inst, t, fold: real(
+        flipped_curvature(inst), t, fold))
+    assert main(["two", scenario, "--t", "-9", "--outdir", str(tmp_path)]) == 2
+    assert "numerical failure: no predictor" in capsys.readouterr().err
 
 
 def test_two_roots_separate_as_the_square_root_of_the_gap(tmp_path):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,8 @@ from semifold.grid import solve_tridiagonal
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
                                 monotone_rise, residual)
 from semifold.verify import tau_star
-from branching import ladder_fold, make_branch, traced_fold
+from branching import (flipped_curvature, ladder_fold, make_branch,
+                       traced_fold)
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +169,8 @@ def test_certified_probe_is_the_minimal_solution(stretch, n, monkeypatch):
 def test_nonpositive_curvature_falls_back_to_monotone_newton(inst, fold):
     """With kappa < 0 there is no predictor: the point and its
     certificate are monotone_newton's."""
-    nl = inst.nonlinearity
-    flipped = dataclasses.replace(inst, nonlinearity=dataclasses.replace(
-        nl, g_second=lambda s: -nl.g_second(s)))
     t = fold.t - 1e-3
-    u, *cert = certified_below(flipped, fold, t)
+    u, *cert = certified_below(flipped_curvature(inst), fold, t)
     minimal, eta, beta, h, _ = monotone_newton(inst, t)
     assert np.array_equal(u, minimal.u)
     assert cert == [eta, beta, h]
@@ -225,14 +221,44 @@ def test_no_fold_in_short_window(inst):
         find_fold(inst, t0, start, t0 + 3.0)
 
 
-def test_two_solutions_ordering_and_stability(inst, fold):
-    t_q = fold.t - 1.0
+@pytest.mark.parametrize("gap", [1e-7, 1e-3, 1, 10, 1000])
+def test_two_solutions_ordering_and_stability(inst, fold, gap):
+    """The normal form's predictors hold from next to the fold to far
+    below it: both roots solve, ordered, apart by more than sqrt(gap),
+    the lower stable and the upper not."""
+    t_q = fold.t - gap
     lo, hi = two_solutions(inst, t_q, fold)
     assert (lo.u <= hi.u + 1e-9).all()
-    assert np.abs(hi.u - lo.u).max() > 1e-3
+    assert np.abs(hi.u - lo.u).max() > np.sqrt(gap)
     assert lo.stability_mu > 0 > hi.stability_mu
     assert lo.residual_inf <= 1e-8 * inst.A.row_scale()
     assert hi.residual_inf <= 1e-8 * inst.A.row_scale()
+
+
+@pytest.mark.parametrize("gap", [1e-5, 1e-2])
+def test_second_solution_is_converged(canonical, canonical_fold, gap):
+    """One more Newton correction from the second solution at n = 4000
+    is below 1e-8 relative.  A stop on the row-scaled residual does not
+    give that: it accepts the reflection 2 u* - u_lower, 1.3e-6 off the
+    root at gap 1e-5, after 0 steps."""
+    t = canonical_fold.t - gap
+    hi = two_solutions(canonical, t, canonical_fold)[1]
+    du = solve_tridiagonal(jacobian(canonical, hi.u),
+                           -residual(canonical, hi.u, t))
+    assert np.abs(du).max() <= 1e-8 * (1.0 + np.abs(hi.u).max())
+
+
+@pytest.mark.parametrize("cause", ["kappa", "eta"])
+def test_no_second_solution_raises(inst, fold, monkeypatch, cause):
+    """Where kappa is not positive there is no predictor for the second
+    solution, and a second whose correction stays above the rounding
+    floor is not returned: both raise NoConvergence."""
+    if cause == "eta":
+        monkeypatch.setattr(continuation, "certify",
+                            lambda inst, u, t: (u, 1.0, np.inf, np.inf))
+    with pytest.raises(NoConvergence, match=cause):
+        two_solutions(flipped_curvature(inst) if cause == "kappa" else inst,
+                      fold.t - 1e-3, fold)
 
 
 def test_query_past_fold_raises(inst, fold):
@@ -369,12 +395,14 @@ def test_a_broken_rise_halves_the_step(inst, fold, monkeypatch):
 
 
 def test_two_solutions_straddle_the_fold_point(inst, fold):
-    """The lower root is the minimal solution; the upper one, Newton's
-    from the reflection of the lower through the fold point, lies on the
-    other side of it along the null vector."""
+    """The lower root is certified_below's minimal solution, monotone
+    Newton's to 1e-8 relative; the upper one lies on the other side of
+    the fold point along the null vector."""
     t_q = fold.t - 1e-3
     lo, hi = two_solutions(inst, t_q, fold)
-    assert np.array_equal(lo.u, monotone_newton(inst, t_q)[0].u)
+    assert np.array_equal(lo.u, certified_below(inst, fold, t_q)[0])
+    minimal = monotone_newton(inst, t_q)[0].u
+    assert np.abs(lo.u - minimal).max() <= 1e-8 * np.abs(minimal).max()
     v = fold.v / np.abs(fold.v).max()
     w = inst.grid.volumes * v
     assert np.dot(w, lo.u - fold.u) < 0.0 < np.dot(w, hi.u - fold.u)
