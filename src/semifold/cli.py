@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _lapack
-from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (COARSE_N, certified_below, find_fold,
-                           refine_fold, stability, trace_branch, two_solutions)
+from .config import (COARSE_N, ScenarioConfig, build_scenario_instance,
+                     load_config)
+from .continuation import (certified_below, find_fold, refine_fold,
+                           stability, trace_branch, two_solutions)
 from .eigen import decay_constants
 from .errors import (ConfigError, NoConvergence, SemifoldError,
                      SingularOperator)

@@ -27,10 +27,6 @@ from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, SOLVE_TOL,
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile
 
-# above COARSE_N nodes, alpha and two locate the fold on a COARSE_N-node
-# instance and refine it on the fine grid only (mesh independence of Newton)
-COARSE_N = 4000
-
 
 @dataclass
 class BranchPoint:
@@ -176,7 +172,10 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     residual, whose row scale grows as h^-2: once the correction is below
     FOLD_TOL, or once it stops contracting below FOLD_FLOOR (the rounding
     floor; nonlinear._correction_stop).  A correction that stops
-    contracting above FOLD_FLOOR raises NoConvergence."""
+    contracting above FOLD_FLOOR raises NoConvergence.  J is singular at
+    the fold, and a solve may find it exactly so: after a correction at
+    most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
+    above it, SingularOperator propagates."""
     gsec = instance.nonlinearity.g_second
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
@@ -186,9 +185,14 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     for k in range(FOLD_MAXIT):
         F = residual(instance, u, t)
         J = jacobian(instance, u)
-        p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
-        D = P * np.asarray(gsec(u)) * v
-        a1, a2 = solve_tridiagonal(J, np.column_stack((D * p, D * q))).T
+        try:
+            p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
+            D = P * np.asarray(gsec(u)) * v
+            a1, a2 = solve_tridiagonal(J, np.column_stack((D * p, D * q))).T
+        except SingularOperator:
+            if size_prev > FOLD_FLOOR:
+                raise
+            return FoldPoint(u, float(t), v, k)
         ca2 = dot(c, a2)
         if ca2 == 0.0:
             raise NoConvergence("fold system degenerate (c.a2 = 0)",

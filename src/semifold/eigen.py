@@ -2,9 +2,12 @@
 the smallest eigenvalue of a linearization (the stability indicator).
 
 Inverse power iteration with the tridiagonal direct solve, from one LU
-factorization of the operator, as inner kernel.  The discrete operator
-is self-adjoint in the cell-volume inner product, so Rayleigh quotients
-and deflation use that weighting.
+factorization of the operator, as inner kernel, started from a given
+vector (an instance build passes the first eigenfunction of its coarse
+twin, lifted onto its nodes) or else from 1/(1 + r^2).  The discrete
+operator is self-adjoint in the cell-volume inner product, so Rayleigh
+quotients and deflation use that weighting, summed by grid.dot: the
+module makes no BLAS call, so its bits do not depend on the core count.
 
 The stability indicator mu is the smallest eigenvalue of the
 volume-symmetrized tridiagonal S of a Jacobian.  It comes from shifted
@@ -70,8 +73,11 @@ def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
 
 
 def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
-                    tol: float = 1e-12) -> EigenPair:
-    x = 1.0 / (1.0 + grid.nodes ** 2)
+                    tol: float = 1e-12,
+                    start: np.ndarray | None = None) -> EigenPair:
+    """Inverse power iteration from `start`, by default 1/(1 + r^2)."""
+    x = 1.0 / (1.0 + grid.nodes ** 2) if start is None else \
+        np.asarray(start, dtype=float)
     lam = rayleigh_quotient(grid, A, mP, x)
     lu = factor_tridiagonal(A)
     # rounding floor: applying A to a vector of max norm 1, as each
@@ -117,11 +123,10 @@ def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,
     any trial function.  (The plain Dirichlet-energy quotient would miss
     the far-field boundary term of the decay-matched Robin row.)"""
     v = np.asarray(v, dtype=float)
-    # BLAS np.dot, not grid.dot: this runs only while an instance is built
-    den = float(np.dot(grid.volumes * v, weight_values * v))
+    den = dot(grid.volumes * v, weight_values * v)
     if den <= 0.0 or not np.isfinite(den):
         raise ZeroDenominator("trial function vanishes in the P-weighted norm")
-    return float(np.dot(grid.volumes * v, A.apply(v))) / den
+    return dot(grid.volumes * v, A.apply(v)) / den
 
 
 def _rayleigh_residual(S: TridiagonalOperator, x: np.ndarray):

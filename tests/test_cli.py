@@ -20,8 +20,8 @@ from hypothesis import given, strategies as st
 import semifold
 from semifold import _lapack, cli, continuation, nonlinear
 from semifold.cli import main
-from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
-                             load_config)
+from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
+                             build_scenario_instance, load_config)
 from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
 from semifold.grid import build_grid
@@ -453,7 +453,7 @@ def test_failed_fine_refinement_falls_back_to_one_level(tmp_path,
     path = _scenario(tmp_path / "scenario.ini", 16000)
     monkeypatch.setattr(cli, "COARSE_N", 16000)
     single = _alpha(path, tmp_path / "single")
-    monkeypatch.setattr(cli, "COARSE_N", continuation.COARSE_N)
+    monkeypatch.setattr(cli, "COARSE_N", COARSE_N)
 
     def fail(*args, **kwargs):
         raise NoConvergence("fold refinement did not converge")

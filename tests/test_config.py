@@ -1,11 +1,14 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semifold as sf
-from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
-                             load_config, parse_config)
+from semifold import config
+from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
+                             build_scenario_instance, load_config,
+                             parse_config)
 from semifold.errors import ConfigError
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 400")
@@ -81,6 +84,35 @@ def test_built_instance_matches_canonical():
     assert inst.eigen.lambda1 == pytest.approx(ref.eigen.lambda1, rel=1e-12)
     assert inst.nonlinearity.mu_lower == pytest.approx(
         ref.nonlinearity.mu_lower, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [400, COARSE_N, 16000])
+def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
+    """At n <= COARSE_N a build solves one eigenproblem, from the default
+    start; above it, the COARSE_N-node twin's comes first, and its phi1,
+    lifted, starts the fine one."""
+    solved = []
+    eigenpair = config.first_eigenpair
+
+    def recorded(grid, A, mP, tol, start=None):
+        solved.append((grid.n, start is None))
+        return eigenpair(grid, A, mP, tol=tol, start=start)
+
+    monkeypatch.setattr(config, "first_eigenpair", recorded)
+    sf.canonical_instance(n=n)
+    assert solved == ([(n, True)] if n <= COARSE_N
+                      else [(COARSE_N, True), (n, False)])
+
+
+def test_an_instance_build_makes_no_blas_dot(monkeypatch):
+    """The eigenpair's sums go through grid.dot, so a build wakes no
+    OpenBLAS helper thread, and lambda1's bits do not depend on the
+    core count."""
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.dot called")
+
+    monkeypatch.setattr(np, "dot", refused)
+    assert sf.canonical_instance(n=16000).eigen.iterations >= 1
 
 
 def test_linear_preset_skips_straddle_check():

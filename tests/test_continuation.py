@@ -10,7 +10,8 @@ from semifold.cli import PROBE_DECADES
 from semifold.continuation import (certified_below, find_fold, refine_fold,
                                    stability, trace_branch, two_solutions)
 from semifold.errors import (InitialPointInvalid, MonotonicityBroken,
-                             NoConvergence, NoFoldInBranch, QueryPastFold)
+                             NoConvergence, NoFoldInBranch, QueryPastFold,
+                             SingularOperator)
 from semifold.grid import solve_tridiagonal
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
                                 monotone_rise, residual)
@@ -329,6 +330,35 @@ def test_refine_fold_stops_where_the_correction_stops_contracting(
     monkeypatch.setattr(nonlinear, "FOLD_FLOOR", 0.0)
     with pytest.raises(NoConvergence, match="did not converge"):
         refine_fold(inst, *seed)
+
+
+@pytest.mark.parametrize("shift, kept", [(0.0, True), (0.1, False)])
+def test_refine_fold_keeps_an_iterate_whose_jacobian_is_singular(
+        inst, fold, monkeypatch, shift, kept):
+    """Step 1 finds J exactly singular.  From the converged fold, step 0's
+    correction is at the rounding floor, below FOLD_FLOOR, and its
+    iterate is kept; from t moved by 0.1 it is above, and the
+    SingularOperator propagates."""
+    calls = []
+
+    def singular_from_step_1(*args):
+        calls.append(args)
+        if len(calls) > 2:  # each step makes two solves
+            raise SingularOperator("exactly singular: zero pivot at row 1")
+        return solve_tridiagonal(*args)
+
+    monkeypatch.setattr(continuation, "FOLD_TOL", 0.0)
+    monkeypatch.setattr(continuation, "solve_tridiagonal",
+                        singular_from_step_1)
+    seed = fold.u, fold.t - shift, fold.v
+    if kept:
+        point = refine_fold(inst, *seed)
+        assert point.iterations == 1
+        assert abs(point.t - fold.t) <= 1e-10
+    else:
+        with pytest.raises(SingularOperator):
+            refine_fold(inst, *seed)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])

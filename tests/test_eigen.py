@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from semifold import eigen
 from semifold import grid as grid_module
 from semifold.eigen import (decay_constants, rayleigh_quotient,
                             smallest_eigenvalue)
-from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
+from semifold.errors import (NoConvergence, NonSimpleWarning, SemifoldError,
+                             ZeroDenominator)
 from semifold.nonlinear import jacobian
 
 
@@ -173,6 +175,40 @@ def test_first_eigenpair_factors_once(canonical, monkeypatch):
     assert pair.iterations > 1
     assert pair.lambda1 == canonical.eigen.lambda1
     assert np.array_equal(pair.phi1, canonical.eigen.phi1)
+
+
+def test_twin_start_halves_the_fine_iteration():
+    """Above COARSE_N nodes the build starts inverse iteration from the
+    twin's lifted phi1: at n = 16000 it takes at most 7 steps, where it
+    takes 12 from 1/(1 + r^2), to the same eigenpair."""
+    inst = sf.canonical_instance(n=16000)
+    eig = inst.eigen
+    default = sf.first_eigenpair(inst.grid, inst.A, inst.weight_values)
+    assert eig.iterations <= 7 < default.iterations
+    assert eig.lambda1 == pytest.approx(default.lambda1, rel=1e-10, abs=0.0)
+    assert (eig.phi1 > 0.0).all()
+    assert eig.normalization_residual < 1e-12
+
+
+@pytest.mark.parametrize("c, degenerate", [(1.0, False), (1e10, True)])
+def test_started_iteration_flags_a_near_degenerate_pencil(c, degenerate):
+    """On the ball of radius pi with weight c the first two eigenvalues
+    are 1/c and 4/c.  The contraction test reads their gap 3/c from the
+    last two residuals, and from a start (the lifted phi1 of a 100-node
+    grid, as a build passes) it warns where that gap is below 1e-8."""
+    pairs = []
+    for n in (100, 1000):
+        grid = sf.build_grid(3, np.pi, n)
+        start = np.interp(grid.nodes, pairs[0][0].nodes,
+                          pairs[0][1].phi1) if pairs else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pair = sf.first_eigenpair(grid, sf.assemble_laplacian(
+                grid, "dirichlet"), np.full(n, c), start=start)
+        pairs.append((grid, pair))
+    assert pair.iterations >= 2
+    assert pair.lambda1 * c == pytest.approx(1.0, abs=1e-4)
+    assert [w.category for w in caught] == [NonSimpleWarning] * degenerate
 
 
 def test_smallest_eigenvalue_iteration_cap_raises(canonical, canonical_branch,

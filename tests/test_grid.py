@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 import semifold as sf
 from semifold.errors import BadGridConfig, NonPositiveWeight, SingularOperator
-from semifold.grid import (TridiagonalOperator, _gamma, dirichlet_energy,
-                           dot, factor_tridiagonal, sphere_area,
-                           solve_tridiagonal, weighted_integral)
+from semifold.grid import (TridiagonalOperator, _gamma, _row_sums,
+                           dirichlet_energy, dot, factor_tridiagonal,
+                           sphere_area, solve_tridiagonal, weighted_integral)
 
 
 def test_sphere_area_closed_forms():
@@ -117,6 +117,28 @@ def test_factor_solve_is_bitwise_the_direct_solve():
         assert np.array_equal(both[:, 0], one)
         assert np.array_equal(both[:, 1], solve_tridiagonal(J, rhs[:, 1]))
         assert np.array_equal(solve_tridiagonal(lu, rhs), both)
+
+
+def test_a_shift_keeps_the_row_sums_of_its_off_diagonals():
+    """A shifted operator reuses the off-diagonal row sums of the one it
+    shifts, and its row sums are still |diag| + |sub| + |sup| to the
+    last unit, with a zero row still caught."""
+    rng = np.random.default_rng(5)
+    A = sf.assemble_laplacian(sf.build_grid(3, 40.0, 2000))
+    J = A.shifted(-rng.random(A.n))
+    assert J.off_sums is A.off_sums
+    direct = np.abs(J.diag)
+    direct[:-1] += np.abs(J.sup)
+    direct[1:] += np.abs(J.sub)
+    assert np.allclose(_row_sums(J), direct, rtol=4e-16, atol=0.0)
+    assert J.row_scale() == pytest.approx(direct.max(), rel=4e-16)
+    n = 50
+    diagonal = TridiagonalOperator(sub=np.zeros(n - 1), diag=np.ones(n),
+                                   sup=np.zeros(n - 1))
+    shift = np.zeros(n)
+    shift[20] = -1.0  # row 20 of the shift is zero
+    with pytest.raises(SingularOperator, match="zero row"):
+        solve_tridiagonal(diagonal.shifted(shift), np.ones(n))
 
 
 def _raised(fn):

@@ -131,6 +131,58 @@ def test_csv_has_one_writer():
     assert found == []
 
 
+# numpy's entry points into BLAS, which on long vectors wake OpenBLAS
+# helper threads that burn a second core without a faster result
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def blas_calls(source: str) -> list:
+    """(line, what) of each use of numpy's BLAS entry points: an attribute
+    np.<name> or numpy.<name>, a `from numpy import <name>`, an import of
+    numpy.linalg, and the @ operator (decorators are not operators)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES \
+                and getattr(node.value, "id", None) in ("np", "numpy"):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "numpy":
+            found += [(node.lineno, f"{node.module}.{alias.name}")
+                      for alias in node.names if alias.name in BLAS_NAMES
+                      or node.module == "numpy.linalg"]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == "numpy.linalg"]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return sorted(found)
+
+
+def test_scan_sees_blas_calls():
+    src = ("import numpy as np\n"
+           "from numpy import dot, einsum\n"
+           "from numpy.linalg import norm\n"
+           "@staticmethod\n"
+           "def f(a, b, grid):\n"
+           "    a @= b\n"
+           "    return (np.vdot(a, b), np.inner(a, b), np.matmul(a, b),\n"
+           "            np.tensordot(a, b), np.linalg.norm(a), a @ b,\n"
+           "            grid.dot(a, b), einsum('i,i->', a, b))\n")
+    assert blas_calls(src) == [(2, "numpy.dot"), (3, "numpy.linalg.norm"),
+                               (6, "@"), (7, "np.inner"), (7, "np.matmul"),
+                               (7, "np.vdot"), (8, "@"), (8, "np.linalg"),
+                               (8, "np.tensordot")]
+
+
+def test_no_blas_call():
+    """Sums go through grid.dot (einsum) and solves through semifold._lapack,
+    so no command starts an OpenBLAS helper thread."""
+    found = [(p.name, line, what) for p in PACKAGE.glob("*.py")
+             for line, what in blas_calls(p.read_text())]
+    assert found == []
+
+
 # every third-party module the package may import; scipy.integrate alone
 # would pull in scipy.optimize, sparse, spatial, fft and constants
 THIRD_PARTY = {"numpy"}
