@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import dataclasses
 import hashlib
 import json
 import math
@@ -19,18 +18,17 @@ import os
 import sys
 import time
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _lapack
-from .config import (COARSE_N, ScenarioConfig, build_scenario_instance,
-                     load_config)
+from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import (certified_below, find_fold, refine_fold,
                            stability, trace_branch, two_solutions)
 from .eigen import decay_constants
-from .errors import (ConfigError, NoConvergence, SemifoldError,
-                     SingularOperator)
+from .errors import ConfigError, SemifoldError
 from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
                         picard_solve, residual)
 from .problem import (check_P1, check_P2, check_sigma_growth,
@@ -382,41 +380,23 @@ def cmd_branch(cfg: ScenarioConfig, args) -> int:
     return 0
 
 
-def _lift(src, dst, u):
-    """u on src's nodes, linearly interpolated onto dst's."""
-    return u if src is dst else np.interp(dst.grid.nodes, src.grid.nodes, u)
-
-
-def _ladder_fold(cfg, inst, run):
-    """find_fold on inst from the minimal solution at [run] t_start, its
-    rise timed as `branch_start` and the rest of the ladder as `trace`."""
-    t_start, t_max = _t_range(cfg, inst)
-    with run.stage("branch_start"):
-        u = monotone_rise(inst, t_start)[0]
-    with run.stage("trace"):
-        return find_fold(inst, t_start, u, t_max)
-
-
 def _fold(cfg, inst, run):
-    """(level, its fold, inst's fold).  Above COARSE_N nodes the level is
-    a COARSE_N-node twin of inst, and its fold is refined once on inst.
-    At n <= COARSE_N, and when that refinement fails, as it may on a
-    stretched grid, whose twin has another cell profile, the level is
-    inst itself."""
-    if inst.grid.n > COARSE_N:
-        with run.stage("build_instance"):
-            coarse = build_scenario_instance(dataclasses.replace(
-                cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
-        found = _ladder_fold(cfg, coarse, run)
-        with run.stage("trace"):
-            try:
-                return coarse, found, refine_fold(
-                    inst, _lift(coarse, inst, found.u), found.t,
-                    _lift(coarse, inst, found.v))
-            except (NoConvergence, SingularOperator):
-                pass
-    found = _ladder_fold(cfg, inst, run)
-    return inst, found, found
+    """(level, its fold, inst's fold).  The level is inst's COARSE_N-node
+    twin where it has one, and its fold is refined once on inst; at
+    n <= COARSE_N the level is inst itself.  The ladder's first rung,
+    the minimal solution at [run] t_start, is timed as `branch_start`,
+    and the rest of the ladder and the refinement as `trace`."""
+    level = inst if inst.twin is None else inst.twin
+    t_start, t_max = _t_range(cfg, level)
+    with run.stage("branch_start"):
+        u = monotone_rise(level, t_start)[0]
+    with run.stage("trace"):
+        found = find_fold(level, t_start, u, t_max)
+        if level is inst:
+            return level, found, found
+        lift = partial(np.interp, inst.grid.nodes, level.grid.nodes)
+        return level, found, refine_fold(inst, lift(found.u), found.t,
+                                         lift(found.v))
 
 
 # alpha's certified lower bound is the minimal solution at one probe,

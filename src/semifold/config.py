@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -28,9 +28,9 @@ from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
 
 REQUIRED_SECTIONS = ("weight", "nonlinearity", "forcing", "grid")
 REQUIRED = object()  # the default of a key that must be given
-# above COARSE_N nodes an instance starts its eigenpair from the first
-# eigenfunction of its COARSE_N-node twin, and alpha and two locate the
-# fold on that twin and refine it on the fine grid only (mesh
+# above COARSE_N nodes an instance carries its COARSE_N-node twin, whose
+# first eigenfunction starts its eigenpair, and on which alpha and two
+# locate the fold before they refine it on the fine grid (mesh
 # independence of Newton)
 COARSE_N = 4000
 
@@ -201,37 +201,25 @@ def _build_weight(cfg: ScenarioConfig) -> WeightSpec:
     return WeightSpec(evaluator, cfg.get("weight", "dimension"))
 
 
-def _pencil(cfg: ScenarioConfig, weight: WeightSpec, n: int):
-    """The grid of n nodes, its operator and its weight values, in
-    first_eigenpair's order."""
-    grid = build_grid(weight.N, cfg.get("grid", "r"), n,
-                      cfg.get("grid", "stretch"))
-    return (grid, assemble_laplacian(grid, cfg.get("grid", "farfield")),
-            assemble_weight_mass(grid, weight.evaluator))
-
-
-def _twin_start(cfg: ScenarioConfig, weight: WeightSpec, grid, tol: float):
-    """phi1 of the COARSE_N-node twin, interpolated linearly onto grid's
-    nodes.  Nothing of the twin outlives this call."""
-    twin, *pencil = _pencil(cfg, weight, COARSE_N)
-    return np.interp(grid.nodes, twin.nodes,
-                     first_eigenpair(twin, *pencil, tol=tol).phi1)
-
-
 def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     """The one assembly of an instance: grid, weight, operator, first
     eigenpair, nonlinearity (slopes possibly relative to lambda1), forcing.
 
-    Above COARSE_N nodes the eigenpair's inverse iteration starts from
-    the first eigenfunction of the COARSE_N-node twin (the same file with
-    n = COARSE_N), interpolated linearly onto the nodes, and takes about
-    half the steps it takes from 1/(1 + r^2).  Only the twin's eigenpair
-    is built: its nonlinearity and slope check are not."""
+    Above COARSE_N nodes it also builds the instance's twin, the same
+    file with n = COARSE_N, and keeps it as `twin`; the eigenpair's
+    inverse iteration starts from the twin's first eigenfunction,
+    interpolated linearly onto the nodes, and takes about half the steps
+    it takes from 1/(1 + r^2)."""
     weight = _build_weight(cfg)
-    tol = cfg.get("run", "eigen_tol")
-    grid, A, pvals = _pencil(cfg, weight, cfg.get("grid", "n"))
-    eig = first_eigenpair(grid, A, pvals, tol=tol, start=_twin_start(
-        cfg, weight, grid, tol) if grid.n > COARSE_N else None)
+    grid = build_grid(weight.N, cfg.get("grid", "r"), cfg.get("grid", "n"),
+                      cfg.get("grid", "stretch"))
+    A = assemble_laplacian(grid, cfg.get("grid", "farfield"))
+    pvals = assemble_weight_mass(grid, weight.evaluator)
+    twin = None if grid.n <= COARSE_N else build_scenario_instance(
+        replace(cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
+    eig = first_eigenpair(grid, A, pvals, tol=cfg.get("run", "eigen_tol"),
+                          start=None if twin is None else np.interp(
+                              grid.nodes, twin.grid.nodes, twin.eigen.phi1))
 
     nlc = partial(cfg.get, "nonlinearity")
     if nlc("preset") == "linear":
@@ -249,7 +237,8 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     # f1 = zero is the only preset a file can name (docs/config.md)
     forcing = ForcingSpec(t=cfg.get("forcing", "t"), f1=np.zeros(grid.n))
     return ProblemInstance(weight=weight, nonlinearity=nl, forcing=forcing,
-                           grid=grid, weight_values=pvals, A=A, eigen=eig)
+                           grid=grid, weight_values=pvals, A=A, eigen=eig,
+                           twin=twin)
 
 
 CANONICAL_CONFIG = """\

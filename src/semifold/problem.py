@@ -130,6 +130,8 @@ class ProblemInstance:
     weight_values: np.ndarray
     A: TridiagonalOperator
     eigen: EigenPair
+    # the same scenario at config.COARSE_N nodes, above that size
+    twin: "ProblemInstance | None" = None
     # {t: forcing_term(t)} for the last t asked for; a copy made by
     # `replace` starts empty, so it never serves another forcing
     _forcing_cache: dict = field(default_factory=dict, init=False,

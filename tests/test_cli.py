@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semifold
-from semifold import _lapack, cli, continuation, nonlinear
+from semifold import _lapack, cli, config, continuation, nonlinear
 from semifold.cli import main
 from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
                              build_scenario_instance, load_config)
@@ -347,12 +347,22 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     trace_branch, on one grid or with the 4000-node twin, and each
     manifest keeps the stages of the trace's place.  Both alpha's bound
     and two's roots come from the fold's normal form, one certify call
-    per point, and neither calls monotone_newton or newton_solve."""
+    per point, and neither calls monotone_newton or newton_solve.  Each
+    solves one first eigenpair per grid: above COARSE_N the twin's from
+    the default start, then the fine one from the twin's lifted phi1."""
     path = _scenario(tmp_path / "scenario.ini", n)
     traced = []
     monkeypatch.setattr(cli, "trace_branch",
                         lambda *args, **kwargs: traced.append(args))
     monkeypatch.setattr(continuation, "trace_branch", cli.trace_branch)
+    solved = []
+    eigenpair = config.first_eigenpair
+
+    def recorded(grid, *args, start=None, **kwargs):
+        solved.append((grid.n, start is None))
+        return eigenpair(grid, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(config, "first_eigenpair", recorded)
     calls = []
 
     def counted(fn):
@@ -370,7 +380,10 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     for argv in (["alpha"], ["two", "--t", "-9"]):
         out = tmp_path / argv[0]
         calls.clear()
+        solved.clear()
         assert main([argv[0], path, *argv[1:], "--outdir", str(out)]) == 0
+        assert solved == ([(n, True)] if n <= COARSE_N
+                          else [(COARSE_N, True), (n, False)])
         stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
         assert {"build_instance", "branch_start", "trace", argv[0]} == \
             set(stages)
@@ -447,21 +460,21 @@ def test_nested_alpha_is_the_fine_fold(fixture_data, fold_16k, tmp_path):
     assert max(abs(a - fold_16k) for a in alphas) <= 1e-9
 
 
-def test_failed_fine_refinement_falls_back_to_one_level(tmp_path,
-                                                        monkeypatch):
-    """The fine refinement raising gives the single-level run at n."""
+def test_failed_fine_refinement_exits_2(tmp_path, monkeypatch, capsys):
+    """The fine refinement raising ends the run with exit code 2 and its
+    message: no other path finds the fold, and no alpha.json is
+    written."""
     path = _scenario(tmp_path / "scenario.ini", 16000)
-    monkeypatch.setattr(cli, "COARSE_N", 16000)
-    single = _alpha(path, tmp_path / "single")
-    monkeypatch.setattr(cli, "COARSE_N", COARSE_N)
 
     def fail(*args, **kwargs):
         raise NoConvergence("fold refinement did not converge")
 
     monkeypatch.setattr(cli, "refine_fold", fail)
-    fallback = _alpha(path, tmp_path / "fallback")
-    assert fallback == single
-    assert fallback["coarse_n"] == 16000
+    out = tmp_path / "out"
+    assert main(["alpha", path, "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: fold refinement did not converge\n"
+    assert not (out / "alpha.json").exists()
 
 
 def test_nested_alpha_on_a_stretched_grid(tmp_path):

@@ -89,8 +89,9 @@ def test_built_instance_matches_canonical():
 @pytest.mark.parametrize("n", [400, COARSE_N, 16000])
 def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
     """At n <= COARSE_N a build solves one eigenproblem, from the default
-    start; above it, the COARSE_N-node twin's comes first, and its phi1,
-    lifted, starts the fine one."""
+    start, and has no twin; above it, the COARSE_N-node twin's comes
+    first, and its phi1, lifted, starts the fine one.  The instance keeps
+    that twin, which has none of its own."""
     solved = []
     eigenpair = config.first_eigenpair
 
@@ -99,9 +100,14 @@ def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
         return eigenpair(grid, A, mP, tol=tol, start=start)
 
     monkeypatch.setattr(config, "first_eigenpair", recorded)
-    sf.canonical_instance(n=n)
+    inst = sf.canonical_instance(n=n)
     assert solved == ([(n, True)] if n <= COARSE_N
                       else [(COARSE_N, True), (n, False)])
+    if n <= COARSE_N:
+        assert inst.twin is None
+    else:
+        assert inst.twin.grid.n == COARSE_N
+        assert inst.twin.twin is None
 
 
 def test_an_instance_build_makes_no_blas_dot(monkeypatch):

@@ -1,8 +1,8 @@
 """Package hygiene: no module imports a name it never uses, no module
 keeps state behind a `global` statement, every public top-level
-function or class has a use in the package or is exported, and the
-package imports only the third-party modules it needs, so a cold start
-stays small.
+function or class has a use in the package or is exported, one module
+builds instances, and the package imports only the third-party modules
+it needs, so a cold start stays small.
 
 No linter ships with the test dependencies, so these are plain `ast`
 scans.  `__init__.py` is exempt from the import scan: its imports are the
@@ -129,6 +129,57 @@ def test_csv_has_one_writer():
     found = [(p.name, line) for p in PACKAGE.glob("*.py")
              for line in savetxt_calls(p.read_text())]
     assert found == []
+
+
+# the calls that assemble an instance's grid, operator and eigenpair
+INSTANCE_PARTS = {"build_grid", "assemble_laplacian", "first_eigenpair"}
+
+
+def instance_builds(source: str) -> list:
+    """(function, what) of each call of build_scenario_instance or of an
+    INSTANCE_PARTS name, bare or as an attribute, and of each twin: a
+    `replace(..., grid=...)` call or a use of COARSE_N.  `function` is
+    the enclosing top-level definition, "<module>" outside one."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                if name in INSTANCE_PARTS | {"build_scenario_instance"}:
+                    found.append((where, name))
+                elif name == "replace" and any(k.arg == "grid"
+                                               for k in node.keywords):
+                    found.append((where, "twin"))
+            elif isinstance(node, ast.Name) and node.id == "COARSE_N":
+                found.append((where, "twin"))
+    return sorted(found)
+
+
+def test_scan_sees_instance_builds():
+    src = ("from .config import COARSE_N\n"
+           "def start(cfg):\n"
+           "    return config.build_scenario_instance(cfg)\n"
+           "def fold(cfg):\n"
+           "    twin = replace(cfg, grid={'n': str(COARSE_N)})\n"
+           "    return build_grid(3, 1.0, 5), first_eigenpair(twin)\n"
+           "AREA = replace(cfg, weight=None)\n")
+    assert instance_builds(src) == [
+        ("fold", "build_grid"), ("fold", "first_eigenpair"), ("fold", "twin"),
+        ("fold", "twin"), ("start", "build_scenario_instance")]
+
+
+def test_one_instance_builder():
+    """config assembles every grid, operator and eigenpair, and builds
+    every twin; cli asks for an instance in one place, _start."""
+    builds = {p.name: instance_builds(p.read_text()) for p in MODULES}
+    assert {what for _, what in builds["config.py"]} == \
+        INSTANCE_PARTS | {"build_scenario_instance", "twin"}
+    assert [(mod, where, what) for mod, found in builds.items()
+            if mod != "config.py" for where, what in found
+            if what != "build_scenario_instance"] == []
+    assert builds["cli.py"] == [("_start", "build_scenario_instance")]
 
 
 # numpy's entry points into BLAS, which on long vectors wake OpenBLAS
