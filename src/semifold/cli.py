@@ -33,7 +33,7 @@ from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
                         picard_solve, residual)
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
-from .subsuper import build_subsolution, make_profile
+from .subsuper import make_profile
 from .verify import check_comparison, e0_norm, tau_star, verify_solution
 
 OUTDIR_ENV = "SEMIFOLD_OUTDIR"
@@ -348,10 +348,9 @@ def _t_range(cfg, inst):
 def _traced_branch(cfg, inst, run):
     t_start, t_max = _t_range(cfg, inst)
     with run.stage("branch_start"):
-        w = build_subsolution(inst, t_start)
-        start = newton_solve(inst, w, t_start)
+        u = monotone_rise(inst, t_start)[0]
     with run.stage("trace"):
-        return trace_branch(inst, t_start, start.u,
+        return trace_branch(inst, t_start, u,
                             step_ds=cfg.get("run", "step_ds"),
                             t_window=(t_start - 1.0, t_max),
                             max_points=cfg.get("run", "max_points"))

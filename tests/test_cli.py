@@ -341,6 +341,32 @@ def test_branch_rows_have_their_own_stage(scenario, tmp_path):
             "branch_rows"} <= set(stages)
 
 
+def test_branch_starts_from_the_minimal_solution(scenario, tmp_path,
+                                                 monkeypatch):
+    """branch's first point is monotone_rise's limit at t_start, bit for
+    bit, and no newton_solve call makes it."""
+    def refused(*args, **kwargs):
+        raise AssertionError("newton_solve called")
+
+    for module in (nonlinear, cli):
+        monkeypatch.setattr(module, "newton_solve", refused)
+    branches = []
+    trace = cli.trace_branch
+
+    def recorded(*args, **kwargs):
+        branches.append(trace(*args, **kwargs))
+        return branches[-1]
+
+    monkeypatch.setattr(cli, "trace_branch", recorded)
+    assert main(["branch", scenario, "--outdir", str(tmp_path)]) == 0
+    cfg = load_config(scenario)
+    inst = build_scenario_instance(cfg)
+    t_start = cli._t_range(cfg, inst)[0]
+    first = branches[0].points[0]
+    assert first.t == t_start
+    assert np.array_equal(first.u, nonlinear.monotone_rise(inst, t_start)[0])
+
+
 @pytest.mark.parametrize("n", [800, 16000])
 def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
