@@ -24,61 +24,15 @@ from .errors import BadGridConfig, NonPositiveWeight, SingularOperator
 ROBIN_DECAY = "robin_decay"
 DIRICHLET = "dirichlet"
 
-# Cephes Gamma (S. L. Moshier), as scipy.special.gamma evaluates it: a
-# rational approximation on [2, 3] and Stirling's series above 33
-_GAMMA_P = (1.60119522476751861407e-4, 1.19135147006586384913e-3,
-            1.04213797561761569935e-2, 4.76367800457137231464e-2,
-            2.07448227648435975150e-1, 4.94214826801497100753e-1,
-            9.99999999999999996796e-1)
-_GAMMA_Q = (-2.31581873324120129819e-5, 5.39605580493303397842e-4,
-            -4.45641913851797240494e-3, 1.18139785222060435552e-2,
-            3.58236398605498653373e-2, -2.34591795718243348568e-1,
-            7.14304917030273074085e-2, 1.00000000000000000320e0)
-_STIRLING = (7.87311395793093628397e-4, -2.29549961613378126380e-4,
-             -2.68132617805781232825e-3, 3.47222221605458667310e-3,
-             8.33333333333482257126e-2)
-_GAMMA_MAX = 171.624376956302725  # Gamma overflows above
-_STIRLING_POW_MAX = 143.01608  # x^(x - 1/2) overflows above
-
-
-def _polevl(x: float, coef) -> float:
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _gamma(x: float) -> float:
-    """Gamma(x) for x >= 1 with the bits of scipy.special.gamma, which
-    math.gamma does not have (at x = 3/2 it is one unit lower)."""
-    if x > 33.0:
-        if x >= _GAMMA_MAX:
-            return math.inf
-        w = 1.0 / x
-        w = 1.0 + w * _polevl(w, _STIRLING)
-        y = math.exp(x)
-        if x > _STIRLING_POW_MAX:
-            v = math.pow(x, 0.5 * x - 0.25)
-            y = v * (v / y)
-        else:
-            y = math.pow(x, x - 0.5) / y
-        return 2.50662827463100050242e0 * y * w  # sqrt(2 pi) y w
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
 
 def sphere_area(N: int) -> float:
-    """Surface area of the unit (N-1)-sphere, 2 pi^{N/2} / Gamma(N/2)."""
-    return float(2.0 * np.pi ** (N / 2.0) / _gamma(N / 2.0))
+    """Surface area of the unit (N-1)-sphere, 2 pi^{N/2} / Gamma(N/2),
+    through log Gamma where Gamma(N/2) overflows (N >= 344)."""
+    try:
+        return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
+    except OverflowError:
+        return 2.0 * math.exp(N / 2.0 * math.log(math.pi)
+                              - math.lgamma(N / 2.0))
 
 
 @dataclass(frozen=True)

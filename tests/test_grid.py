@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import semifold as sf
 from semifold.errors import BadGridConfig, NonPositiveWeight, SingularOperator
-from semifold.grid import (TridiagonalOperator, _gamma, _row_sums,
+from semifold.grid import (TridiagonalOperator, _row_sums,
                            dirichlet_energy, dot, factor_tridiagonal,
                            sphere_area, solve_tridiagonal, weighted_integral)
 
@@ -16,18 +16,19 @@ def test_sphere_area_closed_forms():
     assert sphere_area(4) == pytest.approx(2.0 * np.pi ** 2, rel=1e-14)
 
 
-def test_gamma_has_scipys_bits_at_every_half_dimension():
-    from scipy.special import gamma
-    for N in range(3, 401):
-        assert _gamma(N / 2.0) == gamma(N / 2.0), N
-
-
 def test_sphere_area_keeps_its_bits_at_three_dimensions():
-    """SciPy's Gamma(3/2), one unit above math.gamma's, puts the 4 pi of
-    N = 3 one unit above its correctly rounded value; every output rests
-    on it, so it stays."""
-    assert sphere_area(3).hex() == "0x1.921fb54442d19p+3"
-    assert (4.0 * math.pi).hex() == "0x1.921fb54442d18p+3"
+    """Gamma comes from math.gamma, so the area at N = 3 is 4 pi
+    correctly rounded."""
+    assert sphere_area(3) == 4.0 * math.pi
+
+
+def test_sphere_area_above_the_range_of_gamma():
+    """Where Gamma(N/2) overflows, from N = 344, the area comes from
+    log Gamma and keeps the recurrence |S^{N+1}| = 2 pi |S^{N-1}| / N."""
+    for N in range(338, 352):
+        assert sphere_area(N + 2) == pytest.approx(
+            2.0 * math.pi * sphere_area(N) / N, rel=1e-12), N
+    assert 0.0 < sphere_area(400) < sphere_area(343)
 
 
 def test_build_grid_rejects_bad_configs():
