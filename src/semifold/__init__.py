@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 
 from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
                      canonical_instance, load_config, parse_config)
-from .continuation import (Branch, BranchPoint, FoldPoint, certified_below,
-                           find_fold, refine_fold, trace_branch,
-                           two_solutions)
+from .continuation import (FoldPoint, certified_below, find_fold,
+                           fold_branch, refine_fold, two_solutions)
 from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
 from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,

@@ -25,10 +25,11 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (certified_below, find_fold, refine_fold,
-                           stability, trace_branch, two_solutions)
+from .continuation import (certified_below, find_fold, fold_branch,
+                           refine_fold, stability, two_solutions)
 from .eigen import decay_constants
 from .errors import ConfigError, SemifoldError
+from .grid import dot
 from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
                         picard_solve, residual)
 from .problem import (check_P1, check_P2, check_sigma_growth,
@@ -345,35 +346,33 @@ def _t_range(cfg, inst):
     return -10.0 * abs(ts) if t_start is None else t_start, ts + 1.0
 
 
-def _traced_branch(cfg, inst, run):
-    t_start, t_max = _t_range(cfg, inst)
-    with run.stage("branch_start"):
-        u = monotone_rise(inst, t_start)[0]
-    with run.stage("trace"):
-        return trace_branch(inst, t_start, u,
-                            step_ds=cfg.get("run", "step_ds"),
-                            t_window=(t_start - 1.0, t_max),
-                            max_points=cfg.get("run", "max_points"))
-
-
-def emit_bifurcation(inst, branch):
-    """The text of `branch.csv`; its rows, and their eigensolves, are
-    computed here, before any of it is written."""
-    if not branch.points:
-        raise SemifoldError("cannot emit an empty branch")
-    rows = [[i, p.t, p.u_at_0, e0_norm(inst.grid, p.u), p.residual_inf,
-             stability(inst, p.u), p.arclength]
-            for i, p in enumerate(branch.points)]
+def emit_bifurcation(inst, rows):
+    """The text of `branch.csv` for the (t, u) rows of fold_branch; each
+    row's residual, eigensolve and chord are computed here, before any
+    of it is written.  `arclength` sums the weighted chords
+    sqrt(|du|^2 / n + dt^2) between consecutive rows."""
+    table, arc, (t_prev, u_prev) = [], 0.0, rows[0]
+    for i, (t, u) in enumerate(rows):
+        du = u - u_prev
+        arc += math.sqrt(dot(du, du) / len(u) + (t - t_prev) ** 2)
+        table.append([i, t, u[0], e0_norm(inst.grid, u),
+                      float(np.abs(residual(inst, u, t)).max()),
+                      stability(inst, u), arc])
+        t_prev, u_prev = t, u
     return _csv_blocks(
         "index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength",
-        np.array(rows).T)
+        np.array(table).T)
 
 
 def cmd_branch(cfg: ScenarioConfig, args) -> int:
+    """The rows of fold_branch through the fold that alpha reports,
+    from [run] t_start on the scenario's grid."""
     run, inst = _start(cfg, args)
-    branch = _traced_branch(cfg, inst, run)
+    point = _fold(cfg, inst, run)[2]
     with run.stage("branch_rows"):
-        rows = emit_bifurcation(inst, branch)
+        rows = emit_bifurcation(inst, fold_branch(
+            inst, point, _t_range(cfg, inst)[0], cfg.get("run", "step_ds"),
+            cfg.get("run", "max_points")))
     run.emit("branch.csv", rows)
     run.finish("branch")
     return 0

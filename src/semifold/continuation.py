@@ -1,56 +1,29 @@
-"""Fold location in the forcing coefficient t, and branch tracing.
+"""Fold location in the forcing coefficient t, and the branch through it.
 
 A ladder of minimal solutions, each the warm start of the next, climbs
 towards the fold along an extrapolation of the amplitude derivative,
 and Newton on the extended fold system finishes it.  Below the fold,
 certify corrects the fold's quadratic normal form to each of the two
-solutions (`semifold alpha`'s certified bound and `semifold two`).
-Pseudo-arclength continuation with a bordered tridiagonal corrector
-traces the whole branch, through the turning point where plain
-parameter continuation has a singular Jacobian.
+solutions (`semifold alpha`'s certified bound and `semifold two`), and
+fold_branch lays the whole branch out in the normal form's coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, NamedTuple
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .eigen import smallest_eigenvalue
-from .errors import (InitialPointInvalid, MonotonicityBroken, NoConvergence,
-                     NoFoldInBranch, QueryPastFold, SingularOperator)
+from .errors import (MonotonicityBroken, NoConvergence, NoFoldInBranch,
+                     QueryPastFold, SingularOperator)
 from .grid import dot, solve_tridiagonal
-from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, SOLVE_TOL,
-                        _correction_stop, certify, jacobian, monotone_newton,
-                        monotone_rise, residual)
+from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, _correction_stop,
+                        certify, jacobian, monotone_newton, monotone_rise,
+                        residual)
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile
-
-
-@dataclass
-class BranchPoint:
-    t: float
-    u: np.ndarray
-    arclength: float
-    residual_inf: float
-
-    @property
-    def u_at_0(self) -> float:
-        return float(self.u[0])
-
-
-@dataclass
-class Branch:
-    points: List[BranchPoint] = field(default_factory=list)
-    status: str = "ok"
-
-    def __len__(self):
-        return len(self.points)
-
-    @property
-    def t_values(self) -> np.ndarray:
-        return np.array([p.t for p in self.points])
 
 
 class FoldPoint(NamedTuple):
@@ -69,100 +42,6 @@ def stability(instance: ProblemInstance, u: np.ndarray) -> float:
     # positive ground state of the symmetrized Jacobian
     return smallest_eigenvalue(instance.grid, jacobian(instance, u),
                                np.sqrt(instance.grid.volumes) * instance.eigen.phi1)
-
-
-def trace_branch(instance: ProblemInstance, t_start: float,
-                 u_start: np.ndarray, step_ds: float = 0.5,
-                 t_window=(-np.inf, np.inf), max_points: int = 600) -> Branch:
-    """Pseudo-arclength continuation of the branch through (t_start,
-    u_start), until t leaves t_window (status "window_exit"), the step
-    underflows ("step_underflow") or max_points are traced ("max_points").
-
-    A corrector attempt is abandoned as soon as its weighted step
-    sqrt(w2 |du|^2 + dt^2) stops shrinking, and the step ds is halved."""
-    u = np.asarray(u_start, dtype=float).copy()
-    t = float(t_start)
-    rs = instance.A.row_scale()
-    F = residual(instance, u, t)
-    if np.abs(F).max() > 1e3 * SOLVE_TOL * rs:
-        raise InitialPointInvalid(
-            "starting point does not solve the system to branch tolerance")
-
-    n = instance.grid.n
-    w2 = 1.0 / n  # balances the u block against the scalar t in arclength
-    Pphi = instance.weight_values * instance.eigen.phi1  # = -dF/dt
-
-    # initial tangent from the parameter derivative du/dt
-    y = solve_tridiagonal(jacobian(instance, u), Pphi)
-    nrm = np.sqrt(w2 * dot(y, y) + 1.0)
-    tau_u, tau_t = y / nrm, 1.0 / nrm
-
-    branch = Branch()
-    branch.points.append(BranchPoint(
-        t=t, u=u.copy(), arclength=0.0, residual_inf=float(np.abs(F).max())))
-    ds = float(step_ds)
-    ds0 = abs(ds)
-    easy = 0
-    arc = 0.0
-    while len(branch) < max_points:
-        u_pred = u + ds * tau_u
-        t_pred = t + ds * tau_t
-        uc, tc = u_pred.copy(), t_pred
-        ok = False
-        step_prev = np.inf
-        for _ in range(12):
-            F = residual(instance, uc, tc)
-            con = w2 * dot(tau_u, uc - u) + tau_t * (tc - t) - ds
-            if np.abs(F).max() <= SOLVE_TOL * rs and \
-                    abs(con) <= 1e-10 * (1.0 + abs(ds)):
-                ok = True
-                break
-            J = jacobian(instance, uc)
-            try:
-                p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
-            except SingularOperator:
-                break
-            denom = w2 * dot(tau_u, q) + tau_t
-            if denom == 0.0:
-                break
-            dt = (-con - w2 * dot(tau_u, p)) / denom
-            du = p + dt * q
-            step = np.sqrt(w2 * dot(du, du) + dt ** 2)
-            if step >= step_prev:  # no contraction: the attempt diverges
-                break
-            step_prev = step
-            # not uc + du: that rounds differently and moves every branch
-            uc = uc + p + dt * q
-            tc = tc + dt
-            if not np.isfinite(uc).all():
-                break
-        if not ok:
-            ds *= 0.5
-            easy = 0
-            if abs(ds) < 1e-6 * ds0:
-                branch.status = "step_underflow"
-                return branch
-            continue
-
-        # accept: secant tangent keeps orientation through the fold
-        new_tau_u = (uc - u) / ds
-        new_tau_t = (tc - t) / ds
-        nrm = np.sqrt(w2 * dot(new_tau_u, new_tau_u) + new_tau_t ** 2)
-        tau_u, tau_t = new_tau_u / nrm, new_tau_t / nrm
-        arc += abs(ds)
-        u, t = uc, tc
-        branch.points.append(BranchPoint(
-            t=t, u=u.copy(), arclength=arc,
-            residual_inf=float(np.abs(F).max())))
-        if not (t_window[0] <= t <= t_window[1]):
-            branch.status = "window_exit"
-            return branch
-        easy += 1
-        if easy >= 4:
-            ds = np.sign(ds) * min(abs(ds) * 2.0, 8.0 * ds0)
-            easy = 0
-    branch.status = "max_points"
-    return branch
 
 
 def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
@@ -285,22 +164,70 @@ def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
     return prof.u, eta, beta, h
 
 
-def two_solutions(instance: ProblemInstance, t_query: float,
-                  fold: FoldPoint):
-    """The minimal solution at t_query below the fold (certified_below's)
-    and the second (certify's from u* + sqrt((alpha - t) / kappa) v*),
-    with stability indicators; NoConvergence where kappa is not positive
-    and finite, or where the second's eta >= FOLD_FLOOR (1 + |u|_inf)."""
-    if t_query >= fold.t:
-        raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.t}")
+def _predictor(instance: ProblemInstance, fold: FoldPoint):
+    """_normal_form's (v*, kappa); NoConvergence where kappa is not
+    positive and finite, which leaves no predictor above the fold."""
     v, kappa = _normal_form(instance, fold)
     if not 0.0 < kappa < np.inf:
         raise NoConvergence(f"no predictor: the fold's kappa is {kappa:.2e}")
-    lower = certified_below(instance, fold, t_query)[0]
-    upper, eta = certify(instance, fold.u + np.sqrt(
-        (fold.t - t_query) / kappa) * v, t_query)[:2]
-    if not eta < FOLD_FLOOR * (1.0 + float(np.abs(upper).max())):
+    return v, kappa
+
+
+def _second(instance: ProblemInstance, u0: np.ndarray, t: float):
+    """certify's u at t from u0, the second solution's predictor;
+    NoConvergence where its eta >= FOLD_FLOOR (1 + |u|_inf)."""
+    u, eta = certify(instance, u0, t)[:2]
+    if not eta < FOLD_FLOOR * (1.0 + float(np.abs(u).max())):
         raise NoConvergence(f"no converged second solution (eta {eta:.1e})")
+    return u
+
+
+def two_solutions(instance: ProblemInstance, t_query: float,
+                  fold: FoldPoint):
+    """The minimal solution at t_query below the fold (certified_below's)
+    and the second (_second's from u* + sqrt((alpha - t) / kappa) v*),
+    with stability indicators; NoConvergence where kappa is not positive
+    and finite, or where the second does not converge."""
+    if t_query >= fold.t:
+        raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.t}")
+    v, kappa = _predictor(instance, fold)
+    lower = certified_below(instance, fold, t_query)[0]
+    upper = _second(instance, fold.u + np.sqrt(
+        (fold.t - t_query) / kappa) * v, t_query)
     return tuple(SolutionProfile(
         u, t_query, float(np.abs(residual(instance, u, t_query)).max()),
         stability(instance, u)) for u in (lower, upper))
+
+
+def fold_branch(instance: ProblemInstance, fold: FoldPoint, t_start: float,
+                step_ds: float, max_points: int) -> list:
+    """The branch from t_start through the fold and back, as (t, u) rows
+    equally spaced in the normal form's sigma = -+sqrt((alpha - t) /
+    kappa): m rows below the fold, at t_k = t_start + (alpha - t_start)
+    k (2m - k) / m^2 for k = 0 ... m - 1, the fold itself, and m rows
+    above it at the same t in decreasing order.  With m = min(ceil(2
+    (alpha - t_start) / step_ds), (max_points - 1) // 2), no two rows
+    are more than step_ds apart in t (the widest gap is at t_start) and
+    there are at most max_points.
+
+    The lower rows are monotone_rise's limits, the first from the
+    subsolution at t_start and each next from the row below.  The upper
+    rows are _second's, the first from u* + sigma_1 v*, as in
+    two_solutions, and each next from the secant in sigma through the
+    two rows before it; they raise NoConvergence as two_solutions does."""
+    v, kappa = _predictor(instance, fold)
+    gap = fold.t - t_start
+    m = min(math.ceil(2.0 * gap / step_ds), (max_points - 1) // 2)
+    ts = [t_start + gap * k * (2 * m - k) / m ** 2 for k in range(m)]
+    rows, u = [], None
+    for t in ts:
+        u = monotone_rise(instance, t, u)[0]
+        rows.append((t, u))
+    rows.append((fold.t, fold.u))
+    for j, t in enumerate(reversed(ts)):
+        # at equal steps in sigma the secant through the last two rows
+        # is 2 u_(j-1) - u_(j-2)
+        u0 = (fold.u + np.sqrt((fold.t - t) / kappa) * v if j == 0
+              else 2.0 * rows[-1][1] - rows[-2][1])
+        rows.append((t, _second(instance, u0, t)))
+    return rows

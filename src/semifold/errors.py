@@ -39,10 +39,6 @@ class MonotonicityBroken(SemifoldError):
     pass
 
 
-class InitialPointInvalid(SemifoldError):
-    pass
-
-
 class NoFoldInBranch(SemifoldError):
     pass
 

@@ -5,19 +5,10 @@ import dataclasses
 
 import numpy as np
 
-from semifold.continuation import find_fold, refine_fold, trace_branch
+from semifold.config import KEYS
+from semifold.continuation import find_fold, fold_branch, refine_fold
 from semifold.nonlinear import monotone_rise
 from semifold.verify import tau_star
-
-
-def make_branch(inst, **kwargs):
-    """The branch from the minimal solution at t0 = -10 |tau*| over the
-    window t0 - 1 ... tau* + 1; keyword arguments override
-    trace_branch's."""
-    ts = tau_star(inst)
-    t0 = -10.0 * abs(ts)
-    kwargs = {"step_ds": 0.5, "t_window": (t0 - 1.0, ts + 1.0), **kwargs}
-    return trace_branch(inst, t0, monotone_rise(inst, t0)[0], **kwargs)
 
 
 def ladder_fold(inst, t0=None):
@@ -28,14 +19,32 @@ def ladder_fold(inst, t0=None):
     return find_fold(inst, t0, monotone_rise(inst, t0)[0], ts + 1.0)
 
 
-def traced_fold(inst, branch=None):
-    """refine_fold from the turn of a traced branch, seeded with the
-    branch secant across it: the fold found without the ladder."""
-    branch = make_branch(inst) if branch is None else branch
-    idx = int(np.argmax(branch.t_values))
-    v0 = branch.points[idx + 1].u - branch.points[idx - 1].u
-    return refine_fold(inst, branch.points[idx].u.copy(), branch.points[idx].t,
-                       v0 / np.abs(v0).max())
+def make_branch(inst, fold=None, **kwargs):
+    """fold_branch's (t, u) rows from t0 = -10 |tau*| through `fold`, by
+    default ladder_fold's, at the config's default step_ds and
+    max_points; keyword arguments override those two."""
+    kwargs = {key: KEYS["run"][key][0] for key in ("step_ds", "max_points")
+              } | kwargs
+    fold = ladder_fold(inst) if fold is None else fold
+    return fold_branch(inst, fold, -10.0 * abs(tau_star(inst)), **kwargs)
+
+
+def fold_seed(rows, start="mid"):
+    """refine_fold's seed (u, t, v0) from the two rows on either side of
+    the fold row: the lower one, the upper one or their midpoint, at
+    their common t, with their secant as v0."""
+    idx = len(rows) // 2
+    (t, lower), (_, upper) = rows[idx - 1], rows[idx + 1]
+    u = {"lower": lower, "upper": upper, "mid": 0.5 * (lower + upper)}[start]
+    v0 = upper - lower
+    return u.copy(), t, v0 / np.abs(v0).max()
+
+
+def row_fold(inst, rows=None, start="mid"):
+    """refine_fold from fold_seed(rows, start): the fold reached from
+    the branch rows, not from the ladder's last rung."""
+    rows = make_branch(inst) if rows is None else rows
+    return refine_fold(inst, *fold_seed(rows, start))
 
 
 def flipped_curvature(inst):

@@ -32,13 +32,13 @@ def coarse():
 
 
 @pytest.fixture(scope="session")
-def canonical_branch(canonical):
-    return make_branch(canonical)
+def canonical_fold(canonical):
+    return ladder_fold(canonical)
 
 
 @pytest.fixture(scope="session")
-def canonical_fold(canonical):
-    return ladder_fold(canonical)
+def canonical_branch(canonical, canonical_fold):
+    return make_branch(canonical, canonical_fold)
 
 
 @pytest.fixture(scope="session")

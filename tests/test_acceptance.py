@@ -195,15 +195,15 @@ def test_acceptance_8_a_priori_estimates(canonical, canonical_branch, fine,
         worst = 0.0
         src_max = 0.0
         grad_max = 0.0
-        for p in branch.points:
-            w = build_subsolution(inst, p.t)
-            neg = p.u < 0
+        for t, u in branch:
+            w = build_subsolution(inst, t)
+            neg = u < 0
             if neg.any():
-                worst = max(worst, float((w[neg] - p.u[neg]).max()))
+                worst = max(worst, float((w[neg] - u[neg]).max()))
             src_max = max(src_max, weighted_source_functional(
-                p.u, inst.eigen, inst))
+                u, inst.eigen, inst))
             grad_max = max(grad_max, dirichlet_energy(
-                inst.grid, np.maximum(p.u, 0.0)))
+                inst.grid, np.maximum(u, 0.0)))
         return worst, src_max, grad_max
 
     worst, src_max, grad_max = sweep(canonical, canonical_branch)

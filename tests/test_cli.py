@@ -24,8 +24,8 @@ from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
                              build_scenario_instance, load_config)
 from semifold.eigen import smallest_eigenvalue
 from semifold.errors import NoConvergence
-from semifold.grid import build_grid
-from branching import flipped_curvature, ladder_fold, traced_fold
+from semifold.grid import build_grid, solve_tridiagonal
+from branching import flipped_curvature, ladder_fold, row_fold
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
 
@@ -189,20 +189,25 @@ def test_any_float_renders_as_percent_format(values):
 
 
 def test_branch_csv_matches_savetxt(monkeypatch):
-    """The 7-column branch table, integer index first, past one block."""
+    """The 7-column branch table, integer index first, past one block;
+    arclength sums the chords sqrt(|du|^2 / n + dt^2)."""
     monkeypatch.setattr(cli, "stability", lambda inst, u: -float(u[0]))
     monkeypatch.setattr(cli, "e0_norm", lambda grid, u: float(u[1]) * 1e-300)
+    monkeypatch.setattr(cli, "residual",
+                        lambda inst, u, t: u[2:] * 1e-310 * t)
     rng = np.random.default_rng(7)
-    points = [SimpleNamespace(t=-10.0 + 1e-3 * i, u_at_0=x[0], u=x,
-                              residual_inf=abs(x[2]) * 1e-310,
-                              arclength=0.5 * i)
-              for i, x in enumerate(rng.standard_normal((2100, 3)))]
+    rows = [(-10.0 + 1e-3 * i, x)
+            for i, x in enumerate(rng.standard_normal((2100, 3)))]
     inst = SimpleNamespace(grid=None)
     header = "index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength"
-    rows = [[i, p.t, p.u_at_0, p.u[1] * 1e-300, p.residual_inf, -p.u[0],
-             p.arclength] for i, p in enumerate(points)]
-    emitted = cli.emit_bifurcation(inst, SimpleNamespace(points=points))
-    assert _rendered_bytes(emitted) == _savetxt_bytes(np.array(rows), header)
+    text = _rendered_bytes(cli.emit_bifurcation(inst, rows))
+    arcs = np.loadtxt(io.BytesIO(text), delimiter=",", skiprows=1)[:, 6]
+    chords = [0.0] + [np.sqrt(np.sum((u - w) ** 2) / 3 + (t - s) ** 2)
+                      for (s, w), (t, u) in zip(rows, rows[1:])]
+    np.testing.assert_allclose(arcs, np.cumsum(chords), rtol=1e-12)
+    table = [[i, t, u[0], u[1] * 1e-300, abs(u[2] * 1e-310 * t), -u[0], arc]
+             for i, ((t, u), arc) in enumerate(zip(rows, arcs))]
+    assert text == _savetxt_bytes(np.array(table), header)
 
 
 def test_solution_csv_writes_in_small_blocks(tmp_path):
@@ -341,46 +346,98 @@ def test_branch_rows_have_their_own_stage(scenario, tmp_path):
             "branch_rows"} <= set(stages)
 
 
+def _recorded_rows(monkeypatch):
+    """[(fold, rows)] of each fold_branch call the CLI makes."""
+    calls = []
+    build = cli.fold_branch
+
+    def recorded(inst, fold, *args):
+        calls.append((fold, build(inst, fold, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "fold_branch", recorded)
+    return calls
+
+
 def test_branch_starts_from_the_minimal_solution(scenario, tmp_path,
                                                  monkeypatch):
-    """branch's first point is monotone_rise's limit at t_start, bit for
+    """branch's first row is monotone_rise's limit at t_start, bit for
     bit, and no newton_solve call makes it."""
     def refused(*args, **kwargs):
         raise AssertionError("newton_solve called")
 
     for module in (nonlinear, cli):
         monkeypatch.setattr(module, "newton_solve", refused)
-    branches = []
-    trace = cli.trace_branch
-
-    def recorded(*args, **kwargs):
-        branches.append(trace(*args, **kwargs))
-        return branches[-1]
-
-    monkeypatch.setattr(cli, "trace_branch", recorded)
+    calls = _recorded_rows(monkeypatch)
     assert main(["branch", scenario, "--outdir", str(tmp_path)]) == 0
     cfg = load_config(scenario)
     inst = build_scenario_instance(cfg)
     t_start = cli._t_range(cfg, inst)[0]
-    first = branches[0].points[0]
-    assert first.t == t_start
-    assert np.array_equal(first.u, nonlinear.monotone_rise(inst, t_start)[0])
+    t, u = calls[0][1][0]
+    assert t == t_start
+    assert np.array_equal(u, nonlinear.monotone_rise(inst, t_start)[0])
+
+
+@pytest.mark.parametrize("n", [4000, 64000])
+def test_branch_rows_are_converged(tmp_path, monkeypatch, n):
+    """One more Newton correction from every row of branch.csv off the
+    fold is at most FOLD_TOL relative, and one more extended Newton step
+    from the fold row moves it by no more; the rows below the fold are
+    monotone_rise's limits, each from the row below, bit for bit."""
+    path = _scenario(tmp_path / "scenario.ini", n)
+    calls = _recorded_rows(monkeypatch)
+    assert main(["branch", path, "--outdir", str(tmp_path / "out")]) == 0
+    inst = build_scenario_instance(load_config(path))
+    (fold, rows), = calls
+    tol = nonlinear.FOLD_TOL
+    m = len(rows) // 2
+    u_prev = None
+    for k, (t, u) in enumerate(rows):
+        scale = 1.0 + np.abs(u).max()
+        if k == m:
+            again = cli.refine_fold(inst, u, t, fold.v)
+            assert abs(again.t - t) <= tol * (1.0 + abs(t))
+            assert np.abs(again.u - u).max() <= tol * scale
+            continue
+        du = solve_tridiagonal(nonlinear.jacobian(inst, u),
+                               -nonlinear.residual(inst, u, t))
+        assert np.abs(du).max() <= tol * scale
+        if k < m:
+            u_prev = nonlinear.monotone_rise(inst, t, u_prev)[0]
+            assert np.array_equal(u, u_prev)
+
+
+def test_branch_turns_at_alpha_through_two(tmp_path, monkeypatch):
+    """At n = 16000 the fold row's t is alpha.json's alpha_arclength, and
+    the first row above the fold is two's second solution at that row's
+    t, both bit for bit."""
+    path = _scenario(tmp_path / "scenario.ini", 16000)
+    calls = _recorded_rows(monkeypatch)
+    assert main(["branch", path, "--outdir", str(tmp_path / "branch")]) == 0
+    rows = calls[0][1]
+    m = len(rows) // 2
+    t_csv = np.loadtxt(tmp_path / "branch" / "branch.csv", delimiter=",",
+                       skiprows=1)[:, 1]
+    assert t_csv[m] == rows[m][0] == _alpha(
+        path, tmp_path / "alpha")["alpha_arclength"]
+    t, upper = rows[m + 1]
+    out = tmp_path / "two"
+    assert main(["two", path, "--t", repr(t), "--outdir", str(out)]) == 0
+    assert np.array_equal(upper, np.loadtxt(
+        out / "solution_upper.csv", delimiter=",", skiprows=1)[:, 1])
 
 
 @pytest.mark.parametrize("n", [800, 16000])
 def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
-    trace_branch, on one grid or with the 4000-node twin, and each
+    fold_branch, on one grid or with the 4000-node twin, and each
     manifest keeps the stages of the trace's place.  Both alpha's bound
     and two's roots come from the fold's normal form, one certify call
     per point, and neither calls monotone_newton or newton_solve.  Each
     solves one first eigenpair per grid: above COARSE_N the twin's from
     the default start, then the fine one from the twin's lifted phi1."""
     path = _scenario(tmp_path / "scenario.ini", n)
-    traced = []
-    monkeypatch.setattr(cli, "trace_branch",
-                        lambda *args, **kwargs: traced.append(args))
-    monkeypatch.setattr(continuation, "trace_branch", cli.trace_branch)
+    traced = _recorded_rows(monkeypatch)
     solved = []
     eigenpair = config.first_eigenpair
 
@@ -453,8 +510,9 @@ def _alpha(path, outdir):
 
 
 def _traced_fold(path):
-    """The fold refined from the turn of a trace on the file's own grid."""
-    return traced_fold(build_scenario_instance(load_config(path))).t
+    """The fold refined from the branch rows beside the fold on the
+    file's own grid."""
+    return row_fold(build_scenario_instance(load_config(path))).t
 
 
 @pytest.fixture(scope="module")

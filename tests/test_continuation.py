@@ -4,20 +4,19 @@ import pytest
 import semifold as sf
 import semifold.continuation as continuation
 import semifold.nonlinear as nonlinear
-from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
+from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
                              parse_config)
 from semifold.cli import PROBE_DECADES
 from semifold.continuation import (certified_below, find_fold, refine_fold,
-                                   stability, trace_branch, two_solutions)
-from semifold.errors import (InitialPointInvalid, MonotonicityBroken,
-                             NoConvergence, NoFoldInBranch, QueryPastFold,
-                             SingularOperator)
+                                   stability, two_solutions)
+from semifold.errors import (MonotonicityBroken, NoConvergence,
+                             NoFoldInBranch, QueryPastFold, SingularOperator)
 from semifold.grid import solve_tridiagonal
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
                                 monotone_rise, residual)
 from semifold.verify import tau_star
-from branching import (flipped_curvature, ladder_fold, make_branch,
-                       traced_fold)
+from branching import (flipped_curvature, fold_seed, ladder_fold,
+                       make_branch, row_fold)
 
 
 @pytest.fixture(scope="module")
@@ -26,46 +25,59 @@ def inst():
 
 
 @pytest.fixture(scope="module")
-def branch(inst):
-    return make_branch(inst)
-
-
-@pytest.fixture(scope="module")
 def fold(inst):
     return ladder_fold(inst)
 
 
 @pytest.fixture(scope="module")
+def branch(inst, fold):
+    return make_branch(inst, fold)
+
+
+@pytest.fixture(scope="module")
 def fold_point(inst, branch):
-    """refine_fold's (u, alpha, v) from the turn point of the branch and
-    the branch secant across it."""
-    return traced_fold(inst, branch)
+    """refine_fold's (u, alpha, v) from the midpoint of the rows on either
+    side of the fold row and their secant."""
+    return row_fold(inst, branch)
 
 
-def test_branch_passes_the_turn(inst, branch):
-    ts = branch.t_values
-    assert branch.status in ("window_exit", "max_points")
-    idx = int(np.argmax(ts))
-    assert 0 < idx < len(branch) - 1  # interior turn: both segments traced
-    assert (np.diff(ts[: idx + 1]) > 0).all()
-    assert ts[-1] < ts[idx]
+def test_branch_passes_the_turn(inst, branch, fold):
+    """2m + 1 rows, m = ceil(2 (alpha - t0) / step_ds): t rises to the
+    fold row, the ladder's fold, and falls back through the same values;
+    no two rows are more than step_ds apart in t."""
+    step_ds = KEYS["run"]["step_ds"][0]
+    ts = np.array([t for t, _ in branch])
+    m = len(branch) // 2
+    assert len(branch) == 2 * m + 1
+    assert m == np.ceil(2.0 * (fold.t - ts[0]) / step_ds)
+    assert ts[0] == -10.0 * abs(tau_star(inst))
+    assert ts[m] == fold.t and branch[m][1] is fold.u
+    assert (np.diff(ts[: m + 1]) > 0).all()
+    assert np.array_equal(ts[m + 1:], ts[m - 1::-1])
+    assert np.abs(np.diff(ts)).max() <= step_ds
+
+
+def test_branch_is_capped_by_max_points(inst, fold):
+    """At most max_points rows, an odd number, which widens the gaps."""
+    for cap, rows in ((1, 1), (2, 1), (7, 7), (8, 7)):
+        assert len(make_branch(inst, fold, max_points=cap)) == rows
 
 
 def test_branch_points_are_solutions(inst, branch):
     rs = inst.A.row_scale()
-    for p in branch.points[:: max(len(branch) // 8, 1)]:
-        F = residual(inst, p.u, p.t)
-        assert np.abs(F).max() <= 1e-8 * rs
+    for t, u in branch:
+        assert np.abs(residual(inst, u, t)).max() <= 1e-8 * rs
 
 
 def test_stability_changes_across_fold(inst, branch):
-    assert stability(inst, branch.points[0].u) > 0
-    assert stability(inst, branch.points[-1].u) < 0
+    mu = [stability(inst, u) for _, u in branch]
+    m = len(branch) // 2
+    assert min(mu[:m]) > 0 > max(mu[m + 1:])
 
 
-def test_trace_makes_no_eigensolve(inst, monkeypatch):
+def test_branch_makes_no_eigensolve(inst, fold, monkeypatch):
     """The stability indicator is computed by the writers that report it,
-    never by the trace."""
+    never by fold_branch."""
     calls = []
     eigensolve = continuation.smallest_eigenvalue
 
@@ -74,46 +86,29 @@ def test_trace_makes_no_eigensolve(inst, monkeypatch):
         return eigensolve(*args)
 
     monkeypatch.setattr(continuation, "smallest_eigenvalue", counted)
-    br = make_branch(inst)
-    assert br.status == "window_exit"
+    make_branch(inst, fold)
     assert len(calls) == 0
 
 
-def test_corrector_abandons_a_growing_step(inst, monkeypatch):
-    """The second corrector step of the first attempt is made to grow: the
-    attempt ends at that iteration, after two solves, and the next
-    residual is taken at the predictor of the halved step."""
-    log = []
-
-    def counted_residual(inst_, u, t):
-        log.append(("F", u.copy(), t))
-        return residual(inst_, u, t)
-
-    def counted_solve(op, rhs):
-        out = solve_tridiagonal(op, rhs)
-        if rhs.ndim == 2:  # a corrector solve: columns -F and P phi1
-            log.append(("S",))
-            if sum(e[0] == "S" for e in log) == 2:
-                out = out.copy()
-                out[:, 0] *= 1e6
-        return out
-
-    monkeypatch.setattr(continuation, "residual", counted_residual)
-    monkeypatch.setattr(continuation, "solve_tridiagonal", counted_solve)
-    br = make_branch(inst, step_ds=8.0, max_points=2)
-    assert len(br) == 2 and br.status == "max_points"
-    t0, u0 = br.points[0].t, br.points[0].u
-    # the start check, then two iterations of the first attempt
-    assert "".join(e[0] for e in log[:6]) == "FFSFSF"
-    (_, u_pred, t_pred), (_, u_next, t_next) = log[1], log[5]
-    np.testing.assert_allclose(u_next, 0.5 * (u0 + u_pred), rtol=1e-12,
-                               atol=1e-12 * np.abs(u0).max())
-    assert t_next == pytest.approx(0.5 * (t0 + t_pred), rel=1e-12)
+def test_rise_past_the_fold_breaks(inst, fold, branch):
+    """monotone_rise 1e-3 above the fold, from the subsolution or from
+    the last row below the fold, finds no minimal solution."""
+    for u in (None, branch[len(branch) // 2 - 1][1]):
+        with pytest.raises(MonotonicityBroken):
+            monotone_rise(inst, fold.t + 1e-3, u)
 
 
-def test_trace_rejects_non_solution_start(inst):
-    with pytest.raises(InitialPointInvalid):
-        trace_branch(inst, 0.0, np.ones(inst.grid.n))
+@pytest.mark.parametrize("cause", ["kappa", "eta"])
+def test_branch_without_a_second_solution_raises(inst, fold, monkeypatch,
+                                                 cause):
+    """Above the fold the rows are two_solutions' second solutions, and
+    raise as it does."""
+    if cause == "eta":
+        monkeypatch.setattr(continuation, "certify",
+                            lambda inst, u, t: (u, 1.0, np.inf, np.inf))
+    with pytest.raises(NoConvergence, match=cause):
+        make_branch(flipped_curvature(inst) if cause == "kappa" else inst,
+                    fold)
 
 
 def test_fold_refinement_is_sharp(inst, fold, fold_point):
@@ -192,9 +187,9 @@ def test_upper_solution_is_not_certified(inst, fold):
 def test_probe_past_the_fold_never_certifies(inst, branch, fold, fold_point,
                                              start):
     t = fold.t + 1e-3
-    idx = int(np.argmax(branch.t_values))
-    u0 = {"fold": fold_point[0], "pre_fold": branch.points[idx - 1].u,
-          "post_fold": branch.points[idx + 1].u}[start]
+    idx = len(branch) // 2
+    u0 = {"fold": fold_point[0], "pre_fold": branch[idx - 1][1],
+          "post_fold": branch[idx + 1][1]}[start]
     assert not certify(inst, u0, t)[3] <= 0.5
 
 
@@ -268,24 +263,23 @@ def test_query_past_fold_raises(inst, fold):
 
 
 def test_refine_fold_from_crude_seed(inst, branch, fold):
-    ts = branch.t_values
-    idx = int(np.argmax(ts))
-    v0 = np.ones(inst.grid.n)
-    u, alpha, v, _ = refine_fold(inst, branch.points[idx].u.copy(),
-                                 float(ts[idx]), v0)
+    """From the midpoint of the rows beside the fold, with v0 = 1, the
+    extended Newton lands on the fold: alpha to 1e-8 and a Jacobian
+    whose stability indicator vanishes."""
+    u0, t0, _ = fold_seed(branch)
+    u, alpha, _, _ = refine_fold(inst, u0, t0, np.ones(inst.grid.n))
     assert alpha == pytest.approx(fold.t, abs=1e-8)
-    J = jacobian(inst, u)
-    assert np.abs(J.apply(v)).max() < 1e-6 * inst.A.row_scale() * np.abs(v).max()
+    assert abs(stability(inst, u)) < 1e-8
 
 
 @pytest.mark.parametrize("n_coarse, n", [(1000, 4000), (4000, 16000)])
 def test_refine_fold_from_an_interpolated_coarse_fold(n_coarse, n):
     """The extended Newton stops on its correction, so it reaches the same
-    fold from the fine trace's turn and from the coarse ladder's fold:
-    mesh independence leaves the fine grid a few steps."""
+    fold from the fine branch rows beside the fold and from the coarse
+    ladder's fold: mesh independence leaves the fine grid a few steps."""
     coarse = sf.canonical_instance(n=n_coarse)
     fine = sf.canonical_instance(n=n)
-    traced = traced_fold(fine)
+    traced = row_fold(fine)
     u, t, v, _ = ladder_fold(coarse)
     nodes = fine.grid.nodes, coarse.grid.nodes
     lifted = refine_fold(fine, np.interp(*nodes, u), t, np.interp(*nodes, v))
@@ -316,13 +310,11 @@ def test_small_residual_with_a_large_correction_is_not_a_fold(canonical,
 
 def test_refine_fold_stops_where_the_correction_stops_contracting(
         inst, branch, fold_point, monkeypatch):
-    """With no tolerance to reach, the extended Newton from the turn of
-    the branch runs to its rounding floor and stops where the correction
-    no longer contracts; a correction that stops contracting above
-    FOLD_FLOOR is refused."""
-    idx = int(np.argmax(branch.t_values))
-    v0 = branch.points[idx + 1].u - branch.points[idx - 1].u
-    seed = (branch.points[idx].u, branch.points[idx].t, v0 / np.abs(v0).max())
+    """With no tolerance to reach, the extended Newton from the rows
+    beside the fold runs to its rounding floor and stops where the
+    correction no longer contracts; a correction that stops contracting
+    above FOLD_FLOOR is refused."""
+    seed = fold_seed(branch)
     monkeypatch.setattr(continuation, "FOLD_TOL", 0.0)
     floor = refine_fold(inst, *seed)
     assert floor.iterations > fold_point.iterations
@@ -364,17 +356,23 @@ def test_refine_fold_keeps_an_iterate_whose_jacobian_is_singular(
 @pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])
 def test_find_fold_equals_the_traced_fold(canonical, canonical_branch, t0):
     """From t_start across the fold-64k draw range, the ladder and
-    refine_fold land on the fold refined from the turn of a trace."""
-    traced = traced_fold(canonical, canonical_branch)
+    refine_fold land on the fold refined from the branch rows beside the
+    fold."""
+    traced = row_fold(canonical, canonical_branch)
     found = find_fold(canonical, t0, monotone_rise(canonical, t0)[0],
                       tau_star(canonical) + 1.0)
     assert abs(found.t - traced.t) <= 1e-10
 
 
 def test_find_fold_equals_the_traced_fold_on_a_stretched_grid():
+    """From the lower row beside the fold, the upper one and their
+    midpoint alike."""
     stretched = build_scenario_instance(parse_config(
         CANONICAL_CONFIG.replace("stretch = 1.0", "stretch = 1.0001")))
-    assert abs(ladder_fold(stretched).t - traced_fold(stretched).t) <= 1e-10
+    fold = ladder_fold(stretched)
+    rows = make_branch(stretched, fold)
+    for start in ("lower", "mid", "upper"):
+        assert abs(fold.t - row_fold(stretched, rows, start).t) <= 1e-10
 
 
 def _recorded_rises(monkeypatch, fail_first=False):

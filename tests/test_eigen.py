@@ -129,10 +129,10 @@ def test_smallest_eigenvalue_matches_bisection_oracle(canonical,
         J = inst.A.shifted(-1.1 * inst.eigen.lambda1 * inst.weight_values)
         assert J.sub[-1] == 0.0
     else:
-        ts = canonical_branch.t_values
-        idx = {"stable": 0, "fold": int(np.argmax(ts)),
-               "unstable": len(ts) - 1}[point]
-        J = jacobian(inst, canonical_branch.points[idx].u)
+        rows = canonical_branch
+        idx = {"stable": 0, "fold": len(rows) // 2,
+               "unstable": len(rows) - 1}[point]
+        J = jacobian(inst, rows[idx][1])
     mu = smallest_eigenvalue(inst.grid, J, _start(inst))
     ref = _stebz_smallest(J)
     assert abs(mu - ref) <= 100 * np.finfo(float).eps * J.row_scale()
@@ -213,8 +213,7 @@ def test_started_iteration_flags_a_near_degenerate_pencil(c, degenerate):
 
 def test_smallest_eigenvalue_iteration_cap_raises(canonical, canonical_branch,
                                                   monkeypatch):
-    ts = canonical_branch.t_values
-    J = jacobian(canonical, canonical_branch.points[int(np.argmax(ts))].u)
+    J = jacobian(canonical, canonical_branch[len(canonical_branch) // 2][1])
     monkeypatch.setattr(eigen, "STABILITY_MAXIT", 1)
     with pytest.raises(NoConvergence):
         smallest_eigenvalue(canonical.grid, J, _start(canonical))
