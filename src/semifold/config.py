@@ -17,9 +17,10 @@ from functools import partial
 import numpy as np
 
 from .eigen import first_eigenpair
-from .errors import ConfigError, SlopeViolation
-from .grid import (DIRICHLET, ROBIN_DECAY, assemble_laplacian,
-                   assemble_weight_mass, build_grid)
+from .errors import (BadGridConfig, ConfigError, SingularOperator,
+                     SlopeViolation)
+from .grid import (DIRICHLET, ROBIN_DECAY, _checked_row_scale,
+                   assemble_laplacian, assemble_weight_mass, build_grid)
 from .nonlinear import SOLVE_TOL
 from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
                       exponential_weight, linear_nonlinearity,
@@ -214,6 +215,14 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     grid = build_grid(weight.N, cfg.get("grid", "r"), cfg.get("grid", "n"),
                       cfg.get("grid", "stretch"))
     A = assemble_laplacian(grid, cfg.get("grid", "farfield"))
+    try:
+        _checked_row_scale(A)
+    except SingularOperator as exc:
+        raise BadGridConfig(
+            f"grid N = {grid.N}, R = {grid.R}, n = {grid.n}, stretch = "
+            f"{cfg.get('grid', 'stretch')} is not usable: its operator's "
+            f"row sums span more than 1e14 (first cell volume "
+            f"{grid.volumes[0]:.1e})") from exc
     pvals = assemble_weight_mass(grid, weight.evaluator)
     twin = None if grid.n <= COARSE_N else build_scenario_instance(
         replace(cfg, grid={**cfg.grid, "n": str(COARSE_N)}))

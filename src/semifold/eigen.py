@@ -28,7 +28,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
-                     SingularOperator, ZeroDenominator)
+                     NotNormalized, SingularOperator, ZeroDenominator)
 from .grid import (RadialGrid, TridiagonalOperator, dot, factor_tridiagonal,
                    solve_tridiagonal, weighted_integral)
 
@@ -92,9 +92,10 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
         x = y
         if res <= tol * abs(lam) * np.abs(mP * y).max() + floor:
             if prev_res is not None and prev_res > 0.0:
-                # contraction factor approximates lambda1/lambda2
+                # contraction factor approximates lambda1/lambda2, so
+                # 1/q - 1 is the relative gap, whatever P's scale
                 q = min(res / prev_res, 1.0 - 1e-16)
-                if lam * (1.0 / q - 1.0) < 1e-8:
+                if 1.0 / q - 1.0 < 1e-8:
                     warnings.warn("first eigenvalue appears nearly degenerate",
                                   NonSimpleWarning)
             break
@@ -107,7 +108,12 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     if x.sum() < 0.0:
         x = -x
     # enforce the discrete P-weighted normalization exactly
-    x /= np.sqrt(weighted_integral(grid, mP * x ** 2))
+    mass = weighted_integral(grid, mP * x ** 2)
+    if not 0.0 < mass < np.inf:
+        raise NotNormalized(f"the eigenfunction's P-weighted integral is "
+                            f"{mass:.3g} on the {grid.n}-node grid: no "
+                            f"normalization in floating point")
+    x /= np.sqrt(mass)
     norm_res = abs(weighted_integral(grid, mP * x ** 2) - 1.0)
     dec = decay_constants(grid, x)
     res = np.abs(A.apply(x) - lam * mP * x).max()

@@ -753,6 +753,36 @@ def test_config_mistakes_exit_1(tmp_path, old, new):
     assert main(["check", str(path), "--outdir", str(tmp_path / "out")]) == 1
 
 
+def test_unusable_stretched_grid_exits_1(tmp_path, capsys, monkeypatch):
+    """At stretch 1.0003 and n = 64000 the first cell's volume is 7e-33
+    and the operator's row sums span more than 1e14: every command exits
+    1 naming the grid, before the twin is built or an eigenpair solved."""
+    path = _scenario(tmp_path / "scenario.ini", 64000, stretch=1.0003)
+    monkeypatch.setattr(config, "first_eigenpair", None)
+    assert main(["alpha", path, "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: grid N = 3, R = 40.0, n = 64000, stretch = 1.0003 "
+        "is not usable")
+
+
+def test_unnormalizable_eigenfunction_exits_2(tmp_path, capsys):
+    """At dimension 400, r = 1.5 and n = 5 the eigenfunction's P-weighted
+    integral underflows to 0: eigen exits 2 with a message, writes no
+    eigen.csv and raises no RuntimeWarning."""
+    path = tmp_path / "d400.ini"
+    path.write_text(SMALL.replace("dimension = 3", "dimension = 400")
+                    .replace("r = 40.0", "r = 1.5").replace("n = 800", "n = 5"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eigen", str(path), "--outdir", str(tmp_path / "out")])
+    assert rc == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the eigenfunction's "
+                          "P-weighted integral is 0")
+    assert not (tmp_path / "out" / "eigen.csv").exists()
+
+
 def test_uncreatable_outdir_exits_1(scenario, tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")

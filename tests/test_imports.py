@@ -182,6 +182,45 @@ def test_one_instance_builder():
     assert builds["cli.py"] == [("_start", "build_scenario_instance")]
 
 
+def name_uses(source: str, names: set) -> list:
+    """(function, name) of each use of one of `names`: a bare name, an
+    attribute or an imported alias.  `function` is the enclosing
+    top-level definition, "<module>" outside one."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in names:
+                found.append((where, name))
+    return sorted(found)
+
+
+def test_scan_sees_name_uses():
+    src = ("from .nonlinear import SOLVE_TOL as tol, monotone_rise\n"
+           "def fold(inst):\n"
+           "    return nonlinear.SOLVE_TOL, find_fold(inst)\n"
+           "LIMIT = 2 * SOLVE_TOL\n")
+    assert name_uses(src, {"SOLVE_TOL", "find_fold"}) == [
+        ("<module>", "SOLVE_TOL"), ("<module>", "SOLVE_TOL"),
+        ("fold", "SOLVE_TOL"), ("fold", "find_fold")]
+
+
+def test_one_convergence_test_and_one_fold():
+    """The residual tolerance SOLVE_TOL is named only where it is defined
+    and where newton_tol defaults to it: every other solver stops on its
+    correction.  cli finds and refines the fold in one place, _fold."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert sorted(mod for mod, text in sources.items()
+                  if name_uses(text, {"SOLVE_TOL"})) == \
+        ["config.py", "nonlinear.py"]
+    fold = {"find_fold", "refine_fold"}
+    assert [where for where, _ in name_uses(sources["cli.py"], fold)
+            if where != "<module>"] == ["_fold", "_fold"]
+
+
 # numpy's entry points into BLAS, which on long vectors wake OpenBLAS
 # helper threads that burn a second core without a faster result
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
