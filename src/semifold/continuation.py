@@ -205,10 +205,10 @@ def fold_branch(instance: ProblemInstance, fold: FoldPoint, t_start: float,
     equally spaced in the normal form's sigma = -+sqrt((alpha - t) /
     kappa): m rows below the fold, at t_k = t_start + (alpha - t_start)
     k (2m - k) / m^2 for k = 0 ... m - 1, the fold itself, and m rows
-    above it at the same t in decreasing order.  With m = min(ceil(2
-    (alpha - t_start) / step_ds), (max_points - 1) // 2), no two rows
-    are more than step_ds apart in t (the widest gap is at t_start) and
-    there are at most max_points.
+    above it at the same t in decreasing order.  m = min(ceil(2 (alpha -
+    t_start) / step_ds), (max_points - 1) // 2): there are at most
+    max_points rows, and unless that caps m no two are more than step_ds
+    apart in t (the widest gap is at t_start).
 
     The lower rows are monotone_rise's limits, the first from the
     subsolution at t_start and each next from the row below.  The upper
