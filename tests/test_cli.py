@@ -407,24 +407,36 @@ def test_branch_rows_are_converged(tmp_path, monkeypatch, n):
             assert np.array_equal(u, u_prev)
 
 
-def test_branch_turns_at_alpha_through_two(tmp_path, monkeypatch):
-    """At n = 16000 the fold row's t is alpha.json's alpha_arclength, and
-    the first row above the fold is two's second solution at that row's
-    t, both bit for bit."""
-    path = _scenario(tmp_path / "scenario.ini", 16000)
-    calls = _recorded_rows(monkeypatch)
-    assert main(["branch", path, "--outdir", str(tmp_path / "branch")]) == 0
-    rows = calls[0][1]
-    m = len(rows) // 2
-    t_csv = np.loadtxt(tmp_path / "branch" / "branch.csv", delimiter=",",
+@pytest.fixture(scope="module")
+def branch_16k(tmp_path_factory):
+    """(config path, fold_branch's rows) of `branch` at n = 16000."""
+    tmp = tmp_path_factory.mktemp("b16")
+    path = _scenario(tmp / "scenario.ini", 16000)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _recorded_rows(mp)
+        assert main(["branch", path, "--outdir", str(tmp / "out")]) == 0
+    t_csv = np.loadtxt(tmp / "out" / "branch.csv", delimiter=",",
                        skiprows=1)[:, 1]
-    assert t_csv[m] == rows[m][0] == _alpha(
-        path, tmp_path / "alpha")["alpha_arclength"]
-    t, upper = rows[m + 1]
-    out = tmp_path / "two"
-    assert main(["two", path, "--t", repr(t), "--outdir", str(out)]) == 0
+    assert np.array_equal(t_csv, [t for t, _ in calls[0][1]])
+    return path, calls[0][1]
+
+
+def test_branch_turns_at_alpha(branch_16k, tmp_path):
+    """The fold row's t is alpha.json's alpha_arclength, bit for bit."""
+    path, rows = branch_16k
+    alpha = _alpha(path, tmp_path)["alpha_arclength"]
+    assert rows[len(rows) // 2][0] == alpha
+
+
+def test_first_row_above_the_fold_is_twos_second_solution(branch_16k,
+                                                           tmp_path):
+    """The first row above the fold is `two --t <its t>`'s second
+    solution, bit for bit."""
+    path, rows = branch_16k
+    t, upper = rows[len(rows) // 2 + 1]
+    assert main(["two", path, "--t", repr(t), "--outdir", str(tmp_path)]) == 0
     assert np.array_equal(upper, np.loadtxt(
-        out / "solution_upper.csv", delimiter=",", skiprows=1)[:, 1])
+        tmp_path / "solution_upper.csv", delimiter=",", skiprows=1)[:, 1])
 
 
 @pytest.mark.parametrize("n", [800, 16000])
