@@ -54,7 +54,11 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     contracting above FOLD_FLOOR raises NoConvergence.  J is singular at
     the fold, and a solve may find it exactly so: after a correction at
     most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
-    above it, SingularOperator propagates."""
+    above it, SingularOperator propagates.
+
+    The v update is J^-1 of D du, so once du is near the rounding floor
+    v carries its noise (|J v| up to 1e-3 rs |v|); the returned v is
+    _null_step's, which leaves |J(u) v| at the rounding floor."""
     gsec = instance.nonlinearity.g_second
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
@@ -81,15 +85,27 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
         size = max(abs(dt) / (1.0 + abs(t)),
                    float(np.abs(du).max()) / (1.0 + float(np.abs(u).max())))
         if _correction_stop(size, size_prev, "fold refinement"):
-            return FoldPoint(u, float(t), v, k)
+            return _null_step(instance, u, t, v, c, k)
         u = u + du
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2
         if size <= FOLD_TOL:
-            return FoldPoint(u, float(t), v, k + 1)
+            return _null_step(instance, u, t, v, c, k + 1)
         size_prev = size
     raise NoConvergence(f"fold refinement did not converge (last correction "
                         f"{size:.2e} relative)", iterations=k + 1)
+
+
+def _null_step(instance: ProblemInstance, u: np.ndarray, t: float,
+               v: np.ndarray, c: np.ndarray, k: int) -> FoldPoint:
+    """FoldPoint(u, t, w / c.w, k) with w = J(u)^-1 v, one inverse
+    iteration step towards J(u)'s null vector; v itself where a solve
+    finds J(u) singular."""
+    try:
+        w = solve_tridiagonal(jacobian(instance, u), v)
+    except SingularOperator:
+        return FoldPoint(u, float(t), v, k)
+    return FoldPoint(u, float(t), w / dot(c, w), k)
 
 
 def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
@@ -217,7 +233,9 @@ def fold_branch(instance: ProblemInstance, fold: FoldPoint, t_start: float,
     two rows before it; they raise NoConvergence as two_solutions does."""
     v, kappa = _predictor(instance, fold)
     gap = fold.t - t_start
-    m = min(math.ceil(2.0 * gap / step_ds), (max_points - 1) // 2)
+    m = (max_points - 1) // 2
+    if 2.0 * gap / step_ds < m:  # so that ceil never sees inf
+        m = math.ceil(2.0 * gap / step_ds)
     ts = [t_start + gap * k * (2 * m - k) / m ** 2 for k in range(m)]
     rows, u = [], None
     for t in ts:

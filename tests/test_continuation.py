@@ -58,9 +58,12 @@ def test_branch_passes_the_turn(inst, branch, fold):
 
 
 def test_branch_is_capped_by_max_points(inst, fold):
-    """At most max_points rows, an odd number, which widens the gaps."""
+    """At most max_points rows, an odd number, which widens the gaps;
+    also at a step_ds so small that 2 (alpha - t0) / step_ds overflows
+    to inf."""
     for cap, rows in ((1, 1), (2, 1), (7, 7), (8, 7)):
         assert len(make_branch(inst, fold, max_points=cap)) == rows
+    assert len(make_branch(inst, fold, step_ds=1e-310, max_points=7)) == 7
 
 
 def test_branch_points_are_solutions(inst, branch):
@@ -112,13 +115,16 @@ def test_branch_without_a_second_solution_raises(inst, fold, monkeypatch,
 
 
 def test_fold_refinement_is_sharp(inst, fold, fold_point):
-    """At the refined fold, from the ladder and from the trace, the
-    Jacobian's stability indicator vanishes to rounding and the
-    extended-system residual is tiny."""
-    for u, alpha, _, _ in (fold, fold_point):
+    """At the refined fold, from the ladder and from the rows beside the
+    fold, the Jacobian's stability indicator vanishes to rounding, the
+    extended-system residual is tiny and v is the Jacobian's null vector
+    to rounding."""
+    rs = inst.A.row_scale()
+    for u, alpha, v, _ in (fold, fold_point):
         assert abs(stability(inst, u)) < 1e-8
-        assert np.abs(residual(inst, u, alpha)).max() \
-            < 1e-4 * inst.A.row_scale()
+        assert np.abs(residual(inst, u, alpha)).max() < 1e-4 * rs
+        assert np.abs(jacobian(inst, u).apply(v)).max() \
+            < 1e-10 * rs * np.abs(v).max()
 
 
 def _probe(inst, fold):
@@ -264,12 +270,13 @@ def test_query_past_fold_raises(inst, fold):
 
 def test_refine_fold_from_crude_seed(inst, branch, fold):
     """From the midpoint of the rows beside the fold, with v0 = 1, the
-    extended Newton lands on the fold: alpha to 1e-8 and a Jacobian
-    whose stability indicator vanishes."""
+    extended Newton lands on the fold: alpha to 1e-8 and v a null vector
+    of the Jacobian there."""
     u0, t0, _ = fold_seed(branch)
-    u, alpha, _, _ = refine_fold(inst, u0, t0, np.ones(inst.grid.n))
+    u, alpha, v, _ = refine_fold(inst, u0, t0, np.ones(inst.grid.n))
     assert alpha == pytest.approx(fold.t, abs=1e-8)
-    assert abs(stability(inst, u)) < 1e-8
+    J = jacobian(inst, u)
+    assert np.abs(J.apply(v)).max() < 1e-6 * inst.A.row_scale() * np.abs(v).max()
 
 
 @pytest.mark.parametrize("n_coarse, n", [(1000, 4000), (4000, 16000)])
