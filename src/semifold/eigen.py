@@ -21,14 +21,13 @@ successful factorization at mu - r - floor puts none below it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import dpttrf, dpttrs
-from .errors import (NoConvergence, NonPositiveEigenfunction, NonSimpleWarning,
-                     NotNormalized, SingularOperator, ZeroDenominator)
+from .errors import (NoConvergence, NonPositiveEigenfunction, NotNormalized,
+                     SingularOperator, ZeroDenominator)
 from .grid import (RadialGrid, TridiagonalOperator, dot, factor_tridiagonal,
                    solve_tridiagonal, weighted_integral)
 
@@ -83,7 +82,6 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     # rounding floor: applying A to a vector of max norm 1, as each
     # iterate is, cannot be more accurate than eps times its row scale
     floor = 50.0 * np.finfo(float).eps * lu.row_scale
-    prev_res = None
     for k in range(1, EIGENPAIR_MAXIT + 1):
         y = solve_tridiagonal(lu, mP * x)
         y /= np.abs(y).max()
@@ -91,15 +89,7 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
         res = np.abs(A.apply(y) - lam * mP * y).max()
         x = y
         if res <= tol * abs(lam) * np.abs(mP * y).max() + floor:
-            if prev_res is not None and prev_res > 0.0:
-                # contraction factor approximates lambda1/lambda2, so
-                # 1/q - 1 is the relative gap, whatever P's scale
-                q = min(res / prev_res, 1.0 - 1e-16)
-                if 1.0 / q - 1.0 < 1e-8:
-                    warnings.warn("first eigenvalue appears nearly degenerate",
-                                  NonSimpleWarning)
             break
-        prev_res = res
     else:
         raise NoConvergence(f"inverse power iteration: {EIGENPAIR_MAXIT} "
                             "iterations", iterations=EIGENPAIR_MAXIT,

@@ -68,10 +68,6 @@ class DivergentMoment(ConfigError):
     mass and second moment."""
 
 
-class NonSimpleWarning(UserWarning):
-    """Emitted when the first eigenvalue appears to be nearly degenerate."""
-
-
 class BoundarySlackWarning(UserWarning):
     """Emitted when a slack supremum is attained at the sampling boundary."""
 

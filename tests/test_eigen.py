@@ -192,10 +192,9 @@ def test_twin_start_halves_the_fine_iteration():
 @pytest.mark.parametrize("c, tiny_gap", [(1.0, False), (1e10, True)])
 def test_started_iteration_flags_a_near_degenerate_pencil(c, tiny_gap):
     """On the ball of radius pi with weight c the first two eigenvalues
-    are 1/c and 4/c.  The contraction test reads their ratio from the
-    last two residuals and warns on the relative gap, 3 at every c, so
-    from a start (the lifted phi1 of a 100-node grid, as a build passes)
-    no c warns, not even c = 1e10, where the absolute gap 3/c is below
+    are 1/c and 4/c.  From a start (the lifted phi1 of a 100-node grid,
+    as a build passes) the iteration converges to 1/c with no warning at
+    every c, even at c = 1e10, where the absolute gap 3/c is below
     1e-8."""
     assert (3.0 / c < 1e-8) == tiny_gap
     pairs = []
