@@ -47,11 +47,9 @@ def stability(instance: ProblemInstance, u: np.ndarray) -> float:
 def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
                 v0: np.ndarray) -> FoldPoint:
     """Newton on the extended system {F(u,t)=0, J(u,t)v=0, c.v=1}, to the
-    quadratic turning point.  It stops on its correction, not on the
-    residual, whose row scale grows as h^-2: once the correction is below
-    FOLD_TOL, or once it stops contracting below FOLD_FLOOR (the rounding
-    floor; nonlinear._correction_stop).  A correction that stops
-    contracting above FOLD_FLOOR raises NoConvergence.  J is singular at
+    quadratic turning point.  It stops on its correction by
+    nonlinear._correction_stop at FOLD_TOL; one that stops contracting
+    above FOLD_FLOOR raises NoConvergence.  J is singular at
     the fold, and a solve may find it exactly so: after a correction at
     most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
     above it, SingularOperator propagates.
@@ -84,12 +82,13 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
         du = p + dt * q
         size = max(abs(dt) / (1.0 + abs(t)),
                    float(np.abs(du).max()) / (1.0 + float(np.abs(u).max())))
-        if _correction_stop(size, size_prev, "fold refinement"):
+        stop = _correction_stop(size, size_prev, FOLD_TOL, "fold refinement")
+        if stop == "keep":
             return _null_step(instance, u, t, v, c, k)
         u = u + du
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2
-        if size <= FOLD_TOL:
+        if stop:
             return _null_step(instance, u, t, v, c, k + 1)
         size_prev = size
     raise NoConvergence(f"fold refinement did not converge (last correction "

@@ -13,23 +13,20 @@ from .grid import TridiagonalOperator, dot, solve_tridiagonal
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, build_subsolution, make_profile
 
-# residual tolerance, relative to the operator's row scale, at which a
-# solve accepts its iterate
+# Newton-type loops stop on their correction (_correction_stop), never on
+# the residual, whose row scale grows as h^-2: u + du is accepted once
+# |du|_inf <= tol (1 + |u|_inf), tol SOLVE_TOL (newton_solve, picard_solve)
+# or FOLD_TOL (monotone Newton, the fold system: converging quadratically,
+# u + du is then accurate to about tol^2), and u once a correction below
+# FOLD_FLOOR stops contracting: the rounding floor, which grows with n
+# (about 1e-12 at n = 4000, 4e-10 at 128000).  FOLD_MAXIT caps the steps
 SOLVE_TOL = 1e-10
-# full Newton steps certify takes at most, natural monotonicity allowing
-CERTIFY_MAXIT = 8
-EPS = float(np.finfo(float).eps)
-# Newton on the fold system (continuation.refine_fold) and monotone Newton
-# stop once their correction is below FOLD_TOL relative to the iterate
-# (|dt| against 1 + |t|, |du|_inf against 1 + |u|_inf): converging
-# quadratically, the corrected iterate is then accurate to about the
-# square of that.  The correction's rounding floor grows with n (about
-# 1e-12 at n = 4000, 4e-10 at 128000); a correction that stops
-# contracting below FOLD_FLOOR has reached it, and its iterate is
-# accepted.  FOLD_MAXIT caps the steps
 FOLD_TOL = 1e-8
 FOLD_FLOOR = 1e-7
 FOLD_MAXIT = 40
+# full Newton steps certify takes at most, natural monotonicity allowing
+CERTIFY_MAXIT = 8
+EPS = float(np.finfo(float).eps)
 
 
 def residual(inst: ProblemInstance, u: np.ndarray, t: float) -> np.ndarray:
@@ -52,65 +49,77 @@ def apply_solution_operator(inst: ProblemInstance, v: np.ndarray,
 
 
 def _deflation_factor(u: np.ndarray, known: Sequence[SolutionProfile]):
-    """Product of (1/||u-u_k||^2 + 1) and its gradient prefactors."""
-    eta = 1.0
-    grads = []
+    """Product of (1/m_k + 1) and the gradient of its log, m_k = ||u -
+    u_k||_2^2 / n the mean square distance to the k-th known root: a
+    distance that does not grow with the grid."""
+    eta, grads = 1.0, []
     for prof in known:
         d = u - prof.u
-        n2 = dot(d, d)
-        if n2 < 1e-300:
-            return 1e300, None  # sitting on a known root: hard penalty
-        eta *= 1.0 / n2 + 1.0
-        # d/du of log(1/n2 + 1) = -2 d / (n2 * (1 + n2))
-        grads.append(-2.0 * d / (n2 * (1.0 + n2)))
+        m = dot(d, d) / d.size
+        eta *= 1.0 / m + 1.0
+        # d/du of log(1/m + 1) = -2 d / (n m (1 + m))
+        grads.append(-2.0 * d / (d.size * m * (1.0 + m)))
     return eta, np.sum(grads, axis=0)
+
+
+def _correction_stop(size: float, size_prev: float, tol: float,
+                     what: str = ""):
+    """"take" a correction of relative size `size` and stop once it is at
+    most tol and below `size_prev`, the one before; "keep" the iterate,
+    dropping it, once a size at most FOLD_FLOOR does not fall (the rounding
+    floor); else None, or NoConvergence naming `what` if a size above
+    FOLD_FLOOR does not fall (damped Newton and Picard name none)."""
+    if size < size_prev:
+        return "take" if size <= tol else None
+    if size <= FOLD_FLOOR:
+        return "keep"
+    if what:
+        raise NoConvergence(f"{what} did not converge (last correction "
+                            f"{size:.2e} relative)")
 
 
 def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
                  tol: float = SOLVE_TOL, maxit: int = 50,
                  known: Sequence[SolutionProfile] = ()) -> SolutionProfile:
-    """Damped Newton with Armijo backtracking on the merit 0.5*||eta F||_2^2.
-
-    With `known` roots this is deflated Newton (Farrell, Birkisson & Funke
-    2015): Newton on eta(u) F(u), eta = prod_k (1/||u-u_k||^2 + 1), whose
-    step is the plain Newton step divided by 1 - grad(log eta).du, so the
-    tridiagonal solve is unchanged; a root counts only when it is separated
-    from every known one.  With none, eta = 1 and this is plain Newton.
+    """Damped Newton with Armijo backtracking on the merit 0.5*||eta F||_2^2,
+    stopped by _correction_stop on the plain Newton correction -J^-1 F once
+    u is at least 1e-4 (1 + |u_k|_inf) from every known root u_k.  With
+    `known` roots this is deflated Newton (Farrell, Birkisson & Funke 2015):
+    Newton on eta(u) F(u) (_deflation_factor), whose step is the plain one
+    divided by 1 - grad(log eta).du, so the tridiagonal solve is unchanged.
     Raises NoConvergence; callers probing nonexistence catch it."""
     u = np.asarray(u0, dtype=float).copy()
-    rs = inst.A.row_scale()
+    if any(np.array_equal(u, p.u) for p in known):
+        raise NoConvergence("deflated Newton cannot start on a known root")
+    eta, grad_log_eta = _deflation_factor(u, known)
     F = residual(inst, u, t)
-    eta, grad_log_eta = _deflation_factor(u, known) if known else (1.0, None)
+    size_prev = np.inf
     for k in range(1, maxit + 1):
-        if np.abs(F).max() <= tol * rs and all(
-                np.abs(u - p.u).max() >= 1e-4 * (1.0 + np.abs(p.u).max())
-                for p in known):
-            return make_profile(inst, u, t, np.abs(F).max(),
-                                iterations=k - 1)
-        if known and grad_log_eta is None:
-            # perched exactly on a known root: nudge off along the grid
-            u = u + 1e-3 * (1.0 + np.abs(u).max())
-            F = residual(inst, u, t)
-            eta, grad_log_eta = _deflation_factor(u, known)
-            continue
-        J = jacobian(inst, u)
         try:
-            du = solve_tridiagonal(J, -F)
+            du = solve_tridiagonal(jacobian(inst, u), -F)
         except SingularOperator as exc:
             raise NoConvergence(f"singular Jacobian at step {k}: {exc}",
                                 iterations=k, residual=float(np.abs(F).max()))
+        size = float(np.abs(du).max()) / (1.0 + float(np.abs(u).max()))
+        stop = _correction_stop(size, size_prev, tol) if all(
+            np.abs(u - p.u).max() >= 1e-4 * (1.0 + np.abs(p.u).max())
+            for p in known) else None
+        if stop == "keep":
+            return make_profile(inst, u, t, np.abs(F).max(), iterations=k - 1)
+        if stop:
+            u = u + du
+            return make_profile(inst, u, t, np.abs(residual(inst, u, t)).max(),
+                                iterations=k)
+        size_prev = size
         if known:
             denom = 1.0 - dot(grad_log_eta, du)
-            if abs(denom) < 1e-12:
-                denom = np.sign(denom) * 1e-12 if denom != 0.0 else 1e-12
-            du = du / denom
+            du = du / np.copysign(max(abs(denom), 1e-12), denom)
         merit = eta ** 2 * dot(F, F)
         step = 1.0
         for _ in range(30):
             u_try = u + step * du
             F_try = residual(inst, u_try, t)
-            if known:
-                eta, grad_log_eta = _deflation_factor(u_try, known)
+            eta, grad_log_eta = _deflation_factor(u_try, known)
             if np.isfinite(F_try).all() and \
                     eta ** 2 * dot(F_try, F_try) <= (1.0 - 1e-4 * step) * merit:
                 break
@@ -122,19 +131,6 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
     raise NoConvergence(f"Newton: {maxit} iterations, residual "
                         f"{np.abs(F).max():.3e}", iterations=maxit,
                         residual=float(np.abs(F).max()))
-
-
-def _correction_stop(size: float, size_prev: float, what: str) -> bool:
-    """True once a correction of relative size `size`, after one of
-    `size_prev`, no longer contracts at the rounding floor: keep the
-    iterate and drop the correction.  A correction that no longer
-    contracts above FOLD_FLOOR raises NoConvergence naming `what`."""
-    if size < size_prev:
-        return False
-    if size <= FOLD_FLOOR:
-        return True
-    raise NoConvergence(f"{what} did not converge (last correction "
-                        f"{size:.2e} relative)")
 
 
 def monotone_rise(inst: ProblemInstance, t: float, u=None):
@@ -150,7 +146,7 @@ def monotone_rise(inst: ProblemInstance, t: float, u=None):
     Every preset's g is convex (smooth_ramp: mu_upper > mu_lower; linear:
     g'' = 0); a correction with an entry below -FOLD_FLOOR (1 + |u|_inf),
     as for a custom nonconvex g or past the fold, raises
-    MonotonicityBroken.  The steps stop by refine_fold's rule."""
+    MonotonicityBroken.  The steps stop by _correction_stop at FOLD_TOL."""
     u = build_subsolution(inst, t) if u is None else u
     why = f"no minimal solution at t = {t}: Newton from the subsolution"
     F = residual(inst, u, t)
@@ -163,12 +159,13 @@ def monotone_rise(inst: ProblemInstance, t: float, u=None):
                 f"{why} falls by {-du.min() / scale:.1e} relative at step "
                 f"{steps + 1} (past the fold, or g is not convex)")
         size = float(np.abs(du).max()) / scale
-        if _correction_stop(size, size_prev, why):
+        stop = _correction_stop(size, size_prev, FOLD_TOL, why)
+        if stop == "keep":
             break
         u, steps = u + du, steps + 1
         F = residual(inst, u, t)
         defect = max(defect, float(F.max()))
-        if size <= FOLD_TOL:
+        if stop:
             break
         size_prev = size
     else:
@@ -250,33 +247,34 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
 
 def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
                  tol: float = SOLVE_TOL, maxit: int = 2000) -> SolutionProfile:
-    """Fixed-point iteration of the solution operator."""
+    """Fixed-point iteration of the solution operator, stopped by
+    _correction_stop on its step."""
     u = np.asarray(u0, dtype=float).copy()
-    rs = inst.A.row_scale()
     scale0 = 1.0 + np.abs(u).max()
+    size_prev = np.inf
     for k in range(1, maxit + 1):
         u_next = apply_solution_operator(inst, u, t)
         if not np.isfinite(u_next).all() or np.abs(u_next).max() > 1e8 * scale0:
             raise NoConvergence(f"Picard iteration diverged at step {k}",
                                 iterations=k)
-        delta = np.abs(u_next - u).max()
-        u = u_next
-        if delta <= tol * (1.0 + np.abs(u).max()):
-            F = residual(inst, u, t)
-            if np.abs(F).max() <= 1e2 * tol * rs:
-                return make_profile(inst, u, t, np.abs(F).max(),
-                                    iterations=k)
-    raise NoConvergence(f"Picard: {maxit} iterations, last delta {delta:.3e}",
-                        iterations=maxit, residual=float(delta))
+        size = float(np.abs(u_next - u).max()) / (1.0 + float(np.abs(u).max()))
+        stop = _correction_stop(size, size_prev, tol)
+        if stop:
+            u = u if stop == "keep" else u_next
+            return make_profile(inst, u, t, np.abs(residual(inst, u, t)).max(),
+                                iterations=k - (stop == "keep"))
+        u, size_prev = u_next, size
+    raise NoConvergence(f"Picard: {maxit} iterations, last step {size:.3e} "
+                        "relative", iterations=maxit, residual=size)
 
 
 def second_solution(inst: ProblemInstance, known: SolutionProfile,
                     t: float) -> SolutionProfile:
-    """Deflate a known solution and search for another one, starting from
-    perturbations along the first eigenfunction (the direction in which
-    the second branch separates), largest first: the second solution lies
-    far above the minimal one, and from small perturbations the deflated
-    Newton iteration stagnates before it gets there."""
+    """Deflate a known solution and search for another one from
+    perturbations along the first eigenfunction, in which the second
+    branch separates.  No one size serves: on the canonical scenario, 100
+    below the fold, Newton from 4 (at n = 1000 also from 2) stagnates,
+    while from 0.01 to 40 below it every size reaches the second solution."""
     phi = inst.eigen.phi1
     direction = phi / np.abs(phi).max()
     last = None

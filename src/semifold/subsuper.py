@@ -18,6 +18,9 @@ from .errors import MonotonicityBroken, NoConvergence, SingularOperator
 from .grid import RadialGrid, factor_tridiagonal, solve_tridiagonal
 from .problem import ProblemInstance
 
+MONOTONE_TOL = 1e-10  # monotone_iterate's step tolerance, absolute
+MONOTONE_MAXIT = 50000
+
 
 @dataclass
 class OrderedInterval:
@@ -60,7 +63,6 @@ def build_subsolution(instance: ProblemInstance, t: float) -> np.ndarray:
 
 def monotone_iterate(instance: ProblemInstance, t: float,
                      interval: OrderedInterval, shift: Optional[float] = None,
-                     tol: float = 1e-10, maxit: int = 50000,
                      start: str = "lower") -> SolutionProfile:
     """Shifted Picard scheme (A + cP) u_{k+1} = P (g(u_k) + c u_k + t phi1 + f1),
     monotone from either end of the ordered interval."""
@@ -81,7 +83,7 @@ def monotone_iterate(instance: ProblemInstance, t: float,
 
     up = start == "lower"
     u = lower.copy() if up else upper.copy()
-    for k in range(1, maxit + 1):
+    for k in range(1, MONOTONE_MAXIT + 1):
         rhs = P * (np.asarray(nl.g(u)) + shift * u) + forcing
         u_next = solve_tridiagonal(op, rhs)
         if up:
@@ -100,11 +102,11 @@ def monotone_iterate(instance: ProblemInstance, t: float,
                     f"downward iterate escaped below the subsolution at step {k}")
         delta = np.abs(u_next - u).max()
         u = u_next
-        if delta <= tol:
+        if delta <= MONOTONE_TOL:
             res = np.abs(residual(instance, u, t)).max()
             return make_profile(instance, u, t, res, iterations=k)
-    raise NoConvergence(f"monotone iteration: {maxit} steps, last delta {delta:.3e}",
-                        iterations=maxit, residual=float(delta))
+    raise NoConvergence(f"monotone iteration: {MONOTONE_MAXIT} steps, last "
+                        f"delta {delta:.3e}", iterations=k, residual=delta)
 
 
 def check_order_interval(u: np.ndarray, interval: OrderedInterval,

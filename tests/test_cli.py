@@ -704,6 +704,23 @@ def test_numerical_failure_exit_code(scenario, tmp_path):
     assert rc == 2
 
 
+def test_newton_solve_writes_a_converged_solution(tmp_path):
+    """solve --method newton far below the fold at n = 4000 writes a
+    solution whose next Newton correction is within newton_tol of 1 +
+    |u|_inf.  A stop on the row-scaled residual left 1.1e-6 there."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(CANONICAL_CONFIG)
+    assert main(["solve", str(path), "--method", "newton", "--t", "-300",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    cfg = load_config(str(path))
+    inst = build_scenario_instance(cfg)
+    u = cli._read_solution_csv(tmp_path / "out" / "solution.csv", inst.grid)
+    du = solve_tridiagonal(nonlinear.jacobian(inst, u),
+                           -nonlinear.residual(inst, u, -300.0))
+    assert np.abs(du).max() <= \
+        cfg.get("run", "newton_tol") * (1.0 + np.abs(u).max())
+
+
 def test_outdir_env_override(scenario, tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("SEMIFOLD_OUTDIR", str(target))

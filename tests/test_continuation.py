@@ -13,7 +13,7 @@ from semifold.errors import (MonotonicityBroken, NoConvergence,
                              NoFoldInBranch, QueryPastFold, SingularOperator)
 from semifold.grid import solve_tridiagonal
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
-                                monotone_rise, residual)
+                                monotone_rise, residual, second_solution)
 from semifold.verify import tau_star
 from branching import (flipped_curvature, fold_seed, ladder_fold,
                        make_branch, row_fold)
@@ -248,6 +248,19 @@ def test_second_solution_is_converged(canonical, canonical_fold, gap):
     du = solve_tridiagonal(jacobian(canonical, hi.u),
                            -residual(canonical, hi.u, t))
     assert np.abs(du).max() <= 1e-8 * (1.0 + np.abs(hi.u).max())
+
+
+@pytest.mark.parametrize("gap", [10.0, 40.0])
+def test_deflation_finds_the_upper_root_far_below_the_fold(
+        canonical, canonical_fold, gap):
+    """second_solution from two_solutions' lower root returns its upper
+    root at n = 4000.  Deflation by the squared distance summed over the
+    nodes, whose radius changes with the grid, stagnated from every
+    start here."""
+    t = canonical_fold.t - gap
+    lo, hi = two_solutions(canonical, t, canonical_fold)
+    sec = second_solution(canonical, lo, t)
+    assert np.abs(sec.u - hi.u).max() <= 1e-9 * (1.0 + np.abs(hi.u).max())
 
 
 @pytest.mark.parametrize("cause", ["kappa", "eta"])

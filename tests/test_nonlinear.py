@@ -5,8 +5,8 @@ import semifold as sf
 from semifold.errors import NoConvergence
 from semifold.grid import factor_tridiagonal, solve_tridiagonal
 from semifold.nonlinear import (apply_solution_operator, certify, jacobian,
-                                newton_solve, picard_solve, residual,
-                                second_solution)
+                                monotone_newton, newton_solve, picard_solve,
+                                residual, second_solution)
 from semifold.subsuper import build_subsolution
 
 
@@ -51,14 +51,28 @@ def test_jacobian_solve_leaves_the_operator_alone(inst, minimal):
 
 
 def test_newton_exact_on_linear_problem():
+    """g linear: the first Newton step solves the problem, and the second
+    correction, at the rounding floor, accepts it."""
     from dataclasses import replace
 
     base = sf.canonical_instance(R=20.0, n=500)
     nl = sf.linear_nonlinearity(0.5 * base.eigen.lambda1)
     inst = replace(base, nonlinearity=nl)
     prof = newton_solve(inst, np.zeros(inst.grid.n), 1.0)
-    assert prof.iterations <= 1
+    assert prof.iterations == 2
     assert prof.residual_inf <= 1e-10 * inst.A.row_scale()
+
+
+def test_newton_from_the_subsolution_reaches_the_minimal_solution(canonical):
+    """Far below the fold at n = 4000 the subsolution's residual is below
+    1e-10 of the row scale, yet the subsolution is 4e-8 (relative) from
+    the minimal solution: newton_solve stops on its correction, so it
+    steps to where monotone Newton lands."""
+    t = -300.0
+    prof = newton_solve(canonical, build_subsolution(canonical, t), t)
+    ref = monotone_newton(canonical, t)[0].u
+    assert prof.iterations >= 1
+    assert np.abs(prof.u - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
 
 
 def test_certify_on_linear_problem_has_h_zero():
@@ -131,6 +145,11 @@ def test_newton_with_known_root_finds_another(inst, minimal):
     assert np.abs(residual(inst, prof.u, -50.0)).max() == prof.residual_inf
     sep = np.abs(prof.u - minimal.u).max()
     assert sep >= 1e-4 * (1.0 + np.abs(minimal.u).max())
+
+
+def test_deflated_newton_refuses_a_start_on_a_known_root(inst, minimal):
+    with pytest.raises(NoConvergence, match="known root"):
+        newton_solve(inst, minimal.u.copy(), -50.0, known=[minimal])
 
 
 def test_residual_scaling_invariance(inst, minimal):
