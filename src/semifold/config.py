@@ -209,8 +209,8 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     Above COARSE_N nodes it also builds the instance's twin, the same
     file with n = COARSE_N, and keeps it as `twin`; the eigenpair's
     inverse iteration starts from the twin's first eigenfunction,
-    interpolated linearly onto the nodes, and takes about half the steps
-    it takes from 1/(1 + r^2)."""
+    interpolated linearly onto the nodes, shifted by the twin's lambda1,
+    and takes one step where it takes ten from 1/(1 + r^2) unshifted."""
     weight = _build_weight(cfg)
     grid = build_grid(weight.N, cfg.get("grid", "r"), cfg.get("grid", "n"),
                       cfg.get("grid", "stretch"))
@@ -226,9 +226,11 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     pvals = assemble_weight_mass(grid, weight.evaluator)
     twin = None if grid.n <= COARSE_N else build_scenario_instance(
         replace(cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
+    start, shift = (None, 0.0) if twin is None else (
+        np.interp(grid.nodes, twin.grid.nodes, twin.eigen.phi1),
+        twin.eigen.lambda1)
     eig = first_eigenpair(grid, A, pvals, tol=cfg.get("run", "eigen_tol"),
-                          start=None if twin is None else np.interp(
-                              grid.nodes, twin.grid.nodes, twin.eigen.phi1))
+                          start=start, shift=shift)
 
     nlc = partial(cfg.get, "nonlinearity")
     if nlc("preset") == "linear":

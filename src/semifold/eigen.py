@@ -2,9 +2,11 @@
 the smallest eigenvalue of a linearization (the stability indicator).
 
 Inverse power iteration with the tridiagonal direct solve, from one LU
-factorization of the operator, as inner kernel, started from a given
-vector (an instance build passes the first eigenfunction of its coarse
-twin, lifted onto its nodes) or else from 1/(1 + r^2).  The discrete
+factorization of the operator less a shift times the weight, as inner
+kernel, started from a given vector or else from 1/(1 + r^2).  An
+instance build above config.COARSE_N passes its coarse twin's first
+eigenfunction, lifted onto its nodes, as the start and the twin's
+lambda1 as the shift, and one step then suffices.  The discrete
 operator is self-adjoint in the cell-volume inner product, so Rayleigh
 quotients and deflation use that weighting, summed by grid.dot: the
 module makes no BLAS call, so its bits do not depend on the core count.
@@ -72,21 +74,26 @@ def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
 
 
 def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
-                    tol: float = 1e-12,
-                    start: np.ndarray | None = None) -> EigenPair:
-    """Inverse power iteration from `start`, by default 1/(1 + r^2)."""
+                    tol: float = 1e-12, start: np.ndarray | None = None,
+                    shift: float = 0.0) -> EigenPair:
+    """Inverse power iteration from `start`, by default 1/(1 + r^2), on
+    one factor of A - shift P.  Each step contracts the error by |lambda1
+    - shift| / |lambda2 - shift|: 1/4 or so at shift 0, about 1e-4 at
+    the coarse twin's lambda1 (Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 4).  Each step applies A once, for both its
+    Rayleigh quotient and its residual, which stops the iteration."""
     x = 1.0 / (1.0 + grid.nodes ** 2) if start is None else \
         np.asarray(start, dtype=float)
-    lam = rayleigh_quotient(grid, A, mP, x)
-    lu = factor_tridiagonal(A)
+    lu = factor_tridiagonal(A.shifted(-shift * mP) if shift else A)
     # rounding floor: applying A to a vector of max norm 1, as each
     # iterate is, cannot be more accurate than eps times its row scale
-    floor = 50.0 * np.finfo(float).eps * lu.row_scale
+    floor = 50.0 * np.finfo(float).eps * A.row_scale()
     for k in range(1, EIGENPAIR_MAXIT + 1):
         y = solve_tridiagonal(lu, mP * x)
         y /= np.abs(y).max()
-        lam = rayleigh_quotient(grid, A, mP, y)
-        res = np.abs(A.apply(y) - lam * mP * y).max()
+        Ay = A.apply(y)
+        lam = _quotient(grid, mP, y, Ay)
+        res = np.abs(Ay - lam * mP * y).max()
         x = y
         if res <= tol * abs(lam) * np.abs(mP * y).max() + floor:
             break
@@ -119,10 +126,16 @@ def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,
     any trial function.  (The plain Dirichlet-energy quotient would miss
     the far-field boundary term of the decay-matched Robin row.)"""
     v = np.asarray(v, dtype=float)
+    return _quotient(grid, weight_values, v, A.apply(v))
+
+
+def _quotient(grid: RadialGrid, weight_values: np.ndarray, v: np.ndarray,
+              Av: np.ndarray) -> float:
+    """rayleigh_quotient's <v, A v> / <v, P v>, with A v given."""
     den = dot(grid.volumes * v, weight_values * v)
     if den <= 0.0 or not np.isfinite(den):
         raise ZeroDenominator("trial function vanishes in the P-weighted norm")
-    return dot(grid.volumes * v, A.apply(v)) / den
+    return dot(grid.volumes * v, Av) / den
 
 
 def _rayleigh_residual(S: TridiagonalOperator, x: np.ndarray):

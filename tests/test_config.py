@@ -89,20 +89,22 @@ def test_built_instance_matches_canonical():
 @pytest.mark.parametrize("n", [400, COARSE_N, 16000])
 def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
     """At n <= COARSE_N a build solves one eigenproblem, from the default
-    start, and has no twin; above it, the COARSE_N-node twin's comes
-    first, and its phi1, lifted, starts the fine one.  The instance keeps
-    that twin, which has none of its own."""
+    start with no shift, and has no twin; above it, the COARSE_N-node
+    twin's comes first, and its phi1, lifted, starts the fine one, which
+    is shifted by the twin's lambda1.  The instance keeps that twin,
+    which has none of its own."""
     solved = []
     eigenpair = config.first_eigenpair
 
-    def recorded(grid, A, mP, tol, start=None):
-        solved.append((grid.n, start is None))
-        return eigenpair(grid, A, mP, tol=tol, start=start)
+    def recorded(grid, A, mP, tol, start=None, shift=0.0):
+        solved.append((grid.n, start is None, shift))
+        return eigenpair(grid, A, mP, tol=tol, start=start, shift=shift)
 
     monkeypatch.setattr(config, "first_eigenpair", recorded)
     inst = sf.canonical_instance(n=n)
-    assert solved == ([(n, True)] if n <= COARSE_N
-                      else [(COARSE_N, True), (n, False)])
+    assert solved == ([(n, True, 0.0)] if n <= COARSE_N
+                      else [(COARSE_N, True, 0.0),
+                            (n, False, inst.twin.eigen.lambda1)])
     if n <= COARSE_N:
         assert inst.twin is None
     else:
