@@ -189,6 +189,26 @@ def test_twin_start_halves_the_fine_iteration():
     assert eig.normalization_residual < 1e-12
 
 
+def test_shifted_fine_eigenpair_in_two_steps():
+    """Above COARSE_N the fine iteration is shifted by the twin's
+    lambda1, so each step contracts by about 1e-4: at n = 16000 it takes
+    at most 2 steps, and matches 6 steps of the same shifted iteration
+    to 1e-10 in lambda1 and 1e-8 in phi1."""
+    inst = sf.canonical_instance(n=16000)
+    grid, A, P, twin = inst.grid, inst.A, inst.weight_values, inst.twin
+    assert inst.eigen.iterations <= 2
+    x = np.interp(grid.nodes, twin.grid.nodes, twin.eigen.phi1)
+    lu = grid_module.factor_tridiagonal(A.shifted(-twin.eigen.lambda1 * P))
+    for _ in range(6):
+        x = grid_module.solve_tridiagonal(lu, P * x)
+        x /= np.abs(x).max()
+    lam = rayleigh_quotient(grid, A, P, x)
+    phi = np.sign(x.sum()) * x / np.sqrt(
+        grid_module.weighted_integral(grid, P * x * x))
+    assert abs(inst.eigen.lambda1 - lam) <= 1e-10
+    assert np.abs(inst.eigen.phi1 - phi).max() <= 1e-8 * np.abs(phi).max()
+
+
 @pytest.mark.parametrize("c, tiny_gap", [(1.0, False), (1e10, True)])
 def test_started_iteration_flags_a_near_degenerate_pencil(c, tiny_gap):
     """On the ball of radius pi with weight c the first two eigenvalues

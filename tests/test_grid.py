@@ -178,6 +178,23 @@ def test_factor_solve_raises_as_the_direct_solve():
     assert "near-singular" in _raised(lambda: solve_tridiagonal(op, both))
 
 
+def test_solve_applies_no_operator(monkeypatch):
+    """Neither the operator path nor the factor path re-applies the
+    operator: the backward-error bound of the solve is its proof."""
+    n = 50
+    op = TridiagonalOperator(sub=-np.ones(n - 1), diag=np.full(n, 3.0),
+                             sup=-np.ones(n - 1))
+    factor = factor_tridiagonal(op)
+
+    def refused(self, u):
+        raise AssertionError("TridiagonalOperator.apply called")
+
+    monkeypatch.setattr(TridiagonalOperator, "apply", refused)
+    for rhs in (np.ones(n), np.column_stack((np.ones(n), np.arange(n)))):
+        assert np.array_equal(solve_tridiagonal(op, rhs),
+                              solve_tridiagonal(factor, rhs))
+
+
 def test_apply_matches_banded_form():
     grid = sf.build_grid(4, 12.0, 200)
     A = sf.assemble_laplacian(grid, "dirichlet")

@@ -4,9 +4,9 @@ import pytest
 import semifold as sf
 from semifold.errors import NoConvergence
 from semifold.grid import factor_tridiagonal, solve_tridiagonal
-from semifold.nonlinear import (apply_solution_operator, certify, jacobian,
-                                monotone_newton, newton_solve, picard_solve,
-                                residual, second_solution)
+from semifold.nonlinear import (SOLVE_TOL, apply_solution_operator, certify,
+                                jacobian, monotone_newton, newton_solve,
+                                picard_solve, residual, second_solution)
 from semifold.subsuper import build_subsolution
 
 
@@ -104,6 +104,18 @@ def test_certify_proves_the_minimal_solution(inst, minimal):
 def test_picard_matches_newton(inst, minimal):
     pic = picard_solve(inst, build_subsolution(inst, -50.0), -50.0)
     assert np.abs(pic.u - minimal.u).max() < 1e-6 * (1.0 + np.abs(minimal.u).max())
+
+
+@pytest.mark.parametrize("t", [-12.0, -50.0])
+def test_picard_stops_on_its_estimated_error(t):
+    """Picard converges linearly, at a ratio above 1/2 here, so a step
+    below tol leaves more than tol to go; stopped on its estimated error
+    it lands within SOLVE_TOL (1 + |u|_inf) of monotone Newton's
+    solution (at t = -12 a stop on the step left 1.2e-10)."""
+    inst = sf.canonical_instance(n=4000)
+    u = monotone_newton(inst, t)[0].u
+    pic = picard_solve(inst, build_subsolution(inst, t), t)
+    assert np.abs(pic.u - u).max() <= SOLVE_TOL * (1.0 + np.abs(u).max())
 
 
 def test_solution_operator_fixed_point(inst, minimal):
