@@ -78,10 +78,10 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
                     shift: float = 0.0) -> EigenPair:
     """Inverse power iteration from `start`, by default 1/(1 + r^2), on
     one factor of A - shift P.  Each step contracts the error by |lambda1
-    - shift| / |lambda2 - shift|: 1/4 or so at shift 0, about 1e-4 at
-    the coarse twin's lambda1 (Parlett, The Symmetric Eigenvalue
-    Problem, SIAM 1998, ch. 4).  Each step applies A once, for both its
-    Rayleigh quotient and its residual, which stops the iteration."""
+    - shift| / |lambda2 - shift|, about 1e-4 at the coarse twin's lambda1
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  Each
+    step applies A once, for both its Rayleigh quotient and its residual,
+    which stops the iteration."""
     x = 1.0 / (1.0 + grid.nodes ** 2) if start is None else \
         np.asarray(start, dtype=float)
     lu = factor_tridiagonal(A.shifted(-shift * mP) if shift else A)
