@@ -232,28 +232,21 @@ def solve_tridiagonal(op, rhs: np.ndarray) -> np.ndarray:
     A right-hand side whose largest entry is subnormal breaks it, as the
     solution then rounds by whole subnormal units; such a column raises.
     Overflow shows up as non-finite output, which raises too."""
+    top = np.abs(rhs).max(axis=0)
+    if ((0.0 < top) & (top < np.finfo(float).tiny)).any():
+        raise SingularOperator("right-hand side is subnormal, where the "
+                               "solve has no backward-error bound: treated "
+                               "as near-singular")
     if isinstance(op, TridiagonalFactor):
-        _check_rhs_scale(rhs)
         u, info = dgttrs(*op.lu, rhs)
     else:
         _checked_row_scale(op)
-        _check_rhs_scale(rhs)
         *_, u, info = dgtsv(op.sub, op.diag, op.sup, rhs)
         if info > 0:
             raise SingularOperator(f"exactly singular: zero pivot at row {info}")
     if not np.isfinite(u).all():
         raise SingularOperator("direct solve produced non-finite values")
     return u
-
-
-def _check_rhs_scale(rhs: np.ndarray) -> None:
-    """Raise on a right-hand side column whose largest entry is nonzero
-    and subnormal, where the solve's backward-error bound fails."""
-    top = np.abs(rhs).max(axis=0)
-    if ((0.0 < top) & (top < np.finfo(float).tiny)).any():
-        raise SingularOperator("right-hand side is subnormal, where the "
-                               "solve has no backward-error bound: treated "
-                               "as near-singular")
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
