@@ -94,8 +94,37 @@ _DECADES = np.array([_least_float_at_least(10 ** max(k, 0), 10 ** max(-k, 0))
 _POW5 = np.array([5 ** p for p in range(18 - EXACT_K_LOW + 1)], np.uint64)
 
 
+def _digit_table(width: int) -> np.ndarray:
+    """Entry i is the ASCII of `'%0{width}d' % i`, as one native word of
+    `width` bytes, for i < 10**width."""
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    digits = np.arange(10 ** width)[:, None] // powers % 10 + ord("0")
+    return digits.astype(np.uint8).view(f"u{width}").ravel()
+
+
+_DIGITS4 = _digit_table(4)
+_DIGITS2 = _digit_table(2)
+
+
 def _json_text(data) -> list:
     return [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode("ascii")]
+
+
+def _decimal_exponent(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The decimal exponent of each a in [_DECADES[0], _DECADES[-1]),
+    given its binary exponent e from frexp.  a lies in [2**(e - 1),
+    2**e), so its exponent is floor((e - 1) log10 2) or one more, and
+    one comparison with _DECADES decides which; 78913 / 2**18 is log10 2
+    closely enough to floor alike for |e - 1| <= 1650, far beyond the
+    window."""
+    k = (e - 1) * 78913 >> 18
+    return k + (a >= _DECADES[k + (1 - EXACT_K_LOW)])
+
+
+def _words(out: np.ndarray, col: int, dtype) -> np.ndarray:
+    """The bytes out[:, col:col + itemsize] of each row of the C-ordered
+    uint8 `out`, as one (unaligned) word of `dtype` per row."""
+    return np.ndarray(len(out), dtype, out, col, (out.strides[0],))
 
 
 def _e18_fields(x: np.ndarray) -> np.ndarray:
@@ -106,16 +135,20 @@ def _e18_fields(x: np.ndarray) -> np.ndarray:
     decimal exponent k, the 19 digits are |x| * 10**(18 - k) rounded half
     to even, computed exactly: |x| = M * 2**(e - 53) with an integer
     M < 2**53, so they are the 128-bit M * 5**(18 - k) shifted right by
-    s = 35 + k - e >= 1 bits, rounded on the s bits shifted out.  Zeros,
-    subnormals, nan, inf and magnitudes outside that window are
-    formatted by `'%.18e'` one at a time."""
+    s = 35 + k - e >= 1 bits, rounded on the s bits shifted out.  The
+    leading digit is written alone, the 18 after the point as two 9-digit
+    halves, each one digit and two 4-digit words of _DIGITS4, and the
+    exponent as a word of _DIGITS2.  Zeros, subnormals, nan, inf and
+    magnitudes outside that window are formatted by `'%.18e'` one at a
+    time."""
     u64 = np.uint64
     a = np.abs(x)
     exact = (a >= _DECADES[0]) & (a < _DECADES[-1])
     a = np.where(exact, a, 1.0)
     m, e = np.frexp(a)
     mant = (m * 2.0 ** 53).astype(u64)
-    k = np.searchsorted(_DECADES, a, side="right") + (EXACT_K_LOW - 1)
+    e = e.astype(np.intp)  # table indices gather fastest as intp
+    k = _decimal_exponent(a, e)
     pow5 = _POW5[18 - k]
     s = (35 + k - e).astype(u64)
     # mant * pow5 = hi * 2**64 + lo, from 32-bit halves that cannot overflow
@@ -133,18 +166,24 @@ def _e18_fields(x: np.ndarray) -> np.ndarray:
     # of the 19th digit
     q += (rem > half) | ((rem == half) & (q & u64(1) == u64(1)))
     out = np.zeros((len(x), CSV_FIELD), np.uint8)
-    for col in (*range(20, 2, -1), 1):
-        tenth = q // u64(10)
-        out[:, col] = q - tenth * u64(10)
-        q = tenth
-    out[:, 1:21] += ord("0")
     out[:, 0] = np.signbit(x) * ord("-")
+    lead = q // u64(10 ** 18)
+    out[:, 1] = lead + ord("0")
     out[:, 2] = ord(".")
+    q -= lead * u64(10 ** 18)
+    upper = q // u64(10 ** 9)
+    # below 10**9 each, so a view as intp indexes _DIGITS4
+    for col, part in ((3, upper), (12, q - upper * u64(10 ** 9))):
+        top = part // u64(10 ** 8)
+        out[:, col] = top + ord("0")
+        part -= top * u64(10 ** 8)
+        word = part // u64(10 ** 4)
+        _words(out, col + 1, np.uint32)[:] = _DIGITS4[word.view(np.intp)]
+        part -= word * u64(10 ** 4)
+        _words(out, col + 5, np.uint32)[:] = _DIGITS4[part.view(np.intp)]
     out[:, 21] = ord("e")
     out[:, 22] = np.where(k < 0, ord("-"), ord("+"))
-    k = np.abs(k)
-    out[:, 23] = k // 10 + ord("0")
-    out[:, 24] = k % 10 + ord("0")
+    _words(out, 23, np.uint16)[:] = _DIGITS2[np.abs(k)]
     rest = np.flatnonzero(~exact)
     if len(rest):
         text = b"".join(("%.18e" % v).encode("ascii").ljust(CSV_FIELD, b"\0")
@@ -392,7 +431,7 @@ def _fold(cfg, inst, run):
         found = find_fold(level, t_start, u, t_max)
         if level is inst:
             return level, found, found
-        lift = partial(np.interp, inst.grid.nodes, level.grid.nodes)
+        lift = partial(inst.grid.lift, level.grid)
         return level, found, refine_fold(inst, lift(found.u), found.t,
                                          lift(found.v))
 

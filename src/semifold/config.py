@@ -227,7 +227,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     twin = None if grid.n <= COARSE_N else build_scenario_instance(
         replace(cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
     start, shift = (None, 0.0) if twin is None else (
-        np.interp(grid.nodes, twin.grid.nodes, twin.eigen.phi1),
+        grid.lift(twin.grid, twin.eigen.phi1),
         twin.eigen.lambda1)
     eig = first_eigenpair(grid, A, pvals, tol=cfg.get("run", "eigen_tol"),
                           start=start, shift=shift)

@@ -68,6 +68,11 @@ class RadialGrid:
         r = self.nodes
         return (r >= 0.5 * self.R) & (r <= self.R) & (r > 0.0)
 
+    def lift(self, coarse: "RadialGrid", values: np.ndarray) -> np.ndarray:
+        """`values` at the nodes of `coarse`, a grid on the same [0, R],
+        interpolated linearly onto these nodes."""
+        return np.interp(self.nodes, coarse.nodes, values)
+
 
 def build_grid(N: int, R: float, n: int, stretch: float = 1.0) -> RadialGrid:
     if N < 3:

@@ -175,18 +175,35 @@ def monotone_rise(inst: ProblemInstance, t: float, u=None):
 
 
 def monotone_newton(inst: ProblemInstance, t: float):
-    """The minimal solution at t by monotone_rise from the subsolution,
-    as (profile, eta, beta, h, defect): the limit, its certificate from
-    certify, and max(F, 0) / rs over the iterates, rs the row scale of A.
-    The certified iterate is returned only if its h <= 1/2."""
-    u, steps, defect = monotone_rise(inst, t)
-    u, eta, beta, h = certify(inst, u, t)
-    if not h <= 0.5:
-        raise NoConvergence(f"the minimal solution at t = {t} does not "
-                            f"certify (h = {h:.2e} > 1/2)", iterations=steps)
-    res = float(np.abs(residual(inst, u, t)).max())
-    prof = make_profile(inst, u, t, res, iterations=steps)
-    return prof, eta, beta, h, defect / inst.A.row_scale()
+    """The minimal solution at t, as (profile, eta, beta, h, defect):
+    certify's iterate from a monotone_rise limit, its certificate, and
+    max(F, 0) / rs over the rise's iterates, rs the row scale of the
+    grid the rise ran on.  The certified iterate is returned only if its
+    h <= 1/2, which for convex g proves it the minimal solution wherever
+    certify started (see certify).
+
+    Above COARSE_N nodes the rise runs on inst's twin, and its limit,
+    lifted onto inst's nodes, starts certify: Newton from a coarse-grid
+    solution needs a number of steps that does not grow with the grid
+    (mesh independence; Allgower, Boehmer, Potra & Rheinboldt 1986).
+    Where the twin's rise raises, or its lifted limit does not certify
+    (as near an upper root, where beta is inf), the rise runs from the
+    subsolution on inst itself, as at n <= COARSE_N."""
+    for level in (inst,) if inst.twin is None else (inst.twin, inst):
+        try:
+            u, steps, defect = monotone_rise(level, t)
+        except (MonotonicityBroken, NoConvergence, SingularOperator):
+            if level is inst:
+                raise
+            continue
+        u, eta, beta, h = certify(
+            inst, u if level is inst else inst.grid.lift(level.grid, u), t)
+        if h <= 0.5:
+            res = float(np.abs(residual(inst, u, t)).max())
+            prof = make_profile(inst, u, t, res, iterations=steps)
+            return prof, eta, beta, h, defect / level.A.row_scale()
+    raise NoConvergence(f"the minimal solution at t = {t} does not "
+                        f"certify (h = {h:.2e} > 1/2)", iterations=steps)
 
 
 def certify(inst: ProblemInstance, u: np.ndarray, t: float):

@@ -157,6 +157,26 @@ def test_decades_bracket_powers_of_ten():
         assert Fraction(bound) >= power > Fraction(np.nextafter(bound, 0.0))
 
 
+def test_digit_tables_hold_the_ascii_of_their_index():
+    for table, width in ((cli._DIGITS4, 4), (cli._DIGITS2, 2)):
+        assert len(table) == 10 ** width
+        assert table.tobytes() == b"".join(b"%0*d" % (width, i)
+                                           for i in range(10 ** width))
+
+
+def test_decimal_exponent_is_the_decades_one():
+    """The exponent from frexp's binary exponent and one comparison is
+    the one searchsorted finds among _DECADES, at every decade bound and
+    every power of two in the window, and at their neighbours."""
+    bounds = list(cli._DECADES) + list(np.ldexp(1.0, np.arange(-32, 50)))
+    a = np.array([y for b in bounds
+                  for y in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))])
+    a = a[(a >= cli._DECADES[0]) & (a < cli._DECADES[-1])]
+    expected = np.searchsorted(cli._DECADES, a, side="right") + (
+        cli.EXACT_K_LOW - 1)
+    assert np.array_equal(cli._decimal_exponent(a, np.frexp(a)[1]), expected)
+
+
 def test_exact_window_matches_percent_format():
     """Inside the window of exact integer arithmetic, about 1e-9 to 1e14,
     and at its edges, each number is `'%.18e' % v`: random bit patterns

@@ -3,8 +3,9 @@ import pytest
 
 import semifold as sf
 import semifold.nonlinear as nonlinear
-from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
-                             parse_config)
+import semifold.subsuper as subsuper
+from semifold.config import (CANONICAL_CONFIG, COARSE_N,
+                             build_scenario_instance, parse_config)
 from semifold.errors import (MonotonicityBroken, NoConvergence,
                              SingularOperator)
 from semifold.nonlinear import (certify, monotone_newton, monotone_rise,
@@ -146,6 +147,76 @@ def test_monotone_newton_is_the_certified_rise(inst):
     assert [eta, beta, h] == cert
     assert minimal.iterations == steps
     assert rel_defect == defect / inst.A.row_scale()
+
+
+@pytest.fixture(scope="module")
+def fine():
+    return sf.canonical_instance(n=16000)
+
+
+def _fine_rise(inst, t):
+    """monotone_newton's result from the rise on inst itself: (u,
+    [eta, beta, h], steps, defect / rs)."""
+    u, steps, defect = monotone_rise(inst, t)
+    u, *cert = certify(inst, u, t)
+    return u, cert, steps, defect / inst.A.row_scale()
+
+
+@pytest.mark.parametrize("t", [T_SUPER, -7.04, -6.663])
+def test_monotone_newton_starts_from_the_twin(fine, monkeypatch, t):
+    """Above COARSE_N the rise runs on the twin, and certify from its
+    lifted limit reaches the fine rise's certified solution to 1e-9
+    (1 + |u|_inf), with h <= 1/2 and fewer solves on the fine grid."""
+    sizes, solve = [], nonlinear.solve_tridiagonal
+
+    def counted(op, rhs):
+        sizes.append(len(rhs))
+        return solve(op, rhs)
+
+    for module in (nonlinear, subsuper):
+        monkeypatch.setattr(module, "solve_tridiagonal", counted)
+    u_ref = _fine_rise(fine, t)[0]
+    fine_rise_solves = sizes.count(fine.grid.n)
+    sizes.clear()
+    minimal, _, _, h, _ = monotone_newton(fine, t)
+    assert h <= 0.5
+    assert np.abs(minimal.u - u_ref).max() <= 1e-9 * (1.0 + np.abs(u_ref).max())
+    assert sizes.count(COARSE_N) > 0
+    assert sizes.count(fine.grid.n) < fine_rise_solves
+
+
+@pytest.mark.parametrize("failure", ["twin rise raises", "lift uncertified"])
+def test_monotone_newton_falls_back_to_the_fine_rise(fine, monkeypatch,
+                                                     failure):
+    """Where the twin's rise raises, or certify from its lifted limit
+    finds h > 1/2, monotone_newton is the rise from the subsolution on
+    the fine grid, then certify, bit for bit."""
+    t = -7.04
+    u, cert, steps, defect = _fine_rise(fine, t)
+    rise, certified = nonlinear.monotone_rise, nonlinear.certify
+    lifted = []
+
+    def twin_fails(inst, t_, u0=None):
+        if inst is fine.twin:
+            raise MonotonicityBroken("the twin's rise broke")
+        return rise(inst, t_, u0)
+
+    def lift_fails(inst, u0, t_):
+        out = certified(inst, u0, t_)
+        lifted.append(u0)
+        return (*out[:3], 1.0) if len(lifted) == 1 else out
+
+    if failure == "twin rise raises":
+        monkeypatch.setattr(nonlinear, "monotone_rise", twin_fails)
+    else:
+        monkeypatch.setattr(nonlinear, "certify", lift_fails)
+    minimal, *got, rel_defect = monotone_newton(fine, t)
+    assert np.array_equal(minimal.u, u)
+    assert got == cert
+    assert minimal.iterations == steps
+    assert rel_defect == defect
+    if failure == "lift uncertified":
+        assert len(lifted) == 2
 
 
 @pytest.mark.parametrize("t_low, t", [(-50.0, -24.86), (-7.04, -6.663)])
