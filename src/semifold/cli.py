@@ -97,9 +97,13 @@ _POW5 = np.array([5 ** p for p in range(18 - EXACT_K_LOW + 1)], np.uint64)
 def _digit_table(width: int) -> np.ndarray:
     """Entry i is the ASCII of `'%0{width}d' % i`, as one native word of
     `width` bytes, for i < 10**width."""
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    digits = np.arange(10 ** width)[:, None] // powers % 10 + ord("0")
-    return digits.astype(np.uint8).view(f"u{width}").ravel()
+    rest = np.arange(10 ** width, dtype=np.uint32)
+    digits = np.empty((rest.size, width), np.uint8)
+    for col in range(width - 1, -1, -1):
+        tenth = rest // np.uint32(10)
+        digits[:, col] = rest - tenth * np.uint32(10) + ord("0")
+        rest = tenth
+    return digits.view(f"u{width}").ravel()
 
 
 _DIGITS4 = _digit_table(4)
