@@ -211,8 +211,9 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
 
     Takes full Newton steps while the correction eta = ||J^-1 F||_inf
     decreases (Deuflhard's natural-monotonicity test) and returns the
-    iterate with the smallest eta as (u, eta, beta, h).  On that iterate's
-    Jacobian, x = J^-1 1 comes from the same solve as the correction.  J
+    iterate with the smallest eta as (u, eta, beta, h).  Each step solves
+    for its correction alone; x = J^-1 1 is solved once, after the loop,
+    on the returned iterate's own Jacobian.  J
     is a Z-matrix (A's off-diagonals are <= 0, the shift is diagonal), so
     x > 0 with J x > 0 proves J an M-matrix, and then ||J^-1||_inf <=
     beta = ||x||_inf / min(J x).  With L = max P * sup|g''|, a Lipschitz
@@ -235,23 +236,25 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     value."""
     L = float(inst.weight_values.max()) * inst.nonlinearity.g_second_sup
     u = np.asarray(u, dtype=float)
-    rhs = np.ones((u.size, 2), order="F")
     best = None
     for _ in range(CERTIFY_MAXIT):
         J = jacobian(inst, u)
-        rhs[:, 0] = -residual(inst, u, t)
         try:
-            du, x = solve_tridiagonal(J, rhs).T
+            du = solve_tridiagonal(J, -residual(inst, u, t))
         except SingularOperator:
             break
         eta = float(np.abs(du).max())
         if best is not None and not eta < best[1]:
             break
-        best = (u, eta, J, x)
+        best = (u, eta, J)
         u = u + du
     if best is None:
         return u, np.inf, np.inf, np.inf
-    u, eta, J, x = best
+    u, eta, J = best
+    try:
+        x = solve_tridiagonal(J, np.ones(u.size))
+    except SingularOperator:
+        return u, eta, np.inf, np.inf
     beta = h = np.inf
     if (J.sub <= 0.0).all() and (J.sup <= 0.0).all() and (x > 0.0).all():
         abs_J = TridiagonalOperator(sub=-J.sub, diag=np.abs(J.diag), sup=-J.sup)

@@ -101,6 +101,27 @@ def test_certify_proves_the_minimal_solution(inst, minimal):
     assert np.abs(u - minimal.u).max() <= 1e-8 * np.abs(minimal.u).max()
 
 
+def test_certify_without_x_returns_no_bound(inst, minimal, monkeypatch):
+    """Where the solve for x = J^-1 1 on the kept iterate's Jacobian
+    raises SingularOperator, certify returns that iterate and its eta
+    with beta = h = inf, and does not pass the exception on."""
+    import semifold.nonlinear as nonlinear
+    from semifold.errors import SingularOperator
+
+    u_ref, eta_ref = certify(inst, minimal.u, -50.0)[:2]
+    solve = nonlinear.solve_tridiagonal
+
+    def singular_on_ones(op, rhs):
+        if np.all(rhs == 1.0):
+            raise SingularOperator("forced")
+        return solve(op, rhs)
+
+    monkeypatch.setattr(nonlinear, "solve_tridiagonal", singular_on_ones)
+    u, eta, beta, h = certify(inst, minimal.u, -50.0)
+    assert np.array_equal(u, u_ref) and eta == eta_ref
+    assert beta == h == np.inf
+
+
 def test_picard_matches_newton(inst, minimal):
     pic = picard_solve(inst, build_subsolution(inst, -50.0), -50.0)
     assert np.abs(pic.u - minimal.u).max() < 1e-6 * (1.0 + np.abs(minimal.u).max())
