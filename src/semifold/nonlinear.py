@@ -24,8 +24,10 @@ SOLVE_TOL = 1e-10
 FOLD_TOL = 1e-8
 FOLD_FLOOR = 1e-7
 FOLD_MAXIT = 40
-# full Newton steps certify takes at most, natural monotonicity allowing
+# full Newton steps certify takes at most, and the factor by which each
+# correction must fall below the one before for it to take another
 CERTIFY_MAXIT = 8
+CERTIFY_CONTRACTION = 2.0
 EPS = float(np.finfo(float).eps)
 
 
@@ -209,13 +211,26 @@ def monotone_newton(inst: ProblemInstance, t: float):
 def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     """Newton-Kantorovich test for a discrete solution near u.
 
-    Takes full Newton steps while the correction eta = ||J^-1 F||_inf
-    decreases (Deuflhard's natural-monotonicity test) and returns the
-    iterate with the smallest eta as (u, eta, beta, h).  Each step solves
-    for its correction alone; x = J^-1 1 is solved once, after the loop,
-    on the returned iterate's own Jacobian.  J
-    is a Z-matrix (A's off-diagonals are <= 0, the shift is diagonal), so
-    x > 0 with J x > 0 proves J an M-matrix, and then ||J^-1||_inf <=
+    Takes full Newton steps while each correction eta = ||J^-1 F||_inf
+    falls to at most 1/CERTIFY_CONTRACTION of the one before (Deuflhard's
+    natural-monotonicity test) and returns the iterate with the smallest
+    eta as (u, eta, beta, h): the last one if its eta still fell, else
+    the one before.  Kantorovich's bound gives eta_next <= h eta / (2 (1
+    - h)), at most eta / 2 wherever h <= 1/2, so a step that does not
+    halve eta started where no certificate holds, or at the rounding
+    floor of F, where eta rises or falls by chance and more steps buy
+    nothing.  (A factor of 4 holds only for h <= 1/3; at alpha's probe,
+    where h is 0.01 to 0.4 at the floor, it kept h up to 0.50.)  The stop
+    is not _correction_stop's, which accepts a correction below a
+    tolerance, relative to |u|_inf, and takes a stall above FOLD_FLOOR
+    for divergence: certify has no tolerance, as h is valid at any eta,
+    and returns its best iterate wherever the steps stall.  Each step
+    solves for its correction alone; x = J^-1 1 is solved once, after the
+    loop, on the returned iterate's own Jacobian, so the proof below
+    holds however the loop stopped.
+
+    J is a Z-matrix (A's off-diagonals are <= 0, the shift is diagonal),
+    so x > 0 with J x > 0 proves J an M-matrix, and then ||J^-1||_inf <=
     beta = ||x||_inf / min(J x).  With L = max P * sup|g''|, a Lipschitz
     constant of J in the inf-norm, h = beta L eta <= 1/2 proves a
     solution within (1 - sqrt(1 - 2h)) / (beta L) of u (Kantorovich;
@@ -246,7 +261,10 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
         eta = float(np.abs(du).max())
         if best is not None and not eta < best[1]:
             break
+        stalled = best is not None and eta > best[1] / CERTIFY_CONTRACTION
         best = (u, eta, J)
+        if stalled:
+            break
         u = u + du
     if best is None:
         return u, np.inf, np.inf, np.inf

@@ -185,6 +185,26 @@ def test_monotone_newton_starts_from_the_twin(fine, monkeypatch, t):
     assert sizes.count(fine.grid.n) < fine_rise_solves
 
 
+def test_certify_stops_at_the_rounding_floor(monkeypatch):
+    """At n = 64000 and t = -9.536, certify from the twin's lifted limit
+    stops once its correction no longer contracts, where it used to step
+    on while the correction fell by chance at the rounding floor: at most
+    5 fine-grid solve columns in all, x = J^-1 1 included, and h <= 1/2."""
+    inst = sf.canonical_instance(n=64000)
+    columns, solve = [], nonlinear.solve_tridiagonal
+
+    def counted(op, rhs):
+        if len(rhs) == inst.grid.n:
+            columns.append(1 if rhs.ndim == 1 else rhs.shape[1])
+        return solve(op, rhs)
+
+    for module in (nonlinear, subsuper):
+        monkeypatch.setattr(module, "solve_tridiagonal", counted)
+    h = monotone_newton(inst, -9.536)[3]
+    assert h <= 0.5
+    assert sum(columns) <= 5
+
+
 @pytest.mark.parametrize("failure", ["twin rise raises", "lift uncertified"])
 def test_monotone_newton_falls_back_to_the_fine_rise(fine, monkeypatch,
                                                      failure):
