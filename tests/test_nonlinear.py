@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import semifold as sf
-from semifold.errors import NoConvergence
+import semifold.nonlinear as nonlinear
+from semifold.errors import NoConvergence, SingularOperator
 from semifold.grid import factor_tridiagonal, solve_tridiagonal
 from semifold.nonlinear import (SOLVE_TOL, apply_solution_operator, certify,
                                 jacobian, monotone_newton, newton_solve,
@@ -105,9 +106,6 @@ def test_certify_without_x_returns_no_bound(inst, minimal, monkeypatch):
     """Where the solve for x = J^-1 1 on the kept iterate's Jacobian
     raises SingularOperator, certify returns that iterate and its eta
     with beta = h = inf, and does not pass the exception on."""
-    import semifold.nonlinear as nonlinear
-    from semifold.errors import SingularOperator
-
     u_ref, eta_ref = certify(inst, minimal.u, -50.0)[:2]
     solve = nonlinear.solve_tridiagonal
 

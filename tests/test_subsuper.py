@@ -187,8 +187,8 @@ def test_monotone_newton_starts_from_the_twin(fine, monkeypatch, t):
 
 def test_certify_stops_at_the_rounding_floor(monkeypatch):
     """At n = 64000 and t = -9.536, certify from the twin's lifted limit
-    stops once its correction no longer contracts, where it used to step
-    on while the correction fell by chance at the rounding floor: at most
+    stops once its correction no longer halves, rather than stepping on
+    while the correction falls by chance at the rounding floor: at most
     5 fine-grid solve columns in all, x = J^-1 1 included, and h <= 1/2."""
     inst = sf.canonical_instance(n=64000)
     columns, solve = [], nonlinear.solve_tridiagonal
