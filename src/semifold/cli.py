@@ -240,23 +240,31 @@ def _read_solution_csv(path, grid) -> np.ndarray:
 
 
 class _Run:
-    """Writes the run's files and keeps, for the manifest, the SHA-256 of
-    each one's bytes and the wall clock of each stage."""
+    """One command's run: builds its instance, writes its files and keeps,
+    for the manifest, the SHA-256 of each one's bytes and the wall clock
+    of each stage.  The outdir is made by the first write, so a command
+    that refuses before then leaves nothing."""
 
-    def __init__(self, cfg: ScenarioConfig, outdir: Path):
+    def __init__(self, command: str, cfg: ScenarioConfig, outdir: Path):
+        self.command = command
         self.cfg = cfg
         self.outdir = outdir
         self.files = {}
         self.stages = {}
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {outdir}: "
-                              f"{exc}") from exc
+
+    def instance(self):
+        """The scenario's instance, built in the stage `build_instance`."""
+        with self.stage("build_instance"):
+            return build_scenario_instance(self.cfg)
 
     def emit(self, name: str, chunks) -> None:
         """Write the byte `chunks` to `name`, hashing them as they are
         written."""
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory "
+                              f"{self.outdir}: {exc}") from exc
         digest = hashlib.sha256()
         path = self.outdir / name
         try:
@@ -278,10 +286,10 @@ class _Run:
             self.stages[name] = (self.stages.get(name, 0.0)
                                  + time.perf_counter() - t0)
 
-    def finish(self, command: str) -> None:
+    def finish(self) -> None:
         manifest = {
             "scenario_id": self.cfg.scenario_id(),
-            "command": command,
+            "command": self.command,
             "version": __version__,
             "config_hash": self.cfg.content_hash(),
             "seed": self.cfg.get("run", "seed"),
@@ -300,15 +308,8 @@ def _resolve_outdir(cfg: ScenarioConfig, args) -> Path:
     return Path(cfg.get("run", "outdir"))
 
 
-def _start(cfg, args):
-    """The run record, and the instance built in its timed stage."""
-    run = _Run(cfg, _resolve_outdir(cfg, args))
-    with run.stage("build_instance"):
-        return run, build_scenario_instance(cfg)
-
-
-def cmd_check(cfg: ScenarioConfig, args) -> int:
-    run, inst = _start(cfg, args)
+def cmd_check(run: _Run, args) -> int:
+    inst = run.instance()
     grid = inst.grid
     with run.stage("check"):
         p1 = check_P1(inst.weight, grid)
@@ -316,7 +317,7 @@ def cmd_check(cfg: ScenarioConfig, args) -> int:
         nl = inst.nonlinearity
         slack = derive_slack_constants(nl.g, nl.mu_lower, nl.mu_upper)
         sigma = check_sigma_growth(nl, grid.N)
-        rng = np.random.default_rng(cfg.get("run", "seed"))
+        rng = np.random.default_rng(run.cfg.get("run", "seed"))
         lam = inst.eigen.lambda1
         comparison = all(check_comparison(inst.A, inst.weight_values, 0.9 * lam,
                                           rng.random(grid.n), lam)["pass"]
@@ -331,12 +332,11 @@ def cmd_check(cfg: ScenarioConfig, args) -> int:
             "comparison_principle": comparison,
         }
     run.emit("report.json", _json_text(report))
-    run.finish("check")
     return 0
 
 
-def cmd_eigen(cfg: ScenarioConfig, args) -> int:
-    run, inst = _start(cfg, args)
+def cmd_eigen(run: _Run, args) -> int:
+    inst = run.instance()
     eig = inst.eigen
     grid = inst.grid
     run.emit("eigen.csv", _solution_csv(grid, eig.phi1))
@@ -345,15 +345,14 @@ def cmd_eigen(cfg: ScenarioConfig, args) -> int:
         "normalization_residual": eig.normalization_residual,
         "plateau_ok": eig.plateau_ok,
     }))
-    run.finish("eigen")
     return 0
 
 
-def cmd_solve(cfg: ScenarioConfig, args) -> int:
+def cmd_solve(run: _Run, args) -> int:
     if args.start and args.method == "monotone":
         raise ConfigError("--start applies only to --method newton and "
                           "picard; monotone starts from the subsolution")
-    run, inst = _start(cfg, args)
+    inst = run.instance()
     t = args.t if args.t is not None else inst.forcing.t
     grid = inst.grid
     extra = {}
@@ -368,7 +367,7 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
             else:
                 u0 = np.zeros(grid.n)
             solver = newton_solve if args.method == "newton" else picard_solve
-            prof = solver(inst, u0, t, tol=cfg.get("run", "newton_tol"))
+            prof = solver(inst, u0, t, tol=run.cfg.get("run", "newton_tol"))
     run.emit("solution.csv", _solution_csv(grid, prof.u))
     dec = decay_constants(grid, np.abs(prof.u) + 1e-300)
     report = {"converged": True, "t": t, "iterations": prof.iterations,
@@ -377,7 +376,6 @@ def cmd_solve(cfg: ScenarioConfig, args) -> int:
               "decay_coeff": 0.5 * (dec.C1 + dec.C2), "method": args.method,
               **extra}
     run.emit("report.json", _json_text(report))
-    run.finish("solve")
     return 0
 
 
@@ -407,28 +405,28 @@ def emit_bifurcation(inst, rows):
         np.array(table).T)
 
 
-def cmd_branch(cfg: ScenarioConfig, args) -> int:
+def cmd_branch(run: _Run, args) -> int:
     """The rows of fold_branch through the fold that alpha reports,
     from [run] t_start on the scenario's grid."""
-    run, inst = _start(cfg, args)
-    point = _fold(cfg, inst, run)[2]
+    inst = run.instance()
+    point = _fold(inst, run)[2]
+    cfg = run.cfg
     with run.stage("branch_rows"):
         rows = emit_bifurcation(inst, fold_branch(
             inst, point, _t_range(cfg, inst)[0], cfg.get("run", "step_ds"),
             cfg.get("run", "max_points")))
     run.emit("branch.csv", rows)
-    run.finish("branch")
     return 0
 
 
-def _fold(cfg, inst, run):
+def _fold(inst, run):
     """(level, its fold, inst's fold).  The level is inst's COARSE_N-node
     twin where it has one, and its fold is refined once on inst; at
     n <= COARSE_N the level is inst itself.  The ladder's first rung,
     the minimal solution at [run] t_start, is timed as `branch_start`,
     and the rest of the ladder and the refinement as `trace`."""
     level = inst if inst.twin is None else inst.twin
-    t_start, t_max = _t_range(cfg, level)
+    t_start, t_max = _t_range(run.cfg, level)
     with run.stage("branch_start"):
         u = monotone_rise(level, t_start)[0]
     with run.stage("trace"):
@@ -445,9 +443,9 @@ def _fold(cfg, inst, run):
 PROBE_DECADES = 6
 
 
-def cmd_alpha(cfg: ScenarioConfig, args) -> int:
-    run, inst = _start(cfg, args)
-    level, found, point = _fold(cfg, inst, run)
+def cmd_alpha(run: _Run, args) -> int:
+    inst = run.instance()
+    level, found, point = _fold(inst, run)
     alpha = point.t
     delta = (1.0 + abs(alpha)) / 10.0 ** PROBE_DECADES
     probe = alpha - delta
@@ -463,13 +461,12 @@ def cmd_alpha(cfg: ScenarioConfig, args) -> int:
         "coarse_n": level.grid.n, "alpha_coarse": found.t,
         "fold_iterations": point.iterations,
     }))
-    run.finish("alpha")
     return 0
 
 
-def cmd_two(cfg: ScenarioConfig, args) -> int:
-    run, inst = _start(cfg, args)
-    point = _fold(cfg, inst, run)[2]
+def cmd_two(run: _Run, args) -> int:
+    inst = run.instance()
+    point = _fold(inst, run)[2]
     with run.stage("two"):
         lower, upper = two_solutions(inst, args.t, point)
     grid = inst.grid
@@ -484,7 +481,6 @@ def cmd_two(cfg: ScenarioConfig, args) -> int:
         "stability_mu_lower": lower.stability_mu,
         "stability_mu_upper": upper.stability_mu,
     }))
-    run.finish("two")
     return 0
 
 
@@ -497,7 +493,7 @@ SOLUTION_FILES = {
 }
 
 
-def cmd_verify(cfg: ScenarioConfig, args) -> int:
+def cmd_verify(run: _Run, args) -> int:
     soldir = Path(args.solutions)
     targets = []
     for meta_name, solutions in SOLUTION_FILES.items():
@@ -516,7 +512,7 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
     if not targets:
         raise ConfigError(f"{soldir}: no solution to verify (looked for "
                           f"{' and '.join(SOLUTION_FILES)} with a 't')")
-    run, inst = _start(cfg, args)
+    inst = run.instance()
     reports = []
     with run.stage("verify"):
         for solution_id, csv_path, t in targets:
@@ -525,28 +521,19 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
                                 float(np.abs(residual(inst, u, t)).max()))
             reports.append(verify_solution(inst, prof,
                                            solution_id=solution_id,
-                                           instance_id=cfg.scenario_id()))
+                                           instance_id=run.cfg.scenario_id()))
     summary = {"reports": [r.to_dict() for r in reports],
                "all_pass": all(r.all_pass for r in reports),
                "count": len(reports)}
     run.emit("report.json", _json_text(summary))
-    run.finish("verify")
     return 0 if summary["all_pass"] else 3
-
-
-def cmd_sweep(cfg: ScenarioConfig, args) -> int:
-    """Run `eigen` on several scenario configs, one subdir per scenario."""
-    base = _resolve_outdir(cfg, args)
-    configs = {c.scenario_id(): c for c in (load_config(p) for p in args.configs)}
-    for sid, sub_cfg in configs.items():
-        cmd_eigen(sub_cfg, argparse.Namespace(outdir=str(base / sid)))
-    return 0
 
 
 COMMANDS = {
     "check": cmd_check, "eigen": cmd_eigen, "solve": cmd_solve,
     "branch": cmd_branch, "alpha": cmd_alpha, "two": cmd_two,
-    "verify": cmd_verify, "sweep": cmd_sweep,
+    # sweep runs eigen once per scenario of --configs (see main)
+    "verify": cmd_verify, "sweep": cmd_eigen,
 }
 
 
@@ -581,7 +568,18 @@ def main(argv=None) -> int:
         t = getattr(args, "t", None)
         if t is not None and not np.isfinite(t):
             raise ConfigError(f"--t must be a finite number, got {t}")
-        return COMMANDS[args.command](load_config(args.config), args)
+        cfg = load_config(args.config)
+        outdir = _resolve_outdir(cfg, args)
+        runs = [_Run(args.command, cfg, outdir)]
+        if args.command == "sweep":  # one subdir per scenario id
+            scenarios = {c.scenario_id(): c for c in map(load_config,
+                                                         args.configs)}
+            runs = [_Run("eigen", c, outdir / sid)
+                    for sid, c in scenarios.items()]
+        for run in runs:
+            code = COMMANDS[run.command](run, args)
+            run.finish()
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

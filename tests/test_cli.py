@@ -81,10 +81,10 @@ def test_manifest_digests_every_emitted_file(scenario, tmp_path, argv,
 def test_manifest_hashes_the_bytes_as_written(scenario, tmp_path):
     """finish reads no emitted file back: a file changed on disk after it
     was emitted keeps the digest of what was written."""
-    run = cli._Run(load_config(scenario), tmp_path)
+    run = cli._Run("test", load_config(scenario), tmp_path)
     run.emit("a.csv", [b"x\n", b"1\n"])
     (tmp_path / "a.csv").write_text("changed\n")
-    run.finish("test")
+    run.finish()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1\n").hexdigest()}
 
@@ -236,7 +236,7 @@ def test_solution_csv_writes_in_small_blocks(tmp_path):
     savetxt's bytes."""
     grid = build_grid(3, 40.0, 64000)
     u = -np.exp(-grid.nodes)
-    run = cli._Run(None, tmp_path)
+    run = cli._Run(None, None, tmp_path)
     tracemalloc.start()
     try:
         run.emit("solution.csv", cli._solution_csv(grid, u))

@@ -172,14 +172,14 @@ def test_scan_sees_instance_builds():
 
 def test_one_instance_builder():
     """config assembles every grid, operator and eigenpair, and builds
-    every twin; cli asks for an instance in one place, _start."""
+    every twin; cli asks for an instance in one place, _Run."""
     builds = {p.name: instance_builds(p.read_text()) for p in MODULES}
     assert {what for _, what in builds["config.py"]} == \
         INSTANCE_PARTS | {"build_scenario_instance", "twin"}
     assert [(mod, where, what) for mod, found in builds.items()
             if mod != "config.py" for where, what in found
             if what != "build_scenario_instance"] == []
-    assert builds["cli.py"] == [("_start", "build_scenario_instance")]
+    assert builds["cli.py"] == [("_Run", "build_scenario_instance")]
 
 
 def name_uses(source: str, names: set) -> list:
