@@ -28,7 +28,7 @@ from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import (certified_below, find_fold, fold_branch,
                            refine_fold, stability, two_solutions)
 from .eigen import decay_constants
-from .errors import ConfigError, SemifoldError
+from .errors import ConfigError, NoConvergence, SemifoldError
 from .grid import dot
 from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
                         picard_solve, residual)
@@ -286,7 +286,10 @@ class _Run:
             self.stages[name] = (self.stages.get(name, 0.0)
                                  + time.perf_counter() - t0)
 
-    def finish(self) -> None:
+    def finish(self, exit_code: int, error) -> tuple:
+        """Write manifest.json for the outcome (exit_code, error), error
+        None on success, and return that outcome, or (1, the write's
+        error) where a run without one cannot write the manifest."""
         manifest = {
             "scenario_id": self.cfg.scenario_id(),
             "command": self.command,
@@ -296,8 +299,25 @@ class _Run:
             "files": self.files,
             "wall_clock_s": self.stages,
             "lapack": _lapack.LIBRARY,
+            "exit_code": exit_code,
+            "error": _error_record(error),
         }
-        self.emit("manifest.json", _json_text(manifest))
+        try:
+            self.emit("manifest.json", _json_text(manifest))
+        except ConfigError as exc:
+            return (1, exc) if error is None else (exit_code, error)
+        return exit_code, error
+
+
+def _error_record(exc):
+    """The manifest's `error`: None, or the class and message of `exc`,
+    with NoConvergence's iterations and residual."""
+    if exc is None:
+        return None
+    record = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, NoConvergence):
+        record.update(iterations=exc.iterations, residual=exc.residual)
+    return record
 
 
 def _resolve_outdir(cfg: ScenarioConfig, args) -> Path:
@@ -560,6 +580,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _execute(run: _Run, args) -> tuple:
+    """The (exit code, error) of run's command, error None on success;
+    a run that began to build its instance records them in its
+    manifest."""
+    try:
+        code, error = COMMANDS[run.command](run, args), None
+    except SemifoldError as exc:
+        code, error = (1 if isinstance(exc, ConfigError) else 2), exc
+    if "build_instance" in run.stages:
+        return run.finish(code, error)
+    return code, error
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     keep_heap_pages()
@@ -569,23 +602,30 @@ def main(argv=None) -> int:
         if t is not None and not np.isfinite(t):
             raise ConfigError(f"--t must be a finite number, got {t}")
         cfg = load_config(args.config)
-        outdir = _resolve_outdir(cfg, args)
-        runs = [_Run(args.command, cfg, outdir)]
+        top = _Run(args.command, cfg, _resolve_outdir(cfg, args))
+        runs = [top]
         if args.command == "sweep":  # one subdir per scenario id
             scenarios = {c.scenario_id(): c for c in map(load_config,
                                                          args.configs)}
-            runs = [_Run("eigen", c, outdir / sid)
+            runs = [_Run("eigen", c, top.outdir / sid)
                     for sid, c in scenarios.items()]
-        for run in runs:
-            code = COMMANDS[run.command](run, args)
-            run.finish()
-        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except SemifoldError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
+    for run in runs:
+        code, error = _execute(run, args)
+        if run is not top:
+            top.files.update((f"{run.outdir.name}/{name}", digest)
+                             for name, digest in run.files.items())
+        if code:
+            break
+    if args.command == "sweep":  # its own manifest, over its scenarios'
+        code, error = top.finish(code, error)
+    if error is not None:
+        kind = "config error" if isinstance(error, ConfigError) \
+            else "numerical failure"
+        print(f"{kind}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

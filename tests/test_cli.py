@@ -76,6 +76,42 @@ def test_manifest_digests_every_emitted_file(scenario, tmp_path, argv,
                if p.name != "manifest.json"}
     assert set(on_disk) == emitted
     assert manifest["files"] == on_disk
+    assert manifest["exit_code"] == 0 and manifest["error"] is None
+
+
+@pytest.mark.parametrize("failure", ["NoConvergence", "t_start = 5.0"])
+def test_failed_run_leaves_its_own_manifest(tmp_path, monkeypatch,
+                                           failure):
+    """alpha that exits 2 into the outdir of an earlier alpha writes the
+    manifest of the failed run: its error, exit code 2 and config hash,
+    and a file list without the earlier alpha.json."""
+    out = tmp_path / "out"
+    assert main(["alpha", _scenario(tmp_path / "ok.ini", 600),
+                 "--outdir", str(out)]) == 0
+    if failure == "NoConvergence":
+        def fail(*args, **kwargs):
+            raise NoConvergence("probe did not converge", iterations=7,
+                                residual=np.float64(2.5e-3))
+
+        monkeypatch.setattr(cli, "certified_below", fail)
+        path = _scenario(tmp_path / "bad.ini", 600, t_start=-40.0)
+        error = {"type": "NoConvergence", "message": "probe did not converge",
+                 "iterations": 7, "residual": 2.5e-3}
+    else:
+        path = _scenario(tmp_path / "bad.ini", 600, t_start=5.0)
+        error = None
+    assert main(["alpha", path, "--outdir", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert manifest["config_hash"] == load_config(path).content_hash()
+    assert "alpha.json" not in manifest["files"]
+    assert (out / "alpha.json").exists()  # the earlier run's, not listed
+    assert set(manifest["wall_clock_s"]) >= {"build_instance"}
+    if error is None:
+        assert manifest["error"]["type"] == "MonotonicityBroken"
+        assert set(manifest["error"]) == {"type", "message"}
+    else:
+        assert manifest["error"] == error
 
 
 def test_manifest_hashes_the_bytes_as_written(scenario, tmp_path):
@@ -84,7 +120,7 @@ def test_manifest_hashes_the_bytes_as_written(scenario, tmp_path):
     run = cli._Run("test", load_config(scenario), tmp_path)
     run.emit("a.csv", [b"x\n", b"1\n"])
     (tmp_path / "a.csv").write_text("changed\n")
-    run.finish()
+    run.finish(0, None)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["files"] == {"a.csv": hashlib.sha256(b"x\n1\n").hexdigest()}
 
@@ -306,6 +342,7 @@ def test_solve_start_is_refused_by_monotone(scenario, tmp_path, capsys):
                "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert "--start applies only to" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_monotone_solve_above_the_fold_exits_2(tmp_path, capsys):
@@ -755,6 +792,11 @@ def test_sweep_command(scenario, tmp_path):
     subdirs = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert len(subdirs) == 1  # identical configs share a scenario id
     assert (subdirs[0] / "eigen.json").exists()
+    top = json.loads((tmp_path / "manifest.json").read_text())
+    sid = subdirs[0].name
+    assert top["command"] == "sweep" and top["exit_code"] == 0
+    assert top["files"] == {f"{sid}/{p.name}": _sha(p)
+                            for p in subdirs[0].iterdir()}
 
 
 @pytest.mark.parametrize("old, new", [
