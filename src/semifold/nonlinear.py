@@ -181,7 +181,7 @@ def monotone_newton(inst: ProblemInstance, t: float):
     certify's iterate from a monotone_rise limit, its certificate, and
     max(F, 0) / rs over the rise's iterates, rs the row scale of the
     grid the rise ran on.  The certified iterate is returned only if its
-    h <= 1/2, which for convex g proves it the minimal solution wherever
+    h < 1/2, which for convex g proves it the minimal solution wherever
     certify started (see certify).
 
     Above COARSE_N nodes the rise runs on inst's twin, and its limit,
@@ -200,12 +200,12 @@ def monotone_newton(inst: ProblemInstance, t: float):
             continue
         u, eta, beta, h = certify(
             inst, u if level is inst else inst.grid.lift(level.grid, u), t)
-        if h <= 0.5:
+        if h < 0.5:
             res = float(np.abs(residual(inst, u, t)).max())
             prof = make_profile(inst, u, t, res, iterations=steps)
             return prof, eta, beta, h, defect / level.A.row_scale()
     raise NoConvergence(f"the minimal solution at t = {t} does not "
-                        f"certify (h = {h:.2e} > 1/2)", iterations=steps)
+                        f"certify (h = {h:.2e} >= 1/2)", iterations=steps)
 
 
 def certify(inst: ProblemInstance, u: np.ndarray, t: float):

@@ -119,7 +119,7 @@ def test_acceptance_5_fold_location(canonical, canonical_fold, fine,
     tol = 1e-3 * (1.0 + abs(alpha_star))
     a_arc = canonical_fold.t
     a_bis = a_arc - (1.0 + abs(a_arc)) / 10.0 ** PROBE_DECADES
-    certified_below(canonical, canonical_fold, a_bis)  # raises unless h <= 1/2
+    certified_below(canonical, canonical_fold, a_bis)  # raises unless h < 1/2
     ts = tau_star(canonical)
     # second-order refinement stability across n = 2000, 4000, 8000
     mid = sf.canonical_instance(R=40.0, n=2000)

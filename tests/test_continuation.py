@@ -178,6 +178,22 @@ def test_nonpositive_curvature_falls_back_to_monotone_newton(inst, fold):
     assert cert == [eta, beta, h]
 
 
+def test_certificate_of_h_one_half_is_refused(inst, fold, monkeypatch):
+    """certify proves its solution minimal only for h < 1/2, where
+    sqrt(1 - 2h) > 0: neither certified_below nor monotone_newton, its
+    fallback, accepts h = 1/2 exactly."""
+    def half(inst_, u, t):
+        return u, 1e-3, 1.0, 0.5
+
+    monkeypatch.setattr(continuation, "certify", half)
+    monkeypatch.setattr(nonlinear, "certify", half)
+    t = fold.t - 1e-3
+    with pytest.raises(NoConvergence, match=r"h = 5\.00e-01 >= 1/2"):
+        monotone_newton(inst, t)
+    with pytest.raises(NoConvergence, match=r"h = 5\.00e-01 >= 1/2"):
+        certified_below(inst, fold, t)
+
+
 def test_upper_solution_is_not_certified(inst, fold):
     """The certificate covers the stable branch only: on the upper
     solution J is no M-matrix, so x = J^-1 1 is not positive."""
