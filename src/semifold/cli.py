@@ -580,19 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _execute(run: _Run, args) -> tuple:
-    """The (exit code, error) of run's command, error None on success;
-    a run that began to build its instance records them in its
-    manifest."""
-    try:
-        code, error = COMMANDS[run.command](run, args), None
-    except SemifoldError as exc:
-        code, error = (1 if isinstance(exc, ConfigError) else 2), exc
-    if "build_instance" in run.stages:
-        return run.finish(code, error)
-    return code, error
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     keep_heap_pages()
@@ -613,7 +600,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     for run in runs:
-        code, error = _execute(run, args)
+        try:
+            code, error = COMMANDS[run.command](run, args), None
+        except SemifoldError as exc:
+            code, error = (1 if isinstance(exc, ConfigError) else 2), exc
+        if "build_instance" in run.stages:  # refusals write nothing
+            code, error = run.finish(code, error)
         if run is not top:
             top.files.update((f"{run.outdir.name}/{name}", digest)
                              for name, digest in run.files.items())
