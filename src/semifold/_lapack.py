@@ -1,6 +1,6 @@
 """The five tridiagonal LAPACK routines of the package (?gtsv, ?gttrf,
 ?gttrs, ?pttrf, ?pttrs), with scipy.linalg.lapack's arguments and return
-tuples.
+tuples.  A right-hand side is one column: a 1-D array of length n.
 
 numpy's wheels bundle an ILP64 OpenBLAS with LAPACK
 (numpy.libs/libscipy_openblas64_*).  These routines call it through
@@ -69,19 +69,13 @@ def _bad(n: int, **bands) -> ValueError:
     return ValueError(f"band shapes {shapes} do not fit order n = {n}")
 
 
-def _rhs(b, n: int):
-    """A copy x of the right-hand side `b` (n rows, one or more columns)
-    for LAPACK to overwrite with the solution, that solution as returned,
-    and the column count.  A matrix is copied as its C-ordered transpose,
-    so the solution comes back Fortran-ordered, as SciPy returns it."""
+def _rhs(b, n: int) -> np.ndarray:
+    """A copy of the right-hand side `b`, one column of length n, for
+    LAPACK to overwrite with the solution."""
     b = np.asarray(b)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError(f"right-hand side has shape {b.shape}, need {n} rows")
-    if b.ndim == 1:
-        x = _copy(b)
-        return x, x, 1
-    x = np.array(b.T, np.float64, order="C")
-    return x, x.T, b.shape[1]
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side has shape {b.shape}, need ({n},)")
+    return _copy(b)
 
 
 _addr = ctypes.addressof
@@ -114,11 +108,11 @@ else:
         n = d.size
         if d.ndim != 1 or dl.shape != (n - 1,) or du.shape != (n - 1,):
             raise _bad(n, dl=dl, d=d, du=du)
-        x, out, nrhs = _rhs(b, n)
+        x = _rhs(b, n)
         info = _i64()
-        _F["dgtsv"](_ref(_i64(n)), _ref(_i64(nrhs)), _p(dl), _p(d), _p(du),
+        _F["dgtsv"](_ref(_i64(n)), _ref(_i64(1)), _p(dl), _p(d), _p(du),
                     _p(x), _ref(_i64(max(n, 1))), _ref(info))
-        return dl, d, du, out, info.value
+        return dl, d, du, x, info.value
 
     def dgttrf(dl, d, du):
         """LU factors of a tridiagonal matrix; (dl, d, du, du2, ipiv, info)."""
@@ -141,12 +135,12 @@ else:
         if (d.ndim != 1 or dl.shape != (n - 1,) or du.shape != (n - 1,)
                 or du2.shape != (max(n - 2, 0),) or ipiv.shape != d.shape):
             raise _bad(n, dl=dl, d=d, du=du, du2=du2, ipiv=ipiv)
-        x, out, nrhs = _rhs(b, n)
+        x = _rhs(b, n)
         info = _i64()
-        _F["dgttrs"](b"N", _ref(_i64(n)), _ref(_i64(nrhs)), _p(dl), _p(d),
+        _F["dgttrs"](b"N", _ref(_i64(n)), _ref(_i64(1)), _p(dl), _p(d),
                      _p(du), _p(du2), _p(ipiv), _p(x), _ref(_i64(max(n, 1))),
                      _ref(info), 1)
-        return out, info.value
+        return x, info.value
 
     def dpttrf(d, e):
         """L D L^T factors of a symmetric tridiagonal matrix; (d, e, info),
@@ -165,8 +159,8 @@ else:
         n = d.size
         if d.ndim != 1 or e.shape != (n - 1,):
             raise _bad(n, d=d, e=e)
-        x, out, nrhs = _rhs(b, n)
+        x = _rhs(b, n)
         info = _i64()
-        _F["dpttrs"](_ref(_i64(n)), _ref(_i64(nrhs)), _p(d), _p(e), _p(x),
+        _F["dpttrs"](_ref(_i64(n)), _ref(_i64(1)), _p(d), _p(e), _p(x),
                      _ref(_i64(max(n, 1))), _ref(info))
-        return out, info.value
+        return x, info.value

@@ -18,7 +18,7 @@ import numpy as np
 from .eigen import smallest_eigenvalue
 from .errors import (MonotonicityBroken, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
-from .grid import dot, solve_tridiagonal
+from .grid import dot, factor_tridiagonal, solve_tridiagonal
 from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, _correction_stop,
                         certify, jacobian, monotone_newton, monotone_rise,
                         residual)
@@ -49,8 +49,9 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     """Newton on the extended system {F(u,t)=0, J(u,t)v=0, c.v=1}, to the
     quadratic turning point.  It stops on its correction by
     nonlinear._correction_stop at FOLD_TOL; one that stops contracting
-    above FOLD_FLOOR raises NoConvergence.  J is singular at
-    the fold, and a solve may find it exactly so: after a correction at
+    above FOLD_FLOOR raises NoConvergence.  Each step factors J once, for
+    its four right-hand sides -F, P phi1, D p and D q.  J is singular at
+    the fold, and a step may find it exactly so: after a correction at
     most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
     above it, SingularOperator propagates.
 
@@ -65,11 +66,11 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     size_prev = np.inf
     for k in range(FOLD_MAXIT):
         F = residual(instance, u, t)
-        J = jacobian(instance, u)
         try:
-            p, q = solve_tridiagonal(J, np.column_stack((-F, Pphi))).T
+            lu = factor_tridiagonal(jacobian(instance, u))
+            p, q = (solve_tridiagonal(lu, b) for b in (-F, Pphi))
             D = P * np.asarray(gsec(u)) * v
-            a1, a2 = solve_tridiagonal(J, np.column_stack((D * p, D * q))).T
+            a1, a2 = (solve_tridiagonal(lu, D * b) for b in (p, q))
         except SingularOperator:
             if size_prev > FOLD_FLOOR:
                 raise
@@ -84,24 +85,24 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
                    float(np.abs(du).max()) / (1.0 + float(np.abs(u).max())))
         stop = _correction_stop(size, size_prev, FOLD_TOL, "fold refinement")
         if stop == "keep":
-            return _null_step(instance, u, t, v, c, k)
+            return _null_step(lu, u, t, v, c, k)
         u = u + du
         t = t + dt
         v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2
         if stop:
-            return _null_step(instance, u, t, v, c, k + 1)
+            return _null_step(jacobian(instance, u), u, t, v, c, k + 1)
         size_prev = size
     raise NoConvergence(f"fold refinement did not converge (last correction "
                         f"{size:.2e} relative)", iterations=k + 1)
 
 
-def _null_step(instance: ProblemInstance, u: np.ndarray, t: float,
-               v: np.ndarray, c: np.ndarray, k: int) -> FoldPoint:
-    """FoldPoint(u, t, w / c.w, k) with w = J(u)^-1 v, one inverse
-    iteration step towards J(u)'s null vector; v itself where a solve
-    finds J(u) singular."""
+def _null_step(J, u: np.ndarray, t: float, v: np.ndarray, c: np.ndarray,
+               k: int) -> FoldPoint:
+    """FoldPoint(u, t, w / c.w, k) with w = J^-1 v, one inverse iteration
+    step towards the null vector of J = J(u), given as its operator or
+    its factor; v itself where the solve finds J singular."""
     try:
-        w = solve_tridiagonal(jacobian(instance, u), v)
+        w = solve_tridiagonal(J, v)
     except SingularOperator:
         return FoldPoint(u, float(t), v, k)
     return FoldPoint(u, float(t), w / dot(c, w), k)

@@ -205,6 +205,7 @@ class TridiagonalFactor:
     the operator and runs only ?gttrs and the per-solve guards."""
 
     lu: tuple  # dl, d, du, du2, ipiv as ?gttrf returns them
+    n: int  # the order, which each right-hand side must match
 
 
 def factor_tridiagonal(op: TridiagonalOperator) -> TridiagonalFactor:
@@ -214,7 +215,7 @@ def factor_tridiagonal(op: TridiagonalOperator) -> TridiagonalFactor:
     *lu, info = dgttrf(op.sub, op.diag, op.sup)
     if info > 0:
         raise SingularOperator(f"exactly singular: zero pivot at row {info}")
-    return TridiagonalFactor(lu=tuple(lu))
+    return TridiagonalFactor(lu=tuple(lu), n=op.n)
 
 
 def solve_tridiagonal(op, rhs: np.ndarray) -> np.ndarray:
@@ -222,9 +223,8 @@ def solve_tridiagonal(op, rhs: np.ndarray) -> np.ndarray:
     a zero pivot, a subnormal right-hand side and non-finite output.
 
     `op` is a TridiagonalOperator, or its TridiagonalFactor, whose solve
-    gives the same bits.  `rhs` may hold several columns, solved in one
-    call; each column's solution is bitwise the one-column solution, and
-    each column is guarded on its own.
+    gives the same bits.  `rhs` is one column, a 1-D array of length n;
+    any other shape raises ValueError.
 
     The solve is not checked by its residual, because no residual test
     can see near-singularity.  Gaussian elimination with partial pivoting
@@ -235,10 +235,11 @@ def solve_tridiagonal(op, rhs: np.ndarray) -> np.ndarray:
     residual |A u - b| is at most that multiple of eps |A| |u|, however
     ill-conditioned A is.  The proof needs arithmetic without underflow.
     A right-hand side whose largest entry is subnormal breaks it, as the
-    solution then rounds by whole subnormal units; such a column raises.
-    Overflow shows up as non-finite output, which raises too."""
-    top = np.abs(rhs).max(axis=0)
-    if ((0.0 < top) & (top < np.finfo(float).tiny)).any():
+    solution then rounds by whole subnormal units; such a right-hand side
+    raises.  Overflow shows up as non-finite output, which raises too."""
+    if np.shape(rhs) != (op.n,):
+        raise ValueError(f"need one right-hand side of length {op.n}")
+    if 0.0 < np.abs(rhs).max() < np.finfo(float).tiny:
         raise SingularOperator("right-hand side is subnormal, where the "
                                "solve has no backward-error bound: treated "
                                "as near-singular")

@@ -227,7 +227,9 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     and returns its best iterate wherever the steps stall.  Each step
     solves for its correction alone; x = J^-1 1 is solved once, after the
     loop, on the returned iterate's own Jacobian, so the proof below
-    holds however the loop stopped.
+    holds however the loop stopped.  It is the one loop that factors a
+    Jacobian twice (the kept iterate's J, again for x), because ?gttrf
+    + ?gttrs on every iterate costs more than the single ?gtsv it saves.
 
     J is a Z-matrix (A's off-diagonals are <= 0, the shift is diagonal),
     so x > 0 with J x > 0 proves J an M-matrix, and then ||J^-1||_inf <=

@@ -11,7 +11,8 @@ from semifold.continuation import (certified_below, find_fold, refine_fold,
                                    stability, two_solutions)
 from semifold.errors import (MonotonicityBroken, NoConvergence,
                              NoFoldInBranch, QueryPastFold, SingularOperator)
-from semifold.grid import solve_tridiagonal
+from semifold.grid import (TridiagonalOperator, factor_tridiagonal,
+                           solve_tridiagonal)
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
                                 monotone_rise, residual, second_solution)
 from semifold.verify import tau_star
@@ -363,20 +364,20 @@ def test_refine_fold_stops_where_the_correction_stops_contracting(
 @pytest.mark.parametrize("shift, kept", [(0.0, True), (0.1, False)])
 def test_refine_fold_keeps_an_iterate_whose_jacobian_is_singular(
         inst, fold, monkeypatch, shift, kept):
-    """Step 1 finds J exactly singular.  From the converged fold, step 0's
-    correction is at the rounding floor, below FOLD_FLOOR, and its
-    iterate is kept; from t moved by 0.1 it is above, and the
-    SingularOperator propagates."""
+    """Step 1's factorization finds J exactly singular.  From the
+    converged fold, step 0's correction is at the rounding floor, below
+    FOLD_FLOOR, and its iterate is kept; from t moved by 0.1 it is
+    above, and the SingularOperator propagates."""
     calls = []
 
-    def singular_from_step_1(*args):
-        calls.append(args)
-        if len(calls) > 2:  # each step makes two solves
+    def singular_from_step_1(op):
+        calls.append(op)
+        if len(calls) > 1:  # each step factors J once
             raise SingularOperator("exactly singular: zero pivot at row 1")
-        return solve_tridiagonal(*args)
+        return factor_tridiagonal(op)
 
     monkeypatch.setattr(continuation, "FOLD_TOL", 0.0)
-    monkeypatch.setattr(continuation, "solve_tridiagonal",
+    monkeypatch.setattr(continuation, "factor_tridiagonal",
                         singular_from_step_1)
     seed = fold.u, fold.t - shift, fold.v
     if kept:
@@ -386,7 +387,58 @@ def test_refine_fold_keeps_an_iterate_whose_jacobian_is_singular(
     else:
         with pytest.raises(SingularOperator):
             refine_fold(inst, *seed)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def _counted_solves(monkeypatch):
+    """continuation's factor_tridiagonal and solve_tridiagonal, recording
+    ("factor", the factor made) and ("solve", what was solved on) per
+    call; every right-hand side must be 1-D."""
+    calls = []
+
+    def factor(op):
+        lu = factor_tridiagonal(op)
+        calls.append(("factor", lu))
+        return lu
+
+    def solve(op, rhs):
+        assert np.ndim(rhs) == 1
+        calls.append(("solve", op))
+        return solve_tridiagonal(op, rhs)
+
+    monkeypatch.setattr(continuation, "factor_tridiagonal", factor)
+    monkeypatch.setattr(continuation, "solve_tridiagonal", solve)
+    return calls
+
+
+@pytest.mark.parametrize("stop", ["taken", "keep"])
+def test_refine_fold_factors_each_jacobian_once(inst, branch, fold,
+                                                monkeypatch, stop):
+    """Each step makes one factor_tridiagonal call and four 1-D solves on
+    that factor.  After a taken step, the null step is one ?gtsv solve
+    on the new J; where the iterate is kept, it solves on the kept step's
+    factor and factors nothing more."""
+    if stop == "keep":  # from the converged fold, with no tolerance to reach
+        monkeypatch.setattr(continuation, "FOLD_TOL", 0.0)
+        seed = fold.u, fold.t, fold.v
+    else:
+        seed = fold_seed(branch)
+    calls = _counted_solves(monkeypatch)
+    point = refine_fold(inst, *seed)
+    steps = point.iterations + (stop == "keep")
+    assert steps >= 2
+    assert len(calls) == 5 * steps + 1
+    for k in range(steps):
+        kind, lu = calls[5 * k]
+        assert kind == "factor"
+        assert all(what == "solve" and on is lu
+                   for what, on in calls[5 * k + 1:5 * k + 5])
+    kind, on = calls[-1]
+    assert kind == "solve"
+    if stop == "keep":
+        assert on is lu
+    else:
+        assert isinstance(on, TridiagonalOperator)
 
 
 @pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])

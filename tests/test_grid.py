@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semifold as sf
+import semifold.grid as grid_module
 from semifold.errors import BadGridConfig, NonPositiveWeight, SingularOperator
 from semifold.grid import (TridiagonalOperator, _row_sums,
                            dirichlet_energy, dot, factor_tridiagonal,
@@ -102,22 +103,35 @@ def test_solve_tridiagonal_flags_singular_operator():
 
 
 def test_factor_solve_is_bitwise_the_direct_solve():
-    """?gttrf + ?gttrs and ?gtsv pivot alike and give the same bits, for
-    one right-hand side and for each column of several; the factor is
-    reusable."""
+    """?gttrf + ?gttrs and ?gtsv pivot alike and give the same bits; the
+    factor is reusable."""
     rng = np.random.default_rng(11)
     grid = sf.build_grid(3, 40.0, 2000)
     A = sf.assemble_laplacian(grid)
     J = A.shifted(-rng.random(grid.n) * 1e-2)  # a Jacobian-like shift
     lu = factor_tridiagonal(J)
     for _ in range(3):
-        rhs = rng.standard_normal((grid.n, 2))
-        one = solve_tridiagonal(J, rhs[:, 0])
-        assert np.array_equal(solve_tridiagonal(lu, rhs[:, 0]), one)
-        both = solve_tridiagonal(J, rhs)
-        assert np.array_equal(both[:, 0], one)
-        assert np.array_equal(both[:, 1], solve_tridiagonal(J, rhs[:, 1]))
-        assert np.array_equal(solve_tridiagonal(lu, rhs), both)
+        rhs = rng.standard_normal(grid.n)
+        assert np.array_equal(solve_tridiagonal(lu, rhs),
+                              solve_tridiagonal(J, rhs))
+
+
+@pytest.mark.parametrize("lapack", ["in use", "scipy"])
+def test_solve_takes_one_column(monkeypatch, lapack):
+    """A right-hand side that is not 1-D of length n raises ValueError on
+    the operator path and the factor path alike, on SciPy's routines too,
+    which would solve a matrix."""
+    if lapack == "scipy":
+        import scipy.linalg.lapack as ref
+        for name in ("dgtsv", "dgttrf", "dgttrs"):
+            monkeypatch.setattr(grid_module, name, getattr(ref, name))
+    n = 50
+    op = TridiagonalOperator(sub=-np.ones(n - 1), diag=np.full(n, 3.0),
+                             sup=-np.ones(n - 1))
+    for solver in (op, factor_tridiagonal(op)):
+        for rhs in (np.ones((n, 2)), np.ones((n, 1)), np.ones(n - 1)):
+            with pytest.raises(ValueError, match="one right-hand side of length 50"):
+                solve_tridiagonal(solver, rhs)
 
 
 def test_a_shift_keeps_the_row_sums_of_its_off_diagonals():
@@ -173,9 +187,6 @@ def test_factor_solve_raises_as_the_direct_solve():
     msg = _raised(lambda: solve_tridiagonal(op, sub))
     assert "near-singular" in msg
     assert _raised(lambda: solve_tridiagonal(factor_tridiagonal(op), sub)) == msg
-    # and each column of a two-column solve is guarded on its own
-    both = np.column_stack((np.ones(n), sub))
-    assert "near-singular" in _raised(lambda: solve_tridiagonal(op, both))
 
 
 def test_solve_applies_no_operator(monkeypatch):
@@ -190,9 +201,9 @@ def test_solve_applies_no_operator(monkeypatch):
         raise AssertionError("TridiagonalOperator.apply called")
 
     monkeypatch.setattr(TridiagonalOperator, "apply", refused)
-    for rhs in (np.ones(n), np.column_stack((np.ones(n), np.arange(n)))):
-        assert np.array_equal(solve_tridiagonal(op, rhs),
-                              solve_tridiagonal(factor, rhs))
+    rhs = np.ones(n)
+    assert np.array_equal(solve_tridiagonal(op, rhs),
+                          solve_tridiagonal(factor, rhs))
 
 
 def test_apply_matches_banded_form():

@@ -44,30 +44,47 @@ def spd(d, e):
 
 
 SIZES = [2, 3, 5, 4000, 64000]
-COLUMNS = [None, 1, 2]  # one 1-D right-hand side, or a matrix of columns
+# one 1-D right-hand side, or a matrix whose columns are solved one by one
+COLUMNS = [None, 1, 2]
 
 
 @bound
 @pytest.mark.parametrize("cols", COLUMNS)
 @pytest.mark.parametrize("n", SIZES)
 def test_every_routine_gives_scipys_bits(n, cols):
+    """Each routine takes one column.  On a 1-D right-hand side it gives
+    SciPy's bits; on each column of a matrix, solved alone, it gives the
+    bits of that column in SciPy's solve of the whole matrix."""
     dl, d, du, b = system(n, cols)
-    assert_same(_lapack.dgtsv(dl, d, du, b), ref.dgtsv(dl, d, du, b))
+    rhs = [b] if cols is None else list(b.T)
+
+    def each_column(solve, want, at):
+        """solve(column) against `want`, whose solution is want[at]."""
+        for j, col in enumerate(rhs):
+            cut = list(want)
+            if cols is not None:
+                cut[at] = want[at][:, j]
+            assert_same(solve(col), tuple(cut))
+
+    each_column(lambda col: _lapack.dgtsv(dl, d, du, col),
+                ref.dgtsv(dl, d, du, b), 3)
     if n > 2:  # SciPy's ?gttrf wrapper rejects n = 2
         lu = _lapack.dgttrf(dl, d, du)
         lu_ref = ref.dgttrf(dl, d, du)
         assert_same(lu, lu_ref)
-        assert_same(_lapack.dgttrs(*lu[:5], b), ref.dgttrs(*lu_ref[:5], b))
+        each_column(lambda col: _lapack.dgttrs(*lu[:5], col),
+                    ref.dgttrs(*lu_ref[:5], b), 0)
     dd, e = spd(d, dl)
     f = _lapack.dpttrf(dd, e)
     f_ref = ref.dpttrf(dd, e)
     assert_same(f, f_ref)
-    assert_same(_lapack.dpttrs(*f[:2], b), ref.dpttrs(*f_ref[:2], b))
+    each_column(lambda col: _lapack.dpttrs(*f[:2], col),
+                ref.dpttrs(*f_ref[:2], b), 0)
 
 
 @bound
 def test_factor_solve_is_the_one_shot_solve_at_n_2():
-    dl, d, du, b = system(2, 2, shift=3.0)
+    dl, d, du, b = system(2, None, shift=3.0)
     lu = _lapack.dgttrf(dl, d, du)
     assert lu[-1] == 0
     x, info = _lapack.dgttrs(*lu[:5], b)
@@ -97,8 +114,8 @@ def test_singular_and_indefinite_report_scipys_info():
 @bound
 def test_strided_inputs_are_read_as_values():
     n = 9
-    dl, d, du, b = system(2 * n, 4)
-    args = (dl[1::2], d[::2], du[1::2], b[::2, 1::2])
+    dl, d, du, b = system(2 * n, None)
+    args = (dl[1::2], d[::2], du[1::2], b[1::2])
     assert not args[1].flags.c_contiguous
     assert_same(_lapack.dgtsv(*args), ref.dgtsv(*args))
     lu = _lapack.dgttrf(*args[:3])
@@ -117,7 +134,7 @@ def test_strided_inputs_are_read_as_values():
 
 @bound
 def test_callers_arrays_are_left_as_they_were():
-    dl, d, du, b = system(50, 2)
+    dl, d, du, b = system(50, None)
     dd, e = spd(d, dl)
     inputs = (dl, d, du, b, dd, e)
     before = [a.copy() for a in inputs]
@@ -147,8 +164,8 @@ def _calls(name, *args):
 
 @bound
 @pytest.mark.parametrize("case", ["short dl", "long du", "2-D d", "short rhs",
-                                  "3-D rhs", "short du2", "short ipiv",
-                                  "short e"])
+                                  "2-D rhs", "3-D rhs", "short du2",
+                                  "short ipiv", "short e"])
 def test_wrong_shapes_raise_before_any_foreign_call(case):
     dl, d, du, b = system(6, None)
     lu = list(_lapack.dgttrf(dl, d, du)[:5])
@@ -163,6 +180,9 @@ def test_wrong_shapes_raise_before_any_foreign_call(case):
         "short rhs": lambda: _calls("dgtsv", dl, d, du, b[:-1])
                              + _calls("dgttrs", *lu, b[:-1])
                              + _calls("dpttrs", dd, e, b[:-1]),
+        "2-D rhs": lambda: _calls("dgtsv", dl, d, du, b[:, None])
+                           + _calls("dgttrs", *lu, b[:, None])
+                           + _calls("dpttrs", dd, e, b[:, None]),
         "3-D rhs": lambda: _calls("dgtsv", dl, d, du, b[:, None, None]),
         "short du2": lambda: _calls("dgttrs", *lu[:3], lu[3][:-1], lu[4], b),
         "short ipiv": lambda: _calls("dgttrs", *lu[:4], lu[4][:-1], b),
@@ -197,7 +217,7 @@ def test_missing_library_falls_back_on_scipy(monkeypatch, how):
     assert fallback.LIBRARY == "scipy.linalg.lapack"
     for name in _lapack.ROUTINES:
         assert getattr(fallback, name) is getattr(ref, name)
-    dl, d, du, b = system(4000, 2)
+    dl, d, du, b = system(4000, None)
     assert_same(fallback.dgtsv(dl, d, du, b), _lapack.dgtsv(dl, d, du, b))
     lu = fallback.dgttrf(dl, d, du)
     assert_same(fallback.dgttrs(*lu[:5], b),

@@ -45,7 +45,6 @@ def test_jacobian_solve_leaves_the_operator_alone(inst, minimal):
     assert J.sub is A.sub and J.sup is A.sup
     rhs = np.ones(inst.grid.n)
     solve_tridiagonal(J, rhs)
-    solve_tridiagonal(J, np.column_stack((rhs, 2.0 * rhs)))
     solve_tridiagonal(factor_tridiagonal(J), rhs)
     for kept, now in zip(before, [A.sub, A.diag, A.sup]):
         assert np.array_equal(kept, now)
