@@ -475,11 +475,10 @@ def cmd_alpha(run: _Run, args) -> int:
     # proves the minimal solution
     run.emit("alpha.json", _json_text({
         "alpha_arclength": alpha, "alpha_bisection": probe,
-        "agreement_gap": abs(alpha - probe), "tau_star": tau_star(inst),
-        "certified_delta": delta, "certificate_eta": eta,
-        "certificate_beta": beta, "certificate_h": h,
-        "coarse_n": level.grid.n, "alpha_coarse": found.t,
-        "fold_iterations": point.iterations,
+        "tau_star": tau_star(inst), "certified_delta": delta,
+        "certificate_eta": eta, "certificate_beta": beta,
+        "certificate_h": h, "coarse_n": level.grid.n,
+        "alpha_coarse": found.t, "fold_iterations": point.iterations,
     }))
     return 0
 

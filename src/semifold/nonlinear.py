@@ -1,6 +1,7 @@
 """Nonlinear residual/Jacobian assembly, damped Newton, monotone Newton
-from the subsolution, Picard solution operator, and deflation for extra
-roots."""
+from the subsolution, the fixed-point iteration of the solution operator
+(Picard's, and shifted, the sub-supersolution method's), and deflation
+for extra roots."""
 
 from __future__ import annotations
 
@@ -9,17 +10,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MonotonicityBroken, NoConvergence, SingularOperator
-from .grid import TridiagonalOperator, dot, solve_tridiagonal
+from .grid import (TridiagonalOperator, dot, factor_tridiagonal,
+                   solve_tridiagonal)
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile, build_subsolution, make_profile
 
-# Newton-type loops stop on their correction (_correction_stop), never on
-# the residual, whose row scale grows as h^-2: u + du is accepted once
-# |du|_inf <= tol (1 + |u|_inf), tol SOLVE_TOL (newton_solve, picard_solve)
-# or FOLD_TOL (monotone Newton, the fold system: converging quadratically,
-# u + du is then accurate to about tol^2), and u once a correction below
-# FOLD_FLOOR stops contracting: the rounding floor, which grows with n
-# (about 1e-12 at n = 4000, 4e-10 at 128000).  FOLD_MAXIT caps the steps
+# Every loop but certify stops on its correction (_correction_stop), not
+# on the residual, whose row scale grows as h^-2: u + du once |du|_inf <=
+# tol (1 + |u|_inf), tol SOLVE_TOL (newton_solve; picard_solve bounds its
+# estimated error, monotone_iterate's by 0) or FOLD_TOL (monotone Newton,
+# the fold system: quadratic, so u + du is then good to about tol^2), and
+# u once a correction below FOLD_FLOOR stops falling: the rounding floor,
+# about 1e-12 at n = 4000, 4e-10 at 128000.  FOLD_MAXIT caps Newton steps
 SOLVE_TOL = 1e-10
 FOLD_TOL = 1e-8
 FOLD_FLOOR = 1e-7
@@ -42,12 +44,19 @@ def jacobian(inst: ProblemInstance, u: np.ndarray) -> TridiagonalOperator:
                           * np.asarray(inst.nonlinearity.g_prime(u)))
 
 
+def _solution_step(inst: ProblemInstance, op, v: np.ndarray, t: float,
+                   shift: float = 0.0) -> np.ndarray:
+    """Solve op u = P (g(v) + shift v) + P (t phi1 + f1), op A + shift P
+    or its factor."""
+    g = np.asarray(inst.nonlinearity.g(v))
+    return solve_tridiagonal(op, inst.weight_values * (g + shift * v)
+                             + inst.forcing_term(t))
+
+
 def apply_solution_operator(inst: ProblemInstance, v: np.ndarray,
                             t: float) -> np.ndarray:
     """One Picard step: solve A u = P g(v) + P (t phi1 + f1)."""
-    return solve_tridiagonal(inst.A, inst.weight_values
-                             * np.asarray(inst.nonlinearity.g(v))
-                             + inst.forcing_term(t))
+    return _solution_step(inst, inst.A, v, t)
 
 
 def _deflation_factor(u: np.ndarray, known: Sequence[SolutionProfile]):
@@ -285,21 +294,33 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     return u, eta, beta, h
 
 
-def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
-                 tol: float = SOLVE_TOL, maxit: int = 2000) -> SolutionProfile:
-    """Fixed-point iteration of the solution operator, stopped by
-    _correction_stop on its estimated error.  The iteration converges
-    linearly: at the ratio rho = size / size_prev of two steps, u_next
-    lies about size rho / (1 - rho) from the limit, more than the step
-    where rho > 1/2, and that estimate is what tol bounds there."""
-    u = np.asarray(u0, dtype=float).copy()
+def _fixed_point(inst: ProblemInstance, u, t: float, tol: float, maxit: int,
+                 shift: float = 0.0, interval=None, up: bool = True):
+    """Fixed-point iteration (A + cP) u_next = P (g(u) + c u + t phi1 + f1),
+    c = shift, from u, each step on one factor of A + cP.  It converges
+    linearly: at a ratio rho = size / size_prev > 1/2 of two steps, u_next
+    lies about size rho / (1 - rho) > size from the limit, and that is
+    what _correction_stop holds to tol.  Given an OrderedInterval, each
+    step must rise from u (fall, unless `up`) and stay inside it, to 1e-9
+    (1 + |bounds|_inf), as the far bound may be a solution at t."""
+    u = np.asarray(u, dtype=float)
+    op = factor_tridiagonal(inst.A.shifted(shift * inst.weight_values))
     scale0 = 1.0 + np.abs(u).max()
+    if interval is not None:
+        slack = 1e-9 * (1.0 + max(np.abs(interval.lower).max(),
+                                  np.abs(interval.upper).max()))
     size_prev = np.inf
     for k in range(1, maxit + 1):
-        u_next = apply_solution_operator(inst, u, t)
+        u_next = _solution_step(inst, op, u, t, shift)
         if not np.isfinite(u_next).all() or np.abs(u_next).max() > 1e8 * scale0:
             raise NoConvergence(f"Picard iteration diverged at step {k}",
                                 iterations=k)
+        if interval is not None:
+            lo, hi = (u, interval.upper) if up else (interval.lower, u)
+            if ((u_next < lo - slack) | (u_next > hi + slack)).any():
+                raise MonotonicityBroken(
+                    f"step {k} left the order between the iterate and the "
+                    f"{'upper' if up else 'lower'} bound; shift too small?")
         size = float(np.abs(u_next - u).max()) / (1.0 + float(np.abs(u).max()))
         rho = size / size_prev
         stop = _correction_stop(size, size_prev,
@@ -311,6 +332,12 @@ def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
         u, size_prev = u_next, size
     raise NoConvergence(f"Picard: {maxit} iterations, last step {size:.3e} "
                         "relative", iterations=maxit, residual=size)
+
+
+def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
+                 tol: float = SOLVE_TOL, maxit: int = 2000) -> SolutionProfile:
+    """Picard iteration of the solution operator: _fixed_point at c = 0."""
+    return _fixed_point(inst, u0, t, tol, maxit)
 
 
 def second_solution(inst: ProblemInstance, known: SolutionProfile,

@@ -4,7 +4,8 @@ The subsolution solves the linear comparison problem with the lower
 slack slope.  Between it and a supersolution, such as the minimal
 solution at a larger t, the shifted Picard scheme converges
 monotonically to the minimal solution; for a convex g, Newton from the
-subsolution alone does too (nonlinear.monotone_newton).
+subsolution alone does too (nonlinear.monotone_newton).  The scheme is
+Picard's loop, nonlinear._fixed_point, shifted and held to the interval.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MonotonicityBroken, NoConvergence, SingularOperator
-from .grid import RadialGrid, factor_tridiagonal, solve_tridiagonal
+from .errors import SingularOperator
+from .grid import RadialGrid, solve_tridiagonal
 from .problem import ProblemInstance
 
-MONOTONE_TOL = 1e-10  # monotone_iterate's step tolerance, absolute
 MONOTONE_MAXIT = 50000
 
 
@@ -65,48 +65,18 @@ def monotone_iterate(instance: ProblemInstance, t: float,
                      interval: OrderedInterval, shift: Optional[float] = None,
                      start: str = "lower") -> SolutionProfile:
     """Shifted Picard scheme (A + cP) u_{k+1} = P (g(u_k) + c u_k + t phi1 + f1),
-    monotone from either end of the ordered interval."""
-    from .nonlinear import residual
+    monotone from either end of the ordered interval, run to the rounding
+    floor (tol 0): near the fold a stop on a 1e-10 step left 2.2e-10."""
+    from .nonlinear import _fixed_point
 
-    nl = instance.nonlinearity
     lower, upper = interval.lower, interval.upper
     if shift is None:
         s = np.linspace(float(lower.min()), float(upper.max()), 2001)
-        shift = 1.05 * max(0.0, float(np.asarray(nl.g_prime(s)).max()))
-    P = instance.weight_values
-    # one operator for every step: factor it once
-    op = factor_tridiagonal(instance.A.shifted(shift * P))
-    forcing = instance.forcing_term(t)
-    # containment slack: the upper bound may itself be a solution at the
-    # same t, so allow rounding-level grazing
-    scale = 1e-9 * (1.0 + max(np.abs(lower).max(), np.abs(upper).max()))
-
+        shift = 1.05 * max(0.0, float(np.asarray(
+            instance.nonlinearity.g_prime(s)).max()))
     up = start == "lower"
-    u = lower.copy() if up else upper.copy()
-    for k in range(1, MONOTONE_MAXIT + 1):
-        rhs = P * (np.asarray(nl.g(u)) + shift * u) + forcing
-        u_next = solve_tridiagonal(op, rhs)
-        if up:
-            if (u_next < u - scale).any():
-                raise MonotonicityBroken(
-                    f"upward iterate decreased at step {k}; shift too small?")
-            if (u_next > upper + scale).any():
-                raise MonotonicityBroken(
-                    f"upward iterate escaped above the supersolution at step {k}")
-        else:
-            if (u_next > u + scale).any():
-                raise MonotonicityBroken(
-                    f"downward iterate increased at step {k}; shift too small?")
-            if (u_next < lower - scale).any():
-                raise MonotonicityBroken(
-                    f"downward iterate escaped below the subsolution at step {k}")
-        delta = np.abs(u_next - u).max()
-        u = u_next
-        if delta <= MONOTONE_TOL:
-            res = np.abs(residual(instance, u, t)).max()
-            return make_profile(instance, u, t, res, iterations=k)
-    raise NoConvergence(f"monotone iteration: {MONOTONE_MAXIT} steps, last "
-                        f"delta {delta:.3e}", iterations=k, residual=delta)
+    return _fixed_point(instance, lower if up else upper, t, 0.0,
+                        MONOTONE_MAXIT, shift, interval, up)
 
 
 def check_order_interval(u: np.ndarray, interval: OrderedInterval,

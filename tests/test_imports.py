@@ -225,6 +225,41 @@ def test_one_convergence_test_and_one_fold():
             if where != "<module>"] == ["_fold", "_fold"]
 
 
+def tol_constants(source: str) -> list:
+    """Names ending in _TOL that the module assigns at its top level."""
+    return sorted(target.id for node in ast.parse(source).body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for target in (node.targets if isinstance(node, ast.Assign)
+                                 else [node.target])
+                  if isinstance(target, ast.Name)
+                  and target.id.endswith("_TOL"))
+
+
+def test_scan_sees_tol_constants():
+    src = ("SOLVE_TOL = 1e-10\n"
+           "STEP_TOL: float = 1e-8\n"
+           "TOLERANCE = 1.0\n"
+           "def stop(size):\n"
+           "    LOCAL_TOL = 1e-3\n"
+           "    return size < LOCAL_TOL\n")
+    assert tol_constants(src) == ["SOLVE_TOL", "STEP_TOL"]
+
+
+def test_one_fixed_point_loop():
+    """Tolerances live in nonlinear alone, and Picard and the shifted
+    monotone iteration run one loop, _fixed_point, which stops through
+    _correction_stop."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert [mod for mod, text in sources.items()
+            if tol_constants(text)] == ["nonlinear.py"]
+    assert ("_fixed_point", "_correction_stop") in name_uses(
+        sources["nonlinear.py"], {"_correction_stop"})
+    assert sorted(where for text in sources.values()
+                  for where, _ in name_uses(text, {"_fixed_point"})
+                  if where != "_fixed_point") == \
+        ["monotone_iterate", "monotone_iterate", "picard_solve"]
+
+
 # numpy's entry points into BLAS, which on long vectors wake OpenBLAS
 # helper threads that burn a second core without a faster result
 BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}

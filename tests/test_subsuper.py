@@ -8,8 +8,9 @@ from semifold.config import (CANONICAL_CONFIG, COARSE_N,
                              build_scenario_instance, parse_config)
 from semifold.errors import (MonotonicityBroken, NoConvergence,
                              SingularOperator)
+from semifold.grid import factor_tridiagonal, solve_tridiagonal
 from semifold.nonlinear import (certify, monotone_newton, monotone_rise,
-                                residual)
+                                picard_solve, residual)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
                                check_order_interval, monotone_iterate)
 
@@ -80,6 +81,50 @@ def test_insufficient_shift_is_detected(inst, pair):
     bad_shift = -1.5 * inst.nonlinearity.mu_lower
     with pytest.raises(MonotonicityBroken):
         monotone_iterate(inst, T_DEEP, pair, shift=bad_shift, start="upper")
+
+
+@pytest.mark.parametrize("caller", ["picard", "monotone"])
+def test_fixed_point_loop_factors_once(inst, pair, monkeypatch, caller):
+    """picard_solve and monotone_iterate run one loop: one
+    factor_tridiagonal call per call, of A or A + cP, and every step a
+    solve on that factor.  The last step is dropped where the loop keeps
+    its iterate at the rounding floor."""
+    factors, solved_on = [], []
+
+    def factor(op):
+        factors.append(factor_tridiagonal(op))
+        return factors[-1]
+
+    def solve(op, rhs):
+        solved_on.append(op)
+        return solve_tridiagonal(op, rhs)
+
+    monkeypatch.setattr(nonlinear, "factor_tridiagonal", factor)
+    monkeypatch.setattr(nonlinear, "solve_tridiagonal", solve)
+    if caller == "picard":
+        prof = picard_solve(inst, pair.lower, T_DEEP)
+    else:
+        prof = monotone_iterate(inst, T_DEEP, pair)
+    assert len(factors) == 1
+    assert all(op is factors[0] for op in solved_on)
+    assert 1 <= prof.iterations <= len(solved_on) <= prof.iterations + 1
+
+
+@pytest.mark.parametrize("start", ["lower", "upper"])
+def test_monotone_limit_is_monotone_newtons_near_the_fold(
+        canonical, fixture_data, start):
+    """At t = alpha* - 1 on the canonical n = 4000 grid the steps contract
+    slowly; run to the rounding floor, the iteration from either end of
+    [subsolution, minimal solution at alpha* - 1/2] lands within 1e-10
+    (1 + |u|_inf) of monotone Newton's solution (a stop on a step of
+    1e-10 left 2.2e-10)."""
+    alpha = fixture_data["alpha_star"]["value"]
+    t = alpha - 1.0
+    pair = OrderedInterval(lower=build_subsolution(canonical, t),
+                           upper=monotone_newton(canonical, alpha - 0.5)[0].u)
+    u = monotone_newton(canonical, t)[0].u
+    prof = monotone_iterate(canonical, t, pair, start=start)
+    assert np.abs(prof.u - u).max() <= 1e-10 * (1.0 + np.abs(u).max())
 
 
 def test_order_interval_membership(inst, pair):
