@@ -55,6 +55,12 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
     above it, SingularOperator propagates.
 
+    Besides the iterate (u, v), c and P phi1, a step holds J's factor,
+    p, q, a1 and a2, and -F and D while they are solved for: -F goes once
+    p is solved, D once a1 and a2 are, and the rest before the next step
+    factors.  du is built in p's buffer and the new v in a1's.  u0 and v0
+    are only read.
+
     The v update is J^-1 of D du, so once du is near the rounding floor
     v carries its noise (|J v| up to 1e-3 rs |v|); the returned v is
     _null_step's, which leaves |J(u) v| at the rounding floor."""
@@ -62,15 +68,23 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     P = instance.weight_values
     Pphi = P * instance.eigen.phi1
     c = v0 / dot(v0, v0)  # so that c.v0 = 1
-    u, t, v = u0.copy(), float(t0), v0.copy()
+    # no copies: every update makes a new u and v.  Dropping the names
+    # frees arguments made for this call, as the CLI's lifted fold is
+    u, t, v = u0, float(t0), v0
+    del u0, v0
     size_prev = np.inf
     for k in range(FOLD_MAXIT):
         F = residual(instance, u, t)
+        np.negative(F, out=F)
         try:
             lu = factor_tridiagonal(jacobian(instance, u))
-            p, q = (solve_tridiagonal(lu, b) for b in (-F, Pphi))
+            p = solve_tridiagonal(lu, F)
+            del F
+            q = solve_tridiagonal(lu, Pphi)
             D = P * np.asarray(gsec(u)) * v
-            a1, a2 = (solve_tridiagonal(lu, D * b) for b in (p, q))
+            a1 = solve_tridiagonal(lu, D * p)
+            a2 = solve_tridiagonal(lu, D * q)
+            del D
         except SingularOperator:
             if size_prev > FOLD_FLOOR:
                 raise
@@ -80,15 +94,19 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
             raise NoConvergence("fold system degenerate (c.a2 = 0)",
                                 iterations=k)
         dt = (1.0 - dot(c, a1)) / ca2
-        du = p + dt * q
+        p += dt * q  # du
+        del q
         size = max(abs(dt) / (1.0 + abs(t)),
-                   float(np.abs(du).max()) / (1.0 + float(np.abs(u).max())))
+                   float(np.abs(p).max()) / (1.0 + float(np.abs(u).max())))
         stop = _correction_stop(size, size_prev, FOLD_TOL, "fold refinement")
         if stop == "keep":
             return _null_step(lu, u, t, v, c, k)
-        u = u + du
+        del lu
+        u = u + p
         t = t + dt
-        v = a1 + dt * a2  # v + dv with dv = -v + a1 + dt*a2
+        a1 += dt * a2  # v + dv with dv = -v + a1 + dt*a2
+        v = a1
+        del p, a1, a2
         if stop:
             return _null_step(jacobian(instance, u), u, t, v, c, k + 1)
         size_prev = size

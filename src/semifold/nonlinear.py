@@ -265,10 +265,13 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     best = None
     for _ in range(CERTIFY_MAXIT):
         J = jacobian(inst, u)
+        F = residual(inst, u, t)
+        np.negative(F, out=F)
         try:
-            du = solve_tridiagonal(J, -residual(inst, u, t))
+            du = solve_tridiagonal(J, F)
         except SingularOperator:
             break
+        del F
         eta = float(np.abs(du).max())
         if best is not None and not eta < best[1]:
             break
@@ -277,6 +280,7 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
         if stalled:
             break
         u = u + du
+        del du
     if best is None:
         return u, np.inf, np.inf, np.inf
     u, eta, J = best

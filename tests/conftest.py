@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,21 @@ settings.register_profile("suite", max_examples=25, derandomize=True,
 settings.load_profile("suite")
 
 FIXDIR = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture
+def traced_peak():
+    """run(fn): fn() and the peak, in bytes, of the memory that Python
+    and numpy allocated while it ran (tracemalloc)."""
+    def run(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return out, peak
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -264,19 +263,15 @@ def test_branch_csv_matches_savetxt(monkeypatch):
     assert text == _savetxt_bytes(np.array(table), header)
 
 
-def test_solution_csv_writes_in_small_blocks(tmp_path):
+def test_solution_csv_writes_in_small_blocks(tmp_path, traced_peak):
     """Writing a 64000-row solution allocates at most 4 MB at its peak
     (the table itself is 1.5 MB, its text about 5 MB), and the file holds
     savetxt's bytes."""
     grid = build_grid(3, 40.0, 64000)
     u = -np.exp(-grid.nodes)
     run = cli._Run(None, None, tmp_path)
-    tracemalloc.start()
-    try:
-        run.emit("solution.csv", cli._solution_csv(grid, u))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: run.emit("solution.csv", cli._solution_csv(grid, u)))
     assert peak <= 4_000_000
     expected = _savetxt_bytes(np.column_stack(
         [grid.nodes, u, grid.nodes ** (grid.N - 2) * u]), "r,u,r_pow_u")

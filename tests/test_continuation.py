@@ -441,6 +441,38 @@ def test_refine_fold_factors_each_jacobian_once(inst, branch, fold,
         assert isinstance(on, TridiagonalOperator)
 
 
+@pytest.mark.parametrize("stop", ["taken", "keep"])
+def test_refine_fold_and_certify_leave_their_arguments_alone(
+        inst, branch, fold, monkeypatch, stop):
+    """refine_fold reads u0 and v0 without copying them, and certify
+    reads u: neither writes to an array it is given."""
+    if stop == "keep":  # from the converged fold, with no tolerance to reach
+        monkeypatch.setattr(continuation, "FOLD_TOL", 0.0)
+        u0, t0, v0 = fold.u.copy(), fold.t, fold.v.copy()
+    else:
+        u0, t0, v0 = fold_seed(branch)
+    t, lower = branch[len(branch) // 2 - 1]
+    u = lower + 1e-3  # certify takes steps from it
+    given = [u0, v0, u]
+    before = [a.tobytes() for a in given]
+    refine_fold(inst, u0, t0, v0)
+    assert certify(inst, u, t)[3] < 0.5
+    assert [a.tobytes() for a in given] == before
+
+
+def test_refine_fold_holds_one_steps_vectors(traced_peak):
+    """One refine_fold at n = 16000, from the twin's ladder fold lifted
+    onto the nodes as the CLI lifts it, allocates at most 20 vectors of
+    n floats at its peak: each step lets go of its factor, -F, D, p, q,
+    a1 and a2 before the next one factors."""
+    inst = sf.canonical_instance(n=16000)
+    found = ladder_fold(inst.twin)
+    u0, v0 = (inst.grid.lift(inst.twin.grid, a) for a in (found.u, found.v))
+    point, peak = traced_peak(lambda: refine_fold(inst, u0, found.t, v0))
+    assert point.iterations >= 1
+    assert peak <= 20 * 8 * inst.grid.n
+
+
 @pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])
 def test_find_fold_equals_the_traced_fold(canonical, canonical_branch, t0):
     """From t_start across the fold-64k draw range, the ladder and
