@@ -121,8 +121,11 @@ def _decimal_exponent(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     one comparison with _DECADES decides which; 78913 / 2**18 is log10 2
     closely enough to floor alike for |e - 1| <= 1650, far beyond the
     window."""
-    k = (e - 1) * 78913 >> 18
-    return k + (a >= _DECADES[k + (1 - EXACT_K_LOW)])
+    k = e - 1
+    k *= 78913
+    k >>= 18
+    k += a >= _DECADES[k + (1 - EXACT_K_LOW)]
+    return k
 
 
 def _words(out: np.ndarray, col: int, dtype) -> np.ndarray:
@@ -144,56 +147,109 @@ def _e18_fields(x: np.ndarray) -> np.ndarray:
     halves, each one digit and two 4-digit words of _DIGITS4, and the
     exponent as a word of _DIGITS2.  Zeros, subnormals, nan, inf and
     magnitudes outside that window are formatted by `'%.18e'` one at a
-    time."""
+    time.  Each working array is updated in place where it can be and
+    dropped once it is dead, so a block holds a few of them at a time."""
     u64 = np.uint64
     a = np.abs(x)
-    exact = (a >= _DECADES[0]) & (a < _DECADES[-1])
-    a = np.where(exact, a, 1.0)
+    inexact = ~((a >= _DECADES[0]) & (a < _DECADES[-1]))
+    a[inexact] = 1.0
     m, e = np.frexp(a)
-    mant = (m * 2.0 ** 53).astype(u64)
+    m *= 2.0 ** 53
+    mant = m.astype(u64)
+    del m
     e = e.astype(np.intp)  # table indices gather fastest as intp
     k = _decimal_exponent(a, e)
+    del a
     pow5 = _POW5[18 - k]
     s = (35 + k - e).astype(u64)
+    del e
     # mant * pow5 = hi * 2**64 + lo, from 32-bit halves that cannot overflow
-    m_lo, m_hi = mant & u64(0xFFFFFFFF), mant >> u64(32)
-    p_lo, p_hi = pow5 & u64(0xFFFFFFFF), pow5 >> u64(32)
-    mid = m_lo * p_hi + m_hi * p_lo
+    m_lo = mant & u64(0xFFFFFFFF)
+    m_hi = mant
+    m_hi >>= u64(32)
+    p_lo = pow5 & u64(0xFFFFFFFF)
+    p_hi = pow5
+    p_hi >>= u64(32)
+    del mant, pow5
+    mid = m_lo * p_hi
+    mid += m_hi * p_lo
+    lo = m_lo
+    lo *= p_lo
+    hi = m_hi
+    hi *= p_hi
+    del m_lo, m_hi, p_lo, p_hi
     mid_low = mid << u64(32)
-    lo = m_lo * p_lo + mid_low
-    hi = m_hi * p_hi + (mid >> u64(32)) + (lo < mid_low)  # carry of lo
-    q = (hi << (u64(64) - s)) | (lo >> s)
+    lo += mid_low
+    mid >>= u64(32)
+    hi += mid
+    hi += lo < mid_low  # carry of lo
+    del mid, mid_low
+    hi <<= u64(64) - s
+    q = lo >> s
+    q |= hi
+    del hi
     rem = lo & ((u64(1) << s) - u64(1))
-    half = u64(1) << (s - u64(1))
+    del lo
+    s -= u64(1)
+    half = u64(1) << s
+    del s
     # never up to 10**19: in the window, the floats below 10**(k + 1) are
     # at least 4e-17 of it below, far more than the 5e-20 of half a unit
     # of the 19th digit
-    q += (rem > half) | ((rem == half) & (q & u64(1) == u64(1)))
+    up = rem == half
+    up &= q & u64(1) == u64(1)
+    up |= rem > half
+    del rem, half
+    q += up
+    del up
     out = np.zeros((len(x), CSV_FIELD), np.uint8)
     out[:, 0] = np.signbit(x) * ord("-")
     lead = q // u64(10 ** 18)
     out[:, 1] = lead + ord("0")
     out[:, 2] = ord(".")
-    q -= lead * u64(10 ** 18)
+    lead *= u64(10 ** 18)
+    q -= lead
+    del lead
     upper = q // u64(10 ** 9)
+    q -= upper * u64(10 ** 9)
     # below 10**9 each, so a view as intp indexes _DIGITS4
-    for col, part in ((3, upper), (12, q - upper * u64(10 ** 9))):
+    for col, part in ((3, upper), (12, q)):
         top = part // u64(10 ** 8)
         out[:, col] = top + ord("0")
-        part -= top * u64(10 ** 8)
+        top *= u64(10 ** 8)
+        part -= top
+        del top
         word = part // u64(10 ** 4)
         _words(out, col + 1, np.uint32)[:] = _DIGITS4[word.view(np.intp)]
-        part -= word * u64(10 ** 4)
+        word *= u64(10 ** 4)
+        part -= word
+        del word
         _words(out, col + 5, np.uint32)[:] = _DIGITS4[part.view(np.intp)]
+    del q, upper, part
     out[:, 21] = ord("e")
     out[:, 22] = np.where(k < 0, ord("-"), ord("+"))
     _words(out, 23, np.uint16)[:] = _DIGITS2[np.abs(k)]
-    rest = np.flatnonzero(~exact)
+    del k
+    rest = np.flatnonzero(inexact)
     if len(rest):
         text = b"".join(("%.18e" % v).encode("ascii").ljust(CSV_FIELD, b"\0")
                         for v in x[rest].tolist())
         out[rest] = np.frombuffer(text, np.uint8).reshape(len(rest), -1)
     return out
+
+
+def _csv_text(header: str, blocks):
+    """The ASCII bytes of a CSV: the header line, then the rows of each
+    2-D block of `blocks`, every number `%.18e` (`_e18_fields`)."""
+    yield (header + "\n").encode("ascii")
+    for block in blocks:
+        text = _e18_fields(block.ravel()).reshape(*block.shape, CSV_FIELD)
+        del block
+        text[:, :-1, -1] = ord(",")
+        text[:, -1, -1] = ord("\n")
+        chunk = text.tobytes().replace(b"\0", b"")
+        del text
+        yield chunk
 
 
 def _csv_blocks(header: str, columns):
@@ -203,19 +259,20 @@ def _csv_blocks(header: str, columns):
     with `delimiter=","`, `comments=""` and its default format.  The digits
     come from exact integer arithmetic on whole blocks (`_e18_fields`),
     with `'%.18e'` per value outside its window of about 1e-9 to 1e14."""
-    yield (header + "\n").encode("ascii")
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS]
-                                 for c in columns])
-        text = _e18_fields(block.ravel()).reshape(*block.shape, CSV_FIELD)
-        text[:, :-1, -1] = ord(",")
-        text[:, -1, -1] = ord("\n")
-        yield text.tobytes().replace(b"\0", b"")
+    return _csv_text(header, (
+        np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS)))
 
 
 def _solution_csv(grid, u):
-    return _csv_blocks("r,u,r_pow_u",
-                       [grid.nodes, u, grid.nodes ** (grid.N - 2) * u])
+    """_csv_blocks of the columns r, u and r^(N-2) u, the last formed
+    block by block rather than as a whole column."""
+    def blocks():
+        for start in range(0, grid.n, CSV_BLOCK_ROWS):
+            r = grid.nodes[start:start + CSV_BLOCK_ROWS]
+            v = u[start:start + CSV_BLOCK_ROWS]
+            yield np.column_stack([r, v, r ** (grid.N - 2) * v])
+    return _csv_text("r,u,r_pow_u", blocks())
 
 
 def _read_solution_csv(path, grid) -> np.ndarray:

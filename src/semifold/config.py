@@ -226,11 +226,12 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     pvals = assemble_weight_mass(grid, weight.evaluator)
     twin = None if grid.n <= COARSE_N else build_scenario_instance(
         replace(cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
-    start, shift = (None, 0.0) if twin is None else (
-        grid.lift(twin.grid, twin.eigen.phi1),
-        twin.eigen.lambda1)
-    eig = first_eigenpair(grid, A, pvals, tol=cfg.get("run", "eigen_tol"),
-                          start=start, shift=shift)
+    # the lifted start goes to first_eigenpair alone, which frees it
+    # once its first step is taken
+    eig = first_eigenpair(
+        grid, A, pvals, tol=cfg.get("run", "eigen_tol"),
+        start=None if twin is None else grid.lift(twin.grid, twin.eigen.phi1),
+        shift=0.0 if twin is None else twin.eigen.lambda1)
 
     nlc = partial(cfg.get, "nonlinearity")
     if nlc("preset") == "linear":
@@ -245,8 +246,10 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             raise SlopeViolation(f"slack slopes ({mu_lo}, {mu_hi}) do not "
                                  f"straddle lambda1 = {eig.lambda1}")
         nl = smooth_ramp_nonlinearity(mu_lo, mu_hi, nlc("offset"))
-    # f1 = zero is the only preset a file can name (docs/config.md)
-    forcing = ForcingSpec(t=cfg.get("forcing", "t"), f1=np.zeros(grid.n))
+    # f1 = zero is the only preset a file can name (docs/config.md); a
+    # view of one zero adds the same bits as a vector of zeros
+    forcing = ForcingSpec(t=cfg.get("forcing", "t"),
+                          f1=np.broadcast_to(0.0, grid.n))
     return ProblemInstance(weight=weight, nonlinearity=nl, forcing=forcing,
                            grid=grid, weight_values=pvals, A=A, eigen=eig,
                            twin=twin)

@@ -58,7 +58,8 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     Besides the iterate (u, v), c and P phi1, a step holds J's factor,
     p, q, a1 and a2, and -F and D while they are solved for: -F goes once
     p is solved, D once a1 and a2 are, and the rest before the next step
-    factors.  du is built in p's buffer and the new v in a1's.  u0 and v0
+    factors.  a2 is solved from D q, and then D p for a1 is formed in D's
+    buffer.  du is built in p's buffer and the new v in a1's.  u0 and v0
     are only read.
 
     The v update is J^-1 of D du, so once du is near the rounding floor
@@ -82,8 +83,9 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
             del F
             q = solve_tridiagonal(lu, Pphi)
             D = P * np.asarray(gsec(u)) * v
-            a1 = solve_tridiagonal(lu, D * p)
             a2 = solve_tridiagonal(lu, D * q)
+            D *= p
+            a1 = solve_tridiagonal(lu, D)
             del D
         except SingularOperator:
             if size_prev > FOLD_FLOOR:

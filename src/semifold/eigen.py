@@ -81,9 +81,12 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     - shift| / |lambda2 - shift|, about 1e-4 at the coarse twin's lambda1
     (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  Each
     step applies A once, for both its Rayleigh quotient and its residual,
-    which stops the iteration."""
+    which stops the iteration.  `start` is not kept past the first step,
+    and the factor and the last step's vectors are released before the
+    eigenfunction is normalized."""
     x = 1.0 / (1.0 + grid.nodes ** 2) if start is None else \
         np.asarray(start, dtype=float)
+    del start
     lu = factor_tridiagonal(A.shifted(-shift * mP) if shift else A)
     # rounding floor: applying A to a vector of max norm 1, as each
     # iterate is, cannot be more accurate than eps times its row scale
@@ -101,6 +104,7 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
         raise NoConvergence(f"inverse power iteration: {EIGENPAIR_MAXIT} "
                             "iterations", iterations=EIGENPAIR_MAXIT,
                             residual=float(res))
+    del lu, y, Ay
 
     if x.sum() < 0.0:
         x = -x

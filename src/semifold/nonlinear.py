@@ -236,9 +236,11 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     and returns its best iterate wherever the steps stall.  Each step
     solves for its correction alone; x = J^-1 1 is solved once, after the
     loop, on the returned iterate's own Jacobian, so the proof below
-    holds however the loop stopped.  It is the one loop that factors a
-    Jacobian twice (the kept iterate's J, again for x), because ?gttrf
-    + ?gttrs on every iterate costs more than the single ?gtsv it saves.
+    holds however the loop stopped.  The loop keeps the best iterate's
+    (u, eta) but not its J, which is rebuilt once for x (about 0.3 ms at
+    n = 64000): one more vector held through the loop would raise its
+    peak, and ?gttrf + ?gttrs on every iterate costs more than the
+    single ?gtsv it would save.
 
     J is a Z-matrix (A's off-diagonals are <= 0, the shift is diagonal),
     so x > 0 with J x > 0 proves J an M-matrix, and then ||J^-1||_inf <=
@@ -257,9 +259,10 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
 
     Rounding in x is bounded: min(J x) is taken less 4 eps (|J| x), which
     covers the rounding of the product, so the solve's error in x needs
-    no bound, and beta is rounded up.  Rounding in F, in g' and in the
-    matrix entries is not bounded: eta, and so h, is a floating-point
-    value."""
+    no bound, and beta is rounded up.  |J| x comes from apply's stencil
+    with the off-diagonal terms subtracted, not from an operator |J|.
+    Rounding in F, in g' and in the matrix entries is not bounded: eta,
+    and so h, is a floating-point value."""
     L = float(inst.weight_values.max()) * inst.nonlinearity.g_second_sup
     u = np.asarray(u, dtype=float)
     best = None
@@ -276,22 +279,29 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
         if best is not None and not eta < best[1]:
             break
         stalled = best is not None and eta > best[1] / CERTIFY_CONTRACTION
-        best = (u, eta, J)
+        best = (u, eta)
         if stalled:
             break
         u = u + du
         del du
     if best is None:
         return u, np.inf, np.inf, np.inf
-    u, eta, J = best
+    del J
+    u, eta = best
+    J = jacobian(inst, u)
     try:
         x = solve_tridiagonal(J, np.ones(u.size))
     except SingularOperator:
         return u, eta, np.inf, np.inf
     beta = h = np.inf
     if (J.sub <= 0.0).all() and (J.sup <= 0.0).all() and (x > 0.0).all():
-        abs_J = TridiagonalOperator(sub=-J.sub, diag=np.abs(J.diag), sup=-J.sup)
-        low = float((J.apply(x) - 4.0 * EPS * abs_J.apply(x)).min())
+        # |J| x by apply's stencil: J's off-diagonals are <= 0, and
+        # -(s x) is exactly (-s) x
+        margin = np.abs(J.diag) * x
+        margin[:-1] -= J.sup * x[1:]
+        margin[1:] -= J.sub * x[:-1]
+        margin *= 4.0 * EPS
+        low = float(np.subtract(J.apply(x), margin, out=margin).min())
         if low > 0.0:
             beta = float(np.nextafter(np.abs(x).max() / low, np.inf))
             h = beta * L * eta

@@ -117,8 +117,11 @@ def linear_nonlinearity(slope: float) -> NonlinearitySpec:
 
 @dataclass(frozen=True)
 class ForcingSpec:
+    """The forcing t phi1 + f1.  f1 holds grid values, P-weighted-
+    orthogonal to phi1.  For a file's `zero` preset it stores no array:
+    it is np.broadcast_to(0.0, n), a read-only view of one zero."""
     t: float
-    f1: np.ndarray  # grid values, P-weighted-orthogonal to phi1
+    f1: np.ndarray
 
 
 @dataclass(frozen=True)

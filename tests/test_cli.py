@@ -143,15 +143,22 @@ def _rendered_bytes(chunks):
     return b"".join(chunks)
 
 
+# the edges of _e18_fields' window of exact digits, 1e-9 and 1e14, and
+# their neighbours, in both signs
+WINDOW_EDGES = [s * y for b in (1e-9, 1e14)
+                for y in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))
+                for s in (1.0, -1.0)]
 SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
-                           np.nan, 1e300, -1e-300, 1e-300, -1e300, 1.0, 0.1])
+                           np.nan, 1e300, -1e-300, 1e-300, -1e300, 1.0, 0.1,
+                           *WINDOW_EDGES])
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 64000])
 def test_csv_blocks_match_savetxt(rows):
     """Row counts around one block of CSV_BLOCK_ROWS = 2048, and a
     64000-row table, over magnitudes 1e-300 ... 1e300; each column starts
-    with -0.0, subnormals, infinities, nan and 1e+-300 where it has room."""
+    with -0.0, subnormals, infinities, nan, 1e+-300 and the window edges
+    where it has room."""
     assert cli.CSV_BLOCK_ROWS == 2048
     rng = np.random.default_rng(rows)
     columns = [rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
@@ -277,6 +284,28 @@ def test_solution_csv_writes_in_small_blocks(tmp_path, traced_peak):
         [grid.nodes, u, grid.nodes ** (grid.N - 2) * u]), "r,u,r_pow_u")
     assert (tmp_path / "solution.csv").read_bytes() == expected
     assert run.files["solution.csv"] == hashlib.sha256(expected).hexdigest()
+
+
+def test_solution_csv_block_holds_few_arrays(tmp_path, traced_peak):
+    """Writing a 4000-row solution whose numbers all lie in the window of
+    exact digits allocates at most 1 MB at its peak: each block's working
+    arrays are dropped once dead, and r^(N-2) u is formed per block."""
+    grid = build_grid(3, 40.0, 4000)
+    u = -1.0 / (1.0 + grid.nodes ** 2)
+    run = cli._Run(None, None, tmp_path)
+    _, peak = traced_peak(
+        lambda: run.emit("solution.csv", cli._solution_csv(grid, u)))
+    assert peak <= 1_000_000
+
+
+def test_solution_csv_at_n_5_keeps_savetxt_bytes():
+    """At N = 5, r^(N-2) = r^3 goes through pow one block at a time; the
+    bytes are savetxt's of the whole column r^3 u."""
+    grid = build_grid(5, 40.0, 5000)
+    u = np.cos(grid.nodes) / (1.0 + grid.nodes ** 3)
+    expected = _savetxt_bytes(np.column_stack(
+        [grid.nodes, u, grid.nodes ** 3 * u]), "r,u,r_pow_u")
+    assert _rendered_bytes(cli._solution_csv(grid, u)) == expected
 
 
 def test_solve_and_verify_roundtrip(scenario, tmp_path):

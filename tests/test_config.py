@@ -112,6 +112,20 @@ def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
         assert inst.twin.twin is None
 
 
+def test_an_instance_build_holds_only_live_vectors(traced_peak):
+    """A build at n = 16000 allocates at most 20 vectors of n floats at
+    its peak: the eigenpair lets go of its lifted start after one step
+    and of its factor before it normalizes.  Its f1 = zero stores no
+    array, only a read-only view of one zero."""
+    cfg = parse_config(CANONICAL_CONFIG.replace("n = 4000", "n = 16000"))
+    inst, peak = traced_peak(lambda: build_scenario_instance(cfg))
+    n = inst.grid.n
+    assert peak <= 20 * 8 * n
+    f1 = inst.forcing.f1
+    assert f1.shape == (n,) and f1.strides == (0,)
+    assert not f1.flags.writeable and not f1.any()
+
+
 def test_an_instance_build_makes_no_blas_dot(monkeypatch):
     """The eigenpair's sums go through grid.dot, so a build wakes no
     OpenBLAS helper thread, and lambda1's bits do not depend on the

@@ -460,6 +460,54 @@ def test_refine_fold_and_certify_leave_their_arguments_alone(
     assert [a.tobytes() for a in given] == before
 
 
+def _certify_with_abs_J(inst, u, t):
+    """certify as it was written with the kept iterate's J and an explicit
+    operator |J|: the reference for its bits."""
+    L = float(inst.weight_values.max()) * inst.nonlinearity.g_second_sup
+    best = None
+    for _ in range(nonlinear.CERTIFY_MAXIT):
+        J = jacobian(inst, u)
+        du = solve_tridiagonal(J, -residual(inst, u, t))
+        eta = float(np.abs(du).max())
+        if best is not None and not eta < best[1]:
+            break
+        stalled = best is not None and \
+            eta > best[1] / nonlinear.CERTIFY_CONTRACTION
+        best = (u, eta, J)
+        if stalled:
+            break
+        u = u + du
+    u, eta, J = best
+    x = solve_tridiagonal(J, np.ones(u.size))
+    beta = h = np.inf
+    if (J.sub <= 0.0).all() and (J.sup <= 0.0).all() and (x > 0.0).all():
+        abs_J = TridiagonalOperator(sub=-J.sub, diag=np.abs(J.diag),
+                                    sup=-J.sup)
+        low = float((J.apply(x) - 4.0 * nonlinear.EPS * abs_J.apply(x)).min())
+        if low > 0.0:
+            beta = float(np.nextafter(np.abs(x).max() / low, np.inf))
+            h = beta * L * eta
+    return u, eta, beta, h
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["lower", "upper"])
+def test_certify_equals_its_explicit_abs_J_reference(canonical, canonical_fold,
+                                                     sign):
+    """At n = 4000, 1 below the fold, from each root's normal-form
+    predictor: certify's (u, eta, beta, h), with |J| x by the stencil
+    and J rebuilt for x, are the reference's bit for bit.  The lower root
+    certifies; on the upper, J is no M-matrix."""
+    fold = canonical_fold
+    v, kappa = continuation._predictor(canonical, fold)
+    t = fold.t - 1.0
+    u0 = fold.u + sign * np.sqrt((fold.t - t) / kappa) * v
+    u, *cert = certify(canonical, u0, t)
+    u_ref, *cert_ref = _certify_with_abs_J(canonical, u0, t)
+    assert u.tobytes() == u_ref.tobytes()
+    assert np.array(cert).tobytes() == np.array(cert_ref).tobytes()
+    assert (cert[2] < 0.5) == (sign < 0.0)
+
+
 def test_refine_fold_holds_one_steps_vectors(traced_peak):
     """One refine_fold at n = 16000, from the twin's ladder fold lifted
     onto the nodes as the CLI lifts it, allocates at most 20 vectors of

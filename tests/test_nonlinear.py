@@ -6,8 +6,9 @@ import semifold.nonlinear as nonlinear
 from semifold.errors import NoConvergence, SingularOperator
 from semifold.grid import factor_tridiagonal, solve_tridiagonal
 from semifold.nonlinear import (SOLVE_TOL, apply_solution_operator, certify,
-                                jacobian, monotone_newton, newton_solve,
-                                picard_solve, residual, second_solution)
+                                jacobian, monotone_newton, monotone_rise,
+                                newton_solve, picard_solve, residual,
+                                second_solution)
 from semifold.subsuper import build_subsolution
 
 
@@ -117,6 +118,20 @@ def test_certify_without_x_returns_no_bound(inst, minimal, monkeypatch):
     u, eta, beta, h = certify(inst, minimal.u, -50.0)
     assert np.array_equal(u, u_ref) and eta == eta_ref
     assert beta == h == np.inf
+
+
+def test_certify_holds_few_vectors(traced_peak):
+    """certify at n = 16000, from the twin's minimal solution at t = -8
+    lifted onto the nodes, allocates at most 9 vectors of n floats at its
+    peak: it keeps the best iterate's (u, eta) but not its J, and forms
+    |J| x and the margin without an operator |J|."""
+    inst = sf.canonical_instance(n=16000)
+    t = -8.0
+    u0 = inst.grid.lift(inst.twin.grid, monotone_rise(inst.twin, t)[0])
+    inst.forcing_term(t)  # the instance's cached forcing, not certify's
+    (u, eta, beta, h), peak = traced_peak(lambda: certify(inst, u0, t))
+    assert h < 0.5
+    assert peak <= 9 * 8 * inst.grid.n
 
 
 def test_picard_matches_newton(inst, minimal):
