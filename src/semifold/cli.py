@@ -29,7 +29,7 @@ from .continuation import (certified_below, find_fold, fold_branch,
                            refine_fold, stability, two_solutions)
 from .eigen import decay_constants
 from .errors import ConfigError, NoConvergence, SemifoldError
-from .grid import dot
+from .grid import dot, weighted_integral
 from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
                         picard_solve, residual)
 from .problem import (check_P1, check_P2, check_sigma_growth,
@@ -417,10 +417,12 @@ def cmd_eigen(run: _Run, args) -> int:
     eig = inst.eigen
     grid = inst.grid
     run.emit("eigen.csv", _solution_csv(grid, eig.phi1))
+    dec = decay_constants(grid, eig.phi1)
+    mass = weighted_integral(grid, inst.weight_values * eig.phi1 ** 2)
     run.emit("eigen.json", _json_text({
-        "lambda1": eig.lambda1, "C1": eig.decay_C1, "C2": eig.decay_C2,
-        "normalization_residual": eig.normalization_residual,
-        "plateau_ok": eig.plateau_ok,
+        "lambda1": eig.lambda1, "C1": dec.C1, "C2": dec.C2,
+        "normalization_residual": abs(mass - 1.0),
+        "plateau_ok": dec.plateau_ok,
     }))
     return 0
 
@@ -444,7 +446,7 @@ def cmd_solve(run: _Run, args) -> int:
             else:
                 u0 = np.zeros(grid.n)
             solver = newton_solve if args.method == "newton" else picard_solve
-            prof = solver(inst, u0, t, tol=run.cfg.get("run", "newton_tol"))
+            prof = solver(inst, u0, t)
     run.emit("solution.csv", _solution_csv(grid, prof.u))
     dec = decay_constants(grid, np.abs(prof.u) + 1e-300)
     report = {"converged": True, "t": t, "iterations": prof.iterations,

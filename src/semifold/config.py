@@ -21,7 +21,6 @@ from .errors import (BadGridConfig, ConfigError, SingularOperator,
                      SlopeViolation)
 from .grid import (DIRICHLET, ROBIN_DECAY, _checked_row_scale,
                    assemble_laplacian, assemble_weight_mass, build_grid)
-from .nonlinear import SOLVE_TOL
 from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
                       exponential_weight, linear_nonlinearity,
                       rational_decay_weight, smooth_ramp_nonlinearity,
@@ -105,8 +104,6 @@ KEYS = {
     "run": {
         "seed": (0, _number(0, integer=True)),
         "outdir": ("out", str),
-        "eigen_tol": (1e-12, _number(0, strict=True)),
-        "newton_tol": (SOLVE_TOL, _number(0, strict=True)),
         "t_start": (None, _number()),  # None: -10 |tau*|, set where read
         "step_ds": (2.0, _number(0, strict=True)),
         "max_points": (600, _number(1, integer=True)),
@@ -229,7 +226,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     # the lifted start goes to first_eigenpair alone, which frees it
     # once its first step is taken
     eig = first_eigenpair(
-        grid, A, pvals, tol=cfg.get("run", "eigen_tol"),
+        grid, A, pvals,
         start=None if twin is None else grid.lift(twin.grid, twin.eigen.phi1),
         shift=0.0 if twin is None else twin.eigen.lambda1)
 

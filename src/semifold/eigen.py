@@ -52,11 +52,6 @@ class DecayWindow:
 class EigenPair:
     lambda1: float
     phi1: np.ndarray
-    normalization_residual: float
-    decay_C1: float
-    decay_C2: float
-    plateau_ok: bool
-    residual: float
     iterations: int
 
     def __post_init__(self):
@@ -81,9 +76,10 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     - shift| / |lambda2 - shift|, about 1e-4 at the coarse twin's lambda1
     (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  Each
     step applies A once, for both its Rayleigh quotient and its residual,
-    which stops the iteration.  `start` is not kept past the first step,
-    and the factor and the last step's vectors are released before the
-    eigenfunction is normalized."""
+    which stops the iteration; the pair holds no diagnostic, and `eigen`
+    computes the ones it writes.  `start` is not kept past the first
+    step, and the factor and the last step's vectors are released before
+    the eigenfunction is normalized."""
     x = 1.0 / (1.0 + grid.nodes ** 2) if start is None else \
         np.asarray(start, dtype=float)
     del start
@@ -115,12 +111,7 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
                             f"{mass:.3g} on the {grid.n}-node grid: no "
                             f"normalization in floating point")
     x /= np.sqrt(mass)
-    norm_res = abs(weighted_integral(grid, mP * x ** 2) - 1.0)
-    dec = decay_constants(grid, x)
-    res = np.abs(A.apply(x) - lam * mP * x).max()
-    return EigenPair(lambda1=float(lam), phi1=x, normalization_residual=float(norm_res),
-                     decay_C1=dec.C1, decay_C2=dec.C2, plateau_ok=dec.plateau_ok,
-                     residual=float(res), iterations=k)
+    return EigenPair(lambda1=float(lam), phi1=x, iterations=k)
 
 
 def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,

@@ -68,7 +68,6 @@ class NonlinearitySpec:
     theta: float
     g_second: Callable
     g_second_sup: float  # sup |g''|: with max P, the Lipschitz constant of J
-    preset_id: str = "custom"
 
 
 def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
@@ -96,8 +95,7 @@ def smooth_ramp_nonlinearity(mu_lower: float, mu_upper: float,
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=mu_lower,
                             mu_upper=mu_upper, theta=offset,
-                            g_second=g_second, g_second_sup=0.25 * abs(gap),
-                            preset_id="smooth_ramp")
+                            g_second=g_second, g_second_sup=0.25 * abs(gap))
 
 
 def linear_nonlinearity(slope: float) -> NonlinearitySpec:
@@ -112,7 +110,7 @@ def linear_nonlinearity(slope: float) -> NonlinearitySpec:
 
     return NonlinearitySpec(g=g, g_prime=g_prime, mu_lower=slope,
                             mu_upper=slope, theta=0.0, g_second=g_second,
-                            g_second_sup=0.0, preset_id="linear")
+                            g_second_sup=0.0)
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,6 @@ class ProblemInstance:
     # `replace` starts empty, so it never serves another forcing
     _forcing_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-
-    @property
-    def N(self) -> int:
-        return self.grid.N
 
     def forcing_term(self, t: float) -> np.ndarray:
         """P (t phi1 + f1), kept for the last t asked for: Newton and its

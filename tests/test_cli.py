@@ -21,9 +21,9 @@ from semifold import _lapack, cli, config, continuation, nonlinear
 from semifold.cli import main
 from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
                              build_scenario_instance, load_config)
-from semifold.eigen import smallest_eigenvalue
+from semifold.eigen import decay_constants, smallest_eigenvalue
 from semifold.errors import NoConvergence
-from semifold.grid import build_grid, solve_tridiagonal
+from semifold.grid import build_grid, solve_tridiagonal, weighted_integral
 from branching import flipped_curvature, ladder_fold, row_fold
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
@@ -786,19 +786,17 @@ def test_numerical_failure_exit_code(scenario, tmp_path):
 
 def test_newton_solve_writes_a_converged_solution(tmp_path):
     """solve --method newton far below the fold at n = 4000 writes a
-    solution whose next Newton correction is within newton_tol of 1 +
+    solution whose next Newton correction is within SOLVE_TOL of 1 +
     |u|_inf.  A stop on the row-scaled residual left 1.1e-6 there."""
     path = tmp_path / "scenario.ini"
     path.write_text(CANONICAL_CONFIG)
     assert main(["solve", str(path), "--method", "newton", "--t", "-300",
                  "--outdir", str(tmp_path / "out")]) == 0
-    cfg = load_config(str(path))
-    inst = build_scenario_instance(cfg)
+    inst = build_scenario_instance(load_config(str(path)))
     u = cli._read_solution_csv(tmp_path / "out" / "solution.csv", inst.grid)
     du = solve_tridiagonal(nonlinear.jacobian(inst, u),
                            -nonlinear.residual(inst, u, -300.0))
-    assert np.abs(du).max() <= \
-        cfg.get("run", "newton_tol") * (1.0 + np.abs(u).max())
+    assert np.abs(du).max() <= nonlinear.SOLVE_TOL * (1.0 + np.abs(u).max())
 
 
 def test_outdir_env_override(scenario, tmp_path, monkeypatch):
@@ -831,15 +829,15 @@ def test_sweep_command(scenario, tmp_path):
     ("seed = 0", "seed = x"),
     ("seed = 0", "seed = 1.5"),
     ("seed = 0", "seed = -1"),
-    ("seed = 0", "newton_tol = abc"),
-    ("seed = 0", "newton_tol = nan"),
-    ("seed = 0", "eigen_tol = abc"),
-    ("seed = 0", "eigen_tol = inf"),
     ("seed = 0", "step_ds = abc"),
     ("seed = 0", "step_ds = -2"),
+    ("seed = 0", "step_ds = 0"),
     ("seed = 0", "step_ds = nan"),
+    ("seed = 0", "step_ds = inf"),
     ("seed = 0", "t_start = x"),
+    ("seed = 0", "t_start = nan"),
     ("seed = 0", "t_start = -inf"),
+    ("seed = 0", "max_points = abc"),
     ("seed = 0", "max_points = 1.5"),
     ("seed = 0", "max_points = 0"),
     ("seed = 0", "seed = 5%"),
@@ -865,6 +863,35 @@ def test_config_mistakes_exit_1(tmp_path, old, new):
     path = tmp_path / "bad.ini"
     path.write_text(SMALL.replace(old, new))
     assert main(["check", str(path), "--outdir", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("key", ["eigen_tol", "newton_tol"])
+def test_removed_run_tolerances_are_refused(tmp_path, capsys, key):
+    """[run] has no tolerance keys: the eigenpair and the solvers stop at
+    their own tolerances, and a file that names one is refused."""
+    assert key not in KEYS["run"]
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL.replace("seed = 0", f"seed = 0\n{key} = 1e-12"))
+    assert main(["eigen", str(path), "--outdir", str(tmp_path / "out")]) == 1
+    assert f"unknown key '{key}' in section [run]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+def test_eigen_json_holds_its_formulas_on_the_written_phi1(tmp_path, n):
+    """eigen.json's normalization residual and decay window are the
+    formulas on the phi1 that eigen.csv holds, bit for bit: %.18e reads
+    back exactly."""
+    path = _scenario(tmp_path / "scenario.ini", n)
+    assert main(["eigen", path, "--outdir", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "eigen.json").read_text())
+    inst = build_scenario_instance(load_config(path))
+    phi = cli._read_solution_csv(tmp_path / "out" / "eigen.csv", inst.grid)
+    assert np.array_equal(phi, inst.eigen.phi1)
+    mass = weighted_integral(inst.grid, inst.weight_values * phi ** 2)
+    window = decay_constants(inst.grid, phi)
+    assert meta == {"lambda1": inst.eigen.lambda1, "C1": window.C1,
+                    "C2": window.C2, "normalization_residual": abs(mass - 1.0),
+                    "plateau_ok": window.plateau_ok}
 
 
 def test_unusable_stretched_grid_exits_1(tmp_path, capsys, monkeypatch):

@@ -96,9 +96,9 @@ def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
     solved = []
     eigenpair = config.first_eigenpair
 
-    def recorded(grid, A, mP, tol, start=None, shift=0.0):
+    def recorded(grid, A, mP, start=None, shift=0.0):
         solved.append((grid.n, start is None, shift))
-        return eigenpair(grid, A, mP, tol=tol, start=start, shift=shift)
+        return eigenpair(grid, A, mP, start=start, shift=shift)
 
     monkeypatch.setattr(config, "first_eigenpair", recorded)
     inst = sf.canonical_instance(n=n)
@@ -145,7 +145,8 @@ def test_linear_preset_skips_straddle_check():
     cfg = parse_config(text)
     inst = build_scenario_instance(cfg)
     assert inst.eigen is not None
-    assert inst.nonlinearity.preset_id == "linear"
+    nl = inst.nonlinearity
+    assert nl.mu_lower == nl.mu_upper == 0.1 and nl.theta == 0.0
 
 
 def test_table_weight_preset():

@@ -209,15 +209,15 @@ def test_scan_sees_name_uses():
 
 
 def test_one_convergence_test_and_one_fold():
-    """SOLVE_TOL is named only where it is defined and where newton_tol
-    defaults to it, and in nonlinear only monotone_newton's defect report
+    """SOLVE_TOL is named only in nonlinear, where it is defined and
+    where the solvers default to it, and in nonlinear only monotone_newton's defect report
     names row_scale: every solver stops on its correction, none on a
     row-scaled residual.  cli finds and refines the fold in one place,
     _fold."""
     sources = {p.name: p.read_text() for p in MODULES}
     assert sorted(mod for mod, text in sources.items()
                   if name_uses(text, {"SOLVE_TOL"})) == \
-        ["config.py", "nonlinear.py"]
+        ["nonlinear.py"]
     assert name_uses(sources["nonlinear.py"], {"row_scale"}) == [
         ("monotone_newton", "row_scale")]
     fold = {"find_fold", "refine_fold"}
