@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import warnings
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -615,6 +615,7 @@ COMMANDS = {
 }
 
 
+@cache  # built once per process, for callers that run main many times
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="semifold",
                                  description="Radial semilinear fold solver")

@@ -55,19 +55,18 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
     above it, SingularOperator propagates.
 
-    Besides the iterate (u, v), c and P phi1, a step holds J's factor,
-    p, q, a1 and a2, and -F and D while they are solved for: -F goes once
-    p is solved, D once a1 and a2 are, and the rest before the next step
-    factors.  a2 is solved from D q, and then D p for a1 is formed in D's
-    buffer.  du is built in p's buffer and the new v in a1's.  u0 and v0
-    are only read.
+    Besides the iterate (u, v) and c, a step holds J's factor, p, q, a1
+    and a2, and -F, P phi1 and D while they are solved for: -F goes once
+    p is solved, P phi1 once q is, D once a1 and a2 are, and the rest
+    before the next step factors.  a2 is solved from D q, and then D p
+    for a1 is formed in D's buffer.  du is built in p's buffer and the
+    new v in a1's.  u0 and v0 are only read.
 
     The v update is J^-1 of D du, so once du is near the rounding floor
     v carries its noise (|J v| up to 1e-3 rs |v|); the returned v is
     _null_step's, which leaves |J(u) v| at the rounding floor."""
     gsec = instance.nonlinearity.g_second
     P = instance.weight_values
-    Pphi = P * instance.eigen.phi1
     c = v0 / dot(v0, v0)  # so that c.v0 = 1
     # no copies: every update makes a new u and v.  Dropping the names
     # frees arguments made for this call, as the CLI's lifted fold is
@@ -81,7 +80,7 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
             lu = factor_tridiagonal(jacobian(instance, u))
             p = solve_tridiagonal(lu, F)
             del F
-            q = solve_tridiagonal(lu, Pphi)
+            q = solve_tridiagonal(lu, P * instance.eigen.phi1)
             D = P * np.asarray(gsec(u)) * v
             a2 = solve_tridiagonal(lu, D * q)
             D *= p

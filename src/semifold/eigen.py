@@ -88,19 +88,23 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     # iterate is, cannot be more accurate than eps times its row scale
     floor = 50.0 * np.finfo(float).eps * A.row_scale()
     for k in range(1, EIGENPAIR_MAXIT + 1):
-        y = solve_tridiagonal(lu, mP * x)
-        y /= np.abs(y).max()
-        Ay = A.apply(y)
-        lam = _quotient(grid, mP, y, Ay)
-        res = np.abs(Ay - lam * mP * y).max()
-        x = y
-        if res <= tol * abs(lam) * np.abs(mP * y).max() + floor:
+        x = solve_tridiagonal(lu, mP * x)
+        x /= np.abs(x).max()
+        Ax = A.apply(x)
+        lam = _quotient(grid, mP, x, Ax)
+        # Ax - lam P x, and then P x, in one scratch vector
+        r = lam * mP
+        r *= x
+        np.subtract(Ax, r, out=r)
+        res = np.abs(r, out=r).max()
+        np.multiply(mP, x, out=r)
+        if res <= tol * abs(lam) * np.abs(r, out=r).max() + floor:
             break
     else:
         raise NoConvergence(f"inverse power iteration: {EIGENPAIR_MAXIT} "
                             "iterations", iterations=EIGENPAIR_MAXIT,
                             residual=float(res))
-    del lu, y, Ay
+    del lu, Ax, r
 
     if x.sum() < 0.0:
         x = -x

@@ -52,8 +52,7 @@ class RadialGrid:
     @property
     def faces(self) -> np.ndarray:
         """Cell boundaries: r=0, node midpoints, r=R (length n+1).  Not
-        kept: only assembly reads them, and each operator keeps its
-        off-diagonal row sums (TridiagonalOperator.off_sums) instead."""
+        kept: only assembly and the cell volumes read them."""
         r = self.nodes
         return np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [self.R]))
 
@@ -122,23 +121,11 @@ class TridiagonalOperator:
     def row_scale(self) -> float:
         return float(_row_sums(self).max())
 
-    @cached_property
-    def off_sums(self) -> np.ndarray:
-        """|sub| + |sup| of each row, computed once per pair of
-        off-diagonals: the row sums of every shift add only |diag|."""
-        rows = np.zeros(self.n)
-        rows[:-1] = np.abs(self.sup)
-        rows[1:] += np.abs(self.sub)
-        return rows
-
     def shifted(self, d) -> "TridiagonalOperator":
         """Operator with d (scalar or array) added to the diagonal.  It
-        shares sub and sup, and their row sums, with this one: nothing
-        writes to them."""
-        op = TridiagonalOperator(sub=self.sub, diag=self.diag + d,
-                                 sup=self.sup)
-        op.off_sums = self.off_sums
-        return op
+        shares sub and sup with this one: nothing writes to them."""
+        return TridiagonalOperator(sub=self.sub, diag=self.diag + d,
+                                   sup=self.sup)
 
     def is_m_matrix(self) -> bool:
         return bool((self.sub <= 0.0).all() and (self.sup <= 0.0).all()
@@ -184,8 +171,11 @@ def assemble_weight_mass(grid: RadialGrid, weight) -> np.ndarray:
 
 
 def _row_sums(op: TridiagonalOperator) -> np.ndarray:
-    rows = np.abs(op.diag)
-    rows += op.off_sums
+    """|sup| + |sub| of each row, and then |diag| added to that."""
+    rows = np.zeros(op.n)
+    np.abs(op.sup, out=rows[:-1])
+    rows[1:] += np.abs(op.sub)
+    rows += np.abs(op.diag)
     return rows
 
 

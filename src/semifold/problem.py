@@ -8,7 +8,7 @@ eigenvalue, and a forcing split along/against the first eigenfunction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -133,20 +133,10 @@ class ProblemInstance:
     eigen: EigenPair
     # the same scenario at config.COARSE_N nodes, above that size
     twin: "ProblemInstance | None" = None
-    # {t: forcing_term(t)} for the last t asked for; a copy made by
-    # `replace` starts empty, so it never serves another forcing
-    _forcing_cache: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
 
     def forcing_term(self, t: float) -> np.ndarray:
-        """P (t phi1 + f1), kept for the last t asked for: Newton and its
-        line search evaluate many residuals at one t."""
-        rhs = self._forcing_cache.get(t)
-        if rhs is None:
-            rhs = self.weight_values * (t * self.eigen.phi1 + self.forcing.f1)
-            self._forcing_cache.clear()
-            self._forcing_cache[t] = rhs
-        return rhs
+        """P (t phi1 + f1), formed afresh on each call."""
+        return self.weight_values * (t * self.eigen.phi1 + self.forcing.f1)
 
     def with_forcing(self, t=None, f1=None) -> "ProblemInstance":
         new = ForcingSpec(t=self.forcing.t if t is None else float(t),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,21 @@ def test_an_instance_build_holds_only_live_vectors(traced_peak):
     f1 = inst.forcing.f1
     assert f1.shape == (n,) and f1.strides == (0,)
     assert not f1.flags.writeable and not f1.any()
+
+
+def test_an_instance_holds_seven_vectors(traced_peak):
+    """A built instance at n = 16000, its 4000-node twin included, holds
+    at most 9.5 vectors of n floats: nodes, cell volumes, P, A's three
+    diagonals and phi1 (7 each, 8.75 together), and no cached row sums
+    or forcing."""
+    def built():
+        inst = sf.canonical_instance(n=16000)
+        tracemalloc.reset_peak()  # from here the peak is what it holds
+        return inst
+
+    inst, held = traced_peak(built)
+    assert inst.twin is not None
+    assert held <= 9.5 * 8 * inst.grid.n
 
 
 def test_an_instance_build_makes_no_blas_dot(monkeypatch):

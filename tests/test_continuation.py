@@ -510,15 +510,15 @@ def test_certify_equals_its_explicit_abs_J_reference(canonical, canonical_fold,
 
 def test_refine_fold_holds_one_steps_vectors(traced_peak):
     """One refine_fold at n = 16000, from the twin's ladder fold lifted
-    onto the nodes as the CLI lifts it, allocates at most 20 vectors of
-    n floats at its peak: each step lets go of its factor, -F, D, p, q,
-    a1 and a2 before the next one factors."""
+    onto the nodes as the CLI lifts it, allocates at most 15 vectors of
+    n floats at its peak: each step lets go of its factor, -F, P phi1,
+    D, p, q, a1 and a2 before the next one factors."""
     inst = sf.canonical_instance(n=16000)
     found = ladder_fold(inst.twin)
     u0, v0 = (inst.grid.lift(inst.twin.grid, a) for a in (found.u, found.v))
     point, peak = traced_peak(lambda: refine_fold(inst, u0, found.t, v0))
     assert point.iterations >= 1
-    assert peak <= 20 * 8 * inst.grid.n
+    assert peak <= 15 * 8 * inst.grid.n
 
 
 @pytest.mark.parametrize("t0", [-17.6, -14.65, -11.7, -8.0])

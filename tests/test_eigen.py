@@ -232,6 +232,21 @@ def test_shifted_fine_eigenpair_in_two_steps():
     assert np.abs(inst.eigen.phi1 - phi).max() <= 1e-8 * np.abs(phi).max()
 
 
+def test_fine_eigenpair_holds_few_vectors(traced_peak):
+    """At n = 16000, from the twin's lifted phi1 handed to it alone, as
+    the build hands it, first_eigenpair allocates at most 9.5 vectors of
+    n floats at its peak: each step's solve replaces the iterate, and
+    its stop residual and P x share one scratch vector."""
+    inst = sf.canonical_instance(n=16000)
+    twin = inst.twin
+    pair, peak = traced_peak(lambda: sf.first_eigenpair(
+        inst.grid, inst.A, inst.weight_values,
+        start=inst.grid.lift(twin.grid, twin.eigen.phi1),
+        shift=twin.eigen.lambda1))
+    assert pair.lambda1 == inst.eigen.lambda1
+    assert peak <= 9.5 * 8 * inst.grid.n
+
+
 @pytest.mark.parametrize("c, tiny_gap", [(1.0, False), (1e10, True)])
 def test_started_iteration_flags_a_near_degenerate_pencil(c, tiny_gap):
     """On the ball of radius pi with weight c the first two eigenvalues

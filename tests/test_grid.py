@@ -134,14 +134,14 @@ def test_solve_takes_one_column(monkeypatch, lapack):
                 solve_tridiagonal(solver, rhs)
 
 
-def test_a_shift_keeps_the_row_sums_of_its_off_diagonals():
-    """A shifted operator reuses the off-diagonal row sums of the one it
-    shifts, and its row sums are still |diag| + |sub| + |sup| to the
-    last unit, with a zero row still caught."""
+def test_a_shift_shares_its_off_diagonals_and_sums_its_rows():
+    """A shifted operator shares sub and sup with the one it shifts, and
+    its row sums are |diag| + |sub| + |sup| to the last unit, with a
+    zero row still caught."""
     rng = np.random.default_rng(5)
     A = sf.assemble_laplacian(sf.build_grid(3, 40.0, 2000))
     J = A.shifted(-rng.random(A.n))
-    assert J.off_sums is A.off_sums
+    assert J.sub is A.sub and J.sup is A.sup
     direct = np.abs(J.diag)
     direct[:-1] += np.abs(J.sup)
     direct[1:] += np.abs(J.sub)

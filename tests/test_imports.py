@@ -1,8 +1,9 @@
 """Package hygiene: no module imports a name it never uses, no module
-keeps state behind a `global` statement, every public top-level
-function or class has a use in the package or is exported, one module
-builds instances, and the package imports only the third-party modules
-it needs, so a cold start stays small.
+keeps state behind a `global` statement, instances and operators keep
+no cached vectors, every public top-level function or class has a use
+in the package or is exported, one module builds instances, and the
+package imports only the third-party modules it needs, so a cold start
+stays small.
 
 No linter ships with the test dependencies, so these are plain `ast`
 scans.  `__init__.py` is exempt from the import scan: its imports are the
@@ -103,6 +104,54 @@ def test_no_global_statement():
     found = [(p.name, node.lineno) for p in PACKAGE.glob("*.py")
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def cached_members(source: str, classes) -> list:
+    """(class, line) of each `cached_property` and each
+    `field(default_factory=...)` that a class named in `classes`
+    declares: state derived from, or added to, its vectors."""
+    def name(expr):  # `f` of a bare f or of module.f
+        return getattr(expr, "attr", getattr(expr, "id", None))
+
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name in classes):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.FunctionDef):
+                found += [(cls.name, node.lineno) for d in node.decorator_list
+                          if name(d) == "cached_property"]
+            elif isinstance(node, ast.Call) and name(node.func) == "field" \
+                    and any(k.arg == "default_factory" for k in node.keywords):
+                found.append((cls.name, node.lineno))
+    return sorted(found)
+
+
+def test_scan_sees_cached_members():
+    src = ("import functools\n"
+           "from dataclasses import dataclass, field\n"
+           "@dataclass\n"
+           "class Op:\n"
+           "    memo: dict = field(default_factory=dict)\n"
+           "    size: int = field(default=0)\n"
+           "    @functools.cached_property\n"
+           "    def sums(self): return 1\n"
+           "class Grid:\n"
+           "    @functools.cached_property\n"
+           "    def volumes(self): return 1\n")
+    assert cached_members(src, {"Op"}) == [("Op", 5), ("Op", 8)]
+
+
+def test_instances_and_operators_cache_no_vectors():
+    """A ProblemInstance and a TridiagonalOperator hold only the vectors
+    they are built from: at n = 64000 each derived vector would cost
+    512 KiB for as long as the instance lives, to save one pass.  (A
+    RadialGrid keeps its cell volumes, whose rebuild costs two n-length
+    powers per use.)"""
+    classes = {"ProblemInstance", "TridiagonalOperator"}
+    found = [(p.name, *hit) for p in PACKAGE.glob("*.py")
+             for hit in cached_members(p.read_text(), classes)]
     assert found == []
 
 

@@ -128,7 +128,6 @@ def test_certify_holds_few_vectors(traced_peak):
     inst = sf.canonical_instance(n=16000)
     t = -8.0
     u0 = inst.grid.lift(inst.twin.grid, monotone_rise(inst.twin, t)[0])
-    inst.forcing_term(t)  # the instance's cached forcing, not certify's
     (u, eta, beta, h), peak = traced_peak(lambda: certify(inst, u0, t))
     assert h < 0.5
     assert peak <= 9 * 8 * inst.grid.n
