@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _lapack
-from .config import ScenarioConfig, build_scenario_instance, load_config
+from .config import (ScenarioConfig, build_ladder_instance,
+                     build_scenario_instance, load_config)
 from .continuation import (certified_below, find_fold, fold_branch,
                            refine_fold, stability, two_solutions)
 from .eigen import decay_constants
@@ -314,6 +315,14 @@ class _Run:
         with self.stage("build_instance"):
             return build_scenario_instance(self.cfg)
 
+    def ladder(self, inst):
+        """The instance on which inst's fold ladder climbs, built in the
+        stage `build_instance`: the scenario's ladder twin, or inst
+        itself where it has none."""
+        with self.stage("build_instance"):
+            level = build_ladder_instance(self.cfg)
+        return inst if level is None else level
+
     def emit(self, name: str, chunks) -> None:
         """Write the byte `chunks` to `name`, hashing them as they are
         written."""
@@ -499,22 +508,27 @@ def cmd_branch(run: _Run, args) -> int:
 
 
 def _fold(inst, run):
-    """(level, its fold, inst's fold).  The level is inst's COARSE_N-node
-    twin where it has one, and its fold is refined once on inst; at
-    n <= COARSE_N the level is inst itself.  The ladder's first rung,
-    the minimal solution at [run] t_start, is timed as `branch_start`,
-    and the rest of the ladder and the refinement as `trace`."""
-    level = inst if inst.twin is None else inst.twin
+    """(ladder level, its fold, inst's fold).  The ladder climbs the
+    scenario's LADDER_N-node twin (_Run.ladder), inst itself at n <=
+    LADDER_N, and its fold is refined once on each finer level, lifted
+    onto it: inst's COARSE_N-node twin where it has one, then inst.  The
+    ladder's first rung, the minimal solution at [run] t_start, is timed
+    as `branch_start`, and the rest of the ladder and the refinements as
+    `trace`."""
+    level = run.ladder(inst)
     t_start, t_max = _t_range(run.cfg, level)
     with run.stage("branch_start"):
         u = monotone_rise(level, t_start)[0]
     with run.stage("trace"):
-        found = find_fold(level, t_start, u, t_max)
-        if level is inst:
-            return level, found, found
-        lift = partial(inst.grid.lift, level.grid)
-        return level, found, refine_fold(inst, lift(found.u), found.t,
-                                         lift(found.v))
+        found = point = find_fold(level, t_start, u, t_max)
+        coarse = level
+        for fine in (inst.twin, inst):
+            if fine is None or fine is level:
+                continue
+            lift = partial(fine.grid.lift, coarse.grid)
+            point = refine_fold(fine, lift(point.u), point.t, lift(point.v))
+            coarse = fine
+        return level, found, point
 
 
 # alpha's certified lower bound is the minimal solution at one probe,

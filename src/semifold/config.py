@@ -29,10 +29,13 @@ from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
 REQUIRED_SECTIONS = ("weight", "nonlinearity", "forcing", "grid")
 REQUIRED = object()  # the default of a key that must be given
 # above COARSE_N nodes an instance carries its COARSE_N-node twin, whose
-# first eigenfunction starts its eigenpair, and on which alpha and two
-# locate the fold before they refine it on the fine grid (mesh
-# independence of Newton)
+# first eigenfunction starts its eigenpair, and on which the CLI refines
+# the fold once between the ladder and the fine grid
 COARSE_N = 4000
+# alpha, two and branch climb the fold ladder on the scenario's
+# LADDER_N-node twin and refine its fold once on each finer level (mesh
+# independence of Newton)
+LADDER_N = 125
 
 
 def _number(least=-np.inf, *, strict=False, integer=False):
@@ -221,8 +224,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             f"row sums span more than 1e14 (first cell volume "
             f"{grid.volumes[0]:.1e})") from exc
     pvals = assemble_weight_mass(grid, weight.evaluator)
-    twin = None if grid.n <= COARSE_N else build_scenario_instance(
-        replace(cfg, grid={**cfg.grid, "n": str(COARSE_N)}))
+    twin = None if grid.n <= COARSE_N else _twin(cfg, COARSE_N)
     # the lifted start goes to first_eigenpair alone, which frees it
     # once its first step is taken
     eig = first_eigenpair(
@@ -250,6 +252,18 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     return ProblemInstance(weight=weight, nonlinearity=nl, forcing=forcing,
                            grid=grid, weight_values=pvals, A=A, eigen=eig,
                            twin=twin)
+
+
+def _twin(cfg: ScenarioConfig, n: int) -> ProblemInstance:
+    """The scenario of `cfg` built at n nodes."""
+    return build_scenario_instance(replace(cfg, grid={**cfg.grid, "n": str(n)}))
+
+
+def build_ladder_instance(cfg: ScenarioConfig) -> ProblemInstance | None:
+    """The instance on which alpha, two and branch climb the fold ladder:
+    the scenario at LADDER_N nodes, or None at n <= LADDER_N, where the
+    ladder climbs the scenario's own grid."""
+    return None if cfg.get("grid", "n") <= LADDER_N else _twin(cfg, LADDER_N)
 
 
 CANONICAL_CONFIG = """\

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 import semifold
 from semifold import _lapack, cli, config, continuation, nonlinear
 from semifold.cli import main
-from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
+from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS, LADDER_N,
                              build_scenario_instance, load_config)
 from semifold.eigen import decay_constants, smallest_eigenvalue
 from semifold.errors import NoConvergence
@@ -411,12 +411,13 @@ def test_alpha_command_and_determinism(scenario, tmp_path):
 
 
 def test_alpha_single_level_reports_its_own_grid(scenario, tmp_path):
-    """At n <= COARSE_N the fold is found and refined on the grid itself."""
-    assert main(["alpha", scenario, "--outdir", str(tmp_path)]) == 0
-    a = json.loads((tmp_path / "alpha.json").read_text())
-    assert a["coarse_n"] == 800
-    assert a["alpha_coarse"] == a["alpha_arclength"]
-    assert 1 <= a["fold_iterations"] <= 6
+    """At n <= LADDER_N the fold is found and refined on the grid itself;
+    at n = 800 the ladder climbs the LADDER_N-node twin."""
+    own = _alpha(_scenario(tmp_path / "ladder.ini", LADDER_N), tmp_path / "a")
+    assert own["coarse_n"] == LADDER_N
+    assert own["alpha_coarse"] == own["alpha_arclength"]
+    assert 1 <= own["fold_iterations"] <= 6
+    assert _alpha(scenario, tmp_path / "b")["coarse_n"] == LADDER_N
 
 
 def test_branch_rows_have_their_own_stage(scenario, tmp_path):
@@ -522,12 +523,13 @@ def test_first_row_above_the_fold_is_twos_second_solution(branch_16k,
 @pytest.mark.parametrize("n", [800, 16000])
 def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
-    fold_branch, on one grid or with the 4000-node twin, and each
-    manifest keeps the stages of the trace's place.  Both alpha's bound
-    and two's roots come from the fold's normal form, one certify call
-    per point, and neither calls monotone_newton or newton_solve.  Each
-    solves one first eigenpair per grid: above COARSE_N the twin's from
-    the default start, then the fine one from the twin's lifted phi1."""
+    fold_branch, on the LADDER_N-node twin with or without the 4000-node
+    one, and each manifest keeps the stages of the trace's place.  Both
+    alpha's bound and two's roots come from the fold's normal form, one
+    certify call per point, and neither calls monotone_newton or
+    newton_solve.  Each solves one first eigenpair per grid: above
+    COARSE_N the twin's from the default start, then the fine one from
+    the twin's lifted phi1; last, the ladder's from the default start."""
     path = _scenario(tmp_path / "scenario.ini", n)
     traced = _recorded_rows(monkeypatch)
     solved = []
@@ -558,7 +560,8 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
         solved.clear()
         assert main([argv[0], path, *argv[1:], "--outdir", str(out)]) == 0
         assert solved == ([(n, True)] if n <= COARSE_N
-                          else [(COARSE_N, True), (n, False)])
+                          else [(COARSE_N, True), (n, False)]) + [
+                              (LADDER_N, True)]
         stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
         assert {"build_instance", "branch_start", "trace", argv[0]} == \
             set(stages)
@@ -584,13 +587,14 @@ def test_alpha_falls_back_to_monotone_newton(scenario, tmp_path,
 
 
 def _scenario(path, n, **keys):
-    """The canonical scenario at n nodes, with `stretch` set in [grid] and
-    other keys in [run], written to `path`."""
+    """The canonical scenario at n nodes, with `stretch` and `farfield`
+    set in [grid] and other keys in [run], written to `path`."""
     cp = configparser.ConfigParser()
     cp.read_string(CANONICAL_CONFIG)
     cp["grid"]["n"] = str(n)
     for key, value in keys.items():
-        cp["grid" if key == "stretch" else "run"][key] = repr(value)
+        cp["grid" if key in ("stretch", "farfield") else "run"][key] = \
+            str(value)
     with open(path, "w") as fh:
         cp.write(fh)
     return str(path)
@@ -615,25 +619,75 @@ def fold_16k(tmp_path_factory):
 
 def test_nested_alpha_is_the_fine_fold(fixture_data, fold_16k, tmp_path):
     """alpha at n = 16000 from two (step_ds, t_start) draws of the fold-64k
-    range: the fold is found at COARSE_N and refined on the fine grid,
-    and both land on the fold refined from a fine trace.  (The single-level
-    path with a residual-stopped refinement missed it by about 3e-8, by an
-    amount that moved with the draw.)"""
+    range: the fold is found at LADDER_N, where it is that file's alpha at
+    n = LADDER_N bit for bit, and refined at COARSE_N and on the fine
+    grid, and both land on the fold refined from a fine trace.  (The
+    single-level path with a residual-stopped refinement missed it by
+    about 3e-8, by an amount that moved with the draw.)"""
     tau = abs(fixture_data["tau_star_canonical"])
     alphas = []
     for step_ds, t_start in ((1.6, -8.5 * tau), (2.4, -11.5 * tau)):
-        path = _scenario(tmp_path / f"draw{step_ds}.ini", 16000,
-                         step_ds=step_ds, t_start=t_start)
+        keys = dict(step_ds=step_ds, t_start=t_start)
+        path = _scenario(tmp_path / f"draw{step_ds}.ini", 16000, **keys)
         a = _alpha(path, tmp_path / f"out{step_ds}")
-        assert a["coarse_n"] == 4000
+        ladder = _alpha(_scenario(tmp_path / f"ladder{step_ds}.ini",
+                                  LADDER_N, **keys),
+                        tmp_path / f"ladder{step_ds}")
+        assert a["coarse_n"] == LADDER_N
         assert 1 <= a["fold_iterations"] <= 4
-        assert abs(a["alpha_coarse"] - a["alpha_arclength"]) < 1e-3
+        assert a["alpha_coarse"] == ladder["alpha_arclength"]
         assert a["certified_delta"] == pytest.approx(
             1e-6 * (1.0 + abs(a["alpha_arclength"])), rel=1e-12)
         assert a["certificate_h"] <= 0.5
         alphas.append(a["alpha_arclength"])
     assert abs(alphas[0] - alphas[1]) <= 1e-9
     assert max(abs(a - fold_16k) for a in alphas) <= 1e-9
+
+
+@pytest.mark.parametrize("keys", [{}, {"stretch": 1.0005},
+                                  {"farfield": "dirichlet"}])
+@pytest.mark.parametrize("n", [800, 4000])
+def test_nested_alpha_is_the_single_level_fold(tmp_path, n, keys):
+    """alpha's fold, climbed on the LADDER_N-node twin and refined on the
+    file's grid, is within 1e-11 (1 + |alpha|) of the fold that the ladder
+    climbed on that grid itself finds."""
+    path = _scenario(tmp_path / "scenario.ini", n, **keys)
+    alpha = _alpha(path, tmp_path / "out")["alpha_arclength"]
+    single = ladder_fold(build_scenario_instance(load_config(path))).t
+    assert abs(alpha - single) <= 1e-11 * (1.0 + abs(single))
+
+
+def test_only_the_fold_commands_build_the_ladder(scenario, tmp_path,
+                                                 monkeypatch):
+    """solve (each method), eigen, check and verify build the scenario's
+    grid and, above COARSE_N, its twin, but no LADDER_N-node instance;
+    alpha builds that one last."""
+    built = []
+    build = config.build_scenario_instance
+
+    def recorded(cfg):
+        built.append(cfg.get("grid", "n"))
+        return build(cfg)
+
+    for module in (config, cli):  # cli calls the name it imported
+        monkeypatch.setattr(module, "build_scenario_instance", recorded)
+    fine = _scenario(tmp_path / "fine.ini", 16000)
+    sol = tmp_path / "sol"
+    for path, argv, sizes in (
+            (fine, ["solve", "--method", "monotone", "--t", "-50",
+                    "--outdir", str(sol)], [16000, COARSE_N]),
+            (scenario, ["solve", "--method", "newton", "--t", "-50"], [800]),
+            (scenario, ["solve", "--method", "picard", "--t", "-50"], [800]),
+            (scenario, ["eigen"], [800]),
+            (scenario, ["check"], [800]),
+            (fine, ["verify", "--solutions", str(sol)], [16000, COARSE_N]),
+            (scenario, ["alpha"], [800, LADDER_N])):
+        built.clear()
+        argv.insert(1, path)
+        if "--outdir" not in argv:
+            argv += ["--outdir", str(tmp_path / argv[0])]
+        assert main(argv) == 0
+        assert built == sizes, argv
 
 
 def test_failed_fine_refinement_exits_2(tmp_path, monkeypatch, capsys):
@@ -654,12 +708,13 @@ def test_failed_fine_refinement_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_nested_alpha_on_a_stretched_grid(tmp_path):
-    """The 4000-node twin of a stretched grid has another cell profile
-    (the cell ratio is stretch^(n - 1)); the fine refinement still lands
-    on the fold refined from a trace on the fine grid."""
+    """The LADDER_N- and 4000-node twins of a stretched grid have other
+    cell profiles (the cell ratio is stretch^(n - 1)); the fine
+    refinement still lands on the fold refined from a trace on the fine
+    grid."""
     path = _scenario(tmp_path / "scenario.ini", 16000, stretch=1.0001)
     a = _alpha(path, tmp_path / "out")
-    assert a["coarse_n"] == 4000
+    assert a["coarse_n"] == LADDER_N
     assert abs(a["alpha_arclength"] - _traced_fold(path)) <= 1e-9
     assert a["certified_delta"] == pytest.approx(
         1e-6 * (1.0 + abs(a["alpha_arclength"])), rel=1e-12)
@@ -667,9 +722,9 @@ def test_nested_alpha_on_a_stretched_grid(tmp_path):
 
 
 def test_coarse_ladder_without_a_fold_exits_2(tmp_path, capsys, monkeypatch):
-    """A linear g has no fold: the coarse ladder climbs to tau* + 1 and
-    finds none, the run exits 2 naming the coarse grid, and no fine
-    ladder is climbed."""
+    """A linear g has no fold: the ladder climbs to tau* + 1 on the
+    LADDER_N-node twin and finds none, the run exits 2 naming that grid,
+    and no finer ladder is climbed."""
     text = CANONICAL_CONFIG.replace("n = 4000", "n = 8000").replace(
         "preset = smooth_ramp", "preset = linear\nslope = 2.0")
     path = tmp_path / "linear.ini"
@@ -683,8 +738,8 @@ def test_coarse_ladder_without_a_fold_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "find_fold", recorded)
     assert main(["alpha", str(path), "--outdir", str(tmp_path / "out")]) == 2
-    assert "on the 4000-node grid" in capsys.readouterr().err
-    assert ladders == [4000]
+    assert f"on the {LADDER_N}-node grid" in capsys.readouterr().err
+    assert ladders == [LADDER_N]
 
 
 def _count_eigensolves(monkeypatch):

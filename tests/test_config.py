@@ -114,14 +114,14 @@ def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
 
 
 def test_an_instance_build_holds_only_live_vectors(traced_peak):
-    """A build at n = 16000 allocates at most 20 vectors of n floats at
-    its peak: the eigenpair lets go of its lifted start after one step
+    """A build at n = 16000 allocates at most 18 vectors of n floats at
+    its peak (17.01 measured): the eigenpair lets go of its lifted start after one step
     and of its factor before it normalizes.  Its f1 = zero stores no
     array, only a read-only view of one zero."""
     cfg = parse_config(CANONICAL_CONFIG.replace("n = 4000", "n = 16000"))
     inst, peak = traced_peak(lambda: build_scenario_instance(cfg))
     n = inst.grid.n
-    assert peak <= 20 * 8 * n
+    assert peak <= 18 * 8 * n
     f1 = inst.forcing.f1
     assert f1.shape == (n,) and f1.strides == (0,)
     assert not f1.flags.writeable and not f1.any()

@@ -182,13 +182,17 @@ def test_csv_has_one_writer():
 
 # the calls that assemble an instance's grid, operator and eigenpair
 INSTANCE_PARTS = {"build_grid", "assemble_laplacian", "first_eigenpair"}
+# the node counts of an instance's twins
+TWIN_SIZES = {"COARSE_N", "LADDER_N"}
 
 
-def instance_builds(source: str) -> list:
-    """(function, what) of each call of build_scenario_instance or of an
-    INSTANCE_PARTS name, bare or as an attribute, and of each twin: a
-    `replace(..., grid=...)` call or a use of COARSE_N.  `function` is
-    the enclosing top-level definition, "<module>" outside one."""
+def instance_builds(source: str, builders=frozenset()) -> list:
+    """(function, what) of each call of build_scenario_instance, of an
+    INSTANCE_PARTS name or of one of `builders`, bare or as an attribute,
+    and of each twin: a `replace(..., grid=...)` call or a use of a
+    TWIN_SIZES name.  `function` is the enclosing top-level definition,
+    "<module>" outside one."""
+    called = INSTANCE_PARTS | {"build_scenario_instance"} | set(builders)
     found = []
     for top in ast.parse(source).body:
         where = getattr(top, "name", "<module>")
@@ -196,39 +200,65 @@ def instance_builds(source: str) -> list:
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr",
                                getattr(node.func, "id", None))
-                if name in INSTANCE_PARTS | {"build_scenario_instance"}:
+                if name in called:
                     found.append((where, name))
                 elif name == "replace" and any(k.arg == "grid"
                                                for k in node.keywords):
                     found.append((where, "twin"))
-            elif isinstance(node, ast.Name) and node.id == "COARSE_N":
+            elif isinstance(node, ast.Name) and node.id in TWIN_SIZES:
                 found.append((where, "twin"))
     return sorted(found)
 
 
+def instance_builders(source: str) -> set:
+    """The top-level functions of `source` that build an instance or a
+    twin (instance_builds), directly or through another of them."""
+    builders = set()
+    while True:
+        found = {where for where, _ in instance_builds(source, builders)
+                 if where != "<module>"}
+        if found == builders:
+            return builders
+        builders = found
+
+
 def test_scan_sees_instance_builds():
-    src = ("from .config import COARSE_N\n"
+    src = ("from .config import COARSE_N, LADDER_N\n"
            "def start(cfg):\n"
            "    return config.build_scenario_instance(cfg)\n"
            "def fold(cfg):\n"
            "    twin = replace(cfg, grid={'n': str(COARSE_N)})\n"
            "    return build_grid(3, 1.0, 5), first_eigenpair(twin)\n"
-           "AREA = replace(cfg, weight=None)\n")
+           "def ladder(cfg):\n"
+           "    return LADDER_N\n"
+           "def level(cfg):\n"
+           "    return ladder(cfg), area(cfg)\n"
+           "def area(cfg):\n"
+           "    return replace(cfg, weight=None)\n")
     assert instance_builds(src) == [
         ("fold", "build_grid"), ("fold", "first_eigenpair"), ("fold", "twin"),
-        ("fold", "twin"), ("start", "build_scenario_instance")]
+        ("fold", "twin"), ("ladder", "twin"),
+        ("start", "build_scenario_instance")]
+    assert instance_builders(src) == {"fold", "ladder", "level", "start"}
+    assert ("level", "ladder") in instance_builds(src, {"ladder"})
 
 
 def test_one_instance_builder():
     """config assembles every grid, operator and eigenpair, and builds
-    every twin; cli asks for an instance in one place, _Run."""
-    builds = {p.name: instance_builds(p.read_text()) for p in MODULES}
-    assert {what for _, what in builds["config.py"]} == \
-        INSTANCE_PARTS | {"build_scenario_instance", "twin"}
+    every twin, the ladder's included; cli asks for an instance, through
+    whichever of config's builders, in one place, _Run."""
+    config = (PACKAGE / "config.py").read_text()
+    builders = instance_builders(config)
+    builds = {p.name: instance_builds(p.read_text(), builders)
+              for p in MODULES}
+    whats = {what for _, what in builds["config.py"]}
+    assert INSTANCE_PARTS | {"build_scenario_instance", "twin"} <= whats \
+        <= INSTANCE_PARTS | {"twin"} | builders
     assert [(mod, where, what) for mod, found in builds.items()
             if mod != "config.py" for where, what in found
-            if what != "build_scenario_instance"] == []
-    assert builds["cli.py"] == [("_Run", "build_scenario_instance")]
+            if what not in builders] == []
+    assert builds["cli.py"] == [("_Run", "build_ladder_instance"),
+                                ("_Run", "build_scenario_instance")]
 
 
 def name_uses(source: str, names: set) -> list:
