@@ -9,20 +9,19 @@ from .config import (CANONICAL_CONFIG, ScenarioConfig, build_scenario_instance,
                      canonical_instance, load_config, parse_config)
 from .continuation import (FoldPoint, certified_below, find_fold,
                            fold_branch, refine_fold, two_solutions)
-from .eigen import EigenPair, first_eigenpair, rayleigh_quotient
+from .eigen import EigenPair, first_eigenpair
 from .errors import SemifoldError
 from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
                    assemble_weight_mass, build_grid, dirichlet_energy,
                    solve_tridiagonal, weighted_integral)
-from .nonlinear import (apply_solution_operator, certify, jacobian,
-                        monotone_newton, monotone_rise, newton_solve,
-                        picard_solve, residual, second_solution)
+from .nonlinear import (certify, jacobian, monotone_newton, monotone_rise,
+                        newton_solve, picard_solve, residual)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
                       WeightSpec, canonical_weight, check_P1, check_P2,
-                      decompose_forcing, derive_slack_constants,
-                      linear_nonlinearity, smooth_ramp_nonlinearity)
+                      derive_slack_constants, linear_nonlinearity,
+                      smooth_ramp_nonlinearity)
 from .subsuper import (OrderedInterval, SolutionProfile, build_subsolution,
-                       check_order_interval, monotone_iterate)
+                       monotone_iterate)
 from .verify import (VerificationReport, check_comparison, e0_norm,
                      representation_residual, riesz_potential, tau_star,
                      verify_solution)

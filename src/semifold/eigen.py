@@ -7,9 +7,9 @@ kernel, started from a given vector or else from 1/(1 + r^2).  An
 instance build above config.COARSE_N passes its coarse twin's first
 eigenfunction, lifted onto its nodes, as the start and the twin's
 lambda1 as the shift, and one step then suffices.  The discrete
-operator is self-adjoint in the cell-volume inner product, so Rayleigh
-quotients and deflation use that weighting, summed by grid.dot: the
-module makes no BLAS call, so its bits do not depend on the core count.
+operator is self-adjoint in the cell-volume inner product, so its
+Rayleigh quotient uses that weighting, summed by grid.dot: the module
+makes no BLAS call, so its bits do not depend on the core count.
 
 The stability indicator mu is the smallest eigenvalue of the
 volume-symmetrized tridiagonal S of a Jacobian.  It comes from shifted
@@ -118,19 +118,10 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
     return EigenPair(lambda1=float(lam), phi1=x, iterations=k)
 
 
-def rayleigh_quotient(grid: RadialGrid, A: TridiagonalOperator,
-                      weight_values: np.ndarray, v: np.ndarray) -> float:
-    """Discrete pencil quotient <v, A v> / <v, P v> in the cell-volume
-    inner product: equals lambda1 at phi1 and bounds it from above for
-    any trial function.  (The plain Dirichlet-energy quotient would miss
-    the far-field boundary term of the decay-matched Robin row.)"""
-    v = np.asarray(v, dtype=float)
-    return _quotient(grid, weight_values, v, A.apply(v))
-
-
 def _quotient(grid: RadialGrid, weight_values: np.ndarray, v: np.ndarray,
               Av: np.ndarray) -> float:
-    """rayleigh_quotient's <v, A v> / <v, P v>, with A v given."""
+    """<v, A v> / <v, P v> in the cell-volume inner product, A v given:
+    lambda1 at phi1, and above it for any other trial function."""
     den = dot(grid.volumes * v, weight_values * v)
     if den <= 0.0 or not np.isfinite(den):
         raise ZeroDenominator("trial function vanishes in the P-weighted norm")

@@ -1,11 +1,8 @@
 """Nonlinear residual/Jacobian assembly, damped Newton, monotone Newton
-from the subsolution, the fixed-point iteration of the solution operator
-(Picard's, and shifted, the sub-supersolution method's), and deflation
-for extra roots."""
+from the subsolution, and the fixed-point iteration of the solution
+operator (Picard's, and shifted, the sub-supersolution method's)."""
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -44,35 +41,6 @@ def jacobian(inst: ProblemInstance, u: np.ndarray) -> TridiagonalOperator:
                           * np.asarray(inst.nonlinearity.g_prime(u)))
 
 
-def _solution_step(inst: ProblemInstance, op, v: np.ndarray, t: float,
-                   shift: float = 0.0) -> np.ndarray:
-    """Solve op u = P (g(v) + shift v) + P (t phi1 + f1), op A + shift P
-    or its factor."""
-    g = np.asarray(inst.nonlinearity.g(v))
-    return solve_tridiagonal(op, inst.weight_values * (g + shift * v)
-                             + inst.forcing_term(t))
-
-
-def apply_solution_operator(inst: ProblemInstance, v: np.ndarray,
-                            t: float) -> np.ndarray:
-    """One Picard step: solve A u = P g(v) + P (t phi1 + f1)."""
-    return _solution_step(inst, inst.A, v, t)
-
-
-def _deflation_factor(u: np.ndarray, known: Sequence[SolutionProfile]):
-    """Product of (1/m_k + 1) and the gradient of its log, m_k = ||u -
-    u_k||_2^2 / n the mean square distance to the k-th known root: a
-    distance that does not grow with the grid."""
-    eta, grads = 1.0, []
-    for prof in known:
-        d = u - prof.u
-        m = dot(d, d) / d.size
-        eta *= 1.0 / m + 1.0
-        # d/du of log(1/m + 1) = -2 d / (n m (1 + m))
-        grads.append(-2.0 * d / (d.size * m * (1.0 + m)))
-    return eta, np.sum(grads, axis=0)
-
-
 def _correction_stop(size: float, size_prev: float, tol: float,
                      what: str = ""):
     """"take" a correction of relative size `size` and stop once it is at
@@ -90,19 +58,11 @@ def _correction_stop(size: float, size_prev: float, tol: float,
 
 
 def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
-                 tol: float = SOLVE_TOL, maxit: int = 50,
-                 known: Sequence[SolutionProfile] = ()) -> SolutionProfile:
-    """Damped Newton with Armijo backtracking on the merit 0.5*||eta F||_2^2,
-    stopped by _correction_stop on the plain Newton correction -J^-1 F once
-    u is at least 1e-4 (1 + |u_k|_inf) from every known root u_k.  With
-    `known` roots this is deflated Newton (Farrell, Birkisson & Funke 2015):
-    Newton on eta(u) F(u) (_deflation_factor), whose step is the plain one
-    divided by 1 - grad(log eta).du, so the tridiagonal solve is unchanged.
+                 tol: float = SOLVE_TOL, maxit: int = 50) -> SolutionProfile:
+    """Damped Newton with Armijo backtracking on the merit 0.5*||F||_2^2,
+    stopped by _correction_stop on the Newton correction -J^-1 F.
     Raises NoConvergence; callers probing nonexistence catch it."""
     u = np.asarray(u0, dtype=float).copy()
-    if any(np.array_equal(u, p.u) for p in known):
-        raise NoConvergence("deflated Newton cannot start on a known root")
-    eta, grad_log_eta = _deflation_factor(u, known)
     F = residual(inst, u, t)
     size_prev = np.inf
     for k in range(1, maxit + 1):
@@ -112,9 +72,7 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
             raise NoConvergence(f"singular Jacobian at step {k}: {exc}",
                                 iterations=k, residual=float(np.abs(F).max()))
         size = float(np.abs(du).max()) / (1.0 + float(np.abs(u).max()))
-        stop = _correction_stop(size, size_prev, tol) if all(
-            np.abs(u - p.u).max() >= 1e-4 * (1.0 + np.abs(p.u).max())
-            for p in known) else None
+        stop = _correction_stop(size, size_prev, tol)
         if stop == "keep":
             return make_profile(inst, u, t, np.abs(F).max(), iterations=k - 1)
         if stop:
@@ -122,17 +80,12 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
             return make_profile(inst, u, t, np.abs(residual(inst, u, t)).max(),
                                 iterations=k)
         size_prev = size
-        if known:
-            denom = 1.0 - dot(grad_log_eta, du)
-            du = du / np.copysign(max(abs(denom), 1e-12), denom)
-        merit = eta ** 2 * dot(F, F)
-        step = 1.0
+        merit, step = dot(F, F), 1.0
         for _ in range(30):
             u_try = u + step * du
             F_try = residual(inst, u_try, t)
-            eta, grad_log_eta = _deflation_factor(u_try, known)
             if np.isfinite(F_try).all() and \
-                    eta ** 2 * dot(F_try, F_try) <= (1.0 - 1e-4 * step) * merit:
+                    dot(F_try, F_try) <= (1.0 - 1e-4 * step) * merit:
                 break
             step *= 0.5
         else:
@@ -325,7 +278,9 @@ def _fixed_point(inst: ProblemInstance, u, t: float, tol: float, maxit: int,
                                   np.abs(interval.upper).max()))
     size_prev = np.inf
     for k in range(1, maxit + 1):
-        u_next = _solution_step(inst, op, u, t, shift)
+        u_next = solve_tridiagonal(op, inst.weight_values * (
+            np.asarray(inst.nonlinearity.g(u)) + shift * u)
+            + inst.forcing_term(t))
         if not np.isfinite(u_next).all() or np.abs(u_next).max() > 1e8 * scale0:
             raise NoConvergence(f"Picard iteration diverged at step {k}",
                                 iterations=k)
@@ -352,22 +307,3 @@ def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
                  tol: float = SOLVE_TOL, maxit: int = 2000) -> SolutionProfile:
     """Picard iteration of the solution operator: _fixed_point at c = 0."""
     return _fixed_point(inst, u0, t, tol, maxit)
-
-
-def second_solution(inst: ProblemInstance, known: SolutionProfile,
-                    t: float) -> SolutionProfile:
-    """Deflate a known solution and search for another one from
-    perturbations along the first eigenfunction, in which the second
-    branch separates.  No one size serves: on the canonical scenario, 100
-    below the fold, Newton from 4 (at n = 1000 also from 2) stagnates,
-    while from 0.01 to 40 below it every size reaches the second solution."""
-    phi = inst.eigen.phi1
-    direction = phi / np.abs(phi).max()
-    last = None
-    for eps in (4.0, 2.0, 1.0, 0.5, 0.2):
-        try:
-            return newton_solve(inst, known.u + eps * direction, t,
-                                maxit=200, known=[known])
-        except NoConvergence as exc:
-            last = exc
-    raise NoConvergence(f"no second solution found: {last}")

@@ -8,15 +8,15 @@ eigenvalue, and a forcing split along/against the first eigenfunction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .eigen import EigenPair
 from .errors import (BadGridConfig, BoundarySlackWarning, DivergentMoment,
-                     NonPositiveWeight, NotNormalized, ProbeOutOfRange,
-                     SlopeViolation, TailInstabilityWarning)
+                     NonPositiveWeight, ProbeOutOfRange, SlopeViolation,
+                     TailInstabilityWarning)
 from .grid import RadialGrid, TridiagonalOperator, weighted_integral
 
 TAIL_WARN_REL = 0.01
@@ -138,11 +138,6 @@ class ProblemInstance:
         """P (t phi1 + f1), formed afresh on each call."""
         return self.weight_values * (t * self.eigen.phi1 + self.forcing.f1)
 
-    def with_forcing(self, t=None, f1=None) -> "ProblemInstance":
-        new = ForcingSpec(t=self.forcing.t if t is None else float(t),
-                          f1=self.forcing.f1 if f1 is None else np.asarray(f1, float))
-        return replace(self, forcing=new)
-
 
 def canonical_weight(N: int = 3) -> WeightSpec:
     return WeightSpec(evaluator=rational_decay_weight(3.0), N=N)
@@ -260,15 +255,3 @@ def check_sigma_growth(nonlin: NonlinearitySpec, N: int) -> dict:
     decreasing = bool(top[-1] <= top[0])
     return {"sigma": sigma, "max_ratio_tail": float(np.abs(top).max()),
             "compliant": decreasing}
-
-
-def decompose_forcing(f: np.ndarray, eigen: EigenPair, grid: RadialGrid,
-                      weight_values: np.ndarray):
-    """Split f = t*phi1 + f1 with f1 P-orthogonal to phi1."""
-    norm_res = abs(weighted_integral(grid, weight_values * eigen.phi1 ** 2) - 1.0)
-    if norm_res > 1e-10:
-        raise NotNormalized(f"eigen normalization residual {norm_res:.3e}")
-    f = np.asarray(f, dtype=float)
-    t = weighted_integral(grid, weight_values * f * eigen.phi1)
-    f1 = f - t * eigen.phi1
-    return float(t), f1

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SingularOperator
-from .grid import RadialGrid, solve_tridiagonal
+from .grid import solve_tridiagonal
 from .problem import ProblemInstance
 
 MONOTONE_MAXIT = 50000
@@ -77,20 +77,3 @@ def monotone_iterate(instance: ProblemInstance, t: float,
     up = start == "lower"
     return _fixed_point(instance, lower if up else upper, t, 0.0,
                         MONOTONE_MAXIT, shift, interval, up)
-
-
-def check_order_interval(u: np.ndarray, interval: OrderedInterval,
-                         grid: RadialGrid) -> dict:
-    """Membership in the order set: strictly between the pair, with
-    strictly positive weighted tail gaps on both sides on [R/2, R]."""
-    mask = grid.tail_window()
-    rw = grid.nodes[mask] ** (grid.N - 2)
-    strict = bool((interval.lower < u).all() and (u < interval.upper).all())
-    lower_gap = float((rw * (u[mask] - interval.lower[mask])).min())
-    upper_gap = float((rw * (interval.upper[mask] - u[mask])).min())
-    return {
-        "strict_ordering": strict,
-        "lower_tail_gap": lower_gap,
-        "upper_tail_gap": upper_gap,
-        "member": strict and lower_gap > 0.0 and upper_gap > 0.0,
-    }

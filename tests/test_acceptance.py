@@ -18,13 +18,14 @@ from semifold.continuation import certified_below
 from semifold.eigen import decay_constants
 from semifold.errors import NoConvergence
 from semifold.nonlinear import (monotone_newton, newton_solve, picard_solve,
-                                residual, second_solution)
+                                residual)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
-                               check_order_interval, monotone_iterate)
+                               monotone_iterate)
 from semifold.verify import (check_comparison, dirichlet_energy,
                              representation_residual, riesz_potential,
                              tau_star, weighted_source_functional)
 from branching import ladder_fold, make_branch
+from reference import check_order_interval, second_solution
 
 T0 = time.perf_counter()
 

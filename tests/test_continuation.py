@@ -14,10 +14,11 @@ from semifold.errors import (MonotonicityBroken, NoConvergence,
 from semifold.grid import (TridiagonalOperator, factor_tridiagonal,
                            solve_tridiagonal)
 from semifold.nonlinear import (certify, jacobian, monotone_newton,
-                                monotone_rise, residual, second_solution)
+                                monotone_rise, residual)
 from semifold.verify import tau_star
 from branching import (flipped_curvature, fold_seed, ladder_fold,
                        make_branch, row_fold)
+from reference import second_solution
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,10 @@ from scipy.linalg import eigh_tridiagonal
 import semifold as sf
 from semifold import eigen
 from semifold import grid as grid_module
-from semifold.eigen import (decay_constants, rayleigh_quotient,
-                            smallest_eigenvalue)
+from semifold.eigen import decay_constants, smallest_eigenvalue
 from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
 from semifold.nonlinear import jacobian
+from reference import rayleigh_quotient
 
 
 def _start(inst):

@@ -1,9 +1,10 @@
 """Package hygiene: no module imports a name it never uses, no module
-keeps state behind a `global` statement, instances and operators keep
-no cached vectors, every public top-level function or class has a use
-in the package or is exported, one module builds instances, and the
-package imports only the third-party modules it needs, so a cold start
-stays small.
+keeps state behind a `global` statement or holds an `assert`, instances
+and operators keep no cached vectors, every public top-level function or
+class has a use in the package or is exported, every export is reached
+from a CLI command or a script (test-only code lives in `tests/`), one
+module builds instances, and the package imports only the third-party
+modules it needs, so a cold start stays small.
 
 No linter ships with the test dependencies, so these are plain `ast`
 scans.  `__init__.py` is exempt from the import scan: its imports are the
@@ -20,6 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semifold"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = PACKAGE.parents[1] / "scripts"
 
 
 def unused_imports(source: str) -> list:
@@ -100,10 +102,119 @@ def test_every_public_name_is_reached():
     assert unreached_names(sources) == []
 
 
+def top_definitions(tree) -> dict:
+    """name -> node of each top-level function, class and assignment."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defs.update((t.id, node) for t in targets
+                        if isinstance(t, ast.Name))
+    return defs
+
+
+def exports_off_the_cli(sources: dict, scripts=()) -> list:
+    """The names that `__init__.py` imports from the package's modules
+    and that neither the CLI nor a script reaches.  `sources` maps file
+    names to source text, and `scripts` holds the text of each script.
+    The roots are cli.main, the COMMANDS table and every name a script
+    uses; a name is reached from a root, or from the top-level definition
+    (function, class or assignment) of a reached name, in any module.
+    Test modules are no roots, so a name that only they use is off the
+    CLI."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    defs = {}
+    for mod, tree in trees.items():
+        if mod != "__init__.py":
+            for name, node in top_definitions(tree).items():
+                defs.setdefault(name, []).append(node)
+    cli = top_definitions(trees["cli.py"])
+    todo = _names([cli["main"], cli["COMMANDS"]]) \
+        | _names(ast.parse(text) for text in scripts)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo |= _names(defs.get(name, ())) - reached
+    exported = {alias.asname or alias.name
+                for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    return sorted(exported - reached)
+
+
+def test_scan_sees_an_export_off_the_cli():
+    sources = {
+        "__init__.py": "from .a import run, table, fixture, tested\n",
+        "cli.py": ("from .a import run\n"
+                   "def cmd_go(args):\n"
+                   "    return run(args)\n"
+                   "COMMANDS = {'go': cmd_go}\n"
+                   "def main(argv):\n"
+                   "    return COMMANDS[argv[0]](argv)\n"
+                   "def unused():\n"
+                   "    return tested()\n"),
+        "a.py": ("LIMIT = 3\n"
+                 "def run(args):\n"
+                 "    return step(args)\n"
+                 "def step(args):\n"
+                 "    return table(LIMIT)\n"
+                 "def table(n): pass\n"
+                 "def fixture(): pass\n"
+                 "def tested(): pass\n"),
+    }
+    script = "import semifold as sf\nsf.fixture()\n"
+    test_module = "from semifold import tested\ntested()\n"
+    assert exports_off_the_cli(sources, [script]) == ["tested"]
+    assert exports_off_the_cli(sources) == ["fixture", "tested"]
+    assert exports_off_the_cli(sources, [script, test_module]) == []
+
+
+def test_every_export_is_reached_from_a_command_or_a_script():
+    """Every name the package exports is run by a CLI command or by a
+    script of `scripts/`; what only tests call lives in `tests/`
+    (reference.py).  The one exemption is the sub-supersolution method,
+    monotone_iterate on an OrderedInterval: it is the paper's existence
+    proof, which acceptance 4 reproduces, while the CLI reaches the same
+    minimal solution by monotone Newton."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    scripts = [p.read_text() for p in SCRIPTS.glob("*.py")]
+    assert exports_off_the_cli(sources, scripts) == [
+        "OrderedInterval", "monotone_iterate"]
+
+
 def test_no_global_statement():
     found = [(p.name, node.lineno) for p in PACKAGE.glob("*.py")
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def assert_lines(source: str) -> list:
+    """Lines of each `assert` statement, at any depth of the source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_scan_sees_an_assert():
+    src = ("def f(x):\n"
+           "    assert x > 0, 'x'\n"
+           "    return x\n"
+           "assert_x = 'not a statement'\n"
+           "class C:\n"
+           "    def g(self):\n"
+           "        assert self\n")
+    assert assert_lines(src) == [2, 7]
+
+
+def test_src_has_no_assert():
+    """No check of the package is an `assert` statement, which `python -O`
+    strips: validation raises the package's errors."""
+    found = [(p.name, line) for p in PACKAGE.glob("*.py")
+             for line in assert_lines(p.read_text())]
     assert found == []
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ import semifold as sf
 import semifold.nonlinear as nonlinear
 from semifold.errors import NoConvergence, SingularOperator
 from semifold.grid import factor_tridiagonal, solve_tridiagonal
-from semifold.nonlinear import (SOLVE_TOL, apply_solution_operator, certify,
-                                jacobian, monotone_newton, monotone_rise,
-                                newton_solve, picard_solve, residual,
-                                second_solution)
+from semifold.nonlinear import (SOLVE_TOL, certify, jacobian,
+                                monotone_newton, monotone_rise, newton_solve,
+                                picard_solve, residual)
 from semifold.subsuper import build_subsolution
+from reference import (apply_solution_operator, deflated_newton,
+                       second_solution)
 
 
 @pytest.fixture(scope="module")
@@ -183,8 +186,8 @@ def test_newton_with_known_root_finds_another(inst, minimal):
     """Started a tenth of max|u| away from the known root, deflated Newton
     returns a different solution to the plain convergence tolerance."""
     direction = inst.eigen.phi1 / np.abs(inst.eigen.phi1).max()
-    prof = newton_solve(inst, minimal.u + 2.0 * direction, -50.0, maxit=200,
-                        known=[minimal])
+    prof = deflated_newton(inst, minimal.u + 2.0 * direction, -50.0,
+                           [minimal], maxit=200)
     assert prof.residual_inf <= 1e-10 * inst.A.row_scale()
     assert np.abs(residual(inst, prof.u, -50.0)).max() == prof.residual_inf
     sep = np.abs(prof.u - minimal.u).max()
@@ -193,7 +196,7 @@ def test_newton_with_known_root_finds_another(inst, minimal):
 
 def test_deflated_newton_refuses_a_start_on_a_known_root(inst, minimal):
     with pytest.raises(NoConvergence, match="known root"):
-        newton_solve(inst, minimal.u.copy(), -50.0, known=[minimal])
+        deflated_newton(inst, minimal.u.copy(), -50.0, [minimal])
 
 
 def test_residual_scaling_invariance(inst, minimal):
@@ -209,7 +212,8 @@ def test_residual_formula_across_instances_and_t(inst):
     """residual(inst, u, t) is A u - P g(u) - P (t phi1 + f1) to the bit,
     whichever instance and t came before it."""
     rng = np.random.default_rng(3)
-    other = inst.with_forcing(f1=1e-3 * rng.standard_normal(inst.grid.n))
+    other = replace(inst, forcing=replace(
+        inst.forcing, f1=1e-3 * rng.standard_normal(inst.grid.n)))
     u = build_subsolution(inst, -50.0)
     for x, t in ((inst, -50.0), (inst, -40.0), (other, -40.0), (inst, -40.0)):
         P = x.weight_values

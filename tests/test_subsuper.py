@@ -12,7 +12,8 @@ from semifold.grid import factor_tridiagonal, solve_tridiagonal
 from semifold.nonlinear import (certify, monotone_newton, monotone_rise,
                                 picard_solve, residual)
 from semifold.subsuper import (OrderedInterval, build_subsolution,
-                               check_order_interval, monotone_iterate)
+                               monotone_iterate)
+from reference import check_order_interval
 
 T_DEEP = -300.0
 T_SUPER = -50.0
