@@ -241,7 +241,12 @@ def _e18_fields(x: np.ndarray) -> np.ndarray:
 
 def _csv_text(header: str, blocks):
     """The ASCII bytes of a CSV: the header line, then the rows of each
-    2-D block of `blocks`, every number `%.18e` (`_e18_fields`)."""
+    2-D block of `blocks`.  Every number is `%.18e`, which reads back
+    exactly, and the bytes are those of `np.savetxt` with `delimiter=","`,
+    `comments=""` and its default format, however the rows are split
+    into blocks.  The digits come from exact integer arithmetic on whole
+    blocks (`_e18_fields`), with `'%.18e'` per value outside its window
+    of about 1e-9 to 1e14."""
     yield (header + "\n").encode("ascii")
     for block in blocks:
         text = _e18_fields(block.ravel()).reshape(*block.shape, CSV_FIELD)
@@ -253,21 +258,10 @@ def _csv_text(header: str, blocks):
         yield chunk
 
 
-def _csv_blocks(header: str, columns):
-    """The ASCII bytes of a CSV of equal-length `columns`: the header
-    line, then blocks of CSV_BLOCK_ROWS rows.  Every number is `%.18e`,
-    which reads back exactly, and the bytes are those of `np.savetxt`
-    with `delimiter=","`, `comments=""` and its default format.  The digits
-    come from exact integer arithmetic on whole blocks (`_e18_fields`),
-    with `'%.18e'` per value outside its window of about 1e-9 to 1e14."""
-    return _csv_text(header, (
-        np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS)))
-
-
 def _solution_csv(grid, u):
-    """_csv_blocks of the columns r, u and r^(N-2) u, the last formed
-    block by block rather than as a whole column."""
+    """_csv_text of the columns r, u and r^(N-2) u in blocks of
+    CSV_BLOCK_ROWS rows, the last column formed block by block rather
+    than as a whole column."""
     def blocks():
         for start in range(0, grid.n, CSV_BLOCK_ROWS):
             r = grid.nodes[start:start + CSV_BLOCK_ROWS]
@@ -409,7 +403,7 @@ def cmd_check(run: _Run, args) -> int:
                                           rng.random(grid.n), lam)["pass"]
                          for _ in range(20))
         report = {
-            "P1": {k: v for k, v in p1.items()},
+            "P1": p1,
             "P2": {"constant_estimate": p2["constant_estimate"],
                    "nonincreasing_tail": p2["nonincreasing_tail"]},
             "slack": slack,
@@ -488,9 +482,9 @@ def emit_bifurcation(inst, rows):
                       float(np.abs(residual(inst, u, t)).max()),
                       stability(inst, u), arc])
         t_prev, u_prev = t, u
-    return _csv_blocks(
+    return _csv_text(
         "index,t,u_at_0,e0_norm,residual_inf,stability_mu,arclength",
-        np.array(table).T)
+        [np.array(table)])
 
 
 def cmd_branch(run: _Run, args) -> int:

@@ -294,14 +294,10 @@ outdir = out
 """
 
 
-def canonical_instance(R: float = 40.0, n: int = 4000,
-                       farfield: str = ROBIN_DECAY,
-                       mu_factors=(0.5, 2.0)) -> ProblemInstance:
+def canonical_instance(R: float = 40.0, n: int = 4000) -> ProblemInstance:
     """Shared cross-module fixture: CANONICAL_CONFIG (N=3, P=(1+r^2)^-3,
-    softplus-ramp g with slopes mu_factors * lambda1, f1 = 0, Theta = 1)
-    with the given keys overridden."""
+    softplus-ramp g with slopes (0.5, 2) * lambda1, f1 = 0, Theta = 1)
+    with its [grid] r and n set to R and n."""
     cfg = parse_config(CANONICAL_CONFIG)
-    cfg.grid.update(r=repr(float(R)), n=str(n), farfield=farfield)
-    cfg.nonlinearity.update(mu_lower_factor=repr(float(mu_factors[0])),
-                            mu_upper_factor=repr(float(mu_factors[1])))
+    cfg.grid.update(r=repr(float(R)), n=str(n))
     return build_scenario_instance(parse_config(cfg.serialize()))

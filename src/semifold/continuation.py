@@ -40,7 +40,7 @@ def stability(instance: ProblemInstance, u: np.ndarray) -> float:
     Jacobian, positive on the stable branch and negative past the fold."""
     # sqrt(volumes) phi1 is positive, so it has a component along the
     # positive ground state of the symmetrized Jacobian
-    return smallest_eigenvalue(instance.grid, jacobian(instance, u),
+    return smallest_eigenvalue(jacobian(instance, u),
                                np.sqrt(instance.grid.volumes) * instance.eigen.phi1)
 
 

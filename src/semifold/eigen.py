@@ -34,7 +34,9 @@ from .grid import (RadialGrid, TridiagonalOperator, dot, factor_tridiagonal,
                    solve_tridiagonal, weighted_integral)
 
 PLATEAU_RATIO_LIMIT = 1.05
-# inverse power iterations of first_eigenpair before NoConvergence
+# first_eigenpair's relative residual stop, and its inverse power
+# iterations before NoConvergence
+EIGENPAIR_TOL = 1e-12
 EIGENPAIR_MAXIT = 10000
 # inverse-iteration steps of smallest_eigenvalue before NoConvergence
 STABILITY_MAXIT = 60
@@ -69,17 +71,18 @@ def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
 
 
 def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
-                    tol: float = 1e-12, start: np.ndarray | None = None,
+                    start: np.ndarray | None = None,
                     shift: float = 0.0) -> EigenPair:
     """Inverse power iteration from `start`, by default 1/(1 + r^2), on
     one factor of A - shift P.  Each step contracts the error by |lambda1
     - shift| / |lambda2 - shift|, about 1e-4 at the coarse twin's lambda1
     (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  Each
     step applies A once, for both its Rayleigh quotient and its residual,
-    which stops the iteration; the pair holds no diagnostic, and `eigen`
-    computes the ones it writes.  `start` is not kept past the first
-    step, and the factor and the last step's vectors are released before
-    the eigenfunction is normalized."""
+    which stops the iteration once it is at most EIGENPAIR_TOL |lambda|
+    |P x|_inf above the rounding floor; the pair holds no diagnostic, and
+    `eigen` computes the ones it writes.  `start` is not kept past the
+    first step, and the factor and the last step's vectors are released
+    before the eigenfunction is normalized."""
     x = 1.0 / (1.0 + grid.nodes ** 2) if start is None else \
         np.asarray(start, dtype=float)
     del start
@@ -98,7 +101,7 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
         np.subtract(Ax, r, out=r)
         res = np.abs(r, out=r).max()
         np.multiply(mP, x, out=r)
-        if res <= tol * abs(lam) * np.abs(r, out=r).max() + floor:
+        if res <= EIGENPAIR_TOL * abs(lam) * np.abs(r, out=r).max() + floor:
             break
     else:
         raise NoConvergence(f"inverse power iteration: {EIGENPAIR_MAXIT} "
@@ -143,24 +146,23 @@ def _factor_below(S: TridiagonalOperator, sigma: float):
     return (d, e) if info == 0 else None
 
 
-def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator,
-                        start: np.ndarray) -> float:
+def smallest_eigenvalue(op: TridiagonalOperator, start: np.ndarray) -> float:
     """Smallest (most negative) eigenvalue of a volume-symmetrizable
     tridiagonal operator; used as the Jacobian stability indicator.
 
     Shifted inverse iteration on the symmetrized S = V^(1/2) op V^(-1/2),
-    from `start` (in the symmetrized coordinates; any vector with a
-    positive component along the ground state, such as sqrt(volumes) *
-    phi1).  The shift starts at the Rayleigh quotient minus the residual
-    and drops geometrically, at worst to the Gershgorin lower bound,
-    until ?pttrf succeeds; each step then does one ?pttrs, takes the
+    from `start`, a vector of op.n entries in the symmetrized coordinates
+    (any vector with a positive component along the ground state, such as
+    sqrt(volumes) * phi1).  The shift starts at the Rayleigh quotient minus
+    the residual and drops geometrically, at worst to the Gershgorin lower
+    bound, until ?pttrf succeeds; each step then does one ?pttrs, takes the
     Rayleigh quotient mu and the residual r = ||S x - mu x||_2, and moves
-    the shift up to mu - r when ?pttrf still succeeds there.  It stops
-    when r <= floor = 50 eps row_scale (the rounding floor of applying
-    S) and returns mu only if ?pttrf of S - (mu - r - floor) I succeeds:
-    then an eigenvalue lies within r of mu and none below mu - r - floor.
-    Raises NoConvergence when that certificate fails or the iteration
-    does not settle within STABILITY_MAXIT steps."""
+    the shift up to mu - r when ?pttrf still succeeds there.  It stops when
+    r <= floor = 50 eps row_scale (the rounding floor of applying S) and
+    returns mu only if ?pttrf of S - (mu - r - floor) I succeeds: then an
+    eigenvalue lies within r of mu and none below mu - r - floor.  Raises
+    NoConvergence when that certificate fails or the iteration does not
+    settle within STABILITY_MAXIT steps."""
     prod = op.sub * op.sup
     if not (np.isfinite(op.diag).all() and np.isfinite(prod).all()):
         raise SingularOperator("operator has non-finite entries")
@@ -171,7 +173,7 @@ def smallest_eigenvalue(grid: RadialGrid, op: TridiagonalOperator,
     floor = 50.0 * np.finfo(float).eps * S.row_scale()
 
     x = np.asarray(start, dtype=float)
-    nrm = float(np.sqrt(dot(x, x))) if x.shape == (grid.n,) else 0.0
+    nrm = float(np.sqrt(dot(x, x))) if x.shape == (op.n,) else 0.0
     if not (np.isfinite(nrm) and nrm > 0.0):
         raise ZeroDenominator("start vector is zero, non-finite or off the grid")
     x = x / nrm

@@ -14,12 +14,15 @@ from .subsuper import SolutionProfile, build_subsolution, make_profile
 
 # Every loop but certify stops on its correction (_correction_stop), not
 # on the residual, whose row scale grows as h^-2: u + du once |du|_inf <=
-# tol (1 + |u|_inf), tol SOLVE_TOL (newton_solve; picard_solve bounds its
-# estimated error, monotone_iterate's by 0) or FOLD_TOL (monotone Newton,
-# the fold system: quadratic, so u + du is then good to about tol^2), and
-# u once a correction below FOLD_FLOOR stops falling: the rounding floor,
-# about 1e-12 at n = 4000, 4e-10 at 128000.  FOLD_MAXIT caps Newton steps
+# tol (1 + |u|_inf), where tol is SOLVE_TOL for newton_solve (picard_solve
+# bounds its estimated error by it, monotone_iterate by 0) and FOLD_TOL
+# for monotone Newton and the fold system (quadratic, so u + du is then
+# good to about tol^2), and u once a correction below FOLD_FLOOR stops
+# falling: the rounding floor, about 1e-12 at n = 4000, 4e-10 at 128000.
+# NEWTON_MAXIT, PICARD_MAXIT and FOLD_MAXIT cap the steps
 SOLVE_TOL = 1e-10
+NEWTON_MAXIT = 50
+PICARD_MAXIT = 2000
 FOLD_TOL = 1e-8
 FOLD_FLOOR = 1e-7
 FOLD_MAXIT = 40
@@ -57,22 +60,23 @@ def _correction_stop(size: float, size_prev: float, tol: float,
                             f"{size:.2e} relative)")
 
 
-def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
-                 tol: float = SOLVE_TOL, maxit: int = 50) -> SolutionProfile:
+def newton_solve(inst: ProblemInstance, u0: np.ndarray,
+                 t: float) -> SolutionProfile:
     """Damped Newton with Armijo backtracking on the merit 0.5*||F||_2^2,
-    stopped by _correction_stop on the Newton correction -J^-1 F.
-    Raises NoConvergence; callers probing nonexistence catch it."""
+    stopped by _correction_stop at SOLVE_TOL on the Newton correction
+    -J^-1 F.  Raises NoConvergence after NEWTON_MAXIT steps, or sooner;
+    callers probing nonexistence catch it."""
     u = np.asarray(u0, dtype=float).copy()
     F = residual(inst, u, t)
     size_prev = np.inf
-    for k in range(1, maxit + 1):
+    for k in range(1, NEWTON_MAXIT + 1):
         try:
             du = solve_tridiagonal(jacobian(inst, u), -F)
         except SingularOperator as exc:
             raise NoConvergence(f"singular Jacobian at step {k}: {exc}",
                                 iterations=k, residual=float(np.abs(F).max()))
         size = float(np.abs(du).max()) / (1.0 + float(np.abs(u).max()))
-        stop = _correction_stop(size, size_prev, tol)
+        stop = _correction_stop(size, size_prev, SOLVE_TOL)
         if stop == "keep":
             return make_profile(inst, u, t, np.abs(F).max(), iterations=k - 1)
         if stop:
@@ -92,8 +96,8 @@ def newton_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
             raise NoConvergence(f"line search stagnated at step {k}",
                                 iterations=k, residual=float(np.abs(F).max()))
         u, F = u_try, F_try
-    raise NoConvergence(f"Newton: {maxit} iterations, residual "
-                        f"{np.abs(F).max():.3e}", iterations=maxit,
+    raise NoConvergence(f"Newton: {NEWTON_MAXIT} iterations, residual "
+                        f"{np.abs(F).max():.3e}", iterations=NEWTON_MAXIT,
                         residual=float(np.abs(F).max()))
 
 
@@ -303,7 +307,8 @@ def _fixed_point(inst: ProblemInstance, u, t: float, tol: float, maxit: int,
                         "relative", iterations=maxit, residual=size)
 
 
-def picard_solve(inst: ProblemInstance, u0: np.ndarray, t: float,
-                 tol: float = SOLVE_TOL, maxit: int = 2000) -> SolutionProfile:
-    """Picard iteration of the solution operator: _fixed_point at c = 0."""
-    return _fixed_point(inst, u0, t, tol, maxit)
+def picard_solve(inst: ProblemInstance, u0: np.ndarray,
+                 t: float) -> SolutionProfile:
+    """Picard iteration of the solution operator: _fixed_point at c = 0,
+    to SOLVE_TOL in at most PICARD_MAXIT steps."""
+    return _fixed_point(inst, u0, t, SOLVE_TOL, PICARD_MAXIT)

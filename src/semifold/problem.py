@@ -139,8 +139,8 @@ class ProblemInstance:
         return self.weight_values * (t * self.eigen.phi1 + self.forcing.f1)
 
 
-def canonical_weight(N: int = 3) -> WeightSpec:
-    return WeightSpec(evaluator=rational_decay_weight(3.0), N=N)
+def canonical_weight() -> WeightSpec:
+    return WeightSpec(evaluator=rational_decay_weight(3.0), N=3)
 
 
 # ------------------------------------------------------------- hypotheses

@@ -1,13 +1,17 @@
 """Reference routines that only the tests call: deflated Newton for a
 second root, one step of the solution operator, membership in an order
-interval, the split of a forcing along phi1, and the pencil's Rayleigh
-quotient.  No command runs them, so they live here rather than in the
-package; each is checked against what the package computes."""
+interval, the split of a forcing along phi1, the pencil's Rayleigh
+quotient, and the canonical scenario with some of its keys edited.  No
+command runs them, so they live here rather than in the package; each
+is checked against what the package computes."""
 
+import re
 from typing import Sequence
 
 import numpy as np
 
+from semifold.config import (CANONICAL_CONFIG, build_scenario_instance,
+                             parse_config)
 from semifold.eigen import _quotient
 from semifold.errors import NoConvergence, NotNormalized, SingularOperator
 from semifold.grid import dot, solve_tridiagonal, weighted_integral
@@ -143,3 +147,16 @@ def rayleigh_quotient(grid, A, weight_values: np.ndarray,
     row.)"""
     v = np.asarray(v, dtype=float)
     return _quotient(grid, weight_values, v, A.apply(v))
+
+
+def edited_canonical(R: float, n: int, **keys):
+    """The instance of CANONICAL_CONFIG at radius R and n nodes, with the
+    line of each other key in `keys` (farfield, mu_lower_factor, ...) set
+    to its value, as a scenario file would set it."""
+    text = CANONICAL_CONFIG
+    for key, value in {"r": float(R), "n": n, **keys}.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text,
+                              flags=re.M)
+        if count != 1:
+            raise KeyError(f"CANONICAL_CONFIG has no line for {key!r}")
+    return build_scenario_instance(parse_config(text))

@@ -170,13 +170,13 @@ def test_acceptance_7_nonexistence(canonical, fixture_data):
     for _ in range(20):
         try:
             newton_solve(canonical, rng.standard_normal(canonical.grid.n),
-                         t_bad, maxit=50)
+                         t_bad)
         except NoConvergence:
             failures += 1
     for _ in range(5):
         try:
             picard_solve(canonical, rng.standard_normal(canonical.grid.n),
-                         t_bad, maxit=500)
+                         t_bad)
         except NoConvergence:
             failures += 1
     stored_ok = all(meta["t"] <= fixture_data["tau_star_canonical"]

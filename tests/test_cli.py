@@ -156,9 +156,9 @@ SPECIAL_VALUES = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 64000])
 def test_csv_blocks_match_savetxt(rows):
     """Row counts around one block of CSV_BLOCK_ROWS = 2048, and a
-    64000-row table, over magnitudes 1e-300 ... 1e300; each column starts
-    with -0.0, subnormals, infinities, nan, 1e+-300 and the window edges
-    where it has room."""
+    64000-row table, over magnitudes 1e-300 ... 1e300, rendered in such
+    blocks and as one; each column starts with -0.0, subnormals,
+    infinities, nan, 1e+-300 and the window edges where it has room."""
     assert cli.CSV_BLOCK_ROWS == 2048
     rng = np.random.default_rng(rows)
     columns = [rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
@@ -167,13 +167,18 @@ def test_csv_blocks_match_savetxt(rows):
         head = np.roll(SPECIAL_VALUES, shift)[:rows]
         col[:len(head)] = head
     header = "r,u,r_pow_u"
-    assert _rendered_bytes(cli._csv_blocks(header, columns)) == \
-        _savetxt_bytes(np.column_stack(columns), header)
+    table = np.column_stack(columns)
+    blocks = [table[start:start + cli.CSV_BLOCK_ROWS]
+              for start in range(0, rows, cli.CSV_BLOCK_ROWS)]
+    expected = _savetxt_bytes(table, header)
+    assert _rendered_bytes(cli._csv_text(header, blocks)) == expected
+    assert _rendered_bytes(cli._csv_text(header, [table])) == expected
 
 
 def _rendered_lines(values):
     """The data lines of a one-column CSV of `values`, from the renderer."""
-    text = b"".join(cli._csv_blocks("x", [np.asarray(values, dtype=float)]))
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    text = b"".join(cli._csv_text("x", [column]))
     text = text.decode("ascii")
     return text.split("\n")[1:-1]
 

@@ -11,7 +11,7 @@ from semifold import grid as grid_module
 from semifold.eigen import decay_constants, smallest_eigenvalue
 from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
 from semifold.nonlinear import jacobian
-from reference import rayleigh_quotient
+from reference import edited_canonical, rayleigh_quotient
 
 
 def _start(inst):
@@ -87,7 +87,7 @@ def test_decay_plateau(canonical):
 def test_dirichlet_tail_has_no_plateau():
     """With a hard wall the scaled eigenfunction dives to zero at R, so
     the plateau flag must come back false."""
-    inst = sf.canonical_instance(R=40.0, n=1000, farfield="dirichlet")
+    inst = edited_canonical(40.0, 1000, farfield="dirichlet")
     assert not decay_constants(inst.grid, inst.eigen.phi1).plateau_ok
 
 
@@ -114,8 +114,8 @@ def test_smallest_eigenvalue_sign_tracks_shift(coarse):
     lam1 = coarse.eigen.lambda1
     below = coarse.A.shifted(-0.9 * lam1 * coarse.weight_values)
     above = coarse.A.shifted(-1.1 * lam1 * coarse.weight_values)
-    assert smallest_eigenvalue(coarse.grid, below, _start(coarse)) > 0
-    assert smallest_eigenvalue(coarse.grid, above, _start(coarse)) < 0
+    assert smallest_eigenvalue(below, _start(coarse)) > 0
+    assert smallest_eigenvalue(above, _start(coarse)) < 0
 
 
 @pytest.mark.parametrize("point", ["stable", "fold", "unstable", "dirichlet"])
@@ -124,7 +124,7 @@ def test_smallest_eigenvalue_matches_bisection_oracle(canonical,
     inst = canonical
     if point == "dirichlet":
         # the penalty row decouples: the last off-diagonal product is 0
-        inst = sf.canonical_instance(R=40.0, n=4000, farfield="dirichlet")
+        inst = edited_canonical(40.0, 4000, farfield="dirichlet")
         J = inst.A.shifted(-1.1 * inst.eigen.lambda1 * inst.weight_values)
         assert J.sub[-1] == 0.0
     else:
@@ -132,7 +132,7 @@ def test_smallest_eigenvalue_matches_bisection_oracle(canonical,
         idx = {"stable": 0, "fold": len(rows) // 2,
                "unstable": len(rows) - 1}[point]
         J = jacobian(inst, rows[idx][1])
-    mu = smallest_eigenvalue(inst.grid, J, _start(inst))
+    mu = smallest_eigenvalue(J, _start(inst))
     ref = _stebz_smallest(J)
     assert abs(mu - ref) <= 100 * np.finfo(float).eps * J.row_scale()
     if point == "stable":
@@ -149,7 +149,7 @@ def test_smallest_eigenvalue_rejects_nan_promptly(coarse, entry):
     bad[coarse.grid.n // 2] = np.nan
     tic = time.perf_counter()
     with pytest.raises(SemifoldError):
-        smallest_eigenvalue(coarse.grid, J, start)
+        smallest_eigenvalue(J, start)
     assert time.perf_counter() - tic < 1.0
 
 
@@ -275,7 +275,7 @@ def test_smallest_eigenvalue_iteration_cap_raises(canonical, canonical_branch,
     J = jacobian(canonical, canonical_branch[len(canonical_branch) // 2][1])
     monkeypatch.setattr(eigen, "STABILITY_MAXIT", 1)
     with pytest.raises(NoConvergence):
-        smallest_eigenvalue(canonical.grid, J, _start(canonical))
+        smallest_eigenvalue(J, _start(canonical))
 
 
 def test_eigenvalue_second_order_in_h():

@@ -2,9 +2,10 @@
 keeps state behind a `global` statement or holds an `assert`, instances
 and operators keep no cached vectors, every public top-level function or
 class has a use in the package or is exported, every export is reached
-from a CLI command or a script (test-only code lives in `tests/`), one
-module builds instances, and the package imports only the third-party
-modules it needs, so a cold start stays small.
+from a CLI command or a script (test-only code lives in `tests/`), every
+defaulted parameter is set by some call outside the tests, one module
+builds instances, and the package imports only the third-party modules
+it needs, so a cold start stays small.
 
 No linter ships with the test dependencies, so these are plain `ast`
 scans.  `__init__.py` is exempt from the import scan: its imports are the
@@ -22,6 +23,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semifold"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SCRIPTS = PACKAGE.parents[1] / "scripts"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list:
@@ -186,6 +188,102 @@ def test_every_export_is_reached_from_a_command_or_a_script():
         "OrderedInterval", "monotone_iterate"]
 
 
+def _functions(tree):
+    """(key, name, positions, defaulted) of each function of `tree`, at any
+    depth: key is the name a call uses (a class's name for its __init__),
+    positions the parameters a positional argument fills (a method's
+    self or cls left out) and defaulted those with a default."""
+    methods = {f: cls.name for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for f in cls.body}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        args = f.args
+        positions = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positions[len(positions) - len(args.defaults):] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+        key, name = f.name, f.name
+        if f in methods:
+            name = f"{methods[f]}.{f.name}"
+            if f.name == "__init__":
+                key = methods[f]
+            if "staticmethod" not in _names(f.decorator_list):
+                positions = positions[1:]
+        yield key, name, positions, defaulted
+
+
+def unset_options(sources: dict, callers=()) -> list:
+    """(module, function, parameter) of each defaulted parameter of a
+    function in `sources` (file names to source text) that no call in
+    `sources` or `callers` (source texts) sets: by keyword, by position,
+    or through *args (every position) or **kwargs (every parameter).  A
+    call matches every function of its name, bare or an attribute, and
+    a call of a class is a call of its __init__."""
+    functions = {}
+    for mod, text in sources.items():
+        for key, name, positions, defaulted in _functions(ast.parse(text)):
+            functions.setdefault(key, []).append(
+                (mod, name, positions, defaulted))
+    set_ = set()
+    for text in [*sources.values(), *callers]:
+        for call in ast.walk(ast.parse(text)):
+            if not isinstance(call, ast.Call):
+                continue
+            key = getattr(call.func, "attr", getattr(call.func, "id", None))
+            for mod, name, positions, defaulted in functions.get(key, ()):
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    passed = positions
+                else:
+                    passed = positions[:len(call.args)]
+                for k in call.keywords:
+                    passed = passed + ([k.arg] if k.arg else defaulted)
+                set_ |= {(mod, name, p) for p in passed}
+    return sorted((mod, name, p) for found in functions.values()
+                  for mod, name, _, defaulted in found for p in defaulted
+                  if (mod, name, p) not in set_)
+
+
+def test_scan_sees_an_unset_option():
+    sources = {
+        "a.py": ("def solve(u, tol=1e-10, maxit=50, *, damp=False):\n"
+                 "    return step(u, 0.5), run(*u), go(u, **OPTS)\n"
+                 "def step(u, h=1.0):\n"
+                 "    def inner(v, w=2):\n"
+                 "        return v\n"
+                 "    return inner(u)\n"
+                 "def run(a=0, b=1): pass\n"
+                 "def go(a, b=1, *, c=2): pass\n"
+                 "class Failure(Exception):\n"
+                 "    def __init__(self, msg, steps=0, residual=None):\n"
+                 "        super().__init__(msg)\n"
+                 "    def report(self, full=False): pass\n"
+                 "def fail(error):\n"
+                 "    error.report(True)\n"
+                 "    raise Failure('stuck', steps=3)\n"),
+    }
+    script = "import a\na.solve([0.0], maxit=10)\n"
+    unset = [("a.py", "Failure.__init__", "residual"), ("a.py", "inner", "w"),
+             ("a.py", "solve", "damp"), ("a.py", "solve", "tol")]
+    assert unset_options(sources, [script]) == unset
+    assert unset_options(sources) == sorted(
+        unset + [("a.py", "solve", "maxit")])
+
+
+def test_every_option_is_set_outside_the_tests():
+    """A defaulted parameter of the package is an option: some call in the
+    package, in `scripts/` or in perfbench's harness sets it, or it is a
+    constant.  The one exemption is the sub-supersolution method, as for
+    the export scan: monotone_iterate's shift and start are set by the
+    tests that reproduce the paper's existence proof alone."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for d in (SCRIPTS, PERFBENCH)
+               for p in d.glob("*.py")]
+    assert unset_options(sources, callers) == [
+        ("subsuper.py", "monotone_iterate", "shift"),
+        ("subsuper.py", "monotone_iterate", "start")]
+
+
 def test_no_global_statement():
     found = [(p.name, node.lineno) for p in PACKAGE.glob("*.py")
              for node in ast.walk(ast.parse(p.read_text()))
@@ -284,7 +382,7 @@ def test_scan_sees_a_savetxt_call():
 
 
 def test_csv_has_one_writer():
-    """CSV text comes from cli._csv_blocks alone, written and hashed by
+    """CSV text comes from cli._csv_text alone, written and hashed by
     _Run.emit: no module calls savetxt."""
     found = [(p.name, line) for p in PACKAGE.glob("*.py")
              for line in savetxt_calls(p.read_text())]
@@ -400,10 +498,10 @@ def test_scan_sees_name_uses():
 
 def test_one_convergence_test_and_one_fold():
     """SOLVE_TOL is named only in nonlinear, where it is defined and
-    where the solvers default to it, and in nonlinear only monotone_newton's defect report
-    names row_scale: every solver stops on its correction, none on a
-    row-scaled residual.  cli finds and refines the fold in one place,
-    _fold."""
+    where the solvers stop at it, and in nonlinear only monotone_newton's
+    defect report names row_scale: every solver stops on its correction,
+    none on a row-scaled residual.  cli finds and refines the fold in one
+    place, _fold."""
     sources = {p.name: p.read_text() for p in MODULES}
     assert sorted(mod for mod, text in sources.items()
                   if name_uses(text, {"SOLVE_TOL"})) == \
@@ -436,12 +534,14 @@ def test_scan_sees_tol_constants():
 
 
 def test_one_fixed_point_loop():
-    """Tolerances live in nonlinear alone, and Picard and the shifted
-    monotone iteration run one loop, _fixed_point, which stops through
-    _correction_stop."""
+    """The solvers' tolerances live in nonlinear and the eigenpair's in
+    eigen, and Picard and the shifted monotone iteration run one loop,
+    _fixed_point, which stops through _correction_stop."""
     sources = {p.name: p.read_text() for p in MODULES}
-    assert [mod for mod, text in sources.items()
-            if tol_constants(text)] == ["nonlinear.py"]
+    assert {mod: found for mod, text in sources.items()
+            if (found := tol_constants(text))} == {
+        "eigen.py": ["EIGENPAIR_TOL"],
+        "nonlinear.py": ["FOLD_TOL", "SOLVE_TOL"]}
     assert ("_fixed_point", "_correction_stop") in name_uses(
         sources["nonlinear.py"], {"_correction_stop"})
     assert sorted(where for text in sources.values()

@@ -10,7 +10,7 @@ from semifold.errors import (DivergentMoment, NotNormalized, ProbeOutOfRange,
                              SlopeViolation, TailInstabilityWarning)
 from semifold.problem import (check_P1, check_P2, check_sigma_growth,
                               derive_slack_constants, expit)
-from reference import decompose_forcing
+from reference import decompose_forcing, edited_canonical
 
 
 def test_expit_is_scipys_to_the_rounding_of_exp():
@@ -136,9 +136,9 @@ def test_sigma_growth_report(canonical):
 
 
 def test_straddle_enforced():
-    inst = sf.canonical_instance(R=20.0, n=200, mu_factors=(0.5, 2.0))
+    inst = sf.canonical_instance(R=20.0, n=200)
     with pytest.raises(SlopeViolation):
-        sf.canonical_instance(R=20.0, n=200, mu_factors=(1.5, 2.0))
+        edited_canonical(20.0, 200, mu_lower_factor=1.5)
     assert inst.eigen is not None
 
 
@@ -197,7 +197,7 @@ inst = sf.canonical_instance(R=20.0, n=50)
 checks = {
     "EigenPair": lambda: replace(inst.eigen, phi1=-inst.eigen.phi1),
     "smallest_eigenvalue": lambda: smallest_eigenvalue(
-        inst.grid, replace(inst.A, sub=-inst.A.sub),
+        replace(inst.A, sub=-inst.A.sub),
         inst.grid.volumes ** 0.5 * inst.eigen.phi1),
     "check_sigma_growth": lambda: check_sigma_growth(inst.nonlinearity, 2),
 }
