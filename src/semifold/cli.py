@@ -24,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _lapack
-from .config import (ScenarioConfig, build_ladder_instance,
-                     build_scenario_instance, load_config)
+from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import (certified_below, find_fold, fold_branch,
                            refine_fold, stability, two_solutions)
 from .eigen import decay_constants
@@ -309,14 +308,6 @@ class _Run:
         with self.stage("build_instance"):
             return build_scenario_instance(self.cfg)
 
-    def ladder(self, inst):
-        """The instance on which inst's fold ladder climbs, built in the
-        stage `build_instance`: the scenario's ladder twin, or inst
-        itself where it has none."""
-        with self.stage("build_instance"):
-            level = build_ladder_instance(self.cfg)
-        return inst if level is None else level
-
     def emit(self, name: str, chunks) -> None:
         """Write the byte `chunks` to `name`, hashing them as they are
         written."""
@@ -503,26 +494,23 @@ def cmd_branch(run: _Run, args) -> int:
 
 def _fold(inst, run):
     """(ladder level, its fold, inst's fold).  The ladder climbs the
-    scenario's LADDER_N-node twin (_Run.ladder), inst itself at n <=
-    LADDER_N, and its fold is refined once on each finer level, lifted
-    onto it: inst's COARSE_N-node twin where it has one, then inst.  The
-    ladder's first rung, the minimal solution at [run] t_start, is timed
-    as `branch_start`, and the rest of the ladder and the refinements as
-    `trace`."""
-    level = run.ladder(inst)
-    t_start, t_max = _t_range(run.cfg, level)
-    with run.stage("branch_start"):
-        u = monotone_rise(level, t_start)[0]
+    bottom of inst's chain of twins, inst itself where it has none, and
+    its fold is refined once on each level above it up to inst, lifted
+    from the level below.  The ladder's first rung, the minimal solution
+    at [run] t_start, is timed as `branch_start`, and the rest of the
+    ladder and the refinements as `trace`."""
+    if inst.twin is None:
+        t_start, t_max = _t_range(run.cfg, inst)
+        with run.stage("branch_start"):
+            u = monotone_rise(inst, t_start)[0]
+        with run.stage("trace"):
+            found = find_fold(inst, t_start, u, t_max)
+        return inst, found, found
+    level, found, point = _fold(inst.twin, run)
+    lift = partial(inst.grid.lift, inst.twin.grid)
     with run.stage("trace"):
-        found = point = find_fold(level, t_start, u, t_max)
-        coarse = level
-        for fine in (inst.twin, inst):
-            if fine is None or fine is level:
-                continue
-            lift = partial(fine.grid.lift, coarse.grid)
-            point = refine_fold(fine, lift(point.u), point.t, lift(point.v))
-            coarse = fine
-        return level, found, point
+        return level, found, refine_fold(inst, lift(point.u), point.t,
+                                         lift(point.v))
 
 
 # alpha's certified lower bound is the minimal solution at one probe,

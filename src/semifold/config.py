@@ -28,13 +28,13 @@ from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
 
 REQUIRED_SECTIONS = ("weight", "nonlinearity", "forcing", "grid")
 REQUIRED = object()  # the default of a key that must be given
-# above COARSE_N nodes an instance carries its COARSE_N-node twin, whose
-# first eigenfunction starts its eigenpair, and on which the CLI refines
-# the fold once between the ladder and the fine grid
+# the levels of an instance's chain of twins: above n nodes its twin is
+# the scenario at the largest of these below n, so n > 4000 gives n ->
+# 4000 -> 125, 125 < n <= 4000 gives n -> 125, and n <= 125 no twin.
+# Each twin's first eigenfunction starts its parent's eigenpair; alpha,
+# two and branch climb the fold ladder on the chain's bottom and refine
+# its fold once on each level above it (mesh independence of Newton)
 COARSE_N = 4000
-# alpha, two and branch climb the fold ladder on the scenario's
-# LADDER_N-node twin and refine its fold once on each finer level (mesh
-# independence of Newton)
 LADDER_N = 125
 
 
@@ -206,11 +206,12 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     """The one assembly of an instance: grid, weight, operator, first
     eigenpair, nonlinearity (slopes possibly relative to lambda1), forcing.
 
-    Above COARSE_N nodes it also builds the instance's twin, the same
-    file with n = COARSE_N, and keeps it as `twin`; the eigenpair's
-    inverse iteration starts from the twin's first eigenfunction,
-    interpolated linearly onto the nodes, shifted by the twin's lambda1,
-    and takes one step where it takes ten from 1/(1 + r^2) unshifted."""
+    Above LADDER_N nodes it first builds the instance's twin (_twin), the
+    next coarser level of its chain, and keeps it as `twin`; the
+    eigenpair's inverse iteration starts from the twin's first
+    eigenfunction, interpolated linearly onto the nodes, shifted by the
+    twin's lambda1, and takes a few steps where it takes over ten from
+    1/(1 + r^2) unshifted."""
     weight = _build_weight(cfg)
     grid = build_grid(weight.N, cfg.get("grid", "r"), cfg.get("grid", "n"),
                       cfg.get("grid", "stretch"))
@@ -224,7 +225,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             f"row sums span more than 1e14 (first cell volume "
             f"{grid.volumes[0]:.1e})") from exc
     pvals = assemble_weight_mass(grid, weight.evaluator)
-    twin = None if grid.n <= COARSE_N else _twin(cfg, COARSE_N)
+    twin = _twin(cfg, grid.n)
     # the lifted start goes to first_eigenpair alone, which frees it
     # once its first step is taken
     eig = first_eigenpair(
@@ -243,7 +244,8 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             mu_hi = nlc("mu_upper_factor") * eig.lambda1
         if not (mu_lo < eig.lambda1 < mu_hi):
             raise SlopeViolation(f"slack slopes ({mu_lo}, {mu_hi}) do not "
-                                 f"straddle lambda1 = {eig.lambda1}")
+                                 f"straddle lambda1 = {eig.lambda1} on the "
+                                 f"{grid.n}-node grid")
         nl = smooth_ramp_nonlinearity(mu_lo, mu_hi, nlc("offset"))
     # f1 = zero is the only preset a file can name (docs/config.md); a
     # view of one zero adds the same bits as a vector of zeros
@@ -254,16 +256,12 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
                            twin=twin)
 
 
-def _twin(cfg: ScenarioConfig, n: int) -> ProblemInstance:
-    """The scenario of `cfg` built at n nodes."""
-    return build_scenario_instance(replace(cfg, grid={**cfg.grid, "n": str(n)}))
-
-
-def build_ladder_instance(cfg: ScenarioConfig) -> ProblemInstance | None:
-    """The instance on which alpha, two and branch climb the fold ladder:
-    the scenario at LADDER_N nodes, or None at n <= LADDER_N, where the
-    ladder climbs the scenario's own grid."""
-    return None if cfg.get("grid", "n") <= LADDER_N else _twin(cfg, LADDER_N)
+def _twin(cfg: ScenarioConfig, n: int) -> ProblemInstance | None:
+    """The scenario of `cfg` built at the largest of COARSE_N and LADDER_N
+    below n nodes, or None at n <= LADDER_N."""
+    below = [m for m in (COARSE_N, LADDER_N) if m < n]
+    return build_scenario_instance(replace(
+        cfg, grid={**cfg.grid, "n": str(below[0])})) if below else None
 
 
 CANONICAL_CONFIG = """\

@@ -189,7 +189,12 @@ def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
     """certify's (u, eta, beta, h) at t from u* - sqrt((alpha - t) / kappa)
     v*; monotone_newton's where kappa is not positive and finite or h is
     not below 1/2."""
-    v, kappa = _normal_form(instance, fold)
+    return _lower(instance, fold, t, *_normal_form(instance, fold))
+
+
+def _lower(instance: ProblemInstance, fold: FoldPoint, t: float,
+           v: np.ndarray, kappa: float):
+    """certified_below's result, given the fold's normal form (v, kappa)."""
     if 0.0 < kappa < np.inf:
         u, eta, beta, h = certify(
             instance, fold.u - np.sqrt((fold.t - t) / kappa) * v, t)
@@ -226,7 +231,7 @@ def two_solutions(instance: ProblemInstance, t_query: float,
     if t_query >= fold.t:
         raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.t}")
     v, kappa = _predictor(instance, fold)
-    lower = certified_below(instance, fold, t_query)[0]
+    lower = _lower(instance, fold, t_query, v, kappa)[0]
     upper = _second(instance, fold.u + np.sqrt(
         (fold.t - t_query) / kappa) * v, t_query)
     return tuple(SolutionProfile(

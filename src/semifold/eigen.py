@@ -4,9 +4,9 @@ the smallest eigenvalue of a linearization (the stability indicator).
 Inverse power iteration with the tridiagonal direct solve, from one LU
 factorization of the operator less a shift times the weight, as inner
 kernel, started from a given vector or else from 1/(1 + r^2).  An
-instance build above config.COARSE_N passes its coarse twin's first
+instance build above config.LADDER_N passes its twin's first
 eigenfunction, lifted onto its nodes, as the start and the twin's
-lambda1 as the shift, and one step then suffices.  The discrete
+lambda1 as the shift, and a few steps then suffice.  The discrete
 operator is self-adjoint in the cell-volume inner product, so its
 Rayleigh quotient uses that weighting, summed by grid.dot: the module
 makes no BLAS call, so its bits do not depend on the core count.
@@ -75,7 +75,7 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
                     shift: float = 0.0) -> EigenPair:
     """Inverse power iteration from `start`, by default 1/(1 + r^2), on
     one factor of A - shift P.  Each step contracts the error by |lambda1
-    - shift| / |lambda2 - shift|, about 1e-4 at the coarse twin's lambda1
+    - shift| / |lambda2 - shift|, about 1e-4 at a 4000-node twin's lambda1
     (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4).  Each
     step applies A once, for both its Rayleigh quotient and its residual,
     which stops the iteration once it is at most EIGENPAIR_TOL |lambda|

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import COARSE_N
 from .errors import MonotonicityBroken, NoConvergence, SingularOperator
 from .grid import (TridiagonalOperator, dot, factor_tridiagonal,
                    solve_tridiagonal)
@@ -150,14 +151,15 @@ def monotone_newton(inst: ProblemInstance, t: float):
     h < 1/2, which for convex g proves it the minimal solution wherever
     certify started (see certify).
 
-    Above COARSE_N nodes the rise runs on inst's twin, and its limit,
-    lifted onto inst's nodes, starts certify: Newton from a coarse-grid
-    solution needs a number of steps that does not grow with the grid
-    (mesh independence; Allgower, Boehmer, Potra & Rheinboldt 1986).
-    Where the twin's rise raises, or its lifted limit does not certify
-    (as near an upper root, where beta is inf), the rise runs from the
-    subsolution on inst itself, as at n <= COARSE_N."""
-    for level in (inst,) if inst.twin is None else (inst.twin, inst):
+    Above COARSE_N nodes the rise runs on inst's COARSE_N-node twin, and
+    its limit, lifted onto inst's nodes, starts certify: Newton from a
+    coarse-grid solution needs a number of steps that does not grow with
+    the grid (mesh independence; Allgower, Boehmer, Potra & Rheinboldt
+    1986).  Where the twin's rise raises, or its lifted limit does not
+    certify (as near an upper root, where beta is inf), the rise runs
+    from the subsolution on inst itself, as at n <= COARSE_N, where a
+    rise on the 125-node twin moved a near-fold root by 4.5e-7."""
+    for level in (inst.twin, inst) if inst.grid.n > COARSE_N else (inst,):
         try:
             u, steps, defect = monotone_rise(level, t)
         except (MonotonicityBroken, NoConvergence, SingularOperator):
@@ -194,8 +196,8 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     solves for its correction alone; x = J^-1 1 is solved once, after the
     loop, on the returned iterate's own Jacobian, so the proof below
     holds however the loop stopped.  The loop keeps the best iterate's
-    (u, eta) but not its J, which is rebuilt once for x (about 0.3 ms at
-    n = 64000): one more vector held through the loop would raise its
+    (u, eta) but not its J, rebuilt for x unless u is the last (0.3 ms
+    at n = 64000): one more vector held through the loop would raise its
     peak, and ?gttrf + ?gttrs on every iterate costs more than the
     single ?gtsv it would save.
 
@@ -243,9 +245,10 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
         del du
     if best is None:
         return u, np.inf, np.inf, np.inf
-    del J
+    if best[0] is not u:  # else J is J(u) already: the stalled exit
+        del J
+        J = jacobian(inst, best[0])
     u, eta = best
-    J = jacobian(inst, u)
     try:
         x = solve_tridiagonal(J, np.ones(u.size))
     except SingularOperator:

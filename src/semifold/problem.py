@@ -131,7 +131,7 @@ class ProblemInstance:
     weight_values: np.ndarray
     A: TridiagonalOperator
     eigen: EigenPair
-    # the same scenario at config.COARSE_N nodes, above that size
+    # the scenario's next coarser level (config._twin), or None
     twin: "ProblemInstance | None" = None
 
     def forcing_term(self, t: float) -> np.ndarray:

@@ -14,9 +14,10 @@ from semifold.verify import tau_star
 def ladder_fold(inst, t0=None):
     """find_fold on inst's own grid from the minimal solution at t0, by
     default -10 |tau*|.  This is the CLI's ladder only at n <= LADDER_N:
-    above it the CLI climbs on the LADDER_N-node twin and refines the
-    fold once on each finer level (cli._fold), while a fold from here, as
-    acceptance 5's at n = 8000, is the single-level ladder's."""
+    above it the CLI climbs on the bottom of inst's chain of twins and
+    refines the fold once on each level above it (cli._fold), while a
+    fold from here, as acceptance 5's at n = 8000, is the single-level
+    ladder's."""
     ts = tau_star(inst)
     t0 = -10.0 * abs(ts) if t0 is None else t0
     return find_fold(inst, t0, monotone_rise(inst, t0)[0], ts + 1.0)

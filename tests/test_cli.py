@@ -528,23 +528,34 @@ def test_first_row_above_the_fold_is_twos_second_solution(branch_16k,
 @pytest.mark.parametrize("n", [800, 16000])
 def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
-    fold_branch, on the LADDER_N-node twin with or without the 4000-node
-    one, and each manifest keeps the stages of the trace's place.  Both
-    alpha's bound and two's roots come from the fold's normal form, one
-    certify call per point, and neither calls monotone_newton or
-    newton_solve.  Each solves one first eigenpair per grid: above
-    COARSE_N the twin's from the default start, then the fine one from
-    the twin's lifted phi1; last, the ladder's from the default start."""
+    fold_branch, with or without the 4000-node level in the chain, and
+    each manifest keeps the stages of the trace's place.  Both alpha's
+    bound and two's roots come from the fold's normal form, one certify
+    call per point, and neither calls monotone_newton or newton_solve.
+    Each solves one first eigenpair per level of the chain, the
+    LADDER_N-node one first from the default start and each finer one
+    from its twin's lifted phi1, climbs the ladder on the LADDER_N-node
+    level and refines its fold once on each level above it."""
     path = _scenario(tmp_path / "scenario.ini", n)
+    levels = [LADDER_N] + [COARSE_N] * (n > COARSE_N) + [n]
     traced = _recorded_rows(monkeypatch)
-    solved = []
+    solved, climbed, refined = [], [], []
     eigenpair = config.first_eigenpair
 
     def recorded(grid, *args, start=None, **kwargs):
         solved.append((grid.n, start is None))
         return eigenpair(grid, *args, start=start, **kwargs)
 
+    def on_level(fn, sizes):
+        def recorded(inst, *args):
+            sizes.append(inst.grid.n)
+            return fn(inst, *args)
+        return recorded
+
     monkeypatch.setattr(config, "first_eigenpair", recorded)
+    monkeypatch.setattr(cli, "find_fold", on_level(cli.find_fold, climbed))
+    monkeypatch.setattr(cli, "refine_fold",
+                        on_level(cli.refine_fold, refined))
     calls = []
 
     def counted(fn):
@@ -561,12 +572,11 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
                                     counted(getattr(module, name)))
     for argv in (["alpha"], ["two", "--t", "-9"]):
         out = tmp_path / argv[0]
-        calls.clear()
-        solved.clear()
+        for recorded in (calls, solved, climbed, refined):
+            recorded.clear()
         assert main([argv[0], path, *argv[1:], "--outdir", str(out)]) == 0
-        assert solved == ([(n, True)] if n <= COARSE_N
-                          else [(COARSE_N, True), (n, False)]) + [
-                              (LADDER_N, True)]
+        assert solved == [(m, m == LADDER_N) for m in levels]
+        assert climbed == [LADDER_N] and refined == levels[1:]
         stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
         assert {"build_instance", "branch_start", "trace", argv[0]} == \
             set(stages)
@@ -662,11 +672,11 @@ def test_nested_alpha_is_the_single_level_fold(tmp_path, n, keys):
     assert abs(alpha - single) <= 1e-11 * (1.0 + abs(single))
 
 
-def test_only_the_fold_commands_build_the_ladder(scenario, tmp_path,
-                                                 monkeypatch):
-    """solve (each method), eigen, check and verify build the scenario's
-    grid and, above COARSE_N, its twin, but no LADDER_N-node instance;
-    alpha builds that one last."""
+def test_every_command_builds_one_chain(scenario, tmp_path, monkeypatch):
+    """solve (each method), eigen, check, verify and alpha each build the
+    scenario's grid and each coarser level of its chain, the next
+    smaller of COARSE_N and LADDER_N each time, by build_scenario_instance
+    alone."""
     built = []
     build = config.build_scenario_instance
 
@@ -680,12 +690,15 @@ def test_only_the_fold_commands_build_the_ladder(scenario, tmp_path,
     sol = tmp_path / "sol"
     for path, argv, sizes in (
             (fine, ["solve", "--method", "monotone", "--t", "-50",
-                    "--outdir", str(sol)], [16000, COARSE_N]),
-            (scenario, ["solve", "--method", "newton", "--t", "-50"], [800]),
-            (scenario, ["solve", "--method", "picard", "--t", "-50"], [800]),
-            (scenario, ["eigen"], [800]),
-            (scenario, ["check"], [800]),
-            (fine, ["verify", "--solutions", str(sol)], [16000, COARSE_N]),
+                    "--outdir", str(sol)], [16000, COARSE_N, LADDER_N]),
+            (scenario, ["solve", "--method", "newton", "--t", "-50"],
+             [800, LADDER_N]),
+            (scenario, ["solve", "--method", "picard", "--t", "-50"],
+             [800, LADDER_N]),
+            (scenario, ["eigen"], [800, LADDER_N]),
+            (scenario, ["check"], [800, LADDER_N]),
+            (fine, ["verify", "--solutions", str(sol)],
+             [16000, COARSE_N, LADDER_N]),
             (scenario, ["alpha"], [800, LADDER_N])):
         built.clear()
         argv.insert(1, path)
@@ -693,6 +706,48 @@ def test_only_the_fold_commands_build_the_ladder(scenario, tmp_path,
             argv += ["--outdir", str(tmp_path / argv[0])]
         assert main(argv) == 0
         assert built == sizes, argv
+
+
+@pytest.mark.parametrize("n", [800, COARSE_N])
+def test_monotone_solve_rises_on_its_own_grid(tmp_path, monkeypatch, n):
+    """At n <= COARSE_N solve --method monotone rises from the subsolution
+    on the scenario's own grid, not on its LADDER_N-node twin."""
+    rises, rise = [], nonlinear.monotone_rise
+
+    def recorded(inst, *args):
+        rises.append(inst.grid.n)
+        return rise(inst, *args)
+
+    monkeypatch.setattr(nonlinear, "monotone_rise", recorded)
+    assert main(["solve", _scenario(tmp_path / "scenario.ini", n),
+                 "--method", "monotone", "--t", "-9",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    assert rises == [n]
+
+
+def test_refusal_on_the_ladder_level_exits_1(tmp_path, capsys, monkeypatch):
+    """Absolute slopes (5.5, 11) straddle lambda1 = 5.661 at n = 800 but
+    not lambda1 = 5.377 on the LADDER_N-node level of its chain, so
+    every command exits 1 naming that grid; without the chain the
+    scenario's own grid accepts them."""
+    text = SMALL.replace("mu_lower_factor = 0.5", "mu_lower = 5.5").replace(
+        "mu_upper_factor = 2.0", "mu_upper = 11.0")
+    path = tmp_path / "slopes.ini"
+    path.write_text(text)
+    for argv in (["eigen"], ["solve", "--method", "monotone", "--t", "-9"],
+                 ["alpha"]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], str(path), *argv[1:],
+                     "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: slack slopes (5.5, 11.0) do "
+                              "not straddle lambda1 = 5.377")
+        assert err.endswith(f"on the {LADDER_N}-node grid\n")
+        assert json.loads((out / "manifest.json").read_text())[
+            "exit_code"] == 1
+    monkeypatch.setattr(config, "_twin", lambda cfg, n: None)
+    inst = build_scenario_instance(load_config(str(path)))
+    assert 5.5 < inst.eigen.lambda1 < 11.0
 
 
 def test_failed_fine_refinement_exits_2(tmp_path, monkeypatch, capsys):

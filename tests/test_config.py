@@ -7,7 +7,7 @@ import pytest
 
 import semifold as sf
 from semifold import config
-from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS,
+from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS, LADDER_N,
                              build_scenario_instance, load_config,
                              parse_config)
 from semifold.errors import ConfigError
@@ -87,13 +87,19 @@ def test_built_instance_matches_canonical():
         ref.nonlinearity.mu_lower, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [400, COARSE_N, 16000])
-def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
-    """At n <= COARSE_N a build solves one eigenproblem, from the default
-    start with no shift, and has no twin; above it, the COARSE_N-node
-    twin's comes first, and its phi1, lifted, starts the fine one, which
-    is shifted by the twin's lambda1.  The instance keeps that twin,
-    which has none of its own."""
+# the levels of each n's chain, the instance's own grid first
+CHAINS = {LADDER_N: [LADDER_N], 400: [400, LADDER_N],
+          COARSE_N: [COARSE_N, LADDER_N],
+          16000: [16000, COARSE_N, LADDER_N]}
+
+
+@pytest.mark.parametrize("n", list(CHAINS))
+def test_each_twin_is_the_next_smaller_level(n, monkeypatch):
+    """An instance's twin is the scenario at the largest of COARSE_N and
+    LADDER_N below its n, and so on down to LADDER_N, which has none.
+    The build solves one eigenproblem per level, the bottom one first
+    from the default start with no shift, and each level above it from
+    its twin's phi1, lifted, shifted by its twin's lambda1."""
     solved = []
     eigenpair = config.first_eigenpair
 
@@ -102,15 +108,14 @@ def test_a_twin_eigenpair_only_above_coarse_n(n, monkeypatch):
         return eigenpair(grid, A, mP, start=start, shift=shift)
 
     monkeypatch.setattr(config, "first_eigenpair", recorded)
-    inst = sf.canonical_instance(n=n)
-    assert solved == ([(n, True, 0.0)] if n <= COARSE_N
-                      else [(COARSE_N, True, 0.0),
-                            (n, False, inst.twin.eigen.lambda1)])
-    if n <= COARSE_N:
-        assert inst.twin is None
-    else:
-        assert inst.twin.grid.n == COARSE_N
-        assert inst.twin.twin is None
+    levels = [sf.canonical_instance(n=n)]
+    while levels[-1].twin is not None:
+        levels.append(levels[-1].twin)
+    assert [level.grid.n for level in levels] == CHAINS[n]
+    assert solved == [(level.grid.n, level.twin is None,
+                       0.0 if level.twin is None
+                       else level.twin.eigen.lambda1)
+                      for level in reversed(levels)]
 
 
 def test_an_instance_build_holds_only_live_vectors(traced_peak):

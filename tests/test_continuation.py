@@ -604,3 +604,21 @@ def test_two_solutions_straddle_the_fold_point(inst, fold):
     w = inst.grid.volumes * v
     assert np.dot(w, lo.u - fold.u) < 0.0 < np.dot(w, hi.u - fold.u)
     assert lo.stability_mu > 0 > hi.stability_mu
+
+
+def test_two_solutions_forms_the_normal_form_once(inst, fold, monkeypatch):
+    """two_solutions takes the fold's normal form once, for both
+    predictors, and its roots keep their bits."""
+    t_q = fold.t - 1e-3
+    before = two_solutions(inst, t_q, fold)
+    formed, normal_form = [], continuation._normal_form
+
+    def counted(*args):
+        formed.append(args)
+        return normal_form(*args)
+
+    monkeypatch.setattr(continuation, "_normal_form", counted)
+    after = two_solutions(inst, t_q, fold)
+    assert len(formed) == 1
+    for a, b in zip(before, after):
+        assert np.array_equal(a.u, b.u)

@@ -8,6 +8,7 @@ from scipy.linalg import eigh_tridiagonal
 import semifold as sf
 from semifold import eigen
 from semifold import grid as grid_module
+from semifold.config import LADDER_N
 from semifold.eigen import decay_constants, smallest_eigenvalue
 from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
 from semifold.nonlinear import jacobian
@@ -155,7 +156,9 @@ def test_smallest_eigenvalue_rejects_nan_promptly(coarse, entry):
 
 def test_first_eigenpair_factors_once(canonical, monkeypatch):
     """Inverse power iteration runs every step from one ?gttrf factor
-    and makes no ?gtsv solve, yet returns the same eigenpair."""
+    and makes no ?gtsv solve: from the LADDER_N-node twin's lifted phi1,
+    shifted by its lambda1, it returns the build's eigenpair at n = 4000
+    in 2 to 6 steps."""
     calls = {"dgttrf": 0, "dgtsv": 0}
 
     def counted(name):
@@ -168,18 +171,23 @@ def test_first_eigenpair_factors_once(canonical, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(grid_module, name, counted(name))
-    pair = sf.first_eigenpair(canonical.grid, canonical.A,
-                              canonical.weight_values)
+    twin = canonical.twin
+    assert twin.grid.n == LADDER_N
+    pair = sf.first_eigenpair(
+        canonical.grid, canonical.A, canonical.weight_values,
+        start=canonical.grid.lift(twin.grid, twin.eigen.phi1),
+        shift=twin.eigen.lambda1)
     assert calls == {"dgttrf": 1, "dgtsv": 0}
-    assert pair.iterations > 1
+    assert 1 < pair.iterations == canonical.eigen.iterations <= 6
     assert pair.lambda1 == canonical.eigen.lambda1
     assert np.array_equal(pair.phi1, canonical.eigen.phi1)
 
 
-@pytest.mark.parametrize("n", [4000, 16000])
+@pytest.mark.parametrize("n", [LADDER_N, 4000, 16000])
 def test_first_eigenpair_applies_A_once_per_step(n, monkeypatch):
     """Each inverse-iteration step applies A once, and nothing else
-    does: from the default start and from the twin's lifted phi1."""
+    does: from the default start at n = LADDER_N, and above it from the
+    twin's lifted phi1."""
     inst = sf.canonical_instance(n=n)
     start, shift = (None, 0.0) if inst.twin is None else (
         inst.grid.lift(inst.twin.grid, inst.twin.eigen.phi1),

@@ -391,16 +391,16 @@ def test_csv_has_one_writer():
 
 # the calls that assemble an instance's grid, operator and eigenpair
 INSTANCE_PARTS = {"build_grid", "assemble_laplacian", "first_eigenpair"}
-# the node counts of an instance's twins
+# the node counts of the coarser levels of an instance's chain of twins
 TWIN_SIZES = {"COARSE_N", "LADDER_N"}
 
 
 def instance_builds(source: str, builders=frozenset()) -> list:
     """(function, what) of each call of build_scenario_instance, of an
     INSTANCE_PARTS name or of one of `builders`, bare or as an attribute,
-    and of each twin: a `replace(..., grid=...)` call or a use of a
-    TWIN_SIZES name.  `function` is the enclosing top-level definition,
-    "<module>" outside one."""
+    of each twin, a `replace(..., grid=...)` call (what = "twin"), and of
+    each use of a TWIN_SIZES name (what = that name).  `function` is the
+    enclosing top-level definition, "<module>" outside one."""
     called = INSTANCE_PARTS | {"build_scenario_instance"} | set(builders)
     found = []
     for top in ast.parse(source).body:
@@ -415,17 +415,18 @@ def instance_builds(source: str, builders=frozenset()) -> list:
                                                for k in node.keywords):
                     found.append((where, "twin"))
             elif isinstance(node, ast.Name) and node.id in TWIN_SIZES:
-                found.append((where, "twin"))
+                found.append((where, node.id))
     return sorted(found)
 
 
 def instance_builders(source: str) -> set:
     """The top-level functions of `source` that build an instance or a
-    twin (instance_builds), directly or through another of them."""
+    twin (instance_builds), directly or through another of them; reading
+    a TWIN_SIZES name builds nothing."""
     builders = set()
     while True:
-        found = {where for where, _ in instance_builds(source, builders)
-                 if where != "<module>"}
+        found = {where for where, what in instance_builds(source, builders)
+                 if where != "<module>" and what not in TWIN_SIZES}
         if found == builders:
             return builders
         builders = found
@@ -438,36 +439,40 @@ def test_scan_sees_instance_builds():
            "def fold(cfg):\n"
            "    twin = replace(cfg, grid={'n': str(COARSE_N)})\n"
            "    return build_grid(3, 1.0, 5), first_eigenpair(twin)\n"
-           "def ladder(cfg):\n"
-           "    return LADDER_N\n"
+           "def coarse(inst):\n"
+           "    return inst.grid.n > LADDER_N\n"
            "def level(cfg):\n"
-           "    return ladder(cfg), area(cfg)\n"
+           "    return fold(cfg), area(cfg)\n"
            "def area(cfg):\n"
            "    return replace(cfg, weight=None)\n")
     assert instance_builds(src) == [
-        ("fold", "build_grid"), ("fold", "first_eigenpair"), ("fold", "twin"),
-        ("fold", "twin"), ("ladder", "twin"),
+        ("coarse", "LADDER_N"), ("fold", "COARSE_N"), ("fold", "build_grid"),
+        ("fold", "first_eigenpair"), ("fold", "twin"),
         ("start", "build_scenario_instance")]
-    assert instance_builders(src) == {"fold", "ladder", "level", "start"}
-    assert ("level", "ladder") in instance_builds(src, {"ladder"})
+    assert instance_builders(src) == {"fold", "level", "start"}
+    assert ("level", "fold") in instance_builds(src, {"fold"})
 
 
 def test_one_instance_builder():
-    """config assembles every grid, operator and eigenpair, and builds
-    every twin, the ladder's included; cli asks for an instance, through
-    whichever of config's builders, in one place, _Run."""
+    """config assembles every grid, operator and eigenpair, and only its
+    _twin builds the scenario at another n, the next smaller TWIN_SIZES
+    level; cli builds instances only through build_scenario_instance, in
+    one place, _Run.  Outside config a TWIN_SIZES name is only read, by
+    nonlinear.monotone_newton, which rises on the COARSE_N-node level."""
     config = (PACKAGE / "config.py").read_text()
     builders = instance_builders(config)
     builds = {p.name: instance_builds(p.read_text(), builders)
               for p in MODULES}
     whats = {what for _, what in builds["config.py"]}
-    assert INSTANCE_PARTS | {"build_scenario_instance", "twin"} <= whats \
-        <= INSTANCE_PARTS | {"twin"} | builders
+    assert INSTANCE_PARTS | {"build_scenario_instance", "twin"} | TWIN_SIZES \
+        <= whats <= INSTANCE_PARTS | {"twin"} | TWIN_SIZES | builders
+    assert {where for where, what in builds["config.py"]
+            if what in TWIN_SIZES | {"twin"}} == {"<module>", "_twin"}
     assert [(mod, where, what) for mod, found in builds.items()
             if mod != "config.py" for where, what in found
-            if what not in builders] == []
-    assert builds["cli.py"] == [("_Run", "build_ladder_instance"),
-                                ("_Run", "build_scenario_instance")]
+            if what not in builders] == [
+                ("nonlinear.py", "monotone_newton", "COARSE_N")]
+    assert builds["cli.py"] == [("_Run", "build_scenario_instance")]
 
 
 def name_uses(source: str, names: set) -> list:

@@ -136,6 +136,27 @@ def test_certify_holds_few_vectors(traced_peak):
     assert peak <= 9 * 8 * inst.grid.n
 
 
+def test_certify_reuses_the_last_jacobian(monkeypatch):
+    """Where certify stops because its correction no longer halves, the
+    iterate it keeps is the loop's last, and x = J^-1 1 is solved on the
+    J the loop built for it: at n = 16000 and t = -50, from the twin's
+    lifted minimal solution, it builds each iterate's Jacobian once."""
+    inst = sf.canonical_instance(n=16000)
+    t = -50.0
+    u0 = inst.grid.lift(inst.twin.grid, monotone_rise(inst.twin, t)[0])
+    built, build = [], nonlinear.jacobian
+
+    def recorded(inst_, u):
+        built.append(u)
+        return build(inst_, u)
+
+    monkeypatch.setattr(nonlinear, "jacobian", recorded)
+    u, eta, beta, h = certify(inst, u0, t)
+    assert h < 0.5
+    assert built[-1] is u
+    assert len({id(v) for v in built}) == len(built) >= 2
+
+
 def test_picard_matches_newton(inst, minimal):
     pic = picard_solve(inst, build_subsolution(inst, -50.0), -50.0)
     assert np.abs(pic.u - minimal.u).max() < 1e-6 * (1.0 + np.abs(minimal.u).max())
