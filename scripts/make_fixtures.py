@@ -33,6 +33,7 @@ import scipy.linalg
 import semifold as sf
 from semifold.continuation import find_fold
 from semifold.nonlinear import monotone_newton, monotone_rise
+from semifold.problem import rational_decay_weight
 from semifold.verify import tau_star
 
 FIXDIR = Path(__file__).resolve().parents[1] / "tests" / "fixtures"
@@ -49,7 +50,7 @@ def dense_lambda1(R: float, n: int) -> float:
     the top of M's spectrum."""
     grid = sf.build_grid(3, R, n)
     A = sf.assemble_laplacian(grid, "robin_decay")
-    P = sf.canonical_weight().evaluator(grid.nodes)
+    P = rational_decay_weight(3.0)(grid.nodes)
     vol = grid.volumes
     S = np.diag(vol * A.diag)
     idx = np.arange(n - 1)

@@ -17,9 +17,8 @@ from .grid import (RadialGrid, TridiagonalOperator, assemble_laplacian,
 from .nonlinear import (certify, jacobian, monotone_newton, monotone_rise,
                         newton_solve, picard_solve, residual)
 from .problem import (ForcingSpec, NonlinearitySpec, ProblemInstance,
-                      WeightSpec, canonical_weight, check_P1, check_P2,
-                      derive_slack_constants, linear_nonlinearity,
-                      smooth_ramp_nonlinearity)
+                      check_P1, check_P2, derive_slack_constants,
+                      linear_nonlinearity, smooth_ramp_nonlinearity)
 from .subsuper import (OrderedInterval, SolutionProfile, build_subsolution,
                        monotone_iterate)
 from .verify import (VerificationReport, check_comparison, e0_norm,

@@ -383,8 +383,9 @@ def cmd_check(run: _Run, args) -> int:
     inst = run.instance()
     grid = inst.grid
     with run.stage("check"):
-        p1 = check_P1(inst.weight, grid)
-        p2 = check_P2(inst.weight, grid, [0.25 * grid.R, 0.5 * grid.R, grid.R])
+        p1 = check_P1(inst.weight_values, grid)
+        p2 = check_P2(inst.weight_values, grid,
+                      [0.25 * grid.R, 0.5 * grid.R, grid.R])
         nl = inst.nonlinearity
         slack = derive_slack_constants(nl.g, nl.mu_lower, nl.mu_upper)
         sigma = check_sigma_growth(nl, grid.N)

@@ -17,23 +17,23 @@ from functools import partial
 import numpy as np
 
 from .eigen import first_eigenpair
-from .errors import (BadGridConfig, ConfigError, SingularOperator,
-                     SlopeViolation)
+from .errors import (BadGridConfig, ConfigError, SemifoldError,
+                     SingularOperator, SlopeViolation)
 from .grid import (DIRICHLET, ROBIN_DECAY, _checked_row_scale,
                    assemble_laplacian, assemble_weight_mass, build_grid)
-from .problem import (ForcingSpec, ProblemInstance, WeightSpec,
-                      exponential_weight, linear_nonlinearity,
-                      rational_decay_weight, smooth_ramp_nonlinearity,
-                      table_weight)
+from .problem import (ForcingSpec, ProblemInstance, exponential_weight,
+                      linear_nonlinearity, rational_decay_weight,
+                      smooth_ramp_nonlinearity, table_weight)
 
 REQUIRED_SECTIONS = ("weight", "nonlinearity", "forcing", "grid")
 REQUIRED = object()  # the default of a key that must be given
 # the levels of an instance's chain of twins: above n nodes its twin is
 # the scenario at the largest of these below n, so n > 4000 gives n ->
-# 4000 -> 125, 125 < n <= 4000 gives n -> 125, and n <= 125 no twin.
-# Each twin's first eigenfunction starts its parent's eigenpair; alpha,
-# two and branch climb the fold ladder on the chain's bottom and refine
-# its fold once on each level above it (mesh independence of Newton)
+# 4000 -> 125, 125 < n <= 4000 gives n -> 125, and n <= 125 no twin; a
+# level that cannot be built ends the chain (_twin).  Each twin's first
+# eigenfunction starts its parent's eigenpair; alpha, two and branch climb
+# the fold ladder on the chain's bottom and refine its fold once on each
+# level above it (mesh independence of Newton)
 COARSE_N = 4000
 LADDER_N = 125
 
@@ -191,15 +191,14 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def _build_weight(cfg: ScenarioConfig) -> WeightSpec:
+def _build_weight(cfg: ScenarioConfig):
+    """The evaluator r -> P(r) of [weight]."""
     preset = cfg.get("weight", "preset")
     if preset == "rational_decay":
-        evaluator = rational_decay_weight(cfg.get("weight", "power"))
-    elif preset == "exponential":
-        evaluator = exponential_weight(cfg.get("weight", "scale"))
-    else:
-        evaluator = table_weight(*zip(*cfg.get("weight", "table")))
-    return WeightSpec(evaluator, cfg.get("weight", "dimension"))
+        return rational_decay_weight(cfg.get("weight", "power"))
+    if preset == "exponential":
+        return exponential_weight(cfg.get("weight", "scale"))
+    return table_weight(*zip(*cfg.get("weight", "table")))
 
 
 def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
@@ -211,10 +210,9 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     eigenpair's inverse iteration starts from the twin's first
     eigenfunction, interpolated linearly onto the nodes, shifted by the
     twin's lambda1, and takes a few steps where it takes over ten from
-    1/(1 + r^2) unshifted."""
-    weight = _build_weight(cfg)
-    grid = build_grid(weight.N, cfg.get("grid", "r"), cfg.get("grid", "n"),
-                      cfg.get("grid", "stretch"))
+    1/(1 + r^2) unshifted, as it does where the twin cannot be built."""
+    grid = build_grid(cfg.get("weight", "dimension"), cfg.get("grid", "r"),
+                      cfg.get("grid", "n"), cfg.get("grid", "stretch"))
     A = assemble_laplacian(grid, cfg.get("grid", "farfield"))
     try:
         _checked_row_scale(A)
@@ -224,7 +222,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             f"{cfg.get('grid', 'stretch')} is not usable: its operator's "
             f"row sums span more than 1e14 (first cell volume "
             f"{grid.volumes[0]:.1e})") from exc
-    pvals = assemble_weight_mass(grid, weight.evaluator)
+    pvals = assemble_weight_mass(grid, _build_weight(cfg))
     twin = _twin(cfg, grid.n)
     # the lifted start goes to first_eigenpair alone, which frees it
     # once its first step is taken
@@ -251,17 +249,21 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
     # view of one zero adds the same bits as a vector of zeros
     forcing = ForcingSpec(t=cfg.get("forcing", "t"),
                           f1=np.broadcast_to(0.0, grid.n))
-    return ProblemInstance(weight=weight, nonlinearity=nl, forcing=forcing,
-                           grid=grid, weight_values=pvals, A=A, eigen=eig,
-                           twin=twin)
+    return ProblemInstance(nonlinearity=nl, forcing=forcing, grid=grid,
+                           weight_values=pvals, A=A, eigen=eig, twin=twin)
 
 
 def _twin(cfg: ScenarioConfig, n: int) -> ProblemInstance | None:
     """The scenario of `cfg` built at the largest of COARSE_N and LADDER_N
-    below n nodes, or None at n <= LADDER_N."""
+    below n nodes, or None at n <= LADDER_N or where that build raises: a
+    twin only speeds its parent up, and the parent's own build decides the
+    scenario (slopes may straddle lambda1 on its grid but not the twin's)."""
     below = [m for m in (COARSE_N, LADDER_N) if m < n]
-    return build_scenario_instance(replace(
-        cfg, grid={**cfg.grid, "n": str(below[0])})) if below else None
+    try:
+        return build_scenario_instance(replace(
+            cfg, grid={**cfg.grid, "n": str(below[0])})) if below else None
+    except SemifoldError:
+        return None
 
 
 CANONICAL_CONFIG = """\

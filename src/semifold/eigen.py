@@ -4,7 +4,7 @@ the smallest eigenvalue of a linearization (the stability indicator).
 Inverse power iteration with the tridiagonal direct solve, from one LU
 factorization of the operator less a shift times the weight, as inner
 kernel, started from a given vector or else from 1/(1 + r^2).  An
-instance build above config.LADDER_N passes its twin's first
+instance build with a twin (config._twin) passes the twin's first
 eigenfunction, lifted onto its nodes, as the start and the twin's
 lambda1 as the shift, and a few steps then suffice.  The discrete
 operator is self-adjoint in the cell-volume inner product, so its
@@ -55,10 +55,15 @@ class EigenPair:
     lambda1: float
     phi1: np.ndarray
     iterations: int
+    # the last node is pinned by a Dirichlet penalty row (sub[-1] = 0),
+    # which couples it to no other node: phi1's exact entry there is 0
+    pinned: bool = False
 
     def __post_init__(self):
-        if not (self.phi1 > 0.0).all():
-            raise NonPositiveEigenfunction("first eigenfunction must be positive")
+        coupled = self.phi1[:-1] if self.pinned else self.phi1
+        if not ((coupled > 0.0).all() and self.phi1[-1] >= 0.0):
+            raise NonPositiveEigenfunction("first eigenfunction must be "
+                                           "positive at every coupled node")
 
 
 def decay_constants(grid: RadialGrid, phi: np.ndarray) -> DecayWindow:
@@ -118,7 +123,8 @@ def first_eigenpair(grid: RadialGrid, A: TridiagonalOperator, mP: np.ndarray,
                             f"{mass:.3g} on the {grid.n}-node grid: no "
                             f"normalization in floating point")
     x /= np.sqrt(mass)
-    return EigenPair(lambda1=float(lam), phi1=x, iterations=k)
+    return EigenPair(lambda1=float(lam), phi1=x, iterations=k,
+                     pinned=bool(A.sub[-1] == 0.0))
 
 
 def _quotient(grid: RadialGrid, weight_values: np.ndarray, v: np.ndarray,

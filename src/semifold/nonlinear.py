@@ -151,15 +151,17 @@ def monotone_newton(inst: ProblemInstance, t: float):
     h < 1/2, which for convex g proves it the minimal solution wherever
     certify started (see certify).
 
-    Above COARSE_N nodes the rise runs on inst's COARSE_N-node twin, and
-    its limit, lifted onto inst's nodes, starts certify: Newton from a
-    coarse-grid solution needs a number of steps that does not grow with
-    the grid (mesh independence; Allgower, Boehmer, Potra & Rheinboldt
-    1986).  Where the twin's rise raises, or its lifted limit does not
-    certify (as near an upper root, where beta is inf), the rise runs
-    from the subsolution on inst itself, as at n <= COARSE_N, where a
-    rise on the 125-node twin moved a near-fold root by 4.5e-7."""
-    for level in (inst.twin, inst) if inst.grid.n > COARSE_N else (inst,):
+    Above COARSE_N nodes, where inst has its COARSE_N-node twin, the rise
+    runs on the twin, and its limit, lifted onto inst's nodes, starts
+    certify: Newton from a coarse-grid solution needs a number of steps
+    that does not grow with the grid (mesh independence; Allgower,
+    Boehmer, Potra & Rheinboldt 1986).  Where the twin's rise raises, or
+    its lifted limit does not certify (as near an upper root, where beta
+    is inf), the rise runs from the subsolution on inst itself, as at n
+    <= COARSE_N, where a rise on the 125-node twin moved a near-fold root
+    by 4.5e-7."""
+    coarse = inst.grid.n > COARSE_N and inst.twin is not None
+    for level in (inst.twin, inst) if coarse else (inst,):
         try:
             u, steps, defect = monotone_rise(level, t)
         except (MonotonicityBroken, NoConvergence, SingularOperator):

@@ -15,8 +15,7 @@ import numpy as np
 
 from .eigen import EigenPair
 from .errors import (BadGridConfig, BoundarySlackWarning, DivergentMoment,
-                     NonPositiveWeight, ProbeOutOfRange, SlopeViolation,
-                     TailInstabilityWarning)
+                     ProbeOutOfRange, SlopeViolation, TailInstabilityWarning)
 from .grid import RadialGrid, TridiagonalOperator, weighted_integral
 
 TAIL_WARN_REL = 0.01
@@ -51,12 +50,6 @@ def table_weight(radii, values) -> Callable:
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     return lambda r: np.interp(np.asarray(r, dtype=float), radii, values)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    evaluator: Callable
-    N: int
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,6 @@ class ForcingSpec:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    weight: WeightSpec
     nonlinearity: NonlinearitySpec
     forcing: ForcingSpec
     grid: RadialGrid
@@ -139,10 +131,6 @@ class ProblemInstance:
         return self.weight_values * (t * self.eigen.phi1 + self.forcing.f1)
 
 
-def canonical_weight() -> WeightSpec:
-    return WeightSpec(evaluator=rational_decay_weight(3.0), N=3)
-
-
 # ------------------------------------------------------------- hypotheses
 
 def _tail_stability(grid: RadialGrid, integrand: np.ndarray):
@@ -154,11 +142,10 @@ def _tail_stability(grid: RadialGrid, integrand: np.ndarray):
     return full, rel
 
 
-def check_P1(weight: WeightSpec, grid: RadialGrid) -> dict:
-    """Mass and second moment of the weight, with tail-stability flags."""
-    vals = np.asarray(weight.evaluator(grid.nodes), dtype=float)
-    if not (vals > 0.0).all():
-        raise NonPositiveWeight("weight must be strictly positive on the grid")
+def check_P1(vals: np.ndarray, grid: RadialGrid) -> dict:
+    """Mass and second moment of the weight, given by its values `vals`
+    at the nodes (positive: assemble_weight_mass checks them), with
+    tail-stability flags."""
     mass, mass_rel = _tail_stability(grid, vals)
     second, second_rel = _tail_stability(grid, vals * grid.nodes ** 2)
     report = {
@@ -181,14 +168,14 @@ def check_P1(weight: WeightSpec, grid: RadialGrid) -> dict:
     return report
 
 
-def check_P2(weight: WeightSpec, grid: RadialGrid, probe_radii) -> dict:
-    """Riesz-kernel bound: sup over probes of r^{N-2} * int P(y)/|x-y|^{N-2} dy."""
+def check_P2(vals: np.ndarray, grid: RadialGrid, probe_radii) -> dict:
+    """Riesz-kernel bound: sup over probes of r^{N-2} * int P(y)/|x-y|^{N-2} dy,
+    P given by its values `vals` at the nodes."""
     from .verify import riesz_potential
 
     probes = np.atleast_1d(np.asarray(probe_radii, dtype=float))
     if (probes <= 0.0).any() or (probes > grid.R).any():
         raise ProbeOutOfRange(f"probe radii must lie in (0, {grid.R}]")
-    vals = np.asarray(weight.evaluator(grid.nodes), dtype=float)
     # raw kernel integral, without the -Lap normalization constant
     kernel = (grid.N - 2) * grid.sphere_area * riesz_potential(grid, vals)
     at_probes = np.interp(probes, grid.nodes, kernel)
@@ -211,10 +198,13 @@ def check_P2(weight: WeightSpec, grid: RadialGrid, probe_radii) -> dict:
 def derive_slack_constants(g: Callable, mu_lower: float,
                            mu_upper: float) -> dict:
     """Minimal Theta with g(s) >= mu s - Theta for both slack slopes,
-    sampled on [-50, 50]."""
-    if mu_lower >= mu_upper:
+    sampled on [-50, 50].  The slopes may be equal, as the `linear`
+    preset's are; its gap is flat, so the supremum counts as attained at
+    the sampling boundary only where a boundary sample exceeds every
+    interior one."""
+    if mu_lower > mu_upper:
         raise SlopeViolation(
-            f"need mu_lower < mu_upper, got ({mu_lower}, {mu_upper})")
+            f"need mu_lower <= mu_upper, got ({mu_lower}, {mu_upper})")
     num = 20001
     s = np.linspace(-50.0, 50.0, num)
     gs = np.asarray(g(s), dtype=float)
@@ -222,21 +212,18 @@ def derive_slack_constants(g: Callable, mu_lower: float,
     theta = 0.0
     for mu, tail_sign in ((mu_lower, -1), (mu_upper, +1)):
         gap = mu * s - gs
-        k = int(np.argmax(gap))
-        theta = max(theta, float(gap[k]))
-        if k in (0, num - 1):
-            boundary = True
+        theta = max(theta, float(gap.max()))
+        boundary |= bool(max(gap[0], gap[-1]) > gap[1:-1].max())
         # divergence probe on the relevant tail: increments of the gap
         # function must decay, else no finite slack exists for this slope
         tail = gap[-num // 10:] if tail_sign > 0 else gap[:num // 10][::-1]
         inc = np.diff(tail)
-        if inc.size >= 4:
-            lead, trail = inc[:inc.size // 2].sum(), inc[inc.size // 2:].sum()
-            span = max(abs(gap).max(), 1.0)
-            if trail > 1e-8 * span and trail > 0.9 * lead and lead > 0:
-                raise SlopeViolation(
-                    f"gap against slope {mu} keeps growing at the sampling "
-                    "boundary; no finite slack constant")
+        lead, trail = inc[:inc.size // 2].sum(), inc[inc.size // 2:].sum()
+        span = max(abs(gap).max(), 1.0)
+        if trail > 1e-8 * span and trail > 0.9 * lead and lead > 0:
+            raise SlopeViolation(
+                f"gap against slope {mu} keeps growing at the sampling "
+                "boundary; no finite slack constant")
     if boundary:
         warnings.warn("slack supremum attained at the sampling boundary",
                       BoundarySlackWarning)

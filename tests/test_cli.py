@@ -22,7 +22,7 @@ from semifold.cli import main
 from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS, LADDER_N,
                              build_scenario_instance, load_config)
 from semifold.eigen import decay_constants, smallest_eigenvalue
-from semifold.errors import NoConvergence
+from semifold.errors import BoundarySlackWarning, NoConvergence
 from semifold.grid import build_grid, solve_tridiagonal, weighted_integral
 from branching import flipped_curvature, ladder_fold, row_fold
 
@@ -725,29 +725,114 @@ def test_monotone_solve_rises_on_its_own_grid(tmp_path, monkeypatch, n):
     assert rises == [n]
 
 
-def test_refusal_on_the_ladder_level_exits_1(tmp_path, capsys, monkeypatch):
+def _slopes(mu_lower, mu_upper, n=800):
+    """The canonical scenario at n nodes with absolute slack slopes."""
+    return CANONICAL_CONFIG.replace("n = 4000", f"n = {n}").replace(
+        "mu_lower_factor = 0.5", f"mu_lower = {mu_lower}").replace(
+        "mu_upper_factor = 2.0", f"mu_upper = {mu_upper}")
+
+
+def test_scenario_valid_on_its_own_grid_runs_every_command(tmp_path):
     """Absolute slopes (5.5, 11) straddle lambda1 = 5.661 at n = 800 but
-    not lambda1 = 5.377 on the LADDER_N-node level of its chain, so
-    every command exits 1 naming that grid; without the chain the
-    scenario's own grid accepts them."""
-    text = SMALL.replace("mu_lower_factor = 0.5", "mu_lower = 5.5").replace(
-        "mu_upper_factor = 2.0", "mu_upper = 11.0")
+    not lambda1 = 5.377 on the LADDER_N-node level of its chain.  That
+    level would only speed the scenario up, so it is left out: every
+    command exits 0, and alpha climbs the fold ladder on the scenario's
+    own grid."""
     path = tmp_path / "slopes.ini"
-    path.write_text(text)
-    for argv in (["eigen"], ["solve", "--method", "monotone", "--t", "-9"],
-                 ["alpha"]):
+    path.write_text(_slopes(5.5, 11.0))
+    assert build_scenario_instance(load_config(str(path))).twin is None
+    for argv in (["eigen"], ["check"],
+                 ["solve", "--method", "monotone", "--t", "-8"], ["alpha"],
+                 ["two", "--t", "-7"]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], str(path), *argv[1:],
+                     "--outdir", str(out)]) == 0, argv
+    alpha = json.loads((tmp_path / "alpha" / "alpha.json").read_text())
+    assert alpha["coarse_n"] == 800
+
+
+def test_slopes_refused_on_the_scenarios_own_grid_exit_1(tmp_path, capsys):
+    """Slopes (2, 5.5) straddle lambda1 = 5.377 on the LADDER_N-node level
+    but not lambda1 = 5.661 at n = 800: whatever its twin accepts, the
+    scenario's own build refuses them, and every command exits 1 naming
+    the scenario's grid."""
+    path = tmp_path / "slopes.ini"
+    path.write_text(_slopes(2.0, 5.5))
+    for argv in (["eigen"], ["check"],
+                 ["solve", "--method", "monotone", "--t", "-8"], ["alpha"]):
         out = tmp_path / argv[0]
         assert main([argv[0], str(path), *argv[1:],
                      "--outdir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: slack slopes (5.5, 11.0) do "
-                              "not straddle lambda1 = 5.377")
-        assert err.endswith(f"on the {LADDER_N}-node grid\n")
+        assert err.startswith("config error: slack slopes (2.0, 5.5) do "
+                              "not straddle lambda1 = 5.66")
+        assert err.endswith("on the 800-node grid\n")
         assert json.loads((out / "manifest.json").read_text())[
             "exit_code"] == 1
-    monkeypatch.setattr(config, "_twin", lambda cfg, n: None)
-    inst = build_scenario_instance(load_config(str(path)))
-    assert 5.5 < inst.eigen.lambda1 < 11.0
+
+
+def test_check_accepts_the_linear_preset(tmp_path):
+    """The linear preset's equal slopes pass check, which reports
+    theta = 0 and no slack supremum at the sampling boundary: its gap
+    is flat, 0 at every sample."""
+    path = tmp_path / "linear.ini"
+    path.write_text(CANONICAL_CONFIG.replace("n = 4000", "n = 400").replace(
+        "preset = smooth_ramp", "preset = linear\nslope = 1.0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundarySlackWarning)
+        assert main(["check", str(path), "--outdir", str(tmp_path)]) == 0
+    slack = json.loads((tmp_path / "report.json").read_text())["slack"]
+    assert slack == {"theta": 0.0, "boundary_attained": False}
+
+
+@pytest.mark.parametrize("n", [400, COARSE_N, 64000])
+def test_exponential_weight_with_dirichlet_runs(tmp_path, n):
+    """Under Dirichlet phi1 is 0 at R, on every level of the chain, and
+    eigen, solve and alpha still exit 0 with an exponential weight."""
+    path = tmp_path / "exp.ini"
+    path.write_text(CANONICAL_CONFIG.replace("n = 4000", f"n = {n}").replace(
+        "preset = rational_decay", "preset = exponential").replace(
+        "farfield = robin_decay", "farfield = dirichlet"))
+    for argv in (["eigen"], ["solve", "--method", "monotone", "--t", "-20"],
+                 ["alpha"]):
+        assert main([argv[0], str(path), *argv[1:],
+                     "--outdir", str(tmp_path / argv[0])]) == 0, argv
+    phi1 = np.loadtxt(tmp_path / "eigen" / "eigen.csv", delimiter=",",
+                      skiprows=1)[:, 1]
+    assert (phi1[:-1] > 0.0).all() and phi1[-1] == 0.0
+
+
+# the smoke matrix's weights: each preset's lines, absolute slopes that
+# straddle its lambda1 at 400 nodes under either far field, and a t
+# below its fold (at 400 nodes, about -6.7, -2.3 and -6.2 at the lowest)
+SMOKE_WEIGHTS = {
+    "rational_decay": ("preset = rational_decay", (3.0, 11.0), -8.0),
+    "exponential": ("preset = exponential", (0.75, 3.0), -3.0),
+    "table": ("preset = table\ntable = 0:1, 1:0.125, 2:0.008, 4:2.1e-4, "
+              "8:3.6e-6, 16:1.5e-8, 40:2.4e-10", (2.5, 9.0), -7.0),
+}
+
+
+@pytest.mark.parametrize("farfield", ["robin_decay", "dirichlet"])
+@pytest.mark.parametrize("nonlinearity", ["factor", "absolute", "linear"])
+@pytest.mark.parametrize("weight", list(SMOKE_WEIGHTS))
+def test_smoke_matrix(tmp_path, weight, nonlinearity, farfield):
+    """Each weight preset, with factor slopes, absolute slopes or the
+    linear preset, under each far field, is valid on its own 400-node
+    grid, and eigen, check and solve --method monotone each exit 0."""
+    preset, (mu_lower, mu_upper), t = SMOKE_WEIGHTS[weight]
+    text = _slopes(mu_lower, mu_upper, 400) if nonlinearity == "absolute" \
+        else CANONICAL_CONFIG.replace("n = 4000", "n = 400")
+    if nonlinearity == "linear":
+        text = text.replace("preset = smooth_ramp",
+                            "preset = linear\nslope = 1.0")
+    path = tmp_path / "scenario.ini"
+    path.write_text(text.replace("preset = rational_decay", preset).replace(
+        "farfield = robin_decay", f"farfield = {farfield}"))
+    for argv in (["eigen"], ["check"],
+                 ["solve", "--method", "monotone", "--t", str(t)]):
+        assert main([argv[0], str(path), *argv[1:],
+                     "--outdir", str(tmp_path / argv[0])]) == 0, argv
 
 
 def test_failed_fine_refinement_exits_2(tmp_path, monkeypatch, capsys):

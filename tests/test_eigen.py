@@ -1,5 +1,6 @@
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from scipy.linalg import eigh_tridiagonal
 import semifold as sf
 from semifold import eigen
 from semifold import grid as grid_module
-from semifold.config import LADDER_N
+from semifold.config import CANONICAL_CONFIG, LADDER_N
 from semifold.eigen import decay_constants, smallest_eigenvalue
-from semifold.errors import NoConvergence, SemifoldError, ZeroDenominator
+from semifold.errors import (NoConvergence, NonPositiveEigenfunction,
+                             SemifoldError, ZeroDenominator)
 from semifold.nonlinear import jacobian
 from reference import edited_canonical, rayleigh_quotient
 
@@ -90,6 +92,27 @@ def test_dirichlet_tail_has_no_plateau():
     the plateau flag must come back false."""
     inst = edited_canonical(40.0, 1000, farfield="dirichlet")
     assert not decay_constants(inst.grid, inst.eigen.phi1).plateau_ok
+
+
+def test_dirichlet_phi1_is_zero_only_at_the_pinned_node():
+    """The Dirichlet penalty row pins u(R) and couples it to no other
+    node, so phi1's exact entry there is 0: the LADDER_N-node level's
+    unshifted steps reach it, and the lift hands it on to the levels
+    above, as with the weight e^-r.  phi1 stays positive at every other
+    node, and a pair may hold a 0 only at that pinned node."""
+    inst = sf.build_scenario_instance(sf.parse_config(
+        CANONICAL_CONFIG.replace("rational_decay", "exponential").replace(
+            "robin_decay", "dirichlet")))
+    for level in (inst, inst.twin):
+        assert level.eigen.pinned
+        assert (level.eigen.phi1[:-1] > 0.0).all()
+        assert level.eigen.phi1[-1] == 0.0
+    zero_inside = inst.eigen.phi1.copy()
+    zero_inside[1] = 0.0
+    for bad in ({"pinned": False}, {"phi1": zero_inside}):
+        with pytest.raises(NonPositiveEigenfunction):
+            replace(inst.eigen, **bad)
+    assert not edited_canonical(40.0, 400).eigen.pinned
 
 
 def test_second_eigenvalue_above_first(coarse):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import semifold as sf
-from semifold.errors import (DivergentMoment, NotNormalized, ProbeOutOfRange,
-                             SlopeViolation, TailInstabilityWarning)
+from semifold.errors import (BoundarySlackWarning, DivergentMoment,
+                             NotNormalized, ProbeOutOfRange, SlopeViolation,
+                             TailInstabilityWarning)
 from semifold.problem import (check_P1, check_P2, check_sigma_growth,
-                              derive_slack_constants, expit)
+                              derive_slack_constants, expit,
+                              rational_decay_weight)
 from reference import decompose_forcing, edited_canonical
 
 
@@ -36,7 +38,7 @@ def test_expit_is_scipys_to_the_rounding_of_exp():
 def test_weight_mass_oracle(canonical):
     """Closed form: int (1+r^2)^-3 over R^3 = pi^2/4."""
     with pytest.warns(TailInstabilityWarning):
-        rep = check_P1(canonical.weight, canonical.grid)
+        rep = check_P1(canonical.weight_values, canonical.grid)
     assert rep["mass"] == pytest.approx(np.pi ** 2 / 4.0, abs=1e-4)
     assert rep["mass_tail_stable"]
     # the second moment converges like 1/R, so at R = 40 the outer half
@@ -47,33 +49,30 @@ def test_weight_mass_oracle(canonical):
 
 
 def test_second_moment_tail_stabilizes_at_large_radius():
-    weight = sf.canonical_weight()
     grid = sf.build_grid(3, 2000.0, 20000)
-    rep = check_P1(weight, grid)
+    rep = check_P1(rational_decay_weight(3.0)(grid.nodes), grid)
     assert rep["second_moment_tail_stable"]
     assert rep["second_moment"] == pytest.approx(3.0 * np.pi ** 2 / 4.0,
                                                  rel=1e-3)
 
 
 def test_divergent_moment_is_fatal():
-    from semifold.problem import WeightSpec
-
-    slow = WeightSpec(evaluator=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2), N=3)
     grid = sf.build_grid(3, 100.0, 2000)
     with pytest.raises(DivergentMoment):
-        check_P1(slow, grid)
+        check_P1(1.0 / (1.0 + grid.nodes ** 2), grid)
 
 
 def test_kernel_bound_oracle(canonical):
     """Raw kernel of the canonical weight at the origin is exactly pi."""
-    rep = check_P2(canonical.weight, canonical.grid, [10.0, 20.0, 40.0])
+    rep = check_P2(canonical.weight_values, canonical.grid,
+                   [10.0, 20.0, 40.0])
     assert rep["kernel_at_origin"] == pytest.approx(np.pi, abs=1e-3)
     # far field: r * int P/|x-y| -> mass, i.e. scaled value -> pi^2/4
     assert rep["scaled_values"][-1] == pytest.approx(np.pi ** 2 / 4.0,
                                                      abs=1e-3)
     assert rep["nonincreasing_tail"]
     with pytest.raises(ProbeOutOfRange):
-        check_P2(canonical.weight, canonical.grid, [50.0])
+        check_P2(canonical.weight_values, canonical.grid, [50.0])
 
 
 def test_slack_constants_recover_offset(canonical):
@@ -89,6 +88,30 @@ def test_slack_constants_reject_single_slope():
     nl = sf.linear_nonlinearity(2.0)
     with pytest.raises(SlopeViolation):
         derive_slack_constants(nl.g, 1.0, 2.0)
+
+
+def test_slack_constants_accept_equal_slopes():
+    """The linear preset's slopes are equal and its gap is flat, 0 at
+    every sample: theta is 0, and no boundary sample exceeds the interior
+    ones, so no BoundarySlackWarning."""
+    nl = sf.linear_nonlinearity(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundarySlackWarning)
+        rep = derive_slack_constants(nl.g, 2.0, 2.0)
+    assert rep == {"theta": 0.0, "boundary_attained": False}
+
+
+def test_slack_supremum_at_the_sampling_boundary_warns():
+    """A gap that still rises at s = +-50, as -1/(1 + |s|), but slowly
+    enough to settle, peaks at a boundary sample alone."""
+    ramp = sf.smooth_ramp_nonlinearity(1.0, 2.0).g
+
+    def g(s):
+        return ramp(s) + 1.0 / (1.0 + np.abs(s))
+
+    with pytest.warns(BoundarySlackWarning):
+        rep = derive_slack_constants(g, 1.0, 2.0)
+    assert rep["boundary_attained"]
 
 
 def test_slack_constants_reject_bad_ordering():
