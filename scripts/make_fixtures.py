@@ -31,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 import semifold as sf
-from semifold.continuation import find_fold
+from semifold.continuation import find_fold, ladder_range
 from semifold.nonlinear import monotone_newton, monotone_rise
 from semifold.problem import rational_decay_weight
 from semifold.verify import tau_star
@@ -68,10 +68,8 @@ def dense_lambda1(R: float, n: int) -> float:
 
 def fold_alpha(R: float, n: int) -> float:
     inst = sf.canonical_instance(R=R, n=n)
-    ts = tau_star(inst)
-    t_start = -10.0 * abs(ts)
-    start = monotone_rise(inst, t_start)[0]
-    return find_fold(inst, t_start, start, ts + 1.0).t
+    t_start, t_max = ladder_range(inst)
+    return find_fold(inst, t_start, monotone_rise(inst, t_start)[0], t_max).t
 
 
 def main() -> None:

@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
 from .continuation import (certified_below, find_fold, fold_branch,
-                           refine_fold, stability, two_solutions)
+                           ladder_range, refine_fold, stability,
+                           two_solutions)
 from .eigen import decay_constants
 from .errors import ConfigError, NoConvergence, SemifoldError
 from .grid import dot, weighted_integral
@@ -453,14 +454,6 @@ def cmd_solve(run: _Run, args) -> int:
     return 0
 
 
-def _t_range(cfg, inst):
-    """[run] t_start, by default -10 |tau*|, and tau* + 1: the paper
-    leaves no solution above tau*."""
-    ts = tau_star(inst)
-    t_start = cfg.get("run", "t_start")
-    return -10.0 * abs(ts) if t_start is None else t_start, ts + 1.0
-
-
 def emit_bifurcation(inst, rows):
     """The text of `branch.csv` for the (t, u) rows of fold_branch; each
     row's residual, eigensolve and chord are computed here, before any
@@ -487,8 +480,8 @@ def cmd_branch(run: _Run, args) -> int:
     cfg = run.cfg
     with run.stage("branch_rows"):
         rows = emit_bifurcation(inst, fold_branch(
-            inst, point, _t_range(cfg, inst)[0], cfg.get("run", "step_ds"),
-            cfg.get("run", "max_points")))
+            inst, point, ladder_range(inst, cfg.get("run", "t_start"))[0],
+            cfg.get("run", "step_ds"), cfg.get("run", "max_points")))
     run.emit("branch.csv", rows)
     return 0
 
@@ -501,7 +494,7 @@ def _fold(inst, run):
     at [run] t_start, is timed as `branch_start`, and the rest of the
     ladder and the refinements as `trace`."""
     if inst.twin is None:
-        t_start, t_max = _t_range(run.cfg, inst)
+        t_start, t_max = ladder_range(inst, run.cfg.get("run", "t_start"))
         with run.stage("branch_start"):
             u = monotone_rise(inst, t_start)[0]
         with run.stage("trace"):

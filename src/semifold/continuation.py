@@ -24,6 +24,7 @@ from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, _correction_stop,
                         residual)
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile
+from .verify import tau_star
 
 
 class FoldPoint(NamedTuple):
@@ -51,9 +52,9 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
     nonlinear._correction_stop at FOLD_TOL; one that stops contracting
     above FOLD_FLOOR raises NoConvergence.  Each step factors J once, for
     its four right-hand sides -F, P phi1, D p and D q.  J is singular at
-    the fold, and a step may find it exactly so: after a correction at
-    most FOLD_FLOOR, the iterate is on the fold to rounding and is kept;
-    above it, SingularOperator propagates.
+    the fold, and a step may find it exactly so: the iterate is kept where
+    the last correction's square, about the next one, is at most
+    FOLD_FLOOR, on the fold to rounding; else SingularOperator propagates.
 
     Besides the iterate (u, v) and c, a step holds J's factor, p, q, a1
     and a2, and -F, P phi1 and D while they are solved for: -F goes once
@@ -87,7 +88,7 @@ def refine_fold(instance: ProblemInstance, u0: np.ndarray, t0: float,
             a1 = solve_tridiagonal(lu, D)
             del D
         except SingularOperator:
-            if size_prev > FOLD_FLOOR:
+            if size_prev * size_prev > FOLD_FLOOR:
                 raise
             return FoldPoint(u, float(t), v, k)
         ca2 = dot(c, a2)
@@ -125,6 +126,13 @@ def _null_step(J, u: np.ndarray, t: float, v: np.ndarray, c: np.ndarray,
     except SingularOperator:
         return FoldPoint(u, float(t), v, k)
     return FoldPoint(u, float(t), w / dot(c, w), k)
+
+
+def ladder_range(instance: ProblemInstance, t_start=None):
+    """(t_start, t_max) of the fold ladder: t_start, by default -10 |tau*|,
+    and tau* + 1, since the paper leaves no solution above tau*."""
+    ts = tau_star(instance)
+    return -10.0 * abs(ts) if t_start is None else t_start, ts + 1.0
 
 
 def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
@@ -175,42 +183,36 @@ def _normal_form(instance: ProblemInstance, fold: FoldPoint):
     """(v*, kappa): below the fold the two solutions are u* -+ sqrt((alpha
     - t) / kappa) v* + O(alpha - t), v* = v / ||v||_inf signed so that
     <V v*, P phi1> > 0, kappa = <V v*, P g''(u*) v*^2> / (2 <V v*, P
-    phi1>), V v* J(u*)'s left null vector (Keller 1977)."""
+    phi1>), V v* J(u*)'s left null vector (Keller 1977).  NoConvergence
+    where kappa is not positive and finite, which leaves no predictor."""
     P = instance.weight_values
     v = fold.v / np.abs(fold.v).max()
     Vv = instance.grid.volumes * v
     s = dot(Vv, P * instance.eigen.phi1)
     kappa = 0.5 * dot(Vv, P * np.asarray(
         instance.nonlinearity.g_second(fold.u)) * v * v) / s if s else np.nan
+    if not 0.0 < kappa < np.inf:
+        raise NoConvergence(f"no predictor: the fold's kappa is {kappa:.2e}")
     return np.sign(s) * v, kappa
 
 
-def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float):
+def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float,
+                    normal_form=None):
     """certify's (u, eta, beta, h) at t from u* - sqrt((alpha - t) / kappa)
-    v*; monotone_newton's where kappa is not positive and finite or h is
-    not below 1/2."""
-    return _lower(instance, fold, t, *_normal_form(instance, fold))
-
-
-def _lower(instance: ProblemInstance, fold: FoldPoint, t: float,
-           v: np.ndarray, kappa: float):
-    """certified_below's result, given the fold's normal form (v, kappa)."""
-    if 0.0 < kappa < np.inf:
+    v*, with (v*, kappa) the given normal form or else _normal_form's;
+    monotone_newton's where _normal_form raises or h is not below 1/2."""
+    try:
+        v, kappa = (_normal_form(instance, fold) if normal_form is None
+                    else normal_form)
+    except NoConvergence:
+        pass
+    else:
         u, eta, beta, h = certify(
             instance, fold.u - np.sqrt((fold.t - t) / kappa) * v, t)
         if h < 0.5:
             return u, eta, beta, h
     prof, eta, beta, h, _ = monotone_newton(instance, t)
     return prof.u, eta, beta, h
-
-
-def _predictor(instance: ProblemInstance, fold: FoldPoint):
-    """_normal_form's (v*, kappa); NoConvergence where kappa is not
-    positive and finite, which leaves no predictor above the fold."""
-    v, kappa = _normal_form(instance, fold)
-    if not 0.0 < kappa < np.inf:
-        raise NoConvergence(f"no predictor: the fold's kappa is {kappa:.2e}")
-    return v, kappa
 
 
 def _second(instance: ProblemInstance, u0: np.ndarray, t: float):
@@ -230,8 +232,8 @@ def two_solutions(instance: ProblemInstance, t_query: float,
     and finite, or where the second does not converge."""
     if t_query >= fold.t:
         raise QueryPastFold(f"t = {t_query} is not below alpha = {fold.t}")
-    v, kappa = _predictor(instance, fold)
-    lower = _lower(instance, fold, t_query, v, kappa)[0]
+    v, kappa = _normal_form(instance, fold)
+    lower = certified_below(instance, fold, t_query, (v, kappa))[0]
     upper = _second(instance, fold.u + np.sqrt(
         (fold.t - t_query) / kappa) * v, t_query)
     return tuple(SolutionProfile(
@@ -255,7 +257,7 @@ def fold_branch(instance: ProblemInstance, fold: FoldPoint, t_start: float,
     rows are _second's, the first from u* + sigma_1 v*, as in
     two_solutions, and each next from the secant in sigma through the
     two rows before it; they raise NoConvergence as two_solutions does."""
-    v, kappa = _predictor(instance, fold)
+    v, kappa = _normal_form(instance, fold)
     gap = fold.t - t_start
     m = (max_points - 1) // 2
     if 2.0 * gap / step_ds < m:  # so that ceil never sees inf

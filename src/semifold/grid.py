@@ -46,13 +46,9 @@ class RadialGrid:
         return self.nodes.size
 
     @property
-    def sphere_area(self) -> float:
-        return sphere_area(self.N)
-
-    @property
     def faces(self) -> np.ndarray:
         """Cell boundaries: r=0, node midpoints, r=R (length n+1).  Not
-        kept: only assembly and the cell volumes read them."""
+        kept: assembly, the cell volumes and dirichlet_energy read them."""
         r = self.nodes
         return np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [self.R]))
 
@@ -163,8 +159,6 @@ def assemble_laplacian(grid: RadialGrid, farfield: str = ROBIN_DECAY) -> Tridiag
 def assemble_weight_mass(grid: RadialGrid, weight) -> np.ndarray:
     """Diagonal of the weight mass operator: P evaluated at the nodes."""
     vals = np.asarray(weight(grid.nodes), dtype=float)
-    if vals.shape != grid.nodes.shape:
-        vals = np.broadcast_to(vals, grid.nodes.shape).astype(float)
     if not (vals > 0.0).all():
         raise NonPositiveWeight("weight must be strictly positive at all nodes")
     return vals
@@ -254,14 +248,12 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
 
 def weighted_integral(grid: RadialGrid, v: np.ndarray) -> float:
     """Integral of a radial profile over R^N by trapezoidal shell quadrature."""
-    return float(grid.sphere_area
+    return float(sphere_area(grid.N)
                  * np.trapezoid(np.asarray(v) * grid.nodes ** (grid.N - 1), grid.nodes))
 
 
 def dirichlet_energy(grid: RadialGrid, u: np.ndarray) -> float:
     """Integral of |grad u|^2 over R^N, midpoint-flux discrete form."""
-    r = grid.nodes
-    h = np.diff(r)
-    mid = 0.5 * (r[:-1] + r[1:])
-    slopes = np.diff(u) / h
-    return float(grid.sphere_area * np.sum(mid ** (grid.N - 1) * slopes ** 2 * h))
+    h = np.diff(grid.nodes)
+    return float(sphere_area(grid.N) * np.sum(
+        grid.faces[1:-1] ** (grid.N - 1) * (np.diff(u) / h) ** 2 * h))

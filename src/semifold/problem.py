@@ -16,7 +16,8 @@ import numpy as np
 from .eigen import EigenPair
 from .errors import (BadGridConfig, BoundarySlackWarning, DivergentMoment,
                      ProbeOutOfRange, SlopeViolation, TailInstabilityWarning)
-from .grid import RadialGrid, TridiagonalOperator, weighted_integral
+from .grid import (RadialGrid, TridiagonalOperator, sphere_area,
+                   weighted_integral)
 
 TAIL_WARN_REL = 0.01
 TAIL_DIVERGENT_REL = 0.25
@@ -177,7 +178,7 @@ def check_P2(vals: np.ndarray, grid: RadialGrid, probe_radii) -> dict:
     if (probes <= 0.0).any() or (probes > grid.R).any():
         raise ProbeOutOfRange(f"probe radii must lie in (0, {grid.R}]")
     # raw kernel integral, without the -Lap normalization constant
-    kernel = (grid.N - 2) * grid.sphere_area * riesz_potential(grid, vals)
+    kernel = (grid.N - 2) * sphere_area(grid.N) * riesz_potential(grid, vals)
     at_probes = np.interp(probes, grid.nodes, kernel)
     scaled = probes ** (grid.N - 2) * at_probes
     # the kernel of a nonnegative radial source is nonincreasing in r;

@@ -6,9 +6,9 @@ import dataclasses
 import numpy as np
 
 from semifold.config import KEYS
-from semifold.continuation import find_fold, fold_branch, refine_fold
+from semifold.continuation import (find_fold, fold_branch, ladder_range,
+                                   refine_fold)
 from semifold.nonlinear import monotone_rise
-from semifold.verify import tau_star
 
 
 def ladder_fold(inst, t0=None):
@@ -18,9 +18,8 @@ def ladder_fold(inst, t0=None):
     refines the fold once on each level above it (cli._fold), while a
     fold from here, as acceptance 5's at n = 8000, is the single-level
     ladder's."""
-    ts = tau_star(inst)
-    t0 = -10.0 * abs(ts) if t0 is None else t0
-    return find_fold(inst, t0, monotone_rise(inst, t0)[0], ts + 1.0)
+    t0, t_max = ladder_range(inst, t0)
+    return find_fold(inst, t0, monotone_rise(inst, t0)[0], t_max)
 
 
 def make_branch(inst, fold=None, **kwargs):
@@ -30,7 +29,7 @@ def make_branch(inst, fold=None, **kwargs):
     kwargs = {key: KEYS["run"][key][0] for key in ("step_ds", "max_points")
               } | kwargs
     fold = ladder_fold(inst) if fold is None else fold
-    return fold_branch(inst, fold, -10.0 * abs(tau_star(inst)), **kwargs)
+    return fold_branch(inst, fold, ladder_range(inst)[0], **kwargs)
 
 
 def fold_seed(rows, start="mid"):

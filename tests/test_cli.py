@@ -458,7 +458,7 @@ def test_branch_starts_from_the_minimal_solution(scenario, tmp_path,
     assert main(["branch", scenario, "--outdir", str(tmp_path)]) == 0
     cfg = load_config(scenario)
     inst = build_scenario_instance(cfg)
-    t_start = cli._t_range(cfg, inst)[0]
+    t_start = continuation.ladder_range(inst, cfg.get("run", "t_start"))[0]
     t, u = calls[0][1][0]
     assert t == t_start
     assert np.array_equal(u, nonlinear.monotone_rise(inst, t_start)[0])
@@ -769,6 +769,20 @@ def test_slopes_refused_on_the_scenarios_own_grid_exit_1(tmp_path, capsys):
         assert err.endswith("on the 800-node grid\n")
         assert json.loads((out / "manifest.json").read_text())[
             "exit_code"] == 1
+
+
+def test_fold_refined_onto_a_singular_jacobian_exits_0(tmp_path):
+    """Slopes (2, 11) at n = 400: refine_fold, lifted from the 125-node
+    fold, converges quadratically until J factors exactly singular.  Its
+    last correction squared is below FOLD_FLOOR, so the iterate is kept,
+    and alpha lands on the single-level ladder's fold to rounding."""
+    path = tmp_path / "slopes.ini"
+    path.write_text(_slopes(2.0, 11.0, 400))
+    assert main(["alpha", str(path), "--outdir", str(tmp_path)]) == 0
+    alpha = json.loads((tmp_path / "alpha.json").read_text())
+    assert alpha["coarse_n"] == LADDER_N and alpha["certificate_h"] < 0.5
+    ref = ladder_fold(build_scenario_instance(load_config(str(path)))).t
+    assert abs(alpha["alpha_arclength"] - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 def test_check_accepts_the_linear_preset(tmp_path):

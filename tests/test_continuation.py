@@ -7,8 +7,8 @@ import semifold.nonlinear as nonlinear
 from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
                              parse_config)
 from semifold.cli import PROBE_DECADES
-from semifold.continuation import (certified_below, find_fold, refine_fold,
-                                   stability, two_solutions)
+from semifold.continuation import (certified_below, find_fold, ladder_range,
+                                   refine_fold, stability, two_solutions)
 from semifold.errors import (MonotonicityBroken, NoConvergence,
                              NoFoldInBranch, QueryPastFold, SingularOperator)
 from semifold.grid import (TridiagonalOperator, factor_tridiagonal,
@@ -366,9 +366,10 @@ def test_refine_fold_stops_where_the_correction_stops_contracting(
 def test_refine_fold_keeps_an_iterate_whose_jacobian_is_singular(
         inst, fold, monkeypatch, shift, kept):
     """Step 1's factorization finds J exactly singular.  From the
-    converged fold, step 0's correction is at the rounding floor, below
-    FOLD_FLOOR, and its iterate is kept; from t moved by 0.1 it is
-    above, and the SingularOperator propagates."""
+    converged fold, step 0's correction is at the rounding floor, its
+    square below FOLD_FLOOR, and its iterate is kept; from t moved by
+    0.1 it is 1.3e-2, whose square is above, and the SingularOperator
+    propagates."""
     calls = []
 
     def singular_from_step_1(op):
@@ -499,7 +500,7 @@ def test_certify_equals_its_explicit_abs_J_reference(canonical, canonical_fold,
     and J rebuilt for x, are the reference's bit for bit.  The lower root
     certifies; on the upper, J is no M-matrix."""
     fold = canonical_fold
-    v, kappa = continuation._predictor(canonical, fold)
+    v, kappa = continuation._normal_form(canonical, fold)
     t = fold.t - 1.0
     u0 = fold.u + sign * np.sqrt((fold.t - t) / kappa) * v
     u, *cert = certify(canonical, u0, t)
@@ -569,10 +570,9 @@ def test_ladder_stops_below_the_fold(inst, fold, monkeypatch):
     """Every rung the ladder keeps lies below the fold, the first one
     0.25 (1 + |t0|) above t0, and the last within 0.4 (1 + |alpha|) of it,
     close enough for refine_fold to finish in a few steps."""
-    t0 = -10.0 * abs(tau_star(inst))
+    t0, t_max = ladder_range(inst)
     calls = _recorded_rises(monkeypatch)
-    found = find_fold(inst, t0, monotone_rise(inst, t0)[0],
-                      tau_star(inst) + 1.0)
+    found = find_fold(inst, t0, monotone_rise(inst, t0)[0], t_max)
     kept = [t for t, ok in calls if ok]
     assert calls[0][0] == t0 + 0.25 * (1.0 + abs(t0))
     assert kept and max(kept) < fold.t
@@ -582,10 +582,9 @@ def test_ladder_stops_below_the_fold(inst, fold, monkeypatch):
 
 
 def test_a_broken_rise_halves_the_step(inst, fold, monkeypatch):
-    t0 = -10.0 * abs(tau_star(inst))
+    t0, t_max = ladder_range(inst)
     calls = _recorded_rises(monkeypatch, fail_first=True)
-    found = find_fold(inst, t0, monotone_rise(inst, t0)[0],
-                      tau_star(inst) + 1.0)
+    found = find_fold(inst, t0, monotone_rise(inst, t0)[0], t_max)
     assert calls[0] == (t0 + 0.25 * (1.0 + abs(t0)), False)
     assert calls[1] == (t0 + 0.125 * (1.0 + abs(t0)), True)
     assert abs(found.t - fold.t) <= 1e-10
