@@ -31,8 +31,8 @@ import numpy as np
 import scipy.linalg
 
 import semifold as sf
-from semifold.continuation import find_fold, ladder_range
-from semifold.nonlinear import monotone_newton, monotone_rise
+from semifold.continuation import find_fold, first_rung
+from semifold.nonlinear import monotone_newton
 from semifold.problem import rational_decay_weight
 from semifold.verify import tau_star
 
@@ -68,8 +68,7 @@ def dense_lambda1(R: float, n: int) -> float:
 
 def fold_alpha(R: float, n: int) -> float:
     inst = sf.canonical_instance(R=R, n=n)
-    t_start, t_max = ladder_range(inst)
-    return find_fold(inst, t_start, monotone_rise(inst, t_start)[0], t_max).t
+    return find_fold(inst, *first_rung(inst)).t
 
 
 def main() -> None:

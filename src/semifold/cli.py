@@ -25,14 +25,14 @@ import numpy as np
 
 from . import __version__, _lapack
 from .config import ScenarioConfig, build_scenario_instance, load_config
-from .continuation import (certified_below, find_fold, fold_branch,
-                           ladder_range, refine_fold, stability,
+from .continuation import (certified_below, find_fold, first_rung,
+                           fold_branch, refine_fold, stability,
                            two_solutions)
 from .eigen import decay_constants
 from .errors import ConfigError, NoConvergence, SemifoldError
 from .grid import dot, weighted_integral
-from .nonlinear import (monotone_newton, monotone_rise, newton_solve,
-                        picard_solve, residual)
+from .nonlinear import (monotone_newton, newton_solve, picard_solve,
+                        residual)
 from .problem import (check_P1, check_P2, check_sigma_growth,
                       derive_slack_constants)
 from .subsuper import make_profile
@@ -474,13 +474,13 @@ def emit_bifurcation(inst, rows):
 
 def cmd_branch(run: _Run, args) -> int:
     """The rows of fold_branch through the fold that alpha reports,
-    from [run] t_start on the scenario's grid."""
+    from first_rung's at [run] t_start on the scenario's grid."""
     inst = run.instance()
     point = _fold(inst, run)[2]
     cfg = run.cfg
     with run.stage("branch_rows"):
         rows = emit_bifurcation(inst, fold_branch(
-            inst, point, ladder_range(inst, cfg.get("run", "t_start"))[0],
+            inst, point, first_rung(inst, cfg.get("run", "t_start")),
             cfg.get("run", "step_ds"), cfg.get("run", "max_points")))
     run.emit("branch.csv", rows)
     return 0
@@ -490,15 +490,14 @@ def _fold(inst, run):
     """(ladder level, its fold, inst's fold).  The ladder climbs the
     bottom of inst's chain of twins, inst itself where it has none, and
     its fold is refined once on each level above it up to inst, lifted
-    from the level below.  The ladder's first rung, the minimal solution
-    at [run] t_start, is timed as `branch_start`, and the rest of the
+    from the level below.  The ladder's first rung, first_rung's from
+    [run] t_start, is timed as `branch_start`, and the rest of the
     ladder and the refinements as `trace`."""
     if inst.twin is None:
-        t_start, t_max = ladder_range(inst, run.cfg.get("run", "t_start"))
         with run.stage("branch_start"):
-            u = monotone_rise(inst, t_start)[0]
+            rung = first_rung(inst, run.cfg.get("run", "t_start"))
         with run.stage("trace"):
-            found = find_fold(inst, t_start, u, t_max)
+            found = find_fold(inst, *rung)
         return inst, found, found
     level, found, point = _fold(inst.twin, run)
     lift = partial(inst.grid.lift, inst.twin.grid)

@@ -107,7 +107,7 @@ KEYS = {
     "run": {
         "seed": (0, _number(0, integer=True)),
         "outdir": ("out", str),
-        "t_start": (None, _number()),  # None: -10 |tau*|, set where read
+        "t_start": (None, _number()),  # None: continuation.first_rung's
         "step_ds": (2.0, _number(0, strict=True)),
         "max_points": (600, _number(1, integer=True)),
     },

@@ -128,17 +128,34 @@ def _null_step(J, u: np.ndarray, t: float, v: np.ndarray, c: np.ndarray,
     return FoldPoint(u, float(t), w / dot(c, w), k)
 
 
-def ladder_range(instance: ProblemInstance, t_start=None):
-    """(t_start, t_max) of the fold ladder: t_start, by default -10 |tau*|,
-    and tau* + 1, since the paper leaves no solution above tau*."""
-    ts = tau_star(instance)
-    return -10.0 * abs(ts) if t_start is None else t_start, ts + 1.0
+# the most times first_rung steps down from the default footing
+FOOTING_STEPS = 8
 
 
-def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
-              t_max: float) -> FoldPoint:
-    """The fold, from the minimal solution u_start at t_start, by a ladder
-    of minimal solutions and refine_fold from its last rung.
+def first_rung(instance: ProblemInstance, t_start=None):
+    """(t, u) of the fold ladder's first rung: u is monotone_rise's limit
+    from the subsolution at t, the minimal solution there.  t is t_start
+    where given, and is never moved.  By default it is the first of t_k =
+    t0 - (2^k - 1) (1 + |t0|), k = 0 ... FOOTING_STEPS, with t0 = -10
+    |tau*| of the instance's grid, whose rise does not break as past the
+    fold; the last one's error propagates, naming the grid."""
+    if t_start is not None:
+        return t_start, monotone_rise(instance, t_start)[0]
+    t0 = -10.0 * abs(tau_star(instance))
+    for k in range(FOOTING_STEPS + 1):
+        t = t0 - (2 ** k - 1) * (1.0 + abs(t0))
+        try:
+            return t, monotone_rise(instance, t)[0]
+        except (MonotonicityBroken, NoConvergence, SingularOperator) as err:
+            if k == FOOTING_STEPS:
+                err.args = (f"on the {instance.grid.n}-node grid: {err}",)
+                raise
+
+
+def find_fold(instance: ProblemInstance, t_start: float,
+              u_start: np.ndarray) -> FoldPoint:
+    """The fold, from first_rung's (t_start, u_start), by a ladder of
+    minimal solutions and refine_fold from its last rung.
 
     Each rung is monotone_rise from the one below, which is a subsolution
     at the rung's t.  At each, s' = <V P phi1, q> with q = J^-1 P phi1 =
@@ -149,7 +166,9 @@ def find_fold(instance: ProblemInstance, t_start: float, u_start: np.ndarray,
     steps half way to it; the first step, and any step while 1/s'^2 does
     not fall, is that before (0.25 (1 + |t_start|) at first).  A rise
     that breaks, as past the fold, halves the step.  No rung lies above
-    t_max: a ladder that would go past it raises NoFoldInBranch."""
+    t_max = tau* + 1, as the paper leaves no solution above tau*: a
+    ladder that would go past it raises NoFoldInBranch."""
+    t_max = tau_star(instance) + 1.0
     Pphi = instance.weight_values * instance.eigen.phi1
     VPphi = instance.grid.volumes * Pphi
     t, u = float(t_start), u_start
@@ -241,31 +260,33 @@ def two_solutions(instance: ProblemInstance, t_query: float,
         stability(instance, u)) for u in (lower, upper))
 
 
-def fold_branch(instance: ProblemInstance, fold: FoldPoint, t_start: float,
+def fold_branch(instance: ProblemInstance, fold: FoldPoint, rung: tuple,
                 step_ds: float, max_points: int) -> list:
-    """The branch from t_start through the fold and back, as (t, u) rows
-    equally spaced in the normal form's sigma = -+sqrt((alpha - t) /
-    kappa): m rows below the fold, at t_k = t_start + (alpha - t_start)
-    k (2m - k) / m^2 for k = 0 ... m - 1, the fold itself, and m rows
-    above it at the same t in decreasing order.  m = min(ceil(2 (alpha -
-    t_start) / step_ds), (max_points - 1) // 2): there are at most
-    max_points rows, and unless that caps m no two are more than step_ds
-    apart in t (the widest gap is at t_start).
+    """The branch from first_rung's (t_start, u) through the fold and
+    back, as (t, u) rows equally spaced in the normal form's sigma =
+    -+sqrt((alpha - t) / kappa): m rows below the fold, at t_k = t_start
+    + (alpha - t_start) k (2m - k) / m^2 for k = 0 ... m - 1, the fold
+    itself, and m rows above it at the same t in decreasing order.  m =
+    min(ceil(2 (alpha - t_start) / step_ds), (max_points - 1) // 2): there
+    are at most max_points rows, and unless that caps m no two are more
+    than step_ds apart in t (the widest gap is at t_start).
 
-    The lower rows are monotone_rise's limits, the first from the
-    subsolution at t_start and each next from the row below.  The upper
+    The lower rows are minimal solutions: the first is the rung's u, and
+    each next monotone_rise's limit from the row below.  The upper
     rows are _second's, the first from u* + sigma_1 v*, as in
     two_solutions, and each next from the secant in sigma through the
     two rows before it; they raise NoConvergence as two_solutions does."""
+    t_start, u = rung
     v, kappa = _normal_form(instance, fold)
     gap = fold.t - t_start
     m = (max_points - 1) // 2
     if 2.0 * gap / step_ds < m:  # so that ceil never sees inf
         m = math.ceil(2.0 * gap / step_ds)
     ts = [t_start + gap * k * (2 * m - k) / m ** 2 for k in range(m)]
-    rows, u = [], None
-    for t in ts:
-        u = monotone_rise(instance, t, u)[0]
+    rows = []
+    for k, t in enumerate(ts):
+        if k:
+            u = monotone_rise(instance, t, u)[0]
         rows.append((t, u))
     rows.append((fold.t, fold.u))
     for j, t in enumerate(reversed(ts)):

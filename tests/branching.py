@@ -6,30 +6,28 @@ import dataclasses
 import numpy as np
 
 from semifold.config import KEYS
-from semifold.continuation import (find_fold, fold_branch, ladder_range,
+from semifold.continuation import (find_fold, first_rung, fold_branch,
                                    refine_fold)
-from semifold.nonlinear import monotone_rise
 
 
 def ladder_fold(inst, t0=None):
-    """find_fold on inst's own grid from the minimal solution at t0, by
-    default -10 |tau*|.  This is the CLI's ladder only at n <= LADDER_N:
-    above it the CLI climbs on the bottom of inst's chain of twins and
-    refines the fold once on each level above it (cli._fold), while a
-    fold from here, as acceptance 5's at n = 8000, is the single-level
-    ladder's."""
-    t0, t_max = ladder_range(inst, t0)
-    return find_fold(inst, t0, monotone_rise(inst, t0)[0], t_max)
+    """find_fold on inst's own grid from first_rung's rung at t0, by
+    default its own footing.  This is the CLI's ladder only at n <=
+    LADDER_N: above it the CLI climbs on the bottom of inst's chain of
+    twins and refines the fold once on each level above it (cli._fold),
+    while a fold from here, as acceptance 5's at n = 8000, is the
+    single-level ladder's."""
+    return find_fold(inst, *first_rung(inst, t0))
 
 
 def make_branch(inst, fold=None, **kwargs):
-    """fold_branch's (t, u) rows from t0 = -10 |tau*| through `fold`, by
+    """fold_branch's (t, u) rows from first_rung's through `fold`, by
     default ladder_fold's, at the config's default step_ds and
     max_points; keyword arguments override those two."""
     kwargs = {key: KEYS["run"][key][0] for key in ("step_ds", "max_points")
               } | kwargs
     fold = ladder_fold(inst) if fold is None else fold
-    return fold_branch(inst, fold, ladder_range(inst)[0], **kwargs)
+    return fold_branch(inst, fold, first_rung(inst), **kwargs)
 
 
 def fold_seed(rows, start="mid"):

@@ -458,7 +458,7 @@ def test_branch_starts_from_the_minimal_solution(scenario, tmp_path,
     assert main(["branch", scenario, "--outdir", str(tmp_path)]) == 0
     cfg = load_config(scenario)
     inst = build_scenario_instance(cfg)
-    t_start = continuation.ladder_range(inst, cfg.get("run", "t_start"))[0]
+    t_start = continuation.first_rung(inst, cfg.get("run", "t_start"))[0]
     t, u = calls[0][1][0]
     assert t == t_start
     assert np.array_equal(u, nonlinear.monotone_rise(inst, t_start)[0])
@@ -618,6 +618,47 @@ def _scenario(path, n, **keys):
 def _alpha(path, outdir):
     assert main(["alpha", path, "--outdir", str(outdir)]) == 0
     return json.loads((outdir / "alpha.json").read_text())
+
+
+# the inputs whose -10 |tau*| lies above the fold at n = 400
+FOOTING_CASES = {"N4": ("dimension = 3", "dimension = 4"),
+                 "N5": ("dimension = 3", "dimension = 5"),
+                 "offset0": ("offset = 1.0", "offset = 0.0")}
+
+
+def _footing_scenario(path, case, t_start=None):
+    """The canonical scenario at n = 400 with FOOTING_CASES[case]'s line
+    replaced and [run] t_start set where given, written to `path`."""
+    text = CANONICAL_CONFIG.replace("n = 4000", "n = 400").replace(
+        *FOOTING_CASES[case])
+    if t_start is not None:
+        text += f"t_start = {t_start}\n"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", FOOTING_CASES)
+def test_the_default_footing_stands_below_the_fold(tmp_path, case):
+    """The default footing steps down below the fold: alpha, two at
+    alpha - 1 and branch exit 0, and alpha lands on the fold found from an
+    explicit low t_start."""
+    path = _footing_scenario(tmp_path / "default.ini", case)
+    alpha = _alpha(path, tmp_path / "a")["alpha_arclength"]
+    low = _alpha(_footing_scenario(tmp_path / "low.ini", case, -200.0),
+                 tmp_path / "low")["alpha_arclength"]
+    assert abs(alpha - low) <= 1e-10 * (1.0 + abs(alpha))
+    assert main(["two", path, "--t", repr(alpha - 1.0),
+                 "--outdir", str(tmp_path / "two")]) == 0
+    assert main(["branch", path, "--outdir", str(tmp_path / "b")]) == 0
+
+
+@pytest.mark.parametrize("case", FOOTING_CASES)
+def test_an_explicit_footing_above_the_fold_exits_2(tmp_path, capsys, case):
+    """An explicit t_start is never moved: at 0.0, above the fold, alpha
+    exits 2 naming it."""
+    path = _footing_scenario(tmp_path / "s.ini", case, 0.0)
+    assert main(["alpha", path, "--outdir", str(tmp_path)]) == 2
+    assert "no minimal solution at t = 0.0:" in capsys.readouterr().err
 
 
 def _traced_fold(path):

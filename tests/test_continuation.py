@@ -7,7 +7,7 @@ import semifold.nonlinear as nonlinear
 from semifold.config import (CANONICAL_CONFIG, KEYS, build_scenario_instance,
                              parse_config)
 from semifold.cli import PROBE_DECADES
-from semifold.continuation import (certified_below, find_fold, ladder_range,
+from semifold.continuation import (certified_below, find_fold, first_rung,
                                    refine_fold, stability, two_solutions)
 from semifold.errors import (MonotonicityBroken, NoConvergence,
                              NoFoldInBranch, QueryPastFold, SingularOperator)
@@ -232,13 +232,40 @@ def test_certified_bound_within_discretization_error():
         prev = a_arc
 
 
-def test_no_fold_in_short_window(inst):
-    ts = tau_star(inst)
-    t0 = -10.0 * abs(ts)
-    start = monotone_rise(inst, t0)[0]
-    # the ladder may not climb far enough for the branch to turn
-    with pytest.raises(NoFoldInBranch, match="1000-node grid"):
-        find_fold(inst, t0, start, t0 + 3.0)
+def test_no_fold_in_short_window():
+    # a linear g has no fold: the ladder climbs to tau* + 1 = 1 and stops
+    linear = build_scenario_instance(parse_config(CANONICAL_CONFIG.replace(
+        "n = 4000", "n = 1000").replace(
+        "preset = smooth_ramp", "preset = linear\nslope = 2.0")))
+    with pytest.raises(NoFoldInBranch,
+                       match=r"1000-node grid: no fold below t = 1\.0$"):
+        find_fold(linear, *first_rung(linear))
+
+
+def test_a_footing_with_no_rise_names_the_grid_and_its_last_t(
+        inst, monkeypatch):
+    """Where every rise breaks, the default footing steps down to t0 -
+    (2^k - 1) (1 + |t0|) for k = 1 ... FOOTING_STEPS, and the last error
+    propagates, naming the grid; an explicit t_start is tried once."""
+    tried = []
+
+    def broken(inst_, t, u=None):
+        tried.append(t)
+        raise MonotonicityBroken(f"no minimal solution at t = {t}")
+
+    monkeypatch.setattr(continuation, "monotone_rise", broken)
+    t0 = -10.0 * abs(tau_star(inst))
+    steps = [t0 - (2 ** k - 1) * (1.0 + abs(t0))
+             for k in range(continuation.FOOTING_STEPS + 1)]
+    with pytest.raises(MonotonicityBroken) as err:
+        first_rung(inst)
+    assert tried == steps
+    assert str(err.value) == (f"on the 1000-node grid: no minimal solution "
+                              f"at t = {steps[-1]}")
+    tried.clear()
+    with pytest.raises(MonotonicityBroken, match="at t = 5.0$"):
+        first_rung(inst, 5.0)
+    assert tried == [5.0]
 
 
 @pytest.mark.parametrize("gap", [1e-7, 1e-3, 1, 10, 1000])
@@ -529,8 +556,7 @@ def test_find_fold_equals_the_traced_fold(canonical, canonical_branch, t0):
     refine_fold land on the fold refined from the branch rows beside the
     fold."""
     traced = row_fold(canonical, canonical_branch)
-    found = find_fold(canonical, t0, monotone_rise(canonical, t0)[0],
-                      tau_star(canonical) + 1.0)
+    found = find_fold(canonical, *first_rung(canonical, t0))
     assert abs(found.t - traced.t) <= 1e-10
 
 
@@ -570,9 +596,9 @@ def test_ladder_stops_below_the_fold(inst, fold, monkeypatch):
     """Every rung the ladder keeps lies below the fold, the first one
     0.25 (1 + |t0|) above t0, and the last within 0.4 (1 + |alpha|) of it,
     close enough for refine_fold to finish in a few steps."""
-    t0, t_max = ladder_range(inst)
+    t0, u0 = first_rung(inst)
     calls = _recorded_rises(monkeypatch)
-    found = find_fold(inst, t0, monotone_rise(inst, t0)[0], t_max)
+    found = find_fold(inst, t0, u0)
     kept = [t for t, ok in calls if ok]
     assert calls[0][0] == t0 + 0.25 * (1.0 + abs(t0))
     assert kept and max(kept) < fold.t
@@ -582,9 +608,9 @@ def test_ladder_stops_below_the_fold(inst, fold, monkeypatch):
 
 
 def test_a_broken_rise_halves_the_step(inst, fold, monkeypatch):
-    t0, t_max = ladder_range(inst)
+    t0, u0 = first_rung(inst)
     calls = _recorded_rises(monkeypatch, fail_first=True)
-    found = find_fold(inst, t0, monotone_rise(inst, t0)[0], t_max)
+    found = find_fold(inst, t0, u0)
     assert calls[0] == (t0 + 0.25 * (1.0 + abs(t0)), False)
     assert calls[1] == (t0 + 0.125 * (1.0 + abs(t0)), True)
     assert abs(found.t - fold.t) <= 1e-10

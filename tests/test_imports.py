@@ -518,6 +518,56 @@ def test_one_convergence_test_and_one_fold():
             if where != "<module>"] == ["_fold", "_fold"]
 
 
+def footing_rules(source: str) -> list:
+    """The enclosing top-level definition of each product of the number
+    10, of either sign, and an abs() call: the fold ladder's default
+    footing, -10 |tau*|."""
+    def ten(node):
+        try:
+            return abs(ast.literal_eval(node)) == 10
+        except (ValueError, TypeError):
+            return False
+
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                    and any(map(ten, (node.left, node.right))) \
+                    and any(isinstance(side, ast.Call)
+                            and getattr(side.func, "id", None) == "abs"
+                            for side in (node.left, node.right)):
+                found.append(getattr(top, "name", "<module>"))
+    return sorted(found)
+
+
+def test_scan_sees_a_second_footing():
+    src = ("def first_rung(inst):\n"
+           "    return -10.0 * abs(tau_star(inst))\n"
+           "def branch(inst):\n"
+           "    t0 = abs(tau_star(inst)) * 10\n"
+           "    return t0, 10 * tau_star(inst), 2.0 * abs(t0)\n"
+           "START = -10 * abs(TAU)\n")
+    assert footing_rules(src) == ["<module>", "branch", "first_rung"]
+
+
+def test_one_owner_for_the_footing():
+    """Only continuation.first_rung computes the fold ladder's default
+    footing, and in continuation only it and find_fold, for its ceiling
+    tau* + 1, read tau*.  cli and scripts/make_fixtures.py build no first
+    rung themselves: they name neither monotone_rise nor ladder_range."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    script = (SCRIPTS / "make_fixtures.py").read_text()
+    assert {mod: found for mod, text in sources.items()
+            if (found := footing_rules(text))} == {
+        "continuation.py": ["first_rung"]}
+    assert footing_rules(script) == []
+    assert [where for where, _ in name_uses(sources["continuation.py"],
+                                            {"tau_star"})
+            if where != "<module>"] == ["find_fold", "first_rung"]
+    for text in (sources["cli.py"], script):
+        assert name_uses(text, {"monotone_rise", "ladder_range"}) == []
+
+
 def tol_constants(source: str) -> list:
     """Names ending in _TOL that the module assigns at its top level."""
     return sorted(target.id for node in ast.parse(source).body
