@@ -1,8 +1,8 @@
 """Command-line orchestration: check, eigen, solve, branch, alpha, two,
-verify, sweep.  CSV for array data, JSON for scalar reports, plus a
-manifest with content checksums per run.
+verify.  CSV for array data, JSON for scalar reports, plus a manifest
+with content checksums per run.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure,
+Exit codes: 0 success, 1 config or usage error, 2 numerical failure,
 3 verification failure.
 """
 
@@ -428,12 +428,11 @@ def cmd_solve(run: _Run, args) -> int:
         raise ConfigError("--start applies only to --method newton and "
                           "picard; monotone starts from the subsolution")
     inst = run.instance()
-    t = args.t if args.t is not None else inst.forcing.t
     grid = inst.grid
     extra = {}
     with run.stage("solve"):
         if args.method == "monotone":
-            prof, eta, beta, h, defect = monotone_newton(inst, t)
+            prof, eta, beta, h, defect = monotone_newton(inst, args.t)
             extra = {"certificate_eta": eta, "certificate_beta": beta,
                      "certificate_h": h, "subsolution_defect": defect}
         else:
@@ -442,10 +441,10 @@ def cmd_solve(run: _Run, args) -> int:
             else:
                 u0 = np.zeros(grid.n)
             solver = newton_solve if args.method == "newton" else picard_solve
-            prof = solver(inst, u0, t)
+            prof = solver(inst, u0, args.t)
     run.emit("solution.csv", _solution_csv(grid, prof.u))
     dec = decay_constants(grid, np.abs(prof.u) + 1e-300)
-    report = {"converged": True, "t": t, "iterations": prof.iterations,
+    report = {"converged": True, "t": args.t, "iterations": prof.iterations,
               "residual_inf": prof.residual_inf,
               "e0_norm": e0_norm(grid, prof.u),
               "decay_coeff": 0.5 * (dec.C1 + dec.C2), "method": args.method,
@@ -474,36 +473,39 @@ def emit_bifurcation(inst, rows):
 
 def cmd_branch(run: _Run, args) -> int:
     """The rows of fold_branch through the fold that alpha reports,
-    from first_rung's at [run] t_start on the scenario's grid."""
+    from first_rung's at [run] t_start on the scenario's grid: the
+    ladder's own where it climbed that grid."""
     inst = run.instance()
-    point = _fold(inst, run)[2]
+    level, rung, _, point = _fold(inst, run)
     cfg = run.cfg
     with run.stage("branch_rows"):
+        if level is not inst:
+            rung = first_rung(inst, cfg.get("run", "t_start"))
         rows = emit_bifurcation(inst, fold_branch(
-            inst, point, first_rung(inst, cfg.get("run", "t_start")),
-            cfg.get("run", "step_ds"), cfg.get("run", "max_points")))
+            inst, point, rung, cfg.get("run", "step_ds"),
+            cfg.get("run", "max_points")))
     run.emit("branch.csv", rows)
     return 0
 
 
 def _fold(inst, run):
-    """(ladder level, its fold, inst's fold).  The ladder climbs the
-    bottom of inst's chain of twins, inst itself where it has none, and
-    its fold is refined once on each level above it up to inst, lifted
-    from the level below.  The ladder's first rung, first_rung's from
-    [run] t_start, is timed as `branch_start`, and the rest of the
-    ladder and the refinements as `trace`."""
+    """(ladder level, its first rung, its fold, inst's fold).  The ladder
+    climbs the bottom of inst's chain of twins, inst itself where it has
+    none, and its fold is refined once on each level above it up to
+    inst, lifted from the level below.  The ladder's first rung,
+    first_rung's from [run] t_start, is timed as `branch_start`, and the
+    rest of the ladder and the refinements as `trace`."""
     if inst.twin is None:
         with run.stage("branch_start"):
             rung = first_rung(inst, run.cfg.get("run", "t_start"))
         with run.stage("trace"):
             found = find_fold(inst, *rung)
-        return inst, found, found
-    level, found, point = _fold(inst.twin, run)
+        return inst, rung, found, found
+    level, rung, found, point = _fold(inst.twin, run)
     lift = partial(inst.grid.lift, inst.twin.grid)
     with run.stage("trace"):
-        return level, found, refine_fold(inst, lift(point.u), point.t,
-                                         lift(point.v))
+        return level, rung, found, refine_fold(inst, lift(point.u), point.t,
+                                               lift(point.v))
 
 
 # alpha's certified lower bound is the minimal solution at one probe,
@@ -513,7 +515,7 @@ PROBE_DECADES = 6
 
 def cmd_alpha(run: _Run, args) -> int:
     inst = run.instance()
-    level, found, point = _fold(inst, run)
+    level, _, found, point = _fold(inst, run)
     alpha = point.t
     delta = (1.0 + abs(alpha)) / 10.0 ** PROBE_DECADES
     probe = alpha - delta
@@ -533,7 +535,7 @@ def cmd_alpha(run: _Run, args) -> int:
 
 def cmd_two(run: _Run, args) -> int:
     inst = run.instance()
-    point = _fold(inst, run)[2]
+    point = _fold(inst, run)[3]
     with run.stage("two"):
         lower, upper = two_solutions(inst, args.t, point)
     grid = inst.grid
@@ -599,8 +601,7 @@ def cmd_verify(run: _Run, args) -> int:
 COMMANDS = {
     "check": cmd_check, "eigen": cmd_eigen, "solve": cmd_solve,
     "branch": cmd_branch, "alpha": cmd_alpha, "two": cmd_two,
-    # sweep runs eigen once per scenario of --configs (see main)
-    "verify": cmd_verify, "sweep": cmd_eigen,
+    "verify": cmd_verify,
 }
 
 
@@ -614,53 +615,38 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="scenario config file (INI sections "
                        "[weight] [nonlinearity] [forcing] [grid] [run])")
         p.add_argument("--outdir", default=None)
+        if name in ("solve", "two"):
+            p.add_argument("--t", type=float, required=True)
         if name == "solve":
             p.add_argument("--method", default="newton",
                            choices=["monotone", "newton", "picard"])
-            p.add_argument("--t", type=float, default=None)
             p.add_argument("--start", default=None)
-        if name == "two":
-            p.add_argument("--t", type=float, required=True)
         if name == "verify":
             p.add_argument("--solutions", required=True)
-        if name == "sweep":
-            p.add_argument("--configs", nargs="+", required=True)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its help or error
+        return 1 if exc.code else 0  # a usage error is a config error
     keep_heap_pages()
     try:
-        # not an argparse type: its usage errors exit 2
         t = getattr(args, "t", None)
         if t is not None and not np.isfinite(t):
             raise ConfigError(f"--t must be a finite number, got {t}")
         cfg = load_config(args.config)
-        top = _Run(args.command, cfg, _resolve_outdir(cfg, args))
-        runs = [top]
-        if args.command == "sweep":  # one subdir per scenario id
-            scenarios = {c.scenario_id(): c for c in map(load_config,
-                                                         args.configs)}
-            runs = [_Run("eigen", c, top.outdir / sid)
-                    for sid, c in scenarios.items()]
+        run = _Run(args.command, cfg, _resolve_outdir(cfg, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    for run in runs:
-        try:
-            code, error = COMMANDS[run.command](run, args), None
-        except SemifoldError as exc:
-            code, error = (1 if isinstance(exc, ConfigError) else 2), exc
-        if "build_instance" in run.stages:  # refusals write nothing
-            code, error = run.finish(code, error)
-        if run is not top:
-            top.files.update((f"{run.outdir.name}/{name}", digest)
-                             for name, digest in run.files.items())
-        if code:
-            break
-    if args.command == "sweep":  # its own manifest, over its scenarios'
-        code, error = top.finish(code, error)
+    try:
+        code, error = COMMANDS[args.command](run, args), None
+    except SemifoldError as exc:
+        code, error = (1 if isinstance(exc, ConfigError) else 2), exc
+    if "build_instance" in run.stages:  # refusals write nothing
+        code, error = run.finish(code, error)
     if error is not None:
         kind = "config error" if isinstance(error, ConfigError) \
             else "numerical failure"

@@ -97,7 +97,7 @@ KEYS = {
         "offset": (1.0, _number()),
         "slope": (None, _number()),
     },
-    "forcing": {"t": (0.0, _number()), "f1": ("zero", _choice("zero"))},
+    "forcing": {"f1": ("zero", _choice("zero"))},
     "grid": {
         "r": (REQUIRED, _number(0, strict=True)),
         "n": (REQUIRED, _number(5, integer=True)),
@@ -247,8 +247,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
         nl = smooth_ramp_nonlinearity(mu_lo, mu_hi, nlc("offset"))
     # f1 = zero is the only preset a file can name (docs/config.md); a
     # view of one zero adds the same bits as a vector of zeros
-    forcing = ForcingSpec(t=cfg.get("forcing", "t"),
-                          f1=np.broadcast_to(0.0, grid.n))
+    forcing = ForcingSpec(f1=np.broadcast_to(0.0, grid.n))
     return ProblemInstance(nonlinearity=nl, forcing=forcing, grid=grid,
                            weight_values=pvals, A=A, eigen=eig, twin=twin)
 
@@ -279,7 +278,6 @@ mu_upper_factor = 2.0
 offset = 1.0
 
 [forcing]
-t = 0.0
 f1 = zero
 
 [grid]

@@ -3,9 +3,10 @@
 A ladder of minimal solutions, each the warm start of the next, climbs
 towards the fold along an extrapolation of the amplitude derivative,
 and Newton on the extended fold system finishes it.  Below the fold,
-certify corrects the fold's quadratic normal form to each of the two
-solutions (`semifold alpha`'s certified bound and `semifold two`), and
-fold_branch lays the whole branch out in the normal form's coordinate.
+certify's Newton steps correct the fold's quadratic normal form to each
+of the two solutions (`semifold alpha`'s certified bound and `semifold
+two`), and fold_branch lays the whole branch out in the normal form's
+coordinate.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .errors import (MonotonicityBroken, NoConvergence, NoFoldInBranch,
                      QueryPastFold, SingularOperator)
 from .grid import dot, factor_tridiagonal, solve_tridiagonal
 from .nonlinear import (FOLD_FLOOR, FOLD_MAXIT, FOLD_TOL, _correction_stop,
-                        certify, jacobian, monotone_newton, monotone_rise,
-                        residual)
+                        _newton_best, certify, jacobian, monotone_newton,
+                        monotone_rise, residual)
 from .problem import ProblemInstance
 from .subsuper import SolutionProfile
 from .verify import tau_star
@@ -235,9 +236,10 @@ def certified_below(instance: ProblemInstance, fold: FoldPoint, t: float,
 
 
 def _second(instance: ProblemInstance, u0: np.ndarray, t: float):
-    """certify's u at t from u0, the second solution's predictor;
-    NoConvergence where its eta >= FOLD_FLOOR (1 + |u|_inf)."""
-    u, eta = certify(instance, u0, t)[:2]
+    """certify's u at t from u0, the second solution's predictor, without
+    the certificate, which fails off the stable branch; NoConvergence
+    where its eta >= FOLD_FLOOR (1 + |u|_inf)."""
+    u, eta, _ = _newton_best(instance, u0, t)
     if not eta < FOLD_FLOOR * (1.0 + float(np.abs(u).max())):
         raise NoConvergence(f"no converged second solution (eta {eta:.1e})")
     return u

@@ -178,6 +178,37 @@ def monotone_newton(inst: ProblemInstance, t: float):
                         f"certify (h = {h:.2e} >= 1/2)", iterations=steps)
 
 
+def _newton_best(inst: ProblemInstance, u: np.ndarray, t: float):
+    """certify's Newton steps at t from u, as (u, eta, J): the iterate
+    with the smallest correction eta = ||J^-1 F||_inf, that eta, and J(u)
+    where the loop built it for that iterate (the stalled exit), else
+    None.  (u, inf, None) where the first solve finds J singular: a
+    solved correction is finite."""
+    u = np.asarray(u, dtype=float)
+    best = None
+    for _ in range(CERTIFY_MAXIT):
+        J = jacobian(inst, u)
+        F = residual(inst, u, t)
+        np.negative(F, out=F)
+        try:
+            du = solve_tridiagonal(J, F)
+        except SingularOperator:
+            break
+        del F
+        eta = float(np.abs(du).max())
+        if best is not None and not eta < best[1]:
+            break
+        stalled = best is not None and eta > best[1] / CERTIFY_CONTRACTION
+        best = (u, eta)
+        if stalled:
+            break
+        u = u + du
+        del du
+    if best is None:
+        return u, np.inf, None
+    return *best, J if best[0] is u else None
+
+
 def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     """Newton-Kantorovich test for a discrete solution near u.
 
@@ -225,32 +256,11 @@ def certify(inst: ProblemInstance, u: np.ndarray, t: float):
     Rounding in F, in g' and in the matrix entries is not bounded: eta,
     and so h, is a floating-point value."""
     L = float(inst.weight_values.max()) * inst.nonlinearity.g_second_sup
-    u = np.asarray(u, dtype=float)
-    best = None
-    for _ in range(CERTIFY_MAXIT):
+    u, eta, J = _newton_best(inst, u, t)
+    if eta == np.inf:
+        return u, eta, np.inf, np.inf
+    if J is None:
         J = jacobian(inst, u)
-        F = residual(inst, u, t)
-        np.negative(F, out=F)
-        try:
-            du = solve_tridiagonal(J, F)
-        except SingularOperator:
-            break
-        del F
-        eta = float(np.abs(du).max())
-        if best is not None and not eta < best[1]:
-            break
-        stalled = best is not None and eta > best[1] / CERTIFY_CONTRACTION
-        best = (u, eta)
-        if stalled:
-            break
-        u = u + du
-        del du
-    if best is None:
-        return u, np.inf, np.inf, np.inf
-    if best[0] is not u:  # else J is J(u) already: the stalled exit
-        del J
-        J = jacobian(inst, best[0])
-    u, eta = best
     try:
         x = solve_tridiagonal(J, np.ones(u.size))
     except SingularOperator:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -464,6 +465,27 @@ def test_branch_starts_from_the_minimal_solution(scenario, tmp_path,
     assert np.array_equal(u, nonlinear.monotone_rise(inst, t_start)[0])
 
 
+@pytest.mark.parametrize("offset", ["1.0", "0.0"])
+def test_branch_searches_its_footing_once(tmp_path, monkeypatch, offset):
+    """Where the scenario has no twin, branch starts its rows from the
+    ladder's first rung: each rise from the subsolution, failed ones
+    included, runs once (at offset = 0 the footing steps down 4 times)."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(CANONICAL_CONFIG.replace("n = 4000", f"n = {LADDER_N}")
+                    .replace("offset = 1.0", f"offset = {offset}"))
+    rises = []
+    rise = continuation.monotone_rise
+
+    def recorded(inst, t, u=None):
+        if u is None:
+            rises.append(t)
+        return rise(inst, t, u)
+
+    monkeypatch.setattr(continuation, "monotone_rise", recorded)
+    assert main(["branch", str(path), "--outdir", str(tmp_path / "out")]) == 0
+    assert len(rises) == len(set(rises)) == {"1.0": 1, "0.0": 5}[offset]
+
+
 @pytest.mark.parametrize("n", [4000, 64000])
 def test_branch_rows_are_converged(tmp_path, monkeypatch, n):
     """One more Newton correction from every row of branch.csv off the
@@ -530,8 +552,9 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
     """The fold comes from the ladder: neither alpha nor two calls
     fold_branch, with or without the 4000-node level in the chain, and
     each manifest keeps the stages of the trace's place.  Both alpha's
-    bound and two's roots come from the fold's normal form, one certify
-    call per point, and neither calls monotone_newton or newton_solve.
+    bound and two's roots come from the fold's normal form, with one run
+    of certify's Newton steps per point, certified on the stable branch
+    alone, and neither calls monotone_newton or newton_solve.
     Each solves one first eigenpair per level of the chain, the
     LADDER_N-node one first from the default start and each finer one
     from its twin's lifted phi1, climbs the ladder on the LADDER_N-node
@@ -566,7 +589,8 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
 
     # each module calls the name it imported
     for module in (nonlinear, continuation, cli):
-        for name in ("certify", "monotone_newton", "newton_solve"):
+        for name in ("certify", "_newton_best", "monotone_newton",
+                     "newton_solve"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     counted(getattr(module, name)))
@@ -580,7 +604,9 @@ def test_alpha_and_two_trace_no_branch(tmp_path, monkeypatch, n):
         stages = json.loads((out / "manifest.json").read_text())["wall_clock_s"]
         assert {"build_instance", "branch_start", "trace", argv[0]} == \
             set(stages)
-        assert calls == ["certify"] * {"alpha": 1, "two": 2}[argv[0]]
+        assert calls == {"alpha": ["certify", "_newton_best"],
+                         "two": ["certify", "_newton_best",
+                                 "_newton_best"]}[argv[0]]
     assert traced == []
 
 
@@ -1017,6 +1043,56 @@ def test_two_roots_separate_as_the_square_root_of_the_gap(tmp_path):
         assert meta["stability_mu_lower"] > 0.0 > meta["stability_mu_upper"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{cfg}", "--configs", "{cfg}"],
+    ["solve", "{cfg}"],
+    ["solve", "{cfg}", "--method", "monotone"],
+    ["solve", "{cfg}", "--method", "picard"],
+    ["two", "{cfg}"],
+    ["solve", "{cfg}", "--t", "-50", "--method", "bisection"],
+    ["solve", "{cfg}", "--t", "x"],
+    [],
+], ids=["sweep", "solve", "solve-monotone", "solve-picard", "two",
+        "bad-method", "bad-t", "no-command"])
+def test_usage_errors_exit_1(scenario, tmp_path, capsys, argv):
+    """A command line argparse refuses is a usage error: exit 1, as for a
+    config error, with argparse's usage and message on stderr."""
+    rc = main([arg.format(cfg=scenario) for arg in argv]
+              + ["--outdir", str(tmp_path)] * bool(argv))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: semifold") and "error: " in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == main(["solve", "--help"]) == 0
+    assert "--method" in capsys.readouterr().out
+
+
+def test_forcing_t_is_an_unknown_key(tmp_path, capsys):
+    """t is each command's --t, never a key of [forcing]."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(SMALL.replace("f1 = zero", "f1 = zero\nt = -50.0"))
+    assert main(["solve", str(path), "--t", "-50",
+                 "--outdir", str(tmp_path / "out")]) == 1
+    assert "unknown key 't' in section [forcing]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_docs_name_exactly_the_commands():
+    """README's usage block and the command table of docs/config.md name
+    the commands of cli.COMMANDS, in order."""
+    root = Path(__file__).resolve().parents[1]
+    usage = re.search(r"```sh\n(semifold .*?)```",
+                      (root / "README.md").read_text(), re.S).group(1)
+    table = re.search(r"^\| command \| writes \|\n\|---\|---\|\n(.*?)\n\n",
+                      (root / "docs" / "config.md").read_text(),
+                      re.M | re.S).group(1)
+    assert re.findall(r"^semifold (\w+)", usage, re.M) == list(cli.COMMANDS)
+    assert re.findall(r"^\| `(\w+)` \|", table, re.M) == list(cli.COMMANDS)
+
+
 def test_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.ini"
     path.write_text("[weight]\npreset = rational_decay\n")
@@ -1025,11 +1101,6 @@ def test_bad_config_exit_code(tmp_path):
     binary = tmp_path / "binary.ini"
     binary.write_bytes(b"\xff\xfe\x00[weight]")
     assert main(["check", str(binary)]) == 1
-    good = tmp_path / "good.ini"
-    good.write_text(SMALL)
-    assert main(["sweep", str(good), "--configs", str(good),
-                 str(tmp_path / "missing.ini"),
-                 "--outdir", str(tmp_path / "sweep")]) == 1
 
 
 def test_numerical_failure_exit_code(scenario, tmp_path):
@@ -1061,20 +1132,6 @@ def test_outdir_env_override(scenario, tmp_path, monkeypatch):
     assert (target / "eigen.json").exists()
 
 
-def test_sweep_command(scenario, tmp_path):
-    rc = main(["sweep", scenario, "--configs", scenario, scenario,
-               "--outdir", str(tmp_path)])
-    assert rc == 0
-    subdirs = [p for p in tmp_path.iterdir() if p.is_dir()]
-    assert len(subdirs) == 1  # identical configs share a scenario id
-    assert (subdirs[0] / "eigen.json").exists()
-    top = json.loads((tmp_path / "manifest.json").read_text())
-    sid = subdirs[0].name
-    assert top["command"] == "sweep" and top["exit_code"] == 0
-    assert top["files"] == {f"{sid}/{p.name}": _sha(p)
-                            for p in subdirs[0].iterdir()}
-
-
 @pytest.mark.parametrize("old, new", [
     ("stretch = 1.0", "stretch = 0.5"),
     ("dimension = 3", "dimension = 2"),
@@ -1101,7 +1158,6 @@ def test_sweep_command(scenario, tmp_path):
     ("stretch = 1.0", "stretch = nan"),
     ("power = 3.0", "power = nan"),
     ("offset = 1.0", "offset = nan"),
-    ("t = 0.0", "t = nan"),
     ("stretch = 1.0", "strech = 1.05"),
     ("offset = 1.0", "ofset = 5.0"),
     ("power = 3.0", "power = 3.0\nscale = x"),

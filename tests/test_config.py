@@ -24,15 +24,15 @@ def test_round_trip_stability():
 
 def test_scenario_id_tracks_content():
     cfg = parse_config(CANONICAL_CONFIG)
-    other = parse_config(CANONICAL_CONFIG.replace("t = 0.0", "t = 1.0"))
+    other = parse_config(CANONICAL_CONFIG.replace("offset = 1.0",
+                                                  "offset = 2.0"))
     assert cfg.scenario_id() != other.scenario_id()
     assert len(cfg.scenario_id()) == 12
 
 
 def test_missing_section_named_in_error():
     text = "\n".join(line for line in CANONICAL_CONFIG.splitlines()
-                     if "forcing" not in line and "t = 0.0" not in line
-                     and "f1 = zero" not in line)
+                     if "forcing" not in line and "f1 = zero" not in line)
     with pytest.raises(ConfigError, match=r"\[forcing\]"):
         parse_config(text)
 

@@ -109,8 +109,8 @@ def test_branch_without_a_second_solution_raises(inst, fold, monkeypatch,
     """Above the fold the rows are two_solutions' second solutions, and
     raise as it does."""
     if cause == "eta":
-        monkeypatch.setattr(continuation, "certify",
-                            lambda inst, u, t: (u, 1.0, np.inf, np.inf))
+        monkeypatch.setattr(continuation, "_newton_best",
+                            lambda inst, u, t: (u, 1.0, None))
     with pytest.raises(NoConvergence, match=cause):
         make_branch(flipped_curvature(inst) if cause == "kappa" else inst,
                     fold)
@@ -308,14 +308,37 @@ def test_deflation_finds_the_upper_root_far_below_the_fold(
     assert np.abs(sec.u - hi.u).max() <= 1e-9 * (1.0 + np.abs(hi.u).max())
 
 
+def test_second_solution_solves_no_certificate(inst, fold, monkeypatch):
+    """The upper root is certify's iterate, bit for bit, from the Newton
+    corrections alone: certify solves once more, for x = J^-1 1, on a
+    Jacobian that is no M-matrix there."""
+    t = fold.t - 1.0
+    v, kappa = continuation._normal_form(inst, fold)
+    u0 = fold.u + np.sqrt((fold.t - t) / kappa) * v
+    ones = []
+    solve = nonlinear.solve_tridiagonal
+
+    def recorded(op, rhs):
+        ones.append(bool((rhs == 1.0).all()))
+        return solve(op, rhs)
+
+    monkeypatch.setattr(nonlinear, "solve_tridiagonal", recorded)
+    u = continuation._second(inst, u0, t)
+    second = ones[:]
+    ones.clear()
+    u_cert, _, beta, _ = certify(inst, u0, t)
+    assert np.array_equal(u, u_cert) and beta == np.inf
+    assert ones == second + [True] and not any(second)
+
+
 @pytest.mark.parametrize("cause", ["kappa", "eta"])
 def test_no_second_solution_raises(inst, fold, monkeypatch, cause):
     """Where kappa is not positive there is no predictor for the second
     solution, and a second whose correction stays above the rounding
     floor is not returned: both raise NoConvergence."""
     if cause == "eta":
-        monkeypatch.setattr(continuation, "certify",
-                            lambda inst, u, t: (u, 1.0, np.inf, np.inf))
+        monkeypatch.setattr(continuation, "_newton_best",
+                            lambda inst, u, t: (u, 1.0, None))
     with pytest.raises(NoConvergence, match=cause):
         two_solutions(flipped_curvature(inst) if cause == "kappa" else inst,
                       fold.t - 1e-3, fold)

@@ -195,9 +195,10 @@ def test_decompose_requires_normalized_eigenfunction():
 
 def test_forcing_override():
     inst = _SHARED["inst"]
-    inst2 = replace(inst, forcing=replace(inst.forcing, t=3.5))
-    assert inst2.forcing.t == 3.5
-    assert inst.forcing.t == 0.0
+    f1 = np.ones(inst.grid.n)
+    inst2 = replace(inst, forcing=replace(inst.forcing, f1=f1))
+    assert inst2.forcing.f1 is f1
+    assert not inst.forcing.f1.any()
 
 
 def test_validation_survives_python_O():
