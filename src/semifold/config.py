@@ -21,9 +21,10 @@ from .errors import (BadGridConfig, ConfigError, SemifoldError,
                      SingularOperator, SlopeViolation)
 from .grid import (DIRICHLET, ROBIN_DECAY, _checked_row_scale,
                    assemble_laplacian, assemble_weight_mass, build_grid)
-from .problem import (ForcingSpec, ProblemInstance, exponential_weight,
-                      linear_nonlinearity, rational_decay_weight,
-                      smooth_ramp_nonlinearity, table_weight)
+from .problem import (ForcingSpec, ProblemInstance, check_moments,
+                      exponential_weight, linear_nonlinearity,
+                      rational_decay_weight, smooth_ramp_nonlinearity,
+                      table_weight)
 
 REQUIRED_SECTIONS = ("weight", "nonlinearity", "forcing", "grid")
 REQUIRED = object()  # the default of a key that must be given
@@ -202,7 +203,8 @@ def _build_weight(cfg: ScenarioConfig):
 
 
 def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
-    """The one assembly of an instance: grid, weight, operator, first
+    """The one assembly of an instance: grid, weight (its mass and second
+    moment gated by check_moments on this grid), operator, first
     eigenpair, nonlinearity (slopes possibly relative to lambda1), forcing.
 
     Above LADDER_N nodes it first builds the instance's twin (_twin), the
@@ -223,6 +225,7 @@ def build_scenario_instance(cfg: ScenarioConfig) -> ProblemInstance:
             f"row sums span more than 1e14 (first cell volume "
             f"{grid.volumes[0]:.1e})") from exc
     pvals = assemble_weight_mass(grid, _build_weight(cfg))
+    check_moments(pvals, grid)
     twin = _twin(cfg, grid.n)
     # the lifted start goes to first_eigenpair alone, which frees it
     # once its first step is taken

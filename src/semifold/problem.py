@@ -143,29 +143,37 @@ def _tail_stability(grid: RadialGrid, integrand: np.ndarray):
     return full, rel
 
 
-def check_P1(vals: np.ndarray, grid: RadialGrid) -> dict:
+def check_moments(vals: np.ndarray, grid: RadialGrid) -> dict:
     """Mass and second moment of the weight, given by its values `vals`
-    at the nodes (positive: assemble_weight_mass checks them), with
-    tail-stability flags."""
+    at the nodes, with the share of each that the outer half of [0, R]
+    gives.  A share of TAIL_DIVERGENT_REL or more is a DivergentMoment:
+    the paper needs both moments finite.  build_scenario_instance gates
+    every instance on this, on the instance's own grid."""
     mass, mass_rel = _tail_stability(grid, vals)
     second, second_rel = _tail_stability(grid, vals * grid.nodes ** 2)
-    report = {
-        "mass": mass,
-        "second_moment": second,
-        "sup_P": float(vals.max()),
-        "mass_tail_stable": mass_rel < TAIL_WARN_REL,
-        "second_moment_tail_stable": second_rel < TAIL_WARN_REL,
-        "mass_tail_rel": mass_rel,
-        "second_moment_tail_rel": second_rel,
-    }
     for name, rel in (("mass", mass_rel), ("second moment", second_rel)):
         if rel >= TAIL_DIVERGENT_REL:
             raise DivergentMoment(
-                f"{name} gains {rel:.1%} from the outer half of [0, R]; "
-                "the moment looks divergent")
-        if rel >= TAIL_WARN_REL:
-            warnings.warn(f"{name} not tail-stable to 1% on [0, {grid.R}]",
-                          TailInstabilityWarning)
+                f"{name} gains {rel:.1%} from the outer half of [0, "
+                f"{grid.R}] on the {grid.n}-node grid; the moment looks "
+                "divergent")
+    return {"mass": mass, "second_moment": second,
+            "mass_tail_rel": mass_rel, "second_moment_tail_rel": second_rel}
+
+
+def check_P1(vals: np.ndarray, grid: RadialGrid) -> dict:
+    """check_moments' report on the weight given by its values `vals` at
+    the nodes (positive: assemble_weight_mass checks them), with sup P
+    and tail-stability flags; a moment whose outer-half share lies
+    between TAIL_WARN_REL and check_moments' TAIL_DIVERGENT_REL warns."""
+    report = check_moments(vals, grid)
+    report["sup_P"] = float(vals.max())
+    for key in ("mass", "second_moment"):
+        stable = report[f"{key}_tail_rel"] < TAIL_WARN_REL
+        report[f"{key}_tail_stable"] = stable
+        if not stable:
+            warnings.warn(f"{key.replace('_', ' ')} not tail-stable to 1% "
+                          f"on [0, {grid.R}]", TailInstabilityWarning)
     return report
 
 

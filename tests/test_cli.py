@@ -1,4 +1,5 @@
 import configparser
+import contextlib
 import ctypes
 import hashlib
 import io
@@ -23,11 +24,23 @@ from semifold.cli import main
 from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS, LADDER_N,
                              build_scenario_instance, load_config)
 from semifold.eigen import decay_constants, smallest_eigenvalue
-from semifold.errors import BoundarySlackWarning, NoConvergence
+from semifold.errors import (BoundarySlackWarning, NoConvergence,
+                             TailInstabilityWarning)
 from semifold.grid import build_grid, solve_tridiagonal, weighted_integral
 from branching import flipped_curvature, ladder_fold, row_fold
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 800")
+# check's warning where a weight's second moment gains 1-25 % from the
+# outer half of [0, 40], a band that only check reports: 4.4 % for the
+# canonical weight, 5.0 % for the smoke matrix's table
+SECOND_MOMENT_BAND = r"^second moment not tail-stable to 1% on \[0, 40\.0\]$"
+
+
+def _warns_band(argv):
+    """pytest.warns of check's band warning where argv runs check."""
+    if argv[0] != "check":
+        return contextlib.nullcontext()
+    return pytest.warns(TailInstabilityWarning, match=SECOND_MOMENT_BAND)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +55,8 @@ def _sha(path):
 
 
 def test_check_command(scenario, tmp_path):
-    rc = main(["check", scenario, "--outdir", str(tmp_path)])
+    with _warns_band(["check"]):
+        rc = main(["check", scenario, "--outdir", str(tmp_path)])
     assert rc == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["comparison_principle"] is True
@@ -646,9 +660,11 @@ def _alpha(path, outdir):
     return json.loads((outdir / "alpha.json").read_text())
 
 
-# the inputs whose -10 |tau*| lies above the fold at n = 400
+# the inputs whose -10 |tau*| lies above the fold at n = 400; at N = 5
+# power 4 keeps P's second moment finite, as the moment gate requires
 FOOTING_CASES = {"N4": ("dimension = 3", "dimension = 4"),
-                 "N5": ("dimension = 3", "dimension = 5"),
+                 "N5": ("power = 3.0\ndimension = 3",
+                        "power = 4.0\ndimension = 5"),
                  "offset0": ("offset = 1.0", "offset = 0.0")}
 
 
@@ -771,7 +787,8 @@ def test_every_command_builds_one_chain(scenario, tmp_path, monkeypatch):
         argv.insert(1, path)
         if "--outdir" not in argv:
             argv += ["--outdir", str(tmp_path / argv[0])]
-        assert main(argv) == 0
+        with _warns_band(argv):
+            assert main(argv) == 0
         assert built == sizes, argv
 
 
@@ -812,8 +829,9 @@ def test_scenario_valid_on_its_own_grid_runs_every_command(tmp_path):
                  ["solve", "--method", "monotone", "--t", "-8"], ["alpha"],
                  ["two", "--t", "-7"]):
         out = tmp_path / argv[0]
-        assert main([argv[0], str(path), *argv[1:],
-                     "--outdir", str(out)]) == 0, argv
+        with _warns_band(argv):
+            assert main([argv[0], str(path), *argv[1:],
+                         "--outdir", str(out)]) == 0, argv
     alpha = json.loads((tmp_path / "alpha" / "alpha.json").read_text())
     assert alpha["coarse_n"] == 800
 
@@ -859,7 +877,7 @@ def test_check_accepts_the_linear_preset(tmp_path):
     path = tmp_path / "linear.ini"
     path.write_text(CANONICAL_CONFIG.replace("n = 4000", "n = 400").replace(
         "preset = smooth_ramp", "preset = linear\nslope = 1.0"))
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _warns_band(["check"]):
         warnings.simplefilter("error", BoundarySlackWarning)
         assert main(["check", str(path), "--outdir", str(tmp_path)]) == 0
     slack = json.loads((tmp_path / "report.json").read_text())["slack"]
@@ -912,8 +930,12 @@ def test_smoke_matrix(tmp_path, weight, nonlinearity, farfield):
         "farfield = robin_decay", f"farfield = {farfield}"))
     for argv in (["eigen"], ["check"],
                  ["solve", "--method", "monotone", "--t", str(t)]):
-        assert main([argv[0], str(path), *argv[1:],
-                     "--outdir", str(tmp_path / argv[0])]) == 0, argv
+        # the exponential weight's moments gain under 1e-4 from the outer
+        # half, the other two weights' second moments 4-5 %
+        with contextlib.nullcontext() if weight == "exponential" \
+                else _warns_band(argv):
+            assert main([argv[0], str(path), *argv[1:],
+                         "--outdir", str(tmp_path / argv[0])]) == 0, argv
 
 
 def test_failed_fine_refinement_exits_2(tmp_path, monkeypatch, capsys):
@@ -1169,11 +1191,75 @@ def test_outdir_env_override(scenario, tmp_path, monkeypatch):
     ("preset = rational_decay", "preset = table\ntable = 40:0.1, 10:0.5, 0:1"),
 ])
 def test_config_mistakes_exit_1(tmp_path, old, new):
-    # check builds what eigen builds, then tests the hypotheses on P:
-    # power = 1e6 underflows P to 0 at the nodes, power = -1 makes it grow
+    # every build tests the hypotheses on P: power = 1e6 underflows P to 0
+    # at the nodes, and power = -1 makes it grow (its mass diverges)
     path = tmp_path / "bad.ini"
     path.write_text(SMALL.replace(old, new))
     assert main(["check", str(path), "--outdir", str(tmp_path / "out")]) == 1
+
+
+# weights off the paper's hypotheses on P (finite mass and second moment):
+# the canonical file's [weight] power and dimension, and the share of the
+# moment that the outer half of [0, 40] gives on the 400-node grid
+REFUSED_WEIGHTS = {
+    "N5": ("power = 3.0\ndimension = 5", "second moment gains 53.7%"),
+    "N6": ("power = 3.0\ndimension = 6", "second moment gains 75.7%"),
+    "N7": ("power = 3.0\ndimension = 7", "mass gains 53.7%"),
+    "N8": ("power = 3.0\ndimension = 8", "mass gains 75.7%"),
+    "N10-power6": ("power = 6.0\ndimension = 10",
+                   "second moment gains 27.0%"),
+    "power2": ("power = 2.0\ndimension = 3", "second moment gains 52.9%"),
+    "power1.5": ("power = 1.5\ndimension = 3", "second moment gains 75.4%"),
+    "power1": ("power = 1.0\ndimension = 3", "mass gains 51.9%"),
+    "power-1": ("power = -1.0\ndimension = 3", "mass gains 96.9%"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_WEIGHTS)
+def test_weights_off_the_hypotheses_exit_1(tmp_path, capsys, monkeypatch,
+                                           case):
+    """Every command refuses a weight whose mass or second moment looks
+    divergent on the scenario's grid: it exits 1 naming the moment, its
+    share and the grid, before an eigenpair is solved, and its manifest,
+    the one file written, records a DivergentMoment."""
+    lines, share = REFUSED_WEIGHTS[case]
+    path = tmp_path / "weight.ini"
+    path.write_text(CANONICAL_CONFIG.replace("n = 4000", "n = 400").replace(
+        "power = 3.0\ndimension = 3", lines))
+    sol = tmp_path / "sol"
+    sol.mkdir()
+    (sol / "report.json").write_text('{"t": -8.0}')
+    extra = {"solve": ["--t", "-8"], "two": ["--t", "-9"],
+             "verify": ["--solutions", str(sol)]}
+    monkeypatch.setattr(config, "first_eigenpair", None)
+    for name in cli.COMMANDS:
+        out = tmp_path / name
+        assert main([name, str(path), *extra.get(name, []),
+                     "--outdir", str(out)]) == 1, name
+        assert capsys.readouterr().err == (
+            f"config error: {share} from the outer half of [0, 40.0] on "
+            "the 400-node grid; the moment looks divergent\n"), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"]["type"] == "DivergentMoment", name
+        assert [f.name for f in out.iterdir()] == ["manifest.json"], name
+
+
+@pytest.mark.parametrize("lines, band", [
+    ("power = 3.0\ndimension = 4", True),
+    ("power = 4.0\ndimension = 5", True),
+    ("power = 8.0\ndimension = 10", False),
+], ids=["N4", "N5-power4", "N10-power8"])
+def test_weights_on_the_hypotheses_pass_check(tmp_path, lines, band):
+    """Off N = 3, power 3, weights whose mass and second moment gain under
+    25 % from the outer half pass the moment gate: check exits 0, warning
+    where a share reaches 1 % (N = 4: 23.5 %, N = 5 at power 4: 5.3 %)."""
+    path = tmp_path / "weight.ini"
+    path.write_text(CANONICAL_CONFIG.replace("n = 4000", "n = 400").replace(
+        "power = 3.0\ndimension = 3", lines))
+    with _warns_band(["check"]) if band else contextlib.nullcontext():
+        assert main(["check", str(path), "--outdir", str(tmp_path)]) == 0
+    p1 = json.loads((tmp_path / "report.json").read_text())["P1"]
+    assert max(p1["mass_tail_rel"], p1["second_moment_tail_rel"]) < 0.25
 
 
 @pytest.mark.parametrize("key", ["eigen_tol", "newton_tol"])
@@ -1218,12 +1304,16 @@ def test_unusable_stretched_grid_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_unnormalizable_eigenfunction_exits_2(tmp_path, capsys):
-    """At dimension 400, r = 1.5 and n = 5 the eigenfunction's P-weighted
-    integral underflows to 0: eigen exits 2 with a message, writes no
-    eigen.csv and raises no RuntimeWarning."""
+    """At dimension 400, r = 1.5 and n = 5, with P = 1 out to r = 0.75 and
+    at most 1e-100 beyond, the weight's mass lies in the inner half, so
+    the moment gate passes, and the eigenfunction's P-weighted integral
+    underflows to 0: eigen exits 2 with a message, writes no eigen.csv
+    and raises no RuntimeWarning."""
     path = tmp_path / "d400.ini"
     path.write_text(SMALL.replace("dimension = 3", "dimension = 400")
-                    .replace("r = 40.0", "r = 1.5").replace("n = 800", "n = 5"))
+                    .replace("r = 40.0", "r = 1.5").replace("n = 800", "n = 5")
+                    .replace("preset = rational_decay", "preset = table\n"
+                             "table = 0:1, 0.75:1, 1.125:1e-100, 1.5:1e-150"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["eigen", str(path), "--outdir", str(tmp_path / "out")])
@@ -1250,7 +1340,8 @@ def test_blocked_output_file_exits_1(scenario, tmp_path, capsys, argv,
     """An output name taken by a directory is a config error naming the
     file, not an IsADirectoryError traceback."""
     (tmp_path / blocked).mkdir()
-    assert main([argv[0], scenario, "--outdir", str(tmp_path)]) == 1
+    with _warns_band(argv):
+        assert main([argv[0], scenario, "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write ")
     assert str(tmp_path / blocked) in err
@@ -1347,8 +1438,14 @@ def test_config_values_never_escape(data):
         with open(path, "w") as fh:
             cp.write(fh)
         for argv in commands:
-            rc = main(argv[:1] + [str(path), "--outdir", tmp] + argv[1:])
+            # whether check's band warning is due depends on the value
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TailInstabilityWarning)
+                rc = main(argv[:1] + [str(path), "--outdir", tmp] + argv[1:])
             assert rc in (0, 1, 2, 3)
+            assert all(re.match(r"(mass|second moment) not tail-stable to "
+                                r"1% on \[0, ", str(w.message))
+                       for w in caught)
             if value in ("nan", "inf", "-inf") and key != "outdir":
                 assert rc == 1
 

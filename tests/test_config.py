@@ -10,7 +10,7 @@ from semifold import config
 from semifold.config import (CANONICAL_CONFIG, COARSE_N, KEYS, LADDER_N,
                              build_scenario_instance, load_config,
                              parse_config)
-from semifold.errors import ConfigError
+from semifold.errors import ConfigError, DivergentMoment
 
 SMALL = CANONICAL_CONFIG.replace("n = 4000", "n = 400")
 
@@ -171,13 +171,18 @@ def test_linear_preset_skips_straddle_check():
 
 
 def test_table_weight_preset():
+    """The table's pairs are P at their radii.  A table that stays at 0.1
+    out to R = 40 has a divergent mass and is refused (check_moments)."""
     text = SMALL.replace("preset = rational_decay",
-                         "preset = table\ntable = 0:1, 10:0.5, 40:0.1"
-                         ).replace("power = 3.0", "")
-    cfg = parse_config(text)
-    inst = build_scenario_instance(cfg)
+                         "preset = table\ntable = 0:1, 2:0.008, 4:2.1e-4, "
+                         "16:1.5e-8, 40:2.4e-10").replace("power = 3.0", "")
+    inst = build_scenario_instance(parse_config(text))
     assert inst.weight_values[0] == pytest.approx(1.0)
-    assert inst.weight_values[-1] == pytest.approx(0.1)
+    assert inst.weight_values[-1] == pytest.approx(2.4e-10)
+    flat = text.replace("2:0.008, 4:2.1e-4, 16:1.5e-8, 40:2.4e-10",
+                        "10:0.5, 40:0.1")
+    with pytest.raises(DivergentMoment, match="^mass gains"):
+        build_scenario_instance(parse_config(flat))
 
 
 def test_table_radii_must_increase_strictly():

@@ -4,8 +4,9 @@ and operators keep no cached vectors, every public top-level function or
 class has a use in the package or is exported, every export is reached
 from a CLI command or a script (test-only code lives in `tests/`), every
 defaulted parameter is set by some call outside the tests, one module
-builds instances, and the package imports only the third-party modules
-it needs, so a cold start stays small.
+builds instances, one function decides the moment hypotheses on P, and
+the package imports only the third-party modules it needs, so a cold
+start stays small.
 
 No linter ships with the test dependencies, so these are plain `ast`
 scans.  `__init__.py` is exempt from the import scan: its imports are the
@@ -566,6 +567,52 @@ def test_one_owner_for_the_footing():
             if where != "<module>"] == ["find_fold", "first_rung"]
     for text in (sources["cli.py"], script):
         assert name_uses(text, {"monotone_rise", "ladder_range"}) == []
+
+
+def raises_of(source: str, error: str) -> list:
+    """The enclosing top-level definition of each `raise` of `error`,
+    called or bare, by name or as an attribute."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if getattr(exc, "id", getattr(exc, "attr", None)) == error:
+                    found.append(getattr(top, "name", "<module>"))
+    return sorted(found)
+
+
+def test_scan_sees_raises_of_an_error():
+    src = ("from .errors import DivergentMoment\n"
+           "def gate(share):\n"
+           "    if share > 0.25:\n"
+           "        raise DivergentMoment('mass')\n"
+           "    raise errors.DivergentMoment\n"
+           "class Report:\n"
+           "    def check(self):\n"
+           "        raise DivergentMoment('second moment') from None\n"
+           "def other(exc):\n"
+           "    raise ValueError(DivergentMoment)\n"
+           "    raise\n")
+    assert raises_of(src, "DivergentMoment") == ["Report", "gate", "gate"]
+
+
+def test_one_owner_for_the_moment_gate():
+    """Only problem.check_moments raises DivergentMoment, and only
+    config.build_scenario_instance, which gates every instance on it, and
+    problem.check_P1, which reports it, call check_moments: every command
+    refuses the weights that check refuses."""
+    sources = {p.name: p.read_text() for p in MODULES}
+    script = (SCRIPTS / "make_fixtures.py").read_text()
+    assert {mod: found for mod, text in sources.items()
+            if (found := raises_of(text, "DivergentMoment"))} == {
+        "problem.py": ["check_moments"]}
+    assert {mod: found for mod, text in sources.items()
+            if (found := [where for where, _ in
+                          name_uses(text, {"check_moments"})
+                          if where != "<module>"])} == {
+        "config.py": ["build_scenario_instance"], "problem.py": ["check_P1"]}
+    assert name_uses(script, {"check_moments"}) == []
 
 
 def tol_constants(source: str) -> list:

@@ -37,7 +37,8 @@ def test_expit_is_scipys_to_the_rounding_of_exp():
 
 def test_weight_mass_oracle(canonical):
     """Closed form: int (1+r^2)^-3 over R^3 = pi^2/4."""
-    with pytest.warns(TailInstabilityWarning):
+    with pytest.warns(TailInstabilityWarning, match=r"^second moment not "
+                      r"tail-stable to 1% on \[0, 40\.0\]$"):
         rep = check_P1(canonical.weight_values, canonical.grid)
     assert rep["mass"] == pytest.approx(np.pi ** 2 / 4.0, abs=1e-4)
     assert rep["mass_tail_stable"]
@@ -58,7 +59,9 @@ def test_second_moment_tail_stabilizes_at_large_radius():
 
 def test_divergent_moment_is_fatal():
     grid = sf.build_grid(3, 100.0, 2000)
-    with pytest.raises(DivergentMoment):
+    with pytest.raises(DivergentMoment, match=r"^mass gains 5\d\.\d% from "
+                       r"the outer half of \[0, 100\.0\] on the 2000-node "
+                       "grid; the moment looks divergent$"):
         check_P1(1.0 / (1.0 + grid.nodes ** 2), grid)
 
 
